@@ -34,8 +34,14 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # one line on stderr, without the usage block
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="supercut", description=__doc__)
+    ap = _Parser(prog="supercut", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(sp, calculus=True):
@@ -44,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--depth-bound", type=int, default=2)
         sp.add_argument("--max-facts", type=int, default=200000)
         sp.add_argument("--emit-proof", metavar="PATH")
-        sp.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        sp.add_argument("--format", choices=("text", "dot"), default="text")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("-p", "--premise", action="append", default=[], metavar="SEQ")
         sp.add_argument("--premises-file", metavar="PATH")
@@ -296,3 +302,7 @@ def _dispatch(args) -> int:
 
 def main() -> None:  # pragma: no cover - entry point
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -144,7 +144,6 @@ class SaturationState:
     facts: dict[FactKey, tuple]
     calculus: R.Calculus
     premises: tuple[Sequent, ...]
-    capped: bool = False
 
 
 def _minimal_facts(facts: Iterable[FactKey]) -> list[FactKey]:

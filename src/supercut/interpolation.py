@@ -104,74 +104,55 @@ def critical_nodes(p: Proof) -> frozenset[Sequent]:
 # ---------------------------------------------------------------------------
 
 
-def _delete_occurrence(node: Proof, side: str, atom: str) -> Proof:
+def _delete_occurrence(node: Proof, side: str, atom: str, rules: dict[str, R.StructuralRule]) -> Proof:
     """Remove one occurrence of the atom from the node's conclusion together
-    with its ancestor occurrences; weakenings bottom the recursion out."""
+    with its ancestor occurrences; weakenings bottom the recursion out.
+    ``rules`` is the rule map of the calculus the proof lives in."""
     target = Atom(atom)
     rule = node.rule
     assert target in getattr(node.conclusion, side), (node.conclusion.render(), side, atom)
     reduced = node.conclusion.remove_one(target, side)
 
+    def delete(child: Proof) -> Proof:
+        return _delete_occurrence(child, side, atom, rules)
+
     if rule in R.WEAKENING_NAMES:
         w, wside = RW._weakened_formula(node)
         if w == target and wside == side:
             return node.children[0]
-        return Proof(reduced, rule, (_delete_occurrence(node.children[0], side, atom),))
+        return Proof(reduced, rule, (delete(node.children[0]),))
     if rule in R.CONTRACTION_NAMES:
-        cside = "left" if rule == "contraction-left" else "right"
+        cside = R.COMMON_SIDE[rule]
         y = P._multiset_diff(getattr(node.children[0].conclusion, cside), getattr(node.conclusion, cside))[0]
         if y == target and cside == side:
-            inner = _delete_occurrence(node.children[0], side, atom)
-            return _delete_occurrence(inner, side, atom)
-        return Proof(reduced, rule, (_delete_occurrence(node.children[0], side, atom),))
+            return delete(delete(node.children[0]))
+        return Proof(reduced, rule, (delete(node.children[0]),))
     if rule in R.AXIOM_RULES:
         return Proof(reduced, rule)
     if rule == "premise" or rule == "identity":
         raise InterpolationError(f"cannot prune {atom} through a {rule} node")
     if P.is_logical(rule):
-        kids = tuple(_delete_occurrence(c, side, atom) for c in node.children)
-        return Proof(reduced, rule, kids)
+        return Proof(reduced, rule, tuple(delete(c) for c in node.children))
     # specific structural rule: the occurrence lives in a context slot
-    return _delete_from_slot(node, side, atom)
-
-
-def _delete_from_slot(node: Proof, side: str, atom: str) -> Proof:
-    target = Atom(atom)
-    # the rule schema is needed to locate the slot; all builtin-relevant
-    # rules are resolvable from their serialized name
-    schema = _schema_by_name(node.rule)
+    schema = rules[rule]
     m = R.match_structural(schema, [c.conclusion for c in node.children], node.conclusion)
-    assert m is not None, node.rule
+    assert m is not None, rule
     slots = schema.conclusion.slots_left if side == "left" else schema.conclusion.slots_right
     slot = next((s for s in slots if target in m.slot_assignment.get(s, ())), None)
     if slot is None:
         raise InterpolationError(
-            f"atom {atom} instantiates a schema position of {node.rule}; cannot prune"
+            f"atom {atom} instantiates a schema position of {rule}; cannot prune"
         )
     kids = []
     for child_schema, child in zip(schema.premises, node.children):
         if slot in child_schema.slots_left or slot in child_schema.slots_right:
-            kids.append(_delete_occurrence(child, side, atom))
+            kids.append(delete(child))
         else:
             kids.append(child)
-    return Proof(node.conclusion.remove_one(target, side), node.rule, tuple(kids))
+    return Proof(reduced, rule, tuple(kids))
 
 
-_SCHEMA_CACHE: dict[str, R.StructuralRule] = {}
-
-
-def _schema_by_name(name: str) -> R.StructuralRule:
-    if not _SCHEMA_CACHE:
-        for r in (R.IDENTITY, R.CUT, R.LIMITED_CUT_LEFT, R.LIMITED_CUT_RIGHT, R.EXPLOSIVE_CUT) + R.COMMON_RULES:
-            _SCHEMA_CACHE[r.name] = r
-    if name in _SCHEMA_CACHE:
-        return _SCHEMA_CACHE[name]
-    # expansion rules carry their schema in the name
-    rule = R.parse_structural_rule(name)
-    return R.StructuralRule(name, rule.premises, rule.conclusion)
-
-
-def _prune_subproof(sub: Proof, keep_atoms: frozenset[str]) -> Proof:
+def _prune_subproof(sub: Proof, keep_atoms: frozenset[str], rules: dict[str, R.StructuralRule]) -> Proof:
     out = sub
     while True:
         foreign = sorted(atoms_of(out.conclusion) - keep_atoms)
@@ -179,7 +160,7 @@ def _prune_subproof(sub: Proof, keep_atoms: frozenset[str]) -> Proof:
             return out
         a = foreign[0]
         side = "left" if Atom(a) in out.conclusion.left else "right"
-        out = _delete_occurrence(out, side, a)
+        out = _delete_occurrence(out, side, a, rules)
 
 
 def prune_foreign_atoms(p: Proof, premise_atoms: Iterable[str], calc: R.Calculus) -> Proof:
@@ -189,10 +170,11 @@ def prune_foreign_atoms(p: Proof, premise_atoms: Iterable[str], calc: R.Calculus
     if bad:
         raise InterpolationError(f"calculus contains non-generalized-cut rules: {', '.join(bad)}")
     keep = frozenset(premise_atoms)
+    rules = calc.rule_map()
     out = p
     for path in _node_paths(p):
         sub = p.node_at(path)
-        pruned = _prune_subproof(sub, keep)
+        pruned = _prune_subproof(sub, keep, rules)
         out = out.replace_at(path, P.weaken_to(pruned, sub.conclusion))
     return out
 
@@ -212,12 +194,13 @@ def _interpolate_from_proof(
     sequents, their subproofs, and the proof of the conclusion from them."""
     keep = frozenset().union(*(atoms_of(s) for s in premises)) if premises else frozenset()
     paths = _node_paths(proof, forbid_identity=forbid_identity)
+    rules = eff_calc.rule_map()
     interp: list[Sequent] = []
     subs: list[Proof] = []
     rest = proof
     for path in paths:
         sub = proof.node_at(path)
-        pruned = _prune_subproof(sub, keep)
+        pruned = _prune_subproof(sub, keep, rules)
         interp.append(pruned.conclusion)
         subs.append(pruned)
         leaf = P.premise(pruned.conclusion)

@@ -7,14 +7,11 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import rules as R
 from .syntax import (
-    And,
     Bot,
     Formula,
-    Neg,
-    Or,
+    ParseError,
     Sequent,
     SupercutError,
-    TOP,
     Top,
     formula_key,
     parse_sequent,
@@ -65,7 +62,7 @@ class Proof:
 
 
 def is_logical(rule: str) -> bool:
-    return rule in R.LOGICAL_RULES
+    return rule in R.LOGICAL
 
 
 def is_intro(rule: str) -> bool:
@@ -88,14 +85,10 @@ def premise(s: Sequent, index: Optional[int] = None) -> Proof:
     return Proof(s, "premise", (), index)
 
 
-def axiom_top(s: Sequent) -> Proof:
-    assert any(isinstance(f, Top) for f in s.right), s
-    return Proof(s, "top-right")
-
-
-def axiom_bot(s: Sequent) -> Proof:
-    assert any(isinstance(f, Bot) for f in s.left), s
-    return Proof(s, "bot-left")
+def axiom(s: Sequent, side: str) -> Proof:
+    """Close s by a top on the right or a bottom on the left."""
+    assert any(isinstance(f, Top if side == "right" else Bot) for f in getattr(s, side)), (s, side)
+    return Proof(s, R.AXIOMS[side])
 
 
 def logical(rule: str, children: Sequence[Proof], conclusion: Sequent) -> Proof:
@@ -163,8 +156,9 @@ def check(p: Proof, calc: R.Calculus, declared_premises: Sequence[Sequent] = ())
             return OK
         prems = [c.conclusion for c in node.children]
         if is_logical(rule):
-            if len(prems) != R.LOGICAL_ARITY[rule]:
-                return CheckResult(False, path, f"arity: {rule} expects {R.LOGICAL_ARITY[rule]} premises")
+            arity = R.LOGICAL[rule].arity
+            if len(prems) != arity:
+                return CheckResult(False, path, f"arity: {rule} expects {arity} premises")
             if R.match_logical(rule, prems, node.conclusion) is None:
                 return CheckResult(False, path, f"not an instance of {rule}")
             return OK
@@ -308,40 +302,22 @@ def _multiset_diff(a: Sequence[Formula], b: Sequence[Formula]) -> list[Formula]:
 def elim_targets(base: Proof) -> dict[Sequent, Proof]:
     """Elimination chains from a proof to every member of its At-set.
 
-    Mirrors the At-set recursion; keys are exactly at_set(base.conclusion).
+    Mirrors the At-set recursion; keys are exactly at_set(base.conclusion),
+    and on a key two branches share, the first branch's chain wins.
     """
     s = base.conclusion
-    if any(isinstance(f, Top) for f in s.right) or any(isinstance(f, Bot) for f in s.left):
+    if R.axiom_side(s):
         return {}
     cands = R._decomposition_candidates(s)
     if not cands:
         return {s: base}
     side, f = cands[0]
-    rest = s.remove_one(f, side)
-    if side == "left":
-        if isinstance(f, And):
-            nxt = logical("and-left-elim", [base], rest.add(left=[f.left, f.right]))
-            return elim_targets(nxt)
-        if isinstance(f, Or):
-            l = elim_targets(logical("or-left-elim", [base], rest.add(left=[f.left])))
-            r = elim_targets(logical("or-left-elim", [base], rest.add(left=[f.right])))
-            return {**r, **l}
-        if isinstance(f, Neg):
-            return elim_targets(logical("neg-left-elim", [base], rest.add(right=[f.arg])))
-        if isinstance(f, Top):
-            return elim_targets(logical("top-left-elim", [base], rest))
-        raise AssertionError(f)
-    if isinstance(f, And):
-        l = elim_targets(logical("and-right-elim", [base], rest.add(right=[f.left])))
-        r = elim_targets(logical("and-right-elim", [base], rest.add(right=[f.right])))
-        return {**r, **l}
-    if isinstance(f, Or):
-        return elim_targets(logical("or-right-elim", [base], rest.add(right=[f.left, f.right])))
-    if isinstance(f, Neg):
-        return elim_targets(logical("neg-right-elim", [base], rest.add(left=[f.arg])))
-    if isinstance(f, Bot):
-        return elim_targets(logical("bot-right-elim", [base], rest))
-    raise AssertionError(f)
+    row = R.ROWS[type(f), side]
+    chains = [elim_targets(logical(row.elim, [base], t)) for t in row.split(s, f)]
+    out = chains[-1]
+    for chain in reversed(chains[:-1]):
+        out = {**out, **chain}
+    return out
 
 
 class LeafUnavailable(SupercutError):
@@ -354,44 +330,15 @@ def build_intro(goal: Sequent, supply: Callable[[Sequent], Proof]) -> Proof:
     Branches reaching a top on the right or a bottom on the left close with
     the corresponding axiom.
     """
-    if any(isinstance(f, Top) for f in goal.right):
-        return axiom_top(goal)
-    if any(isinstance(f, Bot) for f in goal.left):
-        return axiom_bot(goal)
+    side = R.axiom_side(goal)
+    if side:
+        return axiom(goal, side)
     cands = R._decomposition_candidates(goal)
     if not cands:
         return supply(goal)
     side, f = cands[0]
-    rest = goal.remove_one(f, side)
-    if side == "left":
-        if isinstance(f, And):
-            sub = build_intro(rest.add(left=[f.left, f.right]), supply)
-            return logical("and-left-intro", [sub], goal)
-        if isinstance(f, Or):
-            sub1 = build_intro(rest.add(left=[f.left]), supply)
-            sub2 = build_intro(rest.add(left=[f.right]), supply)
-            return logical("or-left-intro", [sub1, sub2], goal)
-        if isinstance(f, Neg):
-            sub = build_intro(rest.add(right=[f.arg]), supply)
-            return logical("neg-left-intro", [sub], goal)
-        if isinstance(f, Top):
-            sub = build_intro(rest, supply)
-            return logical("top-left-intro", [sub], goal)
-        raise AssertionError(f)
-    if isinstance(f, And):
-        sub1 = build_intro(rest.add(right=[f.left]), supply)
-        sub2 = build_intro(rest.add(right=[f.right]), supply)
-        return logical("and-right-intro", [sub1, sub2], goal)
-    if isinstance(f, Or):
-        sub = build_intro(rest.add(right=[f.left, f.right]), supply)
-        return logical("or-right-intro", [sub], goal)
-    if isinstance(f, Neg):
-        sub = build_intro(rest.add(left=[f.arg]), supply)
-        return logical("neg-right-intro", [sub], goal)
-    if isinstance(f, Bot):
-        sub = build_intro(rest, supply)
-        return logical("bot-right-intro", [sub], goal)
-    raise AssertionError(f)
+    row = R.ROWS[type(f), side]
+    return logical(row.intro, [build_intro(t, supply) for t in row.split(goal, f)], goal)
 
 
 def intro_derive(c: Sequent, available: Iterable[Sequent]) -> Optional[Proof]:
@@ -426,13 +373,21 @@ def proof_to_dict(p: Proof) -> dict:
 
 
 def proof_from_dict(d: dict) -> Proof:
+    """Inverse of proof_to_dict; raises ParseError on a malformed node."""
+    if not (
+        isinstance(d, dict)
+        and isinstance(d.get("sequent"), str)
+        and isinstance(d.get("rule"), str)
+        and isinstance(d.get("children", []), list)
+        and type(d.get("premise_index", 0)) is int
+    ):
+        raise ParseError(
+            "malformed proof node",
+            0,
+            'an object with string "sequent" and "rule", optional list "children", optional int "premise_index"',
+        )
     children = tuple(proof_from_dict(c) for c in d.get("children", ()))
-    return Proof(
-        parse_sequent(d["sequent"]),
-        d["rule"],
-        children,
-        d.get("premise_index"),
-    )
+    return Proof(parse_sequent(d["sequent"]), d["rule"], children, d.get("premise_index"))
 
 
 def proof_to_dot(p: Proof) -> str:

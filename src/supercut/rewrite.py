@@ -5,24 +5,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Optional, Sequence
 
 from . import proofs as P
 from . import rules as R
 from .proofs import Proof
 from .syntax import (
-    And,
     Atom,
-    BOT,
-    Bot,
     Formula,
-    Neg,
-    Or,
     Sequent,
     Substitution,
     SupercutError,
-    TOP,
-    Top,
     apply_subst,
     atoms_of,
     sequent_key,
@@ -56,140 +50,68 @@ class RewriteTrace:
 # ---------------------------------------------------------------------------
 
 
-def weaken_left_by(p: Proof, f: Formula) -> Proof:
-    goal = p.conclusion.add(left=[f])
+def weaken_by(p: Proof, f: Formula, side: str) -> Proof:
+    """Weaken p by f on the given side, atomizing f: f is introduced over
+    weakenings by its components."""
+    goal = p.conclusion.add(**{side: [f]})
     if isinstance(f, Atom):
-        return P.structural("weakening-left", [p], goal)
-    if isinstance(f, Top):
-        return P.logical("top-left-intro", [p], goal)
-    if isinstance(f, Bot):
-        return P.axiom_bot(goal)
-    if isinstance(f, Neg):
-        return P.logical("neg-left-intro", [weaken_right_by(p, f.arg)], goal)
-    if isinstance(f, And):
-        return P.logical("and-left-intro", [weaken_left_by(weaken_left_by(p, f.left), f.right)], goal)
-    if isinstance(f, Or):
-        return P.logical("or-left-intro", [weaken_left_by(p, f.left), weaken_left_by(p, f.right)], goal)
-    raise TypeError(f)
+        return P.structural(R.WEAKENING[side], [p], goal)
+    row = R.ROWS.get((type(f), side))
+    if row is None:
+        return P.axiom(goal, side)
+    kids = []
+    for branch in row.branches:
+        q = p
+        for comp_side, attr in branch:
+            q = weaken_by(q, getattr(f, attr), comp_side)
+        kids.append(q)
+    return P.logical(row.intro, kids, goal)
 
 
-def weaken_right_by(p: Proof, f: Formula) -> Proof:
-    goal = p.conclusion.add(right=[f])
+def contract_by(p: Proof, f: Formula, side: str) -> Proof:
+    """From a proof of f, f, G |- D (f on the given side) produce f, G |- D,
+    atomizing f: both copies are eliminated, the components contracted and f
+    introduced again."""
+    goal = p.conclusion.remove_one(f, side)
     if isinstance(f, Atom):
-        return P.structural("weakening-right", [p], goal)
-    if isinstance(f, Top):
-        return P.axiom_top(goal)
-    if isinstance(f, Bot):
-        return P.logical("bot-right-intro", [p], goal)
-    if isinstance(f, Neg):
-        return P.logical("neg-right-intro", [weaken_left_by(p, f.arg)], goal)
-    if isinstance(f, And):
-        return P.logical(
-            "and-right-intro", [weaken_right_by(p, f.left), weaken_right_by(p, f.right)], goal
-        )
-    if isinstance(f, Or):
-        return P.logical(
-            "or-right-intro", [weaken_right_by(weaken_right_by(p, f.left), f.right)], goal
-        )
-    raise TypeError(f)
-
-
-def contract_left_by(p: Proof, f: Formula) -> Proof:
-    """From a proof of f, f, G |- D produce f, G |- D, atomizing f."""
-    goal = p.conclusion.remove_one(f, "left")
-    if isinstance(f, Atom):
-        return P.structural("contraction-left", [p], goal)
-    if isinstance(f, Top):
-        return P.logical("top-left-elim", [p], goal)
-    if isinstance(f, Bot):
-        return P.axiom_bot(goal)
-    if isinstance(f, Neg):
-        e1 = P.logical("neg-left-elim", [p], p.conclusion.remove_one(f, "left").add(right=[f.arg]))
-        e2 = P.logical("neg-left-elim", [e1], e1.conclusion.remove_one(f, "left").add(right=[f.arg]))
-        c = contract_right_by(e2, f.arg)
-        return P.logical("neg-left-intro", [c], goal)
-    if isinstance(f, And):
-        e1 = P.logical(
-            "and-left-elim", [p], p.conclusion.remove_one(f, "left").add(left=[f.left, f.right])
-        )
-        e2 = P.logical(
-            "and-left-elim", [e1], e1.conclusion.remove_one(f, "left").add(left=[f.left, f.right])
-        )
-        step = contract_left_by(contract_left_by(e2, f.left), f.right)
-        return P.logical("and-left-intro", [step], goal)
-    if isinstance(f, Or):
-        def branch(comp: Formula) -> Proof:
-            e1 = P.logical("or-left-elim", [p], p.conclusion.remove_one(f, "left").add(left=[comp]))
-            e2 = P.logical("or-left-elim", [e1], e1.conclusion.remove_one(f, "left").add(left=[comp]))
-            return contract_left_by(e2, comp)
-
-        return P.logical("or-left-intro", [branch(f.left), branch(f.right)], goal)
-    raise TypeError(f)
-
-
-def contract_right_by(p: Proof, f: Formula) -> Proof:
-    goal = p.conclusion.remove_one(f, "right")
-    if isinstance(f, Atom):
-        return P.structural("contraction-right", [p], goal)
-    if isinstance(f, Top):
-        return P.axiom_top(goal)
-    if isinstance(f, Bot):
-        return P.logical("bot-right-elim", [p], goal)
-    if isinstance(f, Neg):
-        e1 = P.logical("neg-right-elim", [p], p.conclusion.remove_one(f, "right").add(left=[f.arg]))
-        e2 = P.logical("neg-right-elim", [e1], e1.conclusion.remove_one(f, "right").add(left=[f.arg]))
-        c = contract_left_by(e2, f.arg)
-        return P.logical("neg-right-intro", [c], goal)
-    if isinstance(f, Or):
-        e1 = P.logical(
-            "or-right-elim", [p], p.conclusion.remove_one(f, "right").add(right=[f.left, f.right])
-        )
-        e2 = P.logical(
-            "or-right-elim", [e1], e1.conclusion.remove_one(f, "right").add(right=[f.left, f.right])
-        )
-        step = contract_right_by(contract_right_by(e2, f.left), f.right)
-        return P.logical("or-right-intro", [step], goal)
-    if isinstance(f, And):
-        def branch(comp: Formula) -> Proof:
-            e1 = P.logical("and-right-elim", [p], p.conclusion.remove_one(f, "right").add(right=[comp]))
-            e2 = P.logical("and-right-elim", [e1], e1.conclusion.remove_one(f, "right").add(right=[comp]))
-            return contract_right_by(e2, comp)
-
-        return P.logical("and-right-intro", [branch(f.left), branch(f.right)], goal)
-    raise TypeError(f)
+        return P.structural(R.CONTRACTION[side], [p], goal)
+    row = R.ROWS.get((type(f), side))
+    if row is None:
+        return P.axiom(goal, side)
+    if row.branches == ((),):
+        return P.logical(row.elim, [p], goal)
+    kids = []
+    for i, branch in enumerate(row.branches):
+        q = p
+        for _ in range(2):
+            q = P.logical(row.elim, [q], row.branch(q.conclusion, f, i))
+        for comp_side, attr in branch:
+            q = contract_by(q, getattr(f, attr), comp_side)
+        kids.append(q)
+    return P.logical(row.intro, kids, goal)
 
 
 def identity_proof(f: Formula) -> Proof:
+    """f |- f with f introduced on the left below f on the right (the other
+    way round when the left closes by axiom); each leaf is the identity on
+    the component both sides share, weakened by the rest."""
+    goal = Sequent([f], [f])
     if isinstance(f, Atom):
-        return P.structural("identity", [], Sequent([f], [f]))
-    if isinstance(f, Top):
-        ax = P.axiom_top(Sequent((), (TOP,)))
-        return P.logical("top-left-intro", [ax], Sequent((TOP,), (TOP,)))
-    if isinstance(f, Bot):
-        ax = P.axiom_bot(Sequent((BOT,), ()))
-        return P.logical("bot-right-intro", [ax], Sequent((BOT,), (BOT,)))
-    if isinstance(f, Neg):
-        base = identity_proof(f.arg)
-        step = P.logical("neg-right-intro", [base], Sequent((), (f.arg, f)))
-        return P.logical("neg-left-intro", [step], Sequent((f,), (f,)))
-    if isinstance(f, And):
-        a = weaken_left_by(identity_proof(f.left), f.right)
-        b = weaken_left_by(identity_proof(f.right), f.left)
-        step = P.logical("and-right-intro", [a, b], Sequent((f.left, f.right), (f,)))
-        return P.logical("and-left-intro", [step], Sequent((f,), (f,)))
-    if isinstance(f, Or):
-        a = P.logical(
-            "or-right-intro",
-            [weaken_right_by(identity_proof(f.left), f.right)],
-            Sequent((f.left,), (f,)),
-        )
-        b = P.logical(
-            "or-right-intro",
-            [weaken_right_by(identity_proof(f.right), f.left)],
-            Sequent((f.right,), (f,)),
-        )
-        return P.logical("or-left-intro", [a, b], Sequent((f,), (f,)))
-    raise TypeError(f)
+        return P.structural("identity", [], goal)
+    outer, inner = ("left", "right") if (type(f), "left") in R.ROWS else ("right", "left")
+    return _introduce(goal, f, outer, lambda s: _introduce(s, f, inner, _identity_leaf))
+
+
+def _introduce(goal: Sequent, f: Formula, side: str, prove: Callable[[Sequent], Proof]) -> Proof:
+    row = R.ROWS.get((type(f), side))
+    if row is None:
+        return P.axiom(goal, side)
+    return P.logical(row.intro, [prove(s) for s in row.split(goal, f)], goal)
+
+
+def _identity_leaf(s: Sequent) -> Proof:
+    shared = next(g for g in s.left if g in s.right)
+    return _weaken_multiset(identity_proof(shared), s)
 
 
 def _contract_multiset(p: Proof, target: Sequent) -> Proof:
@@ -201,53 +123,45 @@ def _contract_multiset(p: Proof, target: Sequent) -> Proof:
         if not extra_left and not extra_right:
             break
         if extra_left:
-            cur = contract_left_by(cur, extra_left[0])
+            cur = contract_by(cur, extra_left[0], "left")
         else:
-            cur = contract_right_by(cur, extra_right[0])
+            cur = contract_by(cur, extra_right[0], "right")
     assert cur.conclusion == target
     return cur
 
 
 def cut_on(p1: Proof, p2: Proof, f: Formula) -> Proof:
-    """Cut p1: G |- D, f against p2: f, G' |- D', atomizing the cut formula."""
+    """Cut p1: G |- D, f against p2: f, G' |- D', atomizing the cut formula.
+
+    The occurrence whose decomposition does not branch is eliminated once;
+    each branch of the other occurrence is then cut against the running
+    proof on its component. A constant closes one side by axiom, and the
+    other side's elimination is weakened to the conclusion.
+    """
     left = p1.conclusion.remove_one(f, "right")
     right = p2.conclusion.remove_one(f, "left")
     goal = Sequent(left.left + right.left, left.right + right.right)
     if isinstance(f, Atom):
         return P.structural("cut", [p1, p2], goal)
-    if isinstance(f, Top):
-        q = P.logical("top-left-elim", [p2], right)
+    occurrences = [(R.ROWS.get((type(f), side)), p) for side, p in (("right", p1), ("left", p2))]
+    (row, p), *others = sorted(((r, p) for r, p in occurrences if r), key=lambda o: len(o[0].branches))
+    q = P.logical(row.elim, [p], row.branch(p.conclusion, f, 0))
+    if not others:
         return _weaken_multiset(q, goal)
-    if isinstance(f, Bot):
-        q = P.logical("bot-right-elim", [p1], left)
-        return _weaken_multiset(q, goal)
-    if isinstance(f, Neg):
-        a = P.logical("neg-right-elim", [p1], left.add(left=[f.arg]))
-        b = P.logical("neg-left-elim", [p2], right.add(right=[f.arg]))
-        return cut_on(b, a, f.arg)
-    if isinstance(f, And):
-        a1 = P.logical("and-right-elim", [p1], left.add(right=[f.left]))
-        a2 = P.logical("and-right-elim", [p1], left.add(right=[f.right]))
-        b = P.logical("and-left-elim", [p2], right.add(left=[f.left, f.right]))
-        c1 = cut_on(a1, b, f.left)
-        c2 = cut_on(a2, c1, f.right)
-        return _contract_multiset(c2, goal)
-    if isinstance(f, Or):
-        a = P.logical("or-right-elim", [p1], left.add(right=[f.left, f.right]))
-        b1 = P.logical("or-left-elim", [p2], right.add(left=[f.left]))
-        b2 = P.logical("or-left-elim", [p2], right.add(left=[f.right]))
-        c1 = cut_on(a, b1, f.left)
-        c2 = cut_on(c1, b2, f.right)
-        return _contract_multiset(c2, goal)
-    raise TypeError(f)
+    ((row, p),) = others
+    for i, ((comp_side, attr),) in enumerate(row.branches):
+        b = P.logical(row.elim, [p], row.branch(p.conclusion, f, i))
+        comp = getattr(f, attr)
+        q = cut_on(b, q, comp) if comp_side == "right" else cut_on(q, b, comp)
+    return _contract_multiset(q, goal)
 
 
 def _weaken_multiset(p: Proof, target: Sequent) -> Proof:
     cur = p
     for f in P._multiset_diff(target.left, cur.conclusion.left):
-        cur = weaken_left_by(cur, f)
+        cur = weaken_by(cur, f, "left")
     for f in P._multiset_diff(target.right, cur.conclusion.right):
-        cur = weaken_right_by(cur, f)
+        cur = weaken_by(cur, f, "right")
     assert cur.conclusion == target, (cur.conclusion.render(), target.render())
     return cur
 
@@ -288,14 +202,12 @@ def _expand_principals(node: Proof, calc: R.Calculus, trace: Optional[RewriteTra
     if cur.rule == "identity":
         (f,) = values.values()
         return identity_proof(f)
-    if cur.rule in ("weakening-left", "weakening-right"):
+    if cur.rule in R.WEAKENING_NAMES:
         (f,) = values.values()
-        fn = weaken_left_by if cur.rule == "weakening-left" else weaken_right_by
-        return fn(cur.children[0], f)
-    if cur.rule in ("contraction-left", "contraction-right"):
+        return weaken_by(cur.children[0], f, R.COMMON_SIDE[cur.rule])
+    if cur.rule in R.CONTRACTION_NAMES:
         (f,) = values.values()
-        fn = contract_left_by if cur.rule == "contraction-left" else contract_right_by
-        return fn(cur.children[0], f)
+        return contract_by(cur.children[0], f, R.COMMON_SIDE[cur.rule])
     if cur.rule == "cut":
         f = values["x"]
         return cut_on(cur.children[0], cur.children[1], f)
@@ -323,6 +235,11 @@ def _slot_side(rule: R.StructuralRule, slot: str) -> str:
     raise AssertionError(slot)
 
 
+@lru_cache(maxsize=None)
+def _names_by_canonical_schema(calc: R.Calculus) -> dict[tuple, str]:
+    return {R.canonical_rule(r).schema_key(): r.name for r in calc.rule_map().values()}
+
+
 def _sandwich(node: Proof, calc: R.Calculus, m: Optional[R.StructuralMatch]) -> Proof:
     """Replace a structural step by eliminations, atomic instances of its
     expansion rules, and introductions."""
@@ -332,7 +249,7 @@ def _sandwich(node: Proof, calc: R.Calculus, m: Optional[R.StructuralMatch]) -> 
         m = R.match_structural(rule, [c.conclusion for c in node.children], node.conclusion)
         assert m is not None, node.rule
     sigma = Substitution(m.atom_assignment)
-    by_key = {R.canonical_rule(r).schema_key(): r.name for r in table.values()}
+    by_key = _names_by_canonical_schema(calc)
 
     slot_branches: dict[str, list[Sequent]] = {}
     for slot in rule.slot_names():
@@ -406,42 +323,20 @@ def _fix_root(node: Proof, trace: Optional[RewriteTrace]) -> Proof:
         return node
     if trace is not None:
         trace.record("reorder", node.conclusion.render(), node.rule)
-    if R.INVERSE.get(child.rule) == node.rule:
+    row = R.LOGICAL[node.rule].row
+    if R.LOGICAL[child.rule].row is row:
         for g in child.children:
             if g.conclusion == node.conclusion:
                 return g
     m = R.match_logical(node.rule, [child.conclusion], node.conclusion)
     assert m is not None
-    new_kids = [
-        _fix_root(_apply_elim(node.rule, m.principal, child.conclusion, node.conclusion, g), trace)
-        for g in child.children
-    ]
+    new_kids = [_fix_root(_apply_elim(row, m, g), trace) for g in child.children]
     return P.logical(child.rule, new_kids, node.conclusion)
 
 
-def _apply_elim(rule: str, f: Formula, orig_premise: Sequent, orig_concl: Sequent, g: Proof) -> Proof:
-    s = g.conclusion
-    if rule == "and-left-elim":
-        return P.logical(rule, [g], s.remove_one(f, "left").add(left=[f.left, f.right]))
-    if rule == "or-right-elim":
-        return P.logical(rule, [g], s.remove_one(f, "right").add(right=[f.left, f.right]))
-    if rule == "neg-left-elim":
-        return P.logical(rule, [g], s.remove_one(f, "left").add(right=[f.arg]))
-    if rule == "neg-right-elim":
-        return P.logical(rule, [g], s.remove_one(f, "right").add(left=[f.arg]))
-    if rule == "top-left-elim":
-        return P.logical(rule, [g], s.remove_one(TOP, "left"))
-    if rule == "bot-right-elim":
-        return P.logical(rule, [g], s.remove_one(BOT, "right"))
-    if rule == "and-right-elim":
-        base = orig_premise.remove_one(f, "right")
-        comp = f.left if orig_concl == base.add(right=[f.left]) else f.right
-        return P.logical(rule, [g], s.remove_one(f, "right").add(right=[comp]))
-    if rule == "or-left-elim":
-        base = orig_premise.remove_one(f, "left")
-        comp = f.left if orig_concl == base.add(left=[f.left]) else f.right
-        return P.logical(rule, [g], s.remove_one(f, "left").add(left=[comp]))
-    raise AssertionError(rule)
+def _apply_elim(row: R.Decomposition, m: R.LogicalMatch, g: Proof) -> Proof:
+    """The elimination matched by m, applied to g's conclusion instead."""
+    return P.logical(m.rule, [g], row.branch(g.conclusion, m.principal, m.branch))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +493,7 @@ def _cut_atom(node: Proof) -> tuple[Atom, Proof, Proof]:
 
 def _weakened_formula(node: Proof) -> tuple[Formula, str]:
     child = node.children[0]
-    side = "left" if node.rule == "weakening-left" else "right"
+    side = R.COMMON_SIDE[node.rule]
     diff = P._multiset_diff(getattr(node.conclusion, side), getattr(child.conclusion, side))
     return diff[0], side
 
@@ -625,23 +520,18 @@ def _remove_weakenings(p: Proof) -> Proof:
                 others[idx] = inner
                 small = parent.conclusion.remove_one(w, wside)
                 cut2 = P.structural("cut", others, small)
-                repl = P.structural(f"weakening-{wside}", [cut2], parent.conclusion)
+                repl = P.structural(R.WEAKENING[wside], [cut2], parent.conclusion)
             p = p.replace_at(parent_path, repl)
             continue
         if parent.rule in R.CONTRACTION_NAMES:
-            cside = "left" if parent.rule == "contraction-left" else "right"
+            cside = R.COMMON_SIDE[parent.rule]
             y = P._multiset_diff(getattr(wnode.conclusion, cside), getattr(parent.conclusion, cside))[0]
             if w == y and wside == cside:
                 repl = inner
             else:
-                small = Sequent(
-                    *(
-                        (inner.conclusion.left, inner.conclusion.right.remove if False else inner.conclusion.right)
-                    )
-                )
                 contracted = parent.conclusion.remove_one(w, wside)
                 c2 = P.structural(parent.rule, [inner], contracted)
-                repl = P.structural(f"weakening-{wside}", [c2], parent.conclusion)
+                repl = P.structural(R.WEAKENING[wside], [c2], parent.conclusion)
             p = p.replace_at(parent_path, repl)
             continue
         raise RewriteError(f"weakening feeds unexpected rule {parent.rule}")
@@ -676,7 +566,7 @@ def _raise_contractions(p: Proof) -> Proof:
         node = p.node_at(path)
         cutnode = node.children[0]
         x, c1, c2 = _cut_atom(cutnode)
-        cside = "left" if node.rule == "contraction-left" else "right"
+        cside = R.COMMON_SIDE[node.rule]
         y = P._multiset_diff(getattr(cutnode.conclusion, cside), getattr(node.conclusion, cside))[0]
         # contracting inside a premise is possible whenever it holds the pair;
         # the cut consumes at most one occurrence, which a pair survives

@@ -6,12 +6,11 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .syntax import (
     And,
     Atom,
-    BOT,
     Bot,
     Formula,
     Neg,
@@ -20,7 +19,6 @@ from .syntax import (
     Sequent,
     Substitution,
     SupercutError,
-    TOP,
     Top,
     apply_subst,
     formula_key,
@@ -31,152 +29,118 @@ from .syntax import (
 # Logical rules
 # ---------------------------------------------------------------------------
 
-INTRO_RULES = frozenset(
-    {
-        "and-left-intro",
-        "and-right-intro",
-        "or-left-intro",
-        "or-right-intro",
-        "neg-left-intro",
-        "neg-right-intro",
-        "top-left-intro",
-        "bot-right-intro",
-    }
-)
-ELIM_RULES = frozenset(
-    {
-        "and-left-elim",
-        "and-right-elim",
-        "or-left-elim",
-        "or-right-elim",
-        "neg-left-elim",
-        "neg-right-elim",
-        "top-left-elim",
-        "bot-right-elim",
-    }
-)
-AXIOM_RULES = frozenset({"top-right", "bot-left"})
-LOGICAL_RULES = INTRO_RULES | ELIM_RULES
-
-INVERSE = {
-    "and-left-intro": "and-left-elim",
-    "and-right-intro": "and-right-elim",
-    "or-left-intro": "or-left-elim",
-    "or-right-intro": "or-right-elim",
-    "neg-left-intro": "neg-left-elim",
-    "neg-right-intro": "neg-right-elim",
-    "top-left-intro": "top-left-elim",
-    "bot-right-intro": "bot-right-elim",
+# Every calculus shares one set of logical rules, all read off this table. It
+# maps a connective and the side of its principal occurrence to the branches
+# of the decomposition; a branch lists the (side, component attribute) pairs
+# it adds. A missing key is a side the constant closes by axiom: top on the
+# right, bottom on the left.
+DECOMPOSITION: dict[tuple[type, str], tuple[tuple[tuple[str, str], ...], ...]] = {
+    (And, "left"): ((("left", "left"), ("left", "right")),),
+    (And, "right"): ((("right", "left"),), (("right", "right"),)),
+    (Or, "left"): ((("left", "left"),), (("left", "right"),)),
+    (Or, "right"): ((("right", "left"), ("right", "right")),),
+    (Neg, "left"): ((("right", "arg"),),),
+    (Neg, "right"): ((("left", "arg"),),),
+    (Top, "left"): ((),),
+    (Bot, "right"): ((),),
 }
-INVERSE.update({v: k for k, v in list(INVERSE.items())})
+AXIOMS = {"right": "top-right", "left": "bot-left"}
+AXIOM_RULES = frozenset(AXIOMS.values())
 
-LOGICAL_ARITY = {
-    "and-left-intro": 1,
-    "and-left-elim": 1,
-    "and-right-intro": 2,
-    "and-right-elim": 1,
-    "or-left-intro": 2,
-    "or-left-elim": 1,
-    "or-right-intro": 1,
-    "or-right-elim": 1,
-    "neg-left-intro": 1,
-    "neg-left-elim": 1,
-    "neg-right-intro": 1,
-    "neg-right-elim": 1,
-    "top-left-intro": 1,
-    "top-left-elim": 1,
-    "bot-right-intro": 1,
-    "bot-right-elim": 1,
-}
+
+@dataclass(frozen=True)
+class Decomposition:
+    """One row of DECOMPOSITION with its introduction and elimination names."""
+
+    connective: type
+    side: str
+    branches: tuple[tuple[tuple[str, str], ...], ...]
+    intro: str
+    elim: str
+
+    def branch(self, s: Sequent, f: Formula, i: int) -> Sequent:
+        """s with one occurrence of f taken off its side and branch i's components added."""
+        return _extend(s.remove_one(f, self.side), f, self.branches[i])
+
+    def split(self, s: Sequent, f: Formula) -> list[Sequent]:
+        """Every branch of decomposing one occurrence of f in s."""
+        rest = s.remove_one(f, self.side)
+        return [_extend(rest, f, pairs) for pairs in self.branches]
+
+
+def _extend(rest: Sequent, f: Formula, pairs: tuple[tuple[str, str], ...]) -> Sequent:
+    if not pairs:
+        return rest
+    left: list[Formula] = []
+    right: list[Formula] = []
+    for side, attr in pairs:
+        (left if side == "left" else right).append(getattr(f, attr))
+    return rest.add(left, right)
+
+
+def _row(connective: type, side: str, branches) -> Decomposition:
+    name = f"{connective.__name__.lower()}-{side}"
+    return Decomposition(connective, side, branches, f"{name}-intro", f"{name}-elim")
+
+
+ROWS = {key: _row(*key, branches) for key, branches in DECOMPOSITION.items()}
+
+
+class LogicalRule(NamedTuple):
+    row: Decomposition
+    intro: bool
+    arity: int
+
+
+LOGICAL = {r.intro: LogicalRule(r, True, len(r.branches)) for r in ROWS.values()}
+LOGICAL.update({r.elim: LogicalRule(r, False, 1) for r in ROWS.values()})
+INTRO_RULES = frozenset(r.intro for r in ROWS.values())
+ELIM_RULES = frozenset(r.elim for r in ROWS.values())
 
 
 @dataclass(frozen=True)
 class LogicalMatch:
     rule: str
     principal: Formula
+    branch: int = 0  # for an elimination, the branch its conclusion takes
 
 
 def match_logical(rule: str, premises: Sequence[Sequent], conclusion: Sequent) -> Optional[LogicalMatch]:
-    """Re-match a logical inference step; None when it is not an instance."""
-    if rule not in LOGICAL_ARITY or len(premises) != LOGICAL_ARITY[rule]:
+    """Re-match a logical inference step; None when it is not an instance.
+
+    The principal occurrence is drawn from the conclusion (introductions) or
+    the premise (eliminations); an introduction takes its premises in either
+    order.
+    """
+    lr = LOGICAL.get(rule)
+    if lr is None or len(premises) != lr.arity:
         return None
-    for cand in _principal_candidates(rule, premises, conclusion):
-        if _logical_instance(rule, premises, conclusion, cand):
-            return LogicalMatch(rule, cand)
+    row = lr.row
+    host = conclusion if lr.intro else premises[0]
+    seen = set()
+    for f in getattr(host, row.side):
+        if not isinstance(f, row.connective) or f in seen:
+            continue
+        seen.add(f)
+        ws = row.split(host, f)
+        if lr.intro:
+            if tuple(premises) in (tuple(ws), tuple(reversed(ws))):
+                return LogicalMatch(rule, f)
+        else:
+            for i, w in enumerate(ws):
+                if w == conclusion:
+                    return LogicalMatch(rule, f, i)
     return None
 
 
-def _principal_candidates(rule: str, premises: Sequence[Sequent], conclusion: Sequent):
-    """Occurrences that could be principal, drawn from conclusion (intro) or premise (elim)."""
-    if rule in INTRO_RULES:
-        host = conclusion
-    else:
-        host = premises[0]
-    side = "left" if "-left-" in rule else "right"
-    wanted: type | None = {
-        "and": And,
-        "or": Or,
-        "neg": Neg,
-        "top": Top,
-        "bot": Bot,
-    }[rule.split("-")[0]]
-    seen = set()
-    for f in getattr(host, side):
-        if isinstance(f, wanted) and f not in seen:
-            seen.add(f)
-            yield f
-
-
-def _logical_instance(rule: str, premises: Sequence[Sequent], conclusion: Sequent, f: Formula) -> bool:
-    p = list(premises)
-    c = conclusion
-    if rule == "and-left-intro":
-        base = c.remove_one(f, "left")
-        return p[0] == base.add(left=[f.left, f.right])
-    if rule == "and-left-elim":
-        base = p[0].remove_one(f, "left")
-        return c == base.add(left=[f.left, f.right])
-    if rule == "and-right-intro":
-        base = c.remove_one(f, "right")
-        w1, w2 = base.add(right=[f.left]), base.add(right=[f.right])
-        return (p[0], p[1]) in ((w1, w2), (w2, w1))
-    if rule == "and-right-elim":
-        base = p[0].remove_one(f, "right")
-        return c in (base.add(right=[f.left]), base.add(right=[f.right]))
-    if rule == "or-left-intro":
-        base = c.remove_one(f, "left")
-        w1, w2 = base.add(left=[f.left]), base.add(left=[f.right])
-        return (p[0], p[1]) in ((w1, w2), (w2, w1))
-    if rule == "or-left-elim":
-        base = p[0].remove_one(f, "left")
-        return c in (base.add(left=[f.left]), base.add(left=[f.right]))
-    if rule == "or-right-intro":
-        base = c.remove_one(f, "right")
-        return p[0] == base.add(right=[f.left, f.right])
-    if rule == "or-right-elim":
-        base = p[0].remove_one(f, "right")
-        return c == base.add(right=[f.left, f.right])
-    if rule == "neg-left-intro":
-        base = c.remove_one(f, "left")
-        return p[0] == base.add(right=[f.arg])
-    if rule == "neg-left-elim":
-        base = p[0].remove_one(f, "left")
-        return c == base.add(right=[f.arg])
-    if rule == "neg-right-intro":
-        base = c.remove_one(f, "right")
-        return p[0] == base.add(left=[f.arg])
-    if rule == "neg-right-elim":
-        base = p[0].remove_one(f, "right")
-        return c == base.add(left=[f.arg])
-    if rule == "top-left-intro":
-        return p[0] == c.remove_one(TOP, "left")
-    if rule == "top-left-elim":
-        return c == p[0].remove_one(TOP, "left")
-    if rule == "bot-right-intro":
-        return p[0] == c.remove_one(BOT, "right")
-    if rule == "bot-right-elim":
-        return c == p[0].remove_one(BOT, "right")
-    raise ValueError(f"unknown logical rule {rule}")
+def axiom_side(s: Sequent) -> Optional[str]:
+    """"right" for a top on the right, "left" for a bottom on the left, None
+    when s is no axiom."""
+    if any(isinstance(f, Top) for f in s.right):
+        return "right"
+    if any(isinstance(f, Bot) for f in s.left):
+        return "left"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +269,13 @@ LIMITED_CUT_LEFT = parse_structural_rule("|- x ; x, G |- D => G |- D", "limited-
 LIMITED_CUT_RIGHT = parse_structural_rule("G |- D, x ; x |- => G |- D", "limited-cut-right")
 EXPLOSIVE_CUT = parse_structural_rule("|- x ; x |- => |-", "explosive-cut")
 
-WEAKENING_NAMES = frozenset({"weakening-left", "weakening-right"})
-CONTRACTION_NAMES = frozenset({"contraction-left", "contraction-right"})
-COMMON_NAMES = WEAKENING_NAMES | CONTRACTION_NAMES
+# side -> name of the common rule acting on one formula of that side
+WEAKENING = {"left": WEAKENING_LEFT.name, "right": WEAKENING_RIGHT.name}
+CONTRACTION = {"left": CONTRACTION_LEFT.name, "right": CONTRACTION_RIGHT.name}
+COMMON_SIDE = {name: side for table in (WEAKENING, CONTRACTION) for side, name in table.items()}
+WEAKENING_NAMES = frozenset(WEAKENING.values())
+CONTRACTION_NAMES = frozenset(CONTRACTION.values())
+COMMON_NAMES = frozenset(COMMON_SIDE)
 
 
 @dataclass(frozen=True)
@@ -491,33 +459,13 @@ def _at_set_default(s: Sequent) -> frozenset[Sequent]:
 
 
 def _at_set_walk(s: Sequent, chooser) -> frozenset[Sequent]:
-    if any(isinstance(f, Top) for f in s.right) or any(isinstance(f, Bot) for f in s.left):
+    if axiom_side(s):
         return frozenset()
     cands = _decomposition_candidates(s)
     if not cands:
         return frozenset((s,))
     side, f = cands[chooser(cands)]
-    rest = s.remove_one(f, side)
-    rec = lambda t: _at_set_walk(t, chooser)
-    if side == "left":
-        if isinstance(f, And):
-            return rec(rest.add(left=[f.left, f.right]))
-        if isinstance(f, Or):
-            return rec(rest.add(left=[f.left])) | rec(rest.add(left=[f.right]))
-        if isinstance(f, Neg):
-            return rec(rest.add(right=[f.arg]))
-        if isinstance(f, Top):
-            return rec(rest)
-        raise AssertionError(f)
-    if isinstance(f, And):
-        return rec(rest.add(right=[f.left])) | rec(rest.add(right=[f.right]))
-    if isinstance(f, Or):
-        return rec(rest.add(right=[f.left, f.right]))
-    if isinstance(f, Neg):
-        return rec(rest.add(left=[f.arg]))
-    if isinstance(f, Bot):
-        return rec(rest)
-    raise AssertionError(f)
+    return frozenset().union(*(_at_set_walk(t, chooser) for t in ROWS[type(f), side].split(s, f)))
 
 
 # ---------------------------------------------------------------------------
@@ -698,35 +646,21 @@ def _set_partitions(items: list[str], max_blocks: int):
             yield part + [[first]]
 
 
-@lru_cache(maxsize=None)
-def _balanced_expansions_cached(rule: StructuralRule, max_blocks: int, depth_bound: int) -> frozenset[StructuralRule]:
-    shapes = _linear_shapes(depth_bound)
-    schema_atoms = rule.schema_atoms()
-    expanded: set[StructuralRule] = set()
-    for combo in itertools.product(shapes, repeat=len(schema_atoms)):
-        fresh = (f"_e{i}" for i in itertools.count())
-        mapping = {a: _shape_to_formula(shape, fresh) for a, shape in zip(schema_atoms, combo)}
-        sigma = Substitution(mapping)
-        for r in sigma_expand(rule, sigma):
-            expanded.add(canonical_rule(r))
-    out: set[StructuralRule] = set()
-    for r in expanded:
-        names = list(r.schema_atoms())
-        for part in _set_partitions(names, max_blocks or 1):
-            table = {n: block[0] for block in part for n in block}
-            out.add(canonical_rule(_rename_rule(r, table)))
-    return frozenset(out)
-
-
 def balanced_expansions(rule: StructuralRule, atom_universe: Iterable[str], depth_bound: int) -> frozenset[StructuralRule]:
     """Balanced non-conflicting sigma-expansions up to a depth bound.
 
     Images are linear balanced formulas over fresh atoms; renaming the fresh
     atoms into the universe (collisions included) is realized as schema-atom
-    merging, and results are deduplicated up to renaming.
+    merging over the expansion pool, and results are deduplicated up to
+    renaming.
     """
-    universe = tuple(sorted(set(atom_universe)))
-    return _balanced_expansions_cached(rule, max(1, len(universe)), depth_bound)
+    max_blocks = max(1, len(set(atom_universe)))
+    out: set[StructuralRule] = set()
+    for r in expansion_pool(rule, depth_bound):
+        for part in _set_partitions(list(r.schema_atoms()), max_blocks):
+            table = {n: block[0] for block in part for n in block}
+            out.add(canonical_rule(_rename_rule(r, table)))
+    return frozenset(out)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, JSON output, proof round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import supercut
 from supercut.cli import run
 from supercut.proofs import check, proof_from_dict
 from supercut.engine import effective_calculus
@@ -139,3 +143,36 @@ def test_dot_output(tmp_path, capsys):
                 "--emit-proof", str(out_path), "|- p | ~p"]) == 0
     assert out_path.read_text().startswith("digraph proof {")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "blob, command",
+    [
+        ({"sequent": "|- p"}, "check"),
+        ([{"sequent": "|- p", "rule": "premise"}], "normalize"),
+        ({"sequent": "|- p | q", "rule": "or-right-intro",
+          "children": [{"sequent": "|- p, q", "rule": "premise", "premise_index": "0"}]}, "check"),
+    ],
+)
+def test_malformed_proof_json_is_a_usage_error(tmp_path, capsys, blob, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    assert run([command, "--calculus", "gk", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "malformed proof node" in err
+
+
+def test_format_json_is_rejected(capsys):
+    assert run(["prove", "--calculus", "gk", "--format", "json", "|- p | ~p"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--format" in err
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(supercut.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "supercut.cli", "prove", "--calculus", "gk", "-p", "|- p", "|- p | q"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "derivable"

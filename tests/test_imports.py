@@ -1,0 +1,51 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+import pathlib
+
+import pytest
+
+import supercut
+
+PACKAGE = pathlib.Path(supercut.__file__).parent
+# the package's __init__ imports names only to re-export them
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used(tree: ast.AST) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            args += [a for a in (node.args.vararg, node.args.kwarg) if a is not None]
+            annotations += [a.annotation for a in args]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    # forward references written as strings
+    for ann in filter(None, annotations):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used(ast.parse(node.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = _used(tree)
+    unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"

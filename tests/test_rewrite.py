@@ -20,6 +20,7 @@ from supercut.rewrite import (
     RefutationShapeError,
     RewriteError,
     RewriteTrace,
+    contract_by,
     cut_on,
     eliminate_cuts,
     enforce_subformula,
@@ -30,12 +31,12 @@ from supercut.rewrite import (
     replay_trace,
     separate_identity_cut,
     simplify_refutation,
-    weaken_left_by,
+    weaken_by,
 )
-from supercut.rules import builtin_calculus
-from supercut.syntax import Sequent, parse_formula as pf, parse_sequent as ps
+from supercut.rules import DECOMPOSITION, builtin_calculus
+from supercut.syntax import Bot, Neg, Sequent, Top, parse_formula as pf, parse_sequent as ps
 
-from conftest import random_sequent
+from conftest import random_formula, random_sequent
 
 GB = builtin_calculus("gb")
 GK = builtin_calculus("gk")
@@ -85,10 +86,31 @@ class TestExpandStructural:
         f = pf("(p | ~q) & r")
         idp = identity_proof(f)
         assert check(idp, GCL, []).ok and idp.conclusion == Sequent([f], [f])
-        w = weaken_left_by(premise(ps("|- s"), 0), f)
+        w = weaken_by(premise(ps("|- s"), 0), f, "left")
         assert check(w, GCL, [ps("|- s")]).ok
         c = cut_on(premise(ps("|- s," + " (p | ~q) & r"), 0), premise(ps("(p | ~q) & r |- t"), 1), f)
         assert check(c, GCL, [ps("|- s, (p | ~q) & r"), ps("(p | ~q) & r |- t")]).ok
+
+    @pytest.mark.parametrize("conn, side", list(DECOMPOSITION), ids=lambda x: getattr(x, "__name__", x))
+    def test_helpers_on_every_table_row(self, rng, conn, side):
+        for _ in range(15):
+            if conn in (Top, Bot):
+                f = conn()
+            else:
+                comps = [random_formula(rng, ["p", "q"], 2) for _ in range(2)]
+                f = Neg(comps[0]) if conn is Neg else conn(*comps)
+            s, t = random_sequent(rng, ["p", "q"], 0), random_sequent(rng, ["p", "q"], 0)
+            w = weaken_by(premise(s, 0), f, side)
+            assert w.conclusion == s.add(**{side: [f]}) and check(w, GCL, [s]).ok
+            doubled = s.add(**{side: [f, f]})
+            c = contract_by(premise(doubled, 0), f, side)
+            assert c.conclusion == s.add(**{side: [f]}) and check(c, GCL, [doubled]).ok
+            s1, s2 = s.add(right=[f]), t.add(left=[f])
+            cut = cut_on(premise(s1, 0), premise(s2, 1), f)
+            assert cut.conclusion == Sequent(s.left + t.left, s.right + t.right)
+            assert check(cut, GCL, [s1, s2]).ok
+            idp = identity_proof(f)
+            assert idp.conclusion == Sequent([f], [f]) and check(idp, GCL, []).ok
 
 
 class TestMakeAnalyticSynthetic:

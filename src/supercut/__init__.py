@@ -14,6 +14,7 @@ from .syntax import (
     Or,
     ParseError,
     PolarityReport,
+    ResourceCapError,
     Sequent,
     Substitution,
     SupercutError,
@@ -79,7 +80,7 @@ from .proofs import (
     proof_to_dict,
     proof_to_dot,
 )
-from .engine import DeriveResult, ResourceCapError, derives, refutes
+from .engine import DeriveResult, derives, refutes
 from .rewrite import (
     RewriteTrace,
     eliminate_cuts,

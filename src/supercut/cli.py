@@ -20,6 +20,7 @@ from . import rules as R
 from .syntax import (
     Formula,
     ParseError,
+    ResourceCapError,
     Sequent,
     Substitution,
     SupercutError,
@@ -40,6 +41,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="supercut", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -47,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp, calculus=True):
         if calculus:
             sp.add_argument("--calculus", choices=R.CALCULUS_NAMES, required=True)
-        sp.add_argument("--depth-bound", type=int, default=2)
-        sp.add_argument("--max-facts", type=int, default=200000)
+        sp.add_argument("--depth-bound", type=_int_at_least(0), default=2)
+        sp.add_argument("--max-facts", type=_int_at_least(1), default=200000)
         sp.add_argument("--emit-proof", metavar="PATH")
         sp.add_argument("--format", choices=("text", "dot"), default="text")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
@@ -159,7 +175,7 @@ def run(argv: Sequence[str]) -> int:
         return EXIT_USAGE if exc.code else EXIT_YES
     try:
         return _dispatch(args)
-    except E.ResourceCapError as exc:
+    except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ParseError, json.JSONDecodeError, OSError) as exc:

@@ -14,13 +14,9 @@ from typing import Iterable, Optional, Sequence
 
 from . import proofs as P
 from . import rules as R
-from .syntax import Atom, Sequent, SupercutError, atoms_of, sequent_key
+from .syntax import Atom, ResourceCapError, Sequent, atoms_of, sequent_key
 
 FactKey = tuple[int, int]
-
-
-class ResourceCapError(SupercutError):
-    """Raised when the configured fact cap is exceeded."""
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
-"""Finite logical matrices and brute-force consequence checking.
+"""Finite logical matrices and exhaustive consequence checking.
 
 This module is the independent semantic oracle: every syntactic verdict in
 the package can be cross-checked against exhaustive valuation enumeration
-over these matrices.
+over these matrices. The enumeration is bit-sliced: a subformula's value
+over all valuations at once is one bitmask per carrier element, so each
+subformula is evaluated once per query, not once per valuation.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .syntax import (
@@ -19,6 +20,7 @@ from .syntax import (
     Formula,
     Neg,
     Or,
+    ResourceCapError,
     Sequent,
     SupercutError,
     Top,
@@ -47,15 +49,45 @@ class Matrix:
     top: str
     bot: str
     designated: frozenset[str]
+    # Lookup tables derived from the rows above once, in __post_init__; they
+    # take no part in equality, hashing or repr. ``_indexed`` holds the
+    # operations over carrier indices for bit-sliced evaluation: the meet
+    # and join tables, the neg table, the top and bottom indices and the
+    # designated indices.
+    _meet: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
+    _join: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
+    _neg: dict[str, str] = field(init=False, repr=False, compare=False)
+    _indexed: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        meet = {(a, b): c for a, b, c in self.meet}
+        join = {(a, b): c for a, b, c in self.join}
+        neg = dict(self.neg)
+        index = {c: i for i, c in enumerate(self.carrier)}
+        try:
+            indexed = (
+                tuple(tuple(index[meet[a, b]] for b in self.carrier) for a in self.carrier),
+                tuple(tuple(index[join[a, b]] for b in self.carrier) for a in self.carrier),
+                tuple(index[neg[a]] for a in self.carrier),
+                index[self.top],
+                index[self.bot],
+                tuple(sorted(index[d] for d in self.designated)),
+            )
+        except KeyError as exc:
+            raise MatrixError(f"matrix {self.name}: tables not total over the carrier at {exc}") from None
+        object.__setattr__(self, "_meet", meet)
+        object.__setattr__(self, "_join", join)
+        object.__setattr__(self, "_neg", neg)
+        object.__setattr__(self, "_indexed", indexed)
 
     def meet_of(self, a: str, b: str) -> str:
-        return _binop_table(self.meet)[(a, b)]
+        return self._meet[a, b]
 
     def join_of(self, a: str, b: str) -> str:
-        return _binop_table(self.join)[(a, b)]
+        return self._join[a, b]
 
     def neg_of(self, a: str) -> str:
-        return _unop_table(self.neg)[a]
+        return self._neg[a]
 
     def check_laws(self) -> bool:
         """Lattice laws, De Morgan/involution of neg, and extrema, exhaustively."""
@@ -99,16 +131,6 @@ class Matrix:
             for b in self.carrier:
                 lines.append(f"join {a} {b} = {self.join_of(a, b)}")
         return "\n".join(lines)
-
-
-@lru_cache(maxsize=None)
-def _binop_table(rows: tuple[tuple[str, str, str], ...]) -> dict[tuple[str, str], str]:
-    return {(a, b): c for a, b, c in rows}
-
-
-@lru_cache(maxsize=None)
-def _unop_table(rows: tuple[tuple[str, str], ...]) -> dict[str, str]:
-    return {a: b for a, b in rows}
 
 
 def _lattice_matrix(
@@ -276,7 +298,8 @@ LOGIC_NAMES = ("b", "k", "lp", "etl", "ecq", "cl", "kleq")
 
 
 def eval_formula(m: Matrix, valuation: dict[str, str], f: Formula) -> str:
-    """Homomorphic evaluation; raises on missing atom bindings."""
+    """Homomorphic evaluation under one valuation; raises on missing atom
+    bindings. The tests check the bit-sliced ``holds`` against it."""
     if isinstance(f, Atom):
         try:
             return valuation[f.name]
@@ -295,43 +318,86 @@ def eval_formula(m: Matrix, valuation: dict[str, str], f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-@lru_cache(maxsize=200000)
-def _designation_mask(m: Matrix, atom_tuple: tuple[str, ...], f: Formula) -> int:
-    """Bitmask over the enumerated valuations where ``f`` is designated.
+# Beyond this many valuations per matrix ``holds`` raises ResourceCapError:
+# at the cap a bit-sliced value takes 128 KiB per carrier element.
+MAX_VALUATIONS = 2**20
 
-    Valuation i assigns atom_tuple[j] the carrier element with index
-    ``(i // len(carrier)**j) % len(carrier)``.
+
+def _atom_slices(n: int, j: int, count: int) -> tuple[int, ...]:
+    """The bit-sliced value of the atom at position ``j`` of the atom tuple.
+
+    Valuation i gives that atom the carrier element ``(i // n**j) % n``:
+    element v owns bits ``[v*n**j, (v+1)*n**j)`` of every period of
+    ``n**(j+1)`` bits, and multiplying one period by ``repeat`` copies it
+    across all ``count`` bits.
     """
+    run = n**j
+    period = run * n
+    repeat = ((1 << count) - 1) // ((1 << period) - 1)
+    return tuple((((1 << run) - 1) << (v * run)) * repeat for v in range(n))
+
+
+def _holds_single(
+    m: Matrix,
+    atom_tuple: tuple[str, ...],
+    premises: tuple[Formula, ...],
+    conclusion: Optional[Formula],
+) -> bool:
+    """Consequence in one matrix over every valuation of ``atom_tuple``.
+
+    A subformula's value is a tuple with one int per carrier index: bit i of
+    slot v is set when the subformula takes element v under valuation i.
+    """
+    meet, join, neg, top, bot, designated = m._indexed
     n = len(m.carrier)
     count = n ** len(atom_tuple)
-    mask = 0
-    vals: dict[str, str] = {}
-    for i in range(count):
-        k = i
-        for a in atom_tuple:
-            vals[a] = m.carrier[k % n]
-            k //= n
-        if eval_formula(m, vals, f) in m.designated:
-            mask |= 1 << i
-    return mask
+    full = (1 << count) - 1
+    position = {a: j for j, a in enumerate(atom_tuple)}
+    memo: dict[Formula, tuple[int, ...]] = {}
 
+    def value(f: Formula) -> tuple[int, ...]:
+        out = memo.get(f)
+        if out is not None:
+            return out
+        if isinstance(f, Atom):
+            out = _atom_slices(n, position[f.name], count)
+        else:
+            slots = [0] * n
+            if isinstance(f, (Top, Bot)):
+                slots[top if isinstance(f, Top) else bot] = full
+            elif isinstance(f, Neg):
+                for x, bits in enumerate(value(f.arg)):
+                    slots[neg[x]] |= bits
+            elif isinstance(f, (And, Or)):
+                table = meet if isinstance(f, And) else join
+                right = [(y, bits) for y, bits in enumerate(value(f.right)) if bits]
+                for x, left in enumerate(value(f.left)):
+                    if left:
+                        row = table[x]
+                        for y, bits in right:
+                            slots[row[y]] |= left & bits
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            out = tuple(slots)
+        memo[f] = out
+        return out
 
-def _holds_single(m: Matrix, premises: tuple[Formula, ...], conclusion: Optional[Formula]) -> bool:
-    names: set[str] = set()
-    for p in premises:
-        names |= atoms_of(p)
-    if conclusion is not None:
-        names |= atoms_of(conclusion)
-    atom_tuple = tuple(sorted(names))
-    n = len(m.carrier)
-    full = (1 << (n ** len(atom_tuple))) - 1
+    def designation_mask(f: Formula) -> int:
+        slots = value(f)
+        mask = 0
+        for v in designated:
+            mask |= slots[v]
+        return mask
+
     prem_mask = full
     for p in premises:
-        prem_mask &= _designation_mask(m, atom_tuple, p)
+        prem_mask &= designation_mask(p)
+        if not prem_mask:
+            return True
     if conclusion is None:
         # Antitheorem check: no valuation designates all premises.
-        return prem_mask == 0
-    return prem_mask & ~_designation_mask(m, atom_tuple, conclusion) == 0
+        return False
+    return prem_mask & ~designation_mask(conclusion) == 0
 
 
 def holds(
@@ -339,13 +405,26 @@ def holds(
     premises: Iterable[Formula],
     conclusion: Optional[Formula] = None,
 ) -> bool:
-    """Matrix consequence by exhaustive valuation enumeration.
+    """Matrix consequence by exhaustive, bit-sliced valuation enumeration.
 
     A ``None`` conclusion asks whether the premises form an antitheorem.
     For intersections the verdict is the conjunction over all matrices.
+    Raises ResourceCapError when a matrix has more than ``MAX_VALUATIONS``
+    valuations of the query's atoms.
     """
     prem = tuple(premises)
-    return all(_holds_single(m, prem, conclusion) for m in spec.matrices)
+    names: set[str] = set()
+    for f in prem if conclusion is None else prem + (conclusion,):
+        names |= atoms_of(f)
+    atom_tuple = tuple(sorted(names))
+    for m in spec.matrices:
+        count = len(m.carrier) ** len(atom_tuple)
+        if count > MAX_VALUATIONS:
+            raise ResourceCapError(
+                f"valuation cap {MAX_VALUATIONS} exceeded: {m.name} over "
+                f"{len(atom_tuple)} atoms has {count} valuations"
+            )
+    return all(_holds_single(m, atom_tuple, prem, conclusion) for m in spec.matrices)
 
 
 def holds_sequent(spec: LogicSpec, premises: Iterable[Sequent], conclusion: Sequent) -> bool:

@@ -23,6 +23,10 @@ class ParseError(SupercutError):
         self.expected = expected
 
 
+class ResourceCapError(SupercutError):
+    """Raised when a resource cap is exceeded: saturation facts or oracle valuations."""
+
+
 # ---------------------------------------------------------------------------
 # Formulas
 # ---------------------------------------------------------------------------

@@ -171,8 +171,28 @@ def test_format_json_is_rejected(capsys):
 def test_module_entry_point():
     src = os.path.dirname(os.path.dirname(supercut.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "supercut.cli", "prove", "--calculus", "gk", "-p", "|- p", "|- p | q"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 0 and proc.stdout.strip() == "derivable"
+    for module in ("supercut.cli", "supercut"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "prove", "--calculus", "gk", "-p", "|- p", "|- p | q"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "derivable", module
+
+
+def test_valuation_cap_exit_code(capsys):
+    # 16**7 valuations of the ecq product matrix: refused before enumerating
+    assert run(["semantics", "--logic", "ecq", "-p", "p & q & r & s", "t | u | v"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "valuation cap" in err
+    # 16**5 valuations: within the cap, answered
+    assert run(["semantics", "--logic", "ecq", "-p", "p & ~p & q", "r | s"]) == 0
+    assert run(["semantics", "--logic", "ecq", "-p", "p & q", "r | s | ~t"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [("--max-facts", "0"), ("--depth-bound", "-1"), ("--max-facts", "x")])
+def test_out_of_range_bounds_are_usage_errors(capsys, flag, value):
+    assert run(["prove", "--calculus", "gk", flag, value, "|- p | ~p"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
+

@@ -1,5 +1,6 @@
 """Matrix laws, builtin logics, the consequence oracle, information order."""
 
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,10 @@ from supercut.matrices import (
     BOOL2,
     ETL4,
     K3,
+    LOGIC_NAMES,
     LP3,
+    MAX_VALUATIONS,
+    Matrix,
     MatrixError,
     builtin,
     check_info_monotone,
@@ -19,7 +23,16 @@ from supercut.matrices import (
     information_order,
     product_matrix,
 )
-from supercut.syntax import And, Atom, Neg, Or, parse_formula as pf, parse_sequent as ps
+from supercut.syntax import (
+    And,
+    Atom,
+    Neg,
+    Or,
+    ResourceCapError,
+    atoms_of,
+    parse_formula as pf,
+    parse_sequent as ps,
+)
 
 from conftest import random_formula
 
@@ -62,6 +75,16 @@ class TestMatrices:
         text = BOOL2.dump()
         assert "matrix BOOL2" in text and "neg t = f" in text
 
+    def test_lookup_tables_are_not_part_of_identity(self):
+        m = product_matrix(ETL4, B4)
+        assert m == builtin("ecq").matrices[0] and hash(m) == hash(builtin("ecq").matrices[0])
+        assert m != product_matrix(B4, ETL4)
+        assert "_meet" not in repr(BOOL2)
+
+    def test_partial_table_is_rejected(self):
+        with pytest.raises(MatrixError):
+            Matrix("half", ("f", "t"), BOOL2.meet[:3], BOOL2.join, BOOL2.neg, "t", "f", frozenset("t"))
+
 
 class TestEval:
     def test_examples(self):
@@ -100,6 +123,64 @@ class TestHolds:
         assert holds_sequent(builtin("b"), [ps("|- p & q")], ps("|- p"))
         assert holds_sequent(builtin("lp"), [], ps("|- p | ~p"))
         assert not holds_sequent(builtin("b"), [], ps("p |- p"))
+
+
+def _brute_force_holds(spec, premises, conclusion):
+    """Reference consequence: ``eval_formula`` under one valuation at a time."""
+    forms = list(premises) + ([conclusion] if conclusion is not None else [])
+    names = sorted(set().union(*map(atoms_of, forms)))
+    for m in spec.matrices:
+        for values in itertools.product(m.carrier, repeat=len(names)):
+            val = dict(zip(names, values))
+            if all(eval_formula(m, val, p) in m.designated for p in premises):
+                if conclusion is None or eval_formula(m, val, conclusion) not in m.designated:
+                    return False
+    return True
+
+
+class TestOracleDifferential:
+    """The bit-sliced oracle against per-valuation enumeration."""
+
+    def test_random_queries_every_logic(self, rng):
+        verdicts = set()
+        for i in range(350):
+            spec = builtin(LOGIC_NAMES[i % len(LOGIC_NAMES)])
+            atoms = ["p", "q", "r"][: rng.randint(0, 3)]
+            prems = [random_formula(rng, atoms, 3) for _ in range(rng.randint(0, 2))]
+            concl = None if rng.random() < 0.25 else random_formula(rng, atoms, 3)
+            want = _brute_force_holds(spec, prems, concl)
+            assert holds(spec, prems, concl) == want, (spec.name, prems, concl)
+            verdicts.add((concl is None, want))
+        assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_four_atom_ecq(self):
+        ecq = builtin("ecq")
+        prems = [pf("(p | q) & ~(r & s)"), pf("~p | (s & ~s)")]
+        cases = [
+            (prems, pf("q | (p & ~p) | (s & ~s)"), True),
+            (prems, pf("q & ~s"), False),
+            ([pf("p & ~p & (q | r)")], pf("s"), True),  # explosive: not valid in b
+            ([pf("(p & ~p) | (q & ~q)"), pf("r | s")], None, False),
+        ]
+        for gamma, concl, want in cases:
+            assert holds(ecq, gamma, concl) == _brute_force_holds(ecq, gamma, concl) == want
+        assert not holds(builtin("b"), [pf("p & ~p & (q | r)")], pf("s"))
+
+
+class TestValuationCap:
+    def test_cap_raises_before_enumerating(self):
+        seven = [pf("p & q & r & s"), pf("t | u | v")]
+        assert len(builtin("ecq").matrices[0].carrier) ** 7 > MAX_VALUATIONS
+        with pytest.raises(ResourceCapError, match="valuation cap"):
+            holds(builtin("ecq"), seven, None)
+        # the same atoms are within the cap on two-valued logic
+        assert not holds(builtin("cl"), seven, None)
+
+    def test_largest_query_within_the_cap(self):
+        # 4**10 == MAX_VALUATIONS
+        atoms = "abcdefghij"
+        prems = [pf(" & ".join(atoms))]
+        assert holds(builtin("b"), prems, pf(f"{atoms[-1]} | ~{atoms[0]}"))
 
 
 class TestSampledInvariants:

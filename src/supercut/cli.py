@@ -178,6 +178,9 @@ def run(argv: Sequence[str]) -> int:
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RecursionError:
+        print("resource cap exceeded: input nested too deeply", file=sys.stderr)
+        return EXIT_RESOURCE
     except (ParseError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

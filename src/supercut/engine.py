@@ -143,7 +143,7 @@ class SaturationState:
 
 
 def _minimal_facts(facts: Iterable[FactKey]) -> list[FactKey]:
-    keys = sorted(facts, key=lambda k: (bin(k[0] | (k[1] << 32)).count("1"), k))
+    keys = sorted(facts, key=lambda k: (k[0].bit_count() + k[1].bit_count(), k))
     out: list[FactKey] = []
     for k in keys:
         if not any(d[0] & ~k[0] == 0 and d[1] & ~k[1] == 0 for d in out):

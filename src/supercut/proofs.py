@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import rules as R
 from .syntax import (
@@ -54,11 +54,51 @@ class Proof:
         for i, c in enumerate(self.children):
             yield from c.walk(path + (i,))
 
+    def nodes(self) -> Iterator["Proof"]:
+        """Each distinct node once, in the order ``walk`` first reaches it;
+        a subproof shared by several parents is not walked again."""
+        seen: set[int] = set()
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                yield node
+                todo.extend(reversed(node.children))
+
     def premise_leaves(self) -> frozenset[Sequent]:
-        return frozenset(n.conclusion for _, n in self.walk() if n.rule == "premise")
+        return frozenset(n.conclusion for n in self.nodes() if n.rule == "premise")
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        """Node count of the proof read as a tree, in time linear in its
+        distinct nodes."""
+        return rebuild(self, lambda _, sizes: 1 + sum(sizes))
+
+
+T = TypeVar("T")
+
+
+def rebuild(p: Proof, step: Callable[[Proof, tuple[T, ...]], T]) -> T:
+    """Post-order map over the distinct nodes of p: ``step(node, new_kids)``
+    gets the results for node's children and returns node's result.
+
+    Each distinct node is stepped once, children left to right before their
+    parent, so a shared subproof maps to one shared result.
+    """
+    done: dict[int, T] = {}
+    todo = [p]
+    while todo:
+        node = todo[-1]
+        if id(node) in done:
+            todo.pop()
+            continue
+        pending = [c for c in node.children if id(c) not in done]
+        if pending:
+            todo.extend(reversed(pending))
+            continue
+        todo.pop()
+        done[id(node)] = step(node, tuple(done[id(c)] for c in node.children))
+    return done[id(p)]
 
 
 def is_logical(rule: str) -> bool:
@@ -121,57 +161,72 @@ OK = CheckResult(True)
 
 def check(p: Proof, calc: R.Calculus, declared_premises: Sequence[Sequent] = ()) -> CheckResult:
     """Re-match every node against the calculus; first failure wins,
-    reported in leftmost-innermost order."""
+    reported in leftmost-innermost order.
+
+    A subproof shared by several parents is checked once: nodes found sound
+    are remembered, and the first failure ends the check.
+    """
     declared = list(declared_premises)
     table = calc.rule_map()
+    sound: set[int] = set()
+    # the open branch: (node, its index under the node before it)
+    todo: list[tuple[Proof, int]] = [(p, 0)]
+    while todo:
+        node = todo[-1][0]
+        i = next((i for i, c in enumerate(node.children) if id(c) not in sound), None)
+        if i is not None:
+            todo.append((node.children[i], i))
+            continue
+        reason = _fault(node, declared, table)
+        if reason is not None:
+            return CheckResult(False, tuple(i for _, i in todo[1:]), reason)
+        sound.add(id(node))
+        todo.pop()
+    return OK
 
-    def visit(node: Proof, path: Path) -> CheckResult:
-        for i, c in enumerate(node.children):
-            res = visit(c, path + (i,))
-            if not res.ok:
-                return res
-        rule = node.rule
-        if rule == "premise":
-            if node.children:
-                return CheckResult(False, path, "premise node with children")
-            if node.premise_index is not None:
-                if not (0 <= node.premise_index < len(declared)):
-                    return CheckResult(False, path, "premise index out of range")
-                if declared[node.premise_index] != node.conclusion:
-                    return CheckResult(False, path, "premise does not match declared sequent")
-            elif node.conclusion not in declared:
-                return CheckResult(False, path, "sequent is not a declared premise")
-            return OK
-        if rule == "top-right":
-            if node.children:
-                return CheckResult(False, path, "axiom with children")
-            if not any(isinstance(f, Top) for f in node.conclusion.right):
-                return CheckResult(False, path, "no top on the right")
-            return OK
-        if rule == "bot-left":
-            if node.children:
-                return CheckResult(False, path, "axiom with children")
-            if not any(isinstance(f, Bot) for f in node.conclusion.left):
-                return CheckResult(False, path, "no bottom on the left")
-            return OK
-        prems = [c.conclusion for c in node.children]
-        if is_logical(rule):
-            arity = R.LOGICAL[rule].arity
-            if len(prems) != arity:
-                return CheckResult(False, path, f"arity: {rule} expects {arity} premises")
-            if R.match_logical(rule, prems, node.conclusion) is None:
-                return CheckResult(False, path, f"not an instance of {rule}")
-            return OK
-        if rule not in table:
-            return CheckResult(False, path, f"rule not in calculus: {rule}")
-        schema = table[rule]
-        if len(prems) != len(schema.premises):
-            return CheckResult(False, path, f"arity: {rule} expects {len(schema.premises)} premises")
-        if R.match_structural(schema, prems, node.conclusion, atomic_only=False) is None:
-            return CheckResult(False, path, f"not an instance of {rule}")
-        return OK
 
-    return visit(p, ())
+def _fault(node: Proof, declared: list[Sequent], table: dict[str, R.StructuralRule]) -> Optional[str]:
+    """Why node is not a sound step from its children, or None."""
+    rule = node.rule
+    if rule == "premise":
+        if node.children:
+            return "premise node with children"
+        if node.premise_index is not None:
+            if not (0 <= node.premise_index < len(declared)):
+                return "premise index out of range"
+            if declared[node.premise_index] != node.conclusion:
+                return "premise does not match declared sequent"
+        elif node.conclusion not in declared:
+            return "sequent is not a declared premise"
+        return None
+    if rule == "top-right":
+        if node.children:
+            return "axiom with children"
+        if not any(isinstance(f, Top) for f in node.conclusion.right):
+            return "no top on the right"
+        return None
+    if rule == "bot-left":
+        if node.children:
+            return "axiom with children"
+        if not any(isinstance(f, Bot) for f in node.conclusion.left):
+            return "no bottom on the left"
+        return None
+    prems = [c.conclusion for c in node.children]
+    if is_logical(rule):
+        arity = R.LOGICAL[rule].arity
+        if len(prems) != arity:
+            return f"arity: {rule} expects {arity} premises"
+        if R.match_logical(rule, prems, node.conclusion) is None:
+            return f"not an instance of {rule}"
+        return None
+    if rule not in table:
+        return f"rule not in calculus: {rule}"
+    schema = table[rule]
+    if len(prems) != len(schema.premises):
+        return f"arity: {rule} expects {len(schema.premises)} premises"
+    if R.match_structural(schema, prems, node.conclusion, atomic_only=False) is None:
+        return f"not an instance of {rule}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +236,7 @@ def check(p: Proof, calc: R.Calculus, declared_premises: Sequence[Sequent] = ())
 
 def is_structurally_atomic(p: Proof) -> bool:
     """Premises and conclusions of all structural nodes are atomic sequents."""
-    for _, node in p.walk():
+    for node in p.nodes():
         if is_structural(node.rule) and node.rule != "premise":
             if not node.conclusion.is_atomic():
                 return False
@@ -190,21 +245,31 @@ def is_structurally_atomic(p: Proof) -> bool:
     return True
 
 
+def nodes_under(p: Proof, marks: Callable[[Proof], bool]) -> Iterator[tuple[Proof, bool]]:
+    """Each distinct (node, below) pair once, where ``below`` says whether
+    some node strictly below it on a branch, toward the root, satisfies
+    ``marks``."""
+    seen: set[tuple[int, bool]] = set()
+    todo = [(p, False)]
+    while todo:
+        node, below = todo.pop()
+        if (id(node), below) not in seen:
+            seen.add((id(node), below))
+            yield node, below
+            below = below or marks(node)
+            todo.extend((c, below) for c in reversed(node.children))
+
+
 def is_analytic_synthetic(p: Proof) -> bool:
     """On every branch all eliminations precede (sit above) all introductions."""
-
-    def visit(node: Proof, intro_forbidden: bool) -> bool:
-        if is_intro(node.rule) and intro_forbidden:
-            return False
-        forbid = intro_forbidden or is_elim(node.rule)
-        return all(visit(c, forbid) for c in node.children)
-
-    return visit(p, False)
+    return not any(
+        below and is_intro(node.rule) for node, below in nodes_under(p, lambda n: is_elim(n.rule))
+    )
 
 
 def no_elim_after_intro(p: Proof) -> bool:
     """Local variant: no elimination immediately follows an introduction."""
-    for _, node in p.walk():
+    for node in p.nodes():
         if is_elim(node.rule) and any(is_intro(c.rule) for c in node.children):
             return False
     return True
@@ -215,7 +280,7 @@ def has_subformula_property(p: Proof, declared_premises: Iterable[Sequent] = ())
     for s in list(declared_premises) + [p.conclusion]:
         for f in s.left + s.right:
             universe |= subformulas(f)
-    for _, node in p.walk():
+    for node in p.nodes():
         for f in node.conclusion.left + node.conclusion.right:
             if f not in universe:
                 return False

@@ -178,12 +178,13 @@ def _node_is_atomic(node: Proof) -> bool:
 def expand_structural(p: Proof, calc: R.Calculus, trace: Optional[RewriteTrace] = None) -> Proof:
     """Replace every non-atomic structural step by logical rules plus atomic
     instances available in the calculus."""
-    step1 = _expand_principals(p, calc, trace)
-    return _atomize_contexts(step1, calc, trace)
+    step1 = P.rebuild(p, lambda node, kids: _expand_principal(node, kids, calc, trace))
+    return P.rebuild(step1, lambda node, kids: _atomize_context(node, kids, calc, trace))
 
 
-def _expand_principals(node: Proof, calc: R.Calculus, trace: Optional[RewriteTrace]) -> Proof:
-    kids = tuple(_expand_principals(c, calc, trace) for c in node.children)
+def _expand_principal(
+    node: Proof, kids: tuple[Proof, ...], calc: R.Calculus, trace: Optional[RewriteTrace]
+) -> Proof:
     cur = Proof(node.conclusion, node.rule, kids, node.premise_index)
     if not P.is_structural(cur.rule) or cur.rule == "premise":
         return cur
@@ -216,8 +217,9 @@ def _expand_principals(node: Proof, calc: R.Calculus, trace: Optional[RewriteTra
     return _sandwich(cur, calc, m)
 
 
-def _atomize_contexts(node: Proof, calc: R.Calculus, trace: Optional[RewriteTrace]) -> Proof:
-    kids = tuple(_atomize_contexts(c, calc, trace) for c in node.children)
+def _atomize_context(
+    node: Proof, kids: tuple[Proof, ...], calc: R.Calculus, trace: Optional[RewriteTrace]
+) -> Proof:
     cur = Proof(node.conclusion, node.rule, kids, node.premise_index)
     if not P.is_structural(cur.rule) or cur.rule == "premise" or _node_is_atomic(cur):
         return cur
@@ -305,13 +307,12 @@ def make_analytic_synthetic(p: Proof, trace: Optional[RewriteTrace] = None) -> P
     """Reorder a structurally atomic proof so eliminations precede introductions."""
     if not P.is_structurally_atomic(p):
         raise RewriteError("make_analytic_synthetic requires a structurally atomic proof")
-    out = _reorder(p, trace)
+    out = P.rebuild(p, lambda node, kids: _reorder(node, kids, trace))
     assert P.is_analytic_synthetic(out)
     return out
 
 
-def _reorder(node: Proof, trace: Optional[RewriteTrace]) -> Proof:
-    kids = tuple(_reorder(c, trace) for c in node.children)
+def _reorder(node: Proof, kids: tuple[Proof, ...], trace: Optional[RewriteTrace]) -> Proof:
     return _fix_root(Proof(node.conclusion, node.rule, kids, node.premise_index), trace)
 
 
@@ -353,7 +354,7 @@ def enforce_subformula(
     for s in premises:
         resident |= atoms_of(s)
     used: set[str] = set()
-    for _, node in p.walk():
+    for node in p.nodes():
         used |= atoms_of(node.conclusion)
     foreign = used - resident
     if not foreign:
@@ -363,16 +364,9 @@ def enforce_subformula(
     if resident:
         q = Atom(sorted(resident)[0])
         ren = Substitution({a: q for a in sorted(foreign)})
-
-        def rename(node: Proof) -> Proof:
-            return Proof(
-                apply_subst(ren, node.conclusion),
-                node.rule,
-                tuple(rename(c) for c in node.children),
-                node.premise_index,
-            )
-
-        return rename(p)
+        return P.rebuild(
+            p, lambda node, kids: Proof(apply_subst(ren, node.conclusion), node.rule, kids, node.premise_index)
+        )
     # constant-only corner: rebuild from scratch
     leaves = R.at_set(conclusion)
     if not leaves:
@@ -469,7 +463,7 @@ def simplify_refutation(p: Proof) -> Proof:
         raise RewriteError("simplify_refutation expects a proof of the empty sequent")
     if not P.is_structurally_atomic(p):
         raise RewriteError("simplify_refutation expects a structurally atomic proof")
-    for _, node in p.walk():
+    for node in p.nodes():
         if node.rule != "premise" and node.rule not in _REFUTATION_RULES:
             raise RewriteError(f"unexpected rule in refutation: {node.rule}")
         if node.rule == "premise" and not node.conclusion.is_atomic():
@@ -543,7 +537,7 @@ def _drop_identity_cuts(p: Proof) -> Proof:
             p, lambda n: n.rule == "cut" and any(c.rule == "identity" for c in n.children)
         )
         if not paths:
-            for _, node in p.walk():
+            for node in p.nodes():
                 if node.rule == "identity":
                     raise RewriteError("identity node not consumed by a cut")
             return p
@@ -588,14 +582,9 @@ def _raise_contractions(p: Proof) -> Proof:
 
 def _assert_contraction_then_cut(p: Proof) -> None:
     # branch order leaf-to-root must be contractions first, cuts second
-    def visit(node: Proof, under_contraction: bool) -> None:
-        if node.rule == "cut" and under_contraction:
+    for node, below in P.nodes_under(p, lambda n: n.rule in R.CONTRACTION_NAMES):
+        if below and node.rule == "cut":
             raise RefutationShapeError("cut above a contraction survived reshaping")
-        under = under_contraction or node.rule in R.CONTRACTION_NAMES
-        for c in node.children:
-            visit(c, under)
-
-    visit(p, False)
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +636,6 @@ def _find_identity_cut(p: Proof) -> Optional[tuple[P.Path, int, Atom]]:
 
 
 def _assert_separated(p: Proof) -> None:
-    def visit(node: Proof, cut_below: bool) -> None:
-        if node.rule == "identity" and cut_below:
+    for node, below in P.nodes_under(p, lambda n: n.rule == "cut"):
+        if below and node.rule == "identity":
             raise RewriteError("identity above a cut survived separation")
-        for c in node.children:
-            visit(c, cut_below or node.rule == "cut")
-
-    visit(p, False)

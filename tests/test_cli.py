@@ -190,6 +190,16 @@ def test_valuation_cap_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["prove", "--calculus", "gb", "|- " + "~" * 3000 + "p"], ["semantics", "--logic", "b", "~" * 3000 + "p"]],
+)
+def test_deep_nesting_is_a_resource_error(capsys, argv):
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nested too deeply" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--max-facts", "0"), ("--depth-bound", "-1"), ("--max-facts", "x")])
 def test_out_of_range_bounds_are_usage_errors(capsys, flag, value):
     assert run(["prove", "--calculus", "gk", flag, value, "|- p | ~p"]) == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from supercut.engine import DeriveResult, ResourceCapError, derives, refutes
+from supercut.engine import DeriveResult, ResourceCapError, _minimal_facts, derives, refutes
 from supercut.matrices import builtin, holds_sequent
 from supercut.proofs import (
     check,
@@ -83,6 +83,21 @@ class TestDerives:
         res = derives(prems, ps("p |- q"), builtin_calculus("gb"))
         assert res.verdict
         assert_good_proof(res, prems)
+
+    def test_minimal_facts_past_32_atoms(self, rng):
+        # atoms 32..39 on the left share bit positions with atoms 0..7 on
+        # the right once the right mask is shifted by 32
+        keys = {(rng.getrandbits(40) & rng.getrandbits(40), rng.getrandbits(40) & rng.getrandbits(40))
+                for _ in range(300)}
+        keys |= {(1 << 35, 1 << 3), (1 << 35, 0), (0, 1 << 3), (1 << 35 | 1 << 36, 1 << 3)}
+
+        def below(d, k):
+            return d[0] & ~k[0] == 0 and d[1] & ~k[1] == 0
+
+        out = _minimal_facts(keys)
+        assert len(out) == len(set(out))
+        assert set(out) == {k for k in keys if not any(d != k and below(d, k) for d in keys)}
+        assert {(1 << 35, 0), (0, 1 << 3)} <= set(out)
 
 
 class TestRefutes:

@@ -20,9 +20,12 @@ from supercut.proofs import (
     proof_from_dict,
     proof_to_dict,
     proof_to_dot,
+    rebuild,
     structural,
     weaken_to,
 )
+from supercut import rules
+from supercut.rewrite import normalize
 from supercut.rules import at_set, builtin_calculus
 from supercut.syntax import Atom, Sequent, SupercutError, parse_sequent as ps
 
@@ -122,6 +125,51 @@ class TestCheck:
                 leaves = sorted(node.premise_leaves(), key=lambda s: s.render())
                 anon = _strip_indices(node)
                 assert check(anon, GCL, leaves).ok
+
+
+def _cut_tower(height: int) -> Proof:
+    """d0 = identity on p, d(k+1) = cut(dk, dk): height + 1 distinct nodes,
+    2**(height + 1) - 1 as a tree."""
+    d = structural("identity", [], ps("p |- p"))
+    for _ in range(height):
+        d = structural("cut", [d, d], ps("p |- p"))
+    return d
+
+
+class TestSharing:
+    def test_passes_visit_each_distinct_node_once(self, monkeypatch):
+        tower = _cut_tower(60)
+        assert len(list(tower.nodes())) == 61
+        assert tower.size() == 2**61 - 1
+        calls = []
+        match = rules.match_structural
+        monkeypatch.setattr(rules, "match_structural", lambda *a, **k: calls.append(1) or match(*a, **k))
+        assert check(tower, GCL, []).ok
+        assert len(calls) <= 61
+        assert tower.premise_leaves() == frozenset()
+        assert is_structurally_atomic(tower) and is_analytic_synthetic(tower)
+        out = normalize(tower, GCL, [], ps("p |- p"))
+        assert check(out, GCL, []).ok and out.size() == 2**61 - 1
+
+    def test_rebuild_keeps_sharing(self):
+        tower = _cut_tower(60)
+        out = rebuild(tower, lambda node, kids: Proof(node.conclusion, node.rule, kids, node.premise_index))
+        assert out is not tower and out.children[0] is out.children[1]
+        assert out.size() == tower.size()
+
+    def test_shared_failure_reports_the_leftmost_path(self):
+        bad = structural("cut", [premise(ps("|- p")), premise(ps("p |- q"))], ps("|- q"))
+        node = structural("cut", [structural("weakening-right", [bad], ps("|- q, r")), bad], ps("|- q"))
+        res = check(node, GCL, [ps("|- p")])
+        assert not res.ok and res.path == (0, 0, 1)
+
+    def test_deep_chain_does_not_overflow(self):
+        d = structural("weakening-left", [premise(ps("|- p"))], ps("q |- p"))
+        for _ in range(5000):
+            d = structural("contraction-left", [structural("weakening-left", [d], ps("q, q |- p"))], ps("q |- p"))
+        assert check(d, GCL, [ps("|- p")]).ok
+        assert d.size() == len(list(d.nodes())) == 2 * 5000 + 2
+        assert is_structurally_atomic(d) and is_analytic_synthetic(d)
 
 
 def _strip_indices(node: Proof) -> Proof:

@@ -185,6 +185,15 @@ class TestNormalize:
         out = normalize(node, GK, prems, ps("|- r"), trace)
         assert trace.entries
         assert replay_trace(node, GK, prems, ps("|- r"), trace) == out
+        # the compound cut shared by two parents is rewritten, and recorded, once
+        prems.append(ps("r, r |- s"))
+        below = structural("cut", [node, premise(prems[2], 2)], ps("r |- s"))
+        shared = structural("cut", [node, below], ps("|- s"))
+        trace = RewriteTrace()
+        out = normalize(shared, GK, prems, ps("|- s"), trace)
+        assert trace.entries == [("expand-principal", "|- r", "cut")]
+        assert check(out, GK, prems).ok
+        assert replay_trace(shared, GK, prems, ps("|- s"), trace) == out
 
     def test_rejects_bad_input(self):
         node = structural("identity", [], ps("p |- p"))

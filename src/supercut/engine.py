@@ -2,15 +2,33 @@
 
 Atomic sequents are represented as pairs of atom sets (bitmasks over the
 query's atom universe): Weakening and Contraction are common rules of
-every calculus, so atomic derivability only depends on underlying sets.
-Reconstruction reinserts explicit atomic Weakening/Contraction steps.
+every calculus, so atomic derivability only depends on underlying sets,
+and a fact stands for all of its weakenings.
+
+Saturation keeps the subsumption-minimal facts only, an antichain: a new
+fact below which a kept fact lies is dropped, and a new fact removes the
+kept facts above it. Rules fire by join rather than over ground
+instances. Each rule is compiled once into an atom-free shape; a join
+picks one kept fact per premise, slot-free premises first, and each chosen
+fact binds schema atoms to atoms of its sides: the atoms a slot-free side
+must cover, or the atoms a slotted side takes out of its context. A schema
+atom that the rule cuts away and no chosen fact binds takes one universe
+atom absent from those facts' sides (all such atoms give the same
+conclusion); one that reaches the conclusion ranges over the universe.
+Rounds are semi-naive: after the first, a join must use a fact the
+previous round added, and rules without premises fire in the first round
+only.
+
+Reconstruction replays each fact's provenance, kept for removed facts too,
+and reinserts explicit atomic Weakening/Contraction steps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import proofs as P
 from . import rules as R
@@ -63,33 +81,6 @@ def effective_calculus(calc: R.Calculus, depth_bound: int = 2) -> tuple[R.Calcul
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _CompiledPremise:
-    lmask: int
-    rmask: int
-    lslot: Optional[str]
-    rslot: Optional[str]
-
-    def admits(self, fact: FactKey) -> bool:
-        l, r = fact
-        if self.lslot is None and l & ~self.lmask:
-            return False
-        if self.rslot is None and r & ~self.rmask:
-            return False
-        return True
-
-
-@dataclass
-class _CompiledInstance:
-    rule: R.StructuralRule
-    theta: dict[str, str]
-    premises: list[_CompiledPremise]
-    concl_lmask: int
-    concl_rmask: int
-    concl_lslots: tuple[str, ...]
-    concl_rslots: tuple[str, ...]
-
-
 def _mask(names: Iterable[str], index: dict[str, int]) -> int:
     m = 0
     for n in names:
@@ -97,49 +88,207 @@ def _mask(names: Iterable[str], index: dict[str, int]) -> int:
     return m
 
 
-def _compile_instances(
-    calc: R.Calculus, universe: Sequence[str]
-) -> list[_CompiledInstance]:
-    index = {a: i for i, a in enumerate(universe)}
-    out: list[_CompiledInstance] = []
-    for rule in calc.specific:
-        names = rule.schema_atoms()
-        for combo in itertools.product(universe, repeat=len(names)):
-            theta = dict(zip(names, combo))
-            premises = []
-            for schema in rule.premises:
-                assert len(schema.slots_left) <= 1 and len(schema.slots_right) <= 1, (
-                    "saturation expects at most one context slot per side"
-                )
-                premises.append(
-                    _CompiledPremise(
-                        _mask((theta[a] for a in schema.atoms_left), index),
-                        _mask((theta[a] for a in schema.atoms_right), index),
-                        schema.slots_left[0] if schema.slots_left else None,
-                        schema.slots_right[0] if schema.slots_right else None,
-                    )
-                )
-            c = rule.conclusion
-            out.append(
-                _CompiledInstance(
-                    rule,
-                    theta,
-                    premises,
-                    _mask((theta[a] for a in c.atoms_left), index),
-                    _mask((theta[a] for a in c.atoms_right), index),
-                    c.slots_left,
-                    c.slots_right,
-                )
-            )
+class _Side(NamedTuple):
+    atoms: tuple[int, ...]  # the distinct schema atoms on this side, by index
+    slot: Optional[str]  # the context slot; None on a slot-free side
+    flows: bool  # the slot's content reaches the conclusion
+
+
+class _Premise(NamedTuple):
+    index: int  # position among the rule's premises
+    left: _Side
+    right: _Side
+
+    def admits(self, fact: FactKey) -> bool:
+        """Whether the schema atoms of each slot-free side are enough to cover the fact's side."""
+        return (self.left.slot is not None or fact[0].bit_count() <= len(self.left.atoms)) and (
+            self.right.slot is not None or fact[1].bit_count() <= len(self.right.atoms)
+        )
+
+
+class _Shape(NamedTuple):
+    """A structural rule compiled for joins, independent of any atom universe."""
+
+    rule: R.StructuralRule
+    names: tuple[str, ...]  # schema atoms; an index into this names one
+    premises: tuple[_Premise, ...]  # slot-free premises first
+    concl_left: tuple[int, ...]
+    concl_right: tuple[int, ...]
+    in_conclusion: tuple[bool, ...]  # per schema atom
+
+
+@lru_cache(maxsize=4096)
+def _compile(rule: R.StructuralRule) -> _Shape:
+    names = rule.schema_atoms()
+    at = {n: i for i, n in enumerate(names)}
+    c = rule.conclusion
+    concl_slots = set(c.slots_left) | set(c.slots_right)
+
+    def side(atoms: tuple[str, ...], slots: tuple[str, ...]) -> _Side:
+        assert len(slots) <= 1, "saturation expects at most one context slot per side"
+        slot = slots[0] if slots else None
+        return _Side(tuple(sorted({at[a] for a in atoms})), slot, slot in concl_slots)
+
+    premises = sorted(
+        (_Premise(j, side(p.atoms_left, p.slots_left), side(p.atoms_right, p.slots_right))
+         for j, p in enumerate(rule.premises)),
+        key=lambda p: ((p.left.slot is not None) + (p.right.slot is not None), p.index),
+    )
+    in_conclusion = c.atom_names()
+    return _Shape(
+        rule, names, tuple(premises),
+        tuple(sorted({at[a] for a in c.atoms_left})), tuple(sorted({at[a] for a in c.atoms_right})),
+        tuple(n in in_conclusion for n in names),
+    )
+
+
+def _bits(m: int) -> list[int]:
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
     return out
+
+
+def _placements(side: _Side, m: int, theta: list[int], avoid: list[int]) -> Iterable[int]:
+    """Place the side's unbound schema atoms against the fact side ``m``:
+    each takes an atom of ``m`` or is kept out of ``m`` for good. With each
+    placement applied, give what of ``m`` the side's atoms leave uncovered;
+    a slot-free side must leave nothing."""
+    rest = m
+    for x in side.atoms:
+        if theta[x] < 0:
+            if m:
+                return _place_free(side, m, theta, avoid)
+        else:
+            rest &= ~(1 << theta[x])
+    # nothing to place: every atom is bound, or m is empty
+    return (rest,) if side.slot is not None or not rest else ()
+
+
+def _place_free(side: _Side, m: int, theta: list[int], avoid: list[int]) -> Iterator[int]:
+    free = [x for x in side.atoms if theta[x] < 0]
+    saved = [avoid[x] for x in free]
+    for values in itertools.product(*(_bits(m & ~avoid[x]) + [-1] for x in free)):
+        for x, v in zip(free, values):
+            if v < 0:
+                avoid[x] |= m
+            else:
+                theta[x] = v
+        rest = m
+        for x in side.atoms:
+            if theta[x] >= 0:
+                rest &= ~(1 << theta[x])
+        if side.slot is not None or not rest:
+            yield rest
+        for x, a in zip(free, saved):
+            theta[x] = -1
+            avoid[x] = a
+
+
+def _join(shape: _Shape, cands: list[list[FactKey]], delta: set[FactKey], fresh: bool, umask: int, subsumed, offer) -> None:
+    """Offer the conclusions of the rule from one candidate fact per premise;
+    unless ``fresh``, only from joins that use a fact of ``delta``.
+
+    Premises are taken in order, each placing the schema atoms its sides
+    mention (``_placements``), so the conclusion's share of a premise is
+    known once its fact is chosen: a join is cut short as soon as that
+    share already contains a kept fact, the premise's fact included.
+    """
+    n = len(shape.premises)
+    theta = [-1] * len(shape.names)
+    avoid = [0] * len(shape.names)  # per unbound atom, the atoms it keeps out of
+    chosen: list[FactKey] = [(0, 0)] * n
+    # can a premise from position p on still take a fact of delta?
+    delta_after = [False] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        delta_after[p] = delta_after[p + 1] or any(f in delta for f in cands[p])
+
+    def rec(p: int, fresh: bool, cl: int, cr: int) -> None:
+        if p == n:
+            if fresh:
+                _conclude(shape, theta, avoid, chosen, (cl, cr), umask, offer)
+            return
+        if not fresh and not delta_after[p]:
+            return
+        prem = shape.premises[p]
+        left, right = prem.left, prem.right
+        for f in cands[p]:
+            chosen[p] = f
+            with_f = fresh or f in delta
+            for rest_l in _placements(left, f[0], theta, avoid):
+                for rest_r in _placements(right, f[1], theta, avoid):
+                    share_l = rest_l if left.flows else 0
+                    share_r = rest_r if right.flows else 0
+                    if share_l == f[0] and share_r == f[1]:
+                        continue
+                    key = (cl | share_l, cr | share_r)
+                    if not subsumed(key):
+                        rec(p + 1, with_f, *key)
+
+    rec(0, fresh, 0, 0)
+
+
+def _conclude(shape: _Shape, theta: list[int], avoid: list[int], chosen: list[FactKey], base: FactKey, umask: int, offer) -> None:
+    """Bind the atoms no chosen fact placed and offer each conclusion.
+
+    An atom of the conclusion ranges over the universe atoms it was not kept
+    out of. A cut-away atom takes one of them: each removes nothing from any
+    premise, so all give the same conclusion; with none left, no instance
+    exists.
+    """
+    free = [x for x, v in enumerate(theta) if v < 0]
+    options = []
+    for x in free:
+        open_ = _bits(umask & ~avoid[x])
+        if not open_:
+            return
+        options.append(open_ if shape.in_conclusion[x] else open_[:1])
+    for values in itertools.product(*options):
+        for x, v in zip(free, values):
+            theta[x] = v
+        cl, cr = base
+        for x in shape.concl_left:
+            cl |= 1 << theta[x]
+        for x in shape.concl_right:
+            cr |= 1 << theta[x]
+        offer((cl, cr), shape, theta, chosen)
+    for x in free:
+        theta[x] = -1
+
+
+def _provenance(shape: _Shape, theta: list[int], chosen: list[FactKey], universe: Sequence[str]) -> tuple:
+    """The ``("rule", name, theta, parents, slots)`` record reconstruction replays."""
+    parents: list[FactKey] = [(0, 0)] * len(chosen)
+    slots: dict[str, tuple[int, int]] = {}
+    for prem, f in zip(shape.premises, chosen):
+        parents[prem.index] = f
+        for s, side in enumerate((prem.left, prem.right)):
+            if side.slot is None:
+                continue
+            rest = f[s]
+            for x in side.atoms:
+                rest &= ~(1 << theta[x])
+            old = slots.get(side.slot, (0, 0))
+            slots[side.slot] = (old[0] | rest, old[1]) if s == 0 else (old[0], old[1] | rest)
+    return ("rule", shape.rule.name, {n: universe[v] for n, v in zip(shape.names, theta)}, tuple(parents), slots)
 
 
 @dataclass
 class SaturationState:
+    """The saturated store: ``facts`` holds the subsumption-minimal facts and
+    ``provenance`` every fact ever admitted, each with how it was derived."""
+
     universe: tuple[str, ...]
     facts: dict[FactKey, tuple]
     calculus: R.Calculus
     premises: tuple[Sequent, ...]
+    provenance: dict[FactKey, tuple]
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {a: i for i, a in enumerate(self.universe)}
 
 
 def _minimal_facts(facts: Iterable[FactKey]) -> list[FactKey]:
@@ -151,28 +300,36 @@ def _minimal_facts(facts: Iterable[FactKey]) -> list[FactKey]:
     return out
 
 
-def _dominated(key: FactKey, minimal: list[FactKey]) -> bool:
-    l, r = key
-    return any(d[0] & ~l == 0 and d[1] & ~r == 0 for d in minimal)
-
-
 def saturate(
     premises: Sequence[Sequent],
     calc: R.Calculus,
     universe: Sequence[str],
     max_facts: int = 200000,
 ) -> SaturationState:
-    """Close the seed At-set facts under atomic instances of the calculus rules."""
-    index = {a: i for i, a in enumerate(universe)}
-    facts: dict[FactKey, tuple] = {}
+    """Close the seed At-set facts under the calculus rules, keeping the
+    subsumption-minimal facts; ``max_facts`` caps the facts admitted."""
+    state = SaturationState(tuple(universe), {}, calc, tuple(premises), {})
+    facts, provenance, index = state.facts, state.provenance, state.index
+    added: list[FactKey] = []
 
-    def add(key: FactKey, prov: tuple) -> bool:
-        if key in facts:
-            return False
-        if len(facts) >= max_facts:
+    def subsumed(key: FactKey) -> bool:
+        if key in provenance:  # admitted before: it or a fact below it is kept
+            return True
+        l, r = key
+        return any(a & ~l == 0 and b & ~r == 0 for a, b in facts)
+
+    def keep(key: FactKey, prov: tuple) -> None:
+        if len(provenance) >= max_facts:
             raise ResourceCapError(f"fact cap {max_facts} exceeded")
-        facts[key] = prov
-        return True
+        l, r = key
+        for k in [k for k in facts if l & ~k[0] == 0 and r & ~k[1] == 0]:
+            del facts[k]
+        facts[key] = provenance[key] = prov
+        added.append(key)
+
+    def offer(key: FactKey, shape: _Shape, theta: list[int], chosen: list[FactKey]) -> None:
+        if not subsumed(key):
+            keep(key, _provenance(shape, theta, chosen, state.universe))
 
     for i, s in enumerate(premises):
         for member in sorted(R.at_set(s), key=sequent_key):
@@ -181,90 +338,23 @@ def saturate(
                 _mask((f.name for f in sup.left if isinstance(f, Atom)), index),
                 _mask((f.name for f in sup.right if isinstance(f, Atom)), index),
             )
-            add(key, ("seed", i, member))
+            if not subsumed(key):
+                keep(key, ("seed", i, member))
 
-    instances = _compile_instances(calc, universe)
-    changed = True
-    while changed:
-        changed = False
-        minimal = _minimal_facts(facts)
-        for inst in instances:
-            if _fire_instance(inst, facts, minimal, add):
-                changed = True
-    return SaturationState(tuple(universe), facts, calc, tuple(premises))
-
-
-def _fire_instance(inst: _CompiledInstance, facts, minimal, add) -> bool:
-    candidates: list[list[FactKey]] = []
-    for prem in inst.premises:
-        cands = [k for k in minimal if prem.admits(k)]
-        if not cands:
-            return False
-        if prem.lslot is None and prem.rslot is None:
-            # content never reaches the conclusion; one witness suffices
-            cands = cands[:1]
-        candidates.append(cands)
-
-    added = False
-    slot_order: list[tuple[int, str, int]] = []  # (premise idx, slot name, side)
-    for j, prem in enumerate(inst.premises):
-        if prem.lslot is not None:
-            slot_order.append((j, prem.lslot, 0))
-        if prem.rslot is not None:
-            slot_order.append((j, prem.rslot, 1))
-
-    def rec(j: int, chosen: list[FactKey], slots: dict[str, tuple[int, int]]) -> None:
-        nonlocal added
-        if j == len(inst.premises):
-            cl = inst.concl_lmask
-            cr = inst.concl_rmask
-            for s in inst.concl_lslots:
-                sl, sr = slots.get(s, (0, 0))
-                cl |= sl
-                cr |= sr
-            for s in inst.concl_rslots:
-                sl, sr = slots.get(s, (0, 0))
-                cl |= sl
-                cr |= sr
-            key = (cl, cr)
-            if key not in facts:
-                if add(
-                    key,
-                    (
-                        "rule",
-                        inst.rule.name,
-                        dict(inst.theta),
-                        tuple(chosen),
-                        dict(slots),
-                    ),
-                ):
-                    added = True
-            return
-        prem = inst.premises[j]
-        for k in candidates[j]:
-            new_slots = dict(slots)
-            resid_l = k[0] & ~prem.lmask
-            resid_r = k[1] & ~prem.rmask
-            ok = True
-            if prem.lslot is not None:
-                old = new_slots.get(prem.lslot, (0, 0))
-                new_slots[prem.lslot] = (old[0] | resid_l, old[1])
-            elif resid_l:
-                ok = False
-            if ok and prem.rslot is not None:
-                old = new_slots.get(prem.rslot, (0, 0))
-                new_slots[prem.rslot] = (old[0], old[1] | resid_r)
-            elif ok and resid_r:
-                ok = False
-            if ok:
-                rec(j + 1, chosen + [k], new_slots)
-
-    rec(0, [], {})
-    return added
-
-
-# Slot contents are tracked per side; a slot fed from the left keeps its
-# residue on the left. Conclusion slots re-emit both components.
+    shapes = [_compile(r) for r in calc.specific]
+    umask = (1 << len(universe)) - 1
+    delta: set[FactKey] = set()
+    first = True
+    while first or delta:
+        snapshot = list(facts)
+        added.clear()
+        for shape in shapes:
+            cands = [[f for f in snapshot if p.admits(f)] for p in shape.premises]
+            if all(cands):
+                _join(shape, cands, delta, first, umask, subsumed, offer)
+        delta = {k for k in added if k in facts}
+        first = False
+    return state
 
 
 def _fact_sequent(key: FactKey, universe: Sequence[str]) -> Sequent:
@@ -275,15 +365,14 @@ def _fact_sequent(key: FactKey, universe: Sequence[str]) -> Sequent:
 
 
 def _covering_fact(state: SaturationState, leaf: Sequent) -> Optional[FactKey]:
-    index = {a: i for i, a in enumerate(state.universe)}
+    """The smallest kept fact that weakens to the leaf (ties: the least key)."""
     sup = leaf.support()
-    l = _mask((f.name for f in sup.left if isinstance(f, Atom)), index)
-    r = _mask((f.name for f in sup.right if isinstance(f, Atom)), index)
+    l = _mask((f.name for f in sup.left if isinstance(f, Atom)), state.index)
+    r = _mask((f.name for f in sup.right if isinstance(f, Atom)), state.index)
     best = None
     for k in state.facts:
         if k[0] & ~l == 0 and k[1] & ~r == 0:
-            size = bin(k[0]).count("1") + bin(k[1]).count("1")
-            cand = (size, k)
+            cand = (k[0].bit_count() + k[1].bit_count(), k)
             if best is None or cand < best:
                 best = cand
     return best[1] if best else None
@@ -311,7 +400,7 @@ def reconstruct(state: SaturationState, goal: Sequent, premises: Sequence[Sequen
     def replay(key: FactKey) -> P.Proof:
         if key in replay_cache:
             return replay_cache[key]
-        prov = state.facts[key]
+        prov = state.provenance[key]
         target = _fact_sequent(key, universe)
         if prov[0] == "seed":
             _, i, member = prov
@@ -381,7 +470,7 @@ def derives(
     leaves = R.at_set(conclusion)
     verdict = all(_covering_fact(state, leaf) is not None for leaf in leaves)
     proof = reconstruct(state, conclusion, prems) if verdict else None
-    return DeriveResult(verdict, exact, eff, proof, len(state.facts))
+    return DeriveResult(verdict, exact, eff, proof, len(state.provenance))
 
 
 def refutes(

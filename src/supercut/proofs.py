@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -50,9 +51,12 @@ class Proof:
         return Proof(self.conclusion, self.rule, tuple(kids), self.premise_index)
 
     def walk(self, path: Path = ()) -> Iterable[tuple[Path, "Proof"]]:
-        yield path, self
-        for i, c in enumerate(self.children):
-            yield from c.walk(path + (i,))
+        """Every node of the proof read as a tree with its path, in pre-order."""
+        todo = [(path, self)]
+        while todo:
+            path, node = todo.pop()
+            yield path, node
+            todo.extend((path + (i,), node.children[i]) for i in reversed(range(len(node.children))))
 
     def nodes(self) -> Iterator["Proof"]:
         """Each distinct node once, in the order ``walk`` first reaches it;
@@ -314,15 +318,14 @@ def phase_split(p: Proof) -> tuple[frozenset[Path], frozenset[Path], frozenset[P
         return -1
 
     # walk from root upward: zones must not increase toward the leaves
-    def scan_down(node: Proof, path: Path, min_above: int) -> None:
+    todo = [(p, (), 2)]
+    while todo:
+        node, path, min_above = todo.pop()
         z = zone(path)
         if z >= 0:
             assert z <= min_above, "branch violates elim/structural/intro ordering"
             min_above = z
-        for i, c in enumerate(node.children):
-            scan_down(c, path + (i,), min_above)
-
-    scan_down(p, (), 2)
+        todo.extend((c, path + (i,), min_above) for i, c in enumerate(node.children))
     return frozenset(elim), frozenset(struct), frozenset(intro)
 
 
@@ -429,16 +432,26 @@ def intro_derive(c: Sequent, available: Iterable[Sequent]) -> Optional[Proof]:
 
 
 def proof_to_dict(p: Proof) -> dict:
-    out: dict = {"sequent": p.conclusion.render(), "rule": p.rule}
-    if p.children:
-        out["children"] = [proof_to_dict(c) for c in p.children]
-    if p.premise_index is not None:
-        out["premise_index"] = p.premise_index
-    return out
+    """The proof read as a tree, as nested JSON-ready dicts."""
+    root: dict = {}
+    todo = [(p, root)]
+    while todo:
+        node, out = todo.pop()
+        out["sequent"] = node.conclusion.render()
+        out["rule"] = node.rule
+        if node.children:
+            kids: list[dict] = [{} for _ in node.children]
+            out["children"] = kids
+            todo.extend(zip(reversed(node.children), reversed(kids)))
+        if node.premise_index is not None:
+            out["premise_index"] = node.premise_index
+    return root
 
 
-def proof_from_dict(d: dict) -> Proof:
-    """Inverse of proof_to_dict; raises ParseError on a malformed node."""
+_END = object()  # what next() returns past the last child
+
+
+def _check_node(d) -> None:
     if not (
         isinstance(d, dict)
         and isinstance(d.get("sequent"), str)
@@ -451,27 +464,60 @@ def proof_from_dict(d: dict) -> Proof:
             0,
             'an object with string "sequent" and "rule", optional list "children", optional int "premise_index"',
         )
-    children = tuple(proof_from_dict(c) for c in d.get("children", ()))
-    return Proof(parse_sequent(d["sequent"]), d["rule"], children, d.get("premise_index"))
+
+
+def proof_from_dict(d: dict) -> Proof:
+    """Inverse of proof_to_dict; raises ParseError on a malformed node.
+
+    Nodes are checked parent first and their sequents parsed children
+    first, so the first fault in that order is the one reported.
+    """
+    _check_node(d)
+    on_path = {id(d)}
+    stack: list = [(d, iter(d.get("children", ())), [])]
+    while True:
+        node, rest, kids = stack[-1]
+        child = next(rest, _END)
+        if child is not _END:
+            _check_node(child)
+            if id(child) in on_path:
+                raise ParseError("proof node contains itself", 0, "a tree of proof nodes")
+            on_path.add(id(child))
+            stack.append((child, iter(child.get("children", ())), []))
+            continue
+        stack.pop()
+        on_path.discard(id(node))
+        proof = Proof(parse_sequent(node["sequent"]), node["rule"], tuple(kids), node.get("premise_index"))
+        if not stack:
+            return proof
+        stack[-1][2].append(proof)
 
 
 def proof_to_dot(p: Proof) -> str:
+    """Graphviz DOT of the proof read as a tree, nodes numbered in pre-order."""
     lines = ["digraph proof {", "  node [shape=box, fontname=monospace];"]
-    counter = [0]
 
-    def visit(node: Proof) -> int:
-        nid = counter[0]
-        counter[0] += 1
+    ids = itertools.count()
+
+    def enter(node: Proof) -> int:
+        nid = next(ids)
         label = node.conclusion.render().replace('"', '\\"')
         if not node.children:
             label += f"\\n[{node.rule}]"
         lines.append(f'  n{nid} [label="{label}"];')
-        for c in node.children:
-            cid = visit(c)
-            rl = node.rule.replace('"', '\\"')
-            lines.append(f'  n{cid} -> n{nid} [label="{rl}"];')
         return nid
 
-    visit(p)
+    stack = [(p, enter(p), iter(p.children))]
+    while stack:
+        _, nid, rest = stack[-1]
+        child = next(rest, _END)
+        if child is not _END:
+            stack.append((child, enter(child), iter(child.children)))
+            continue
+        stack.pop()
+        if stack:
+            parent, pid, _ = stack[-1]
+            rl = parent.rule.replace('"', '\\"')
+            lines.append(f'  n{nid} -> n{pid} [label="{rl}"];')
     lines.append("}")
     return "\n".join(lines)

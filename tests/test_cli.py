@@ -200,6 +200,21 @@ def test_deep_nesting_is_a_resource_error(capsys, argv):
     assert err.count("\n") == 1 and "nested too deeply" in err
 
 
+def test_proof_json_past_the_json_nesting_limit(tmp_path, capsys):
+    # the proof layer takes proofs of any depth, but the stdlib json reader
+    # stops near 1,000 levels of nesting: that is a resource error
+    depth = 3000
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"sequent": "q |- p", "rule": "weakening-left", "children": [' * depth
+        + '{"sequent": "|- p", "rule": "premise", "premise_index": 0}'
+        + "]}" * depth
+    )
+    assert run(["check", "--calculus", "gb", str(path), "-p", "|- p"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "nested too deeply" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--max-facts", "0"), ("--depth-bound", "-1"), ("--max-facts", "x")])
 def test_out_of_range_bounds_are_usage_errors(capsys, flag, value):
     assert run(["prove", "--calculus", "gk", flag, value, "|- p | ~p"]) == 2

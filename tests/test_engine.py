@@ -1,8 +1,11 @@
 """The saturation engine: verdicts against the oracle, proof shapes, caps."""
 
+import functools
+import itertools
+
 import pytest
 
-from supercut.engine import DeriveResult, ResourceCapError, _minimal_facts, derives, refutes
+from supercut.engine import DeriveResult, ResourceCapError, _minimal_facts, derives, effective_calculus, refutes, saturate
 from supercut.matrices import builtin, holds_sequent
 from supercut.proofs import (
     check,
@@ -11,8 +14,17 @@ from supercut.proofs import (
     is_intro,
     is_structurally_atomic,
 )
-from supercut.rules import builtin_calculus
-from supercut.syntax import Sequent, parse_sequent as ps
+from supercut.rules import (
+    CALCULUS_NAMES,
+    IDENTITY,
+    LIMITED_CUT_LEFT,
+    LIMITED_CUT_RIGHT,
+    Calculus,
+    at_set,
+    builtin_calculus,
+    hilbert_to_structural,
+)
+from supercut.syntax import Atom, Sequent, atoms_of, parse_formula as pf, parse_sequent as ps
 
 from conftest import random_sequent
 
@@ -185,3 +197,136 @@ class TestOracleAgreement:
             if want and not res.verdict:
                 # the bounded search may miss; it must say so
                 assert not res.complete
+
+
+# ---------------------------------------------------------------------------
+# Ground-instance reference saturator
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _ground_instances(calc, universe):
+    """Each rule under every assignment of universe atoms to its schema atoms:
+    per premise its left and right masks and whether the content of its left
+    and right slots reaches the conclusion (None on a slot-free side), then
+    the conclusion's masks."""
+    index = {a: i for i, a in enumerate(universe)}
+
+    def mask(names):
+        return sum(1 << index[n] for n in set(names))
+
+    instances = set()
+    for rule in calc.specific:
+        c = rule.conclusion
+        names = rule.schema_atoms()
+
+        def flows(slots):
+            return bool(set(slots) & set(c.slots_left + c.slots_right)) if slots else None
+
+        for combo in itertools.product(universe, repeat=len(names)):
+            theta = dict(zip(names, combo))
+            # slot-free premises first: they reject most instances
+            prems = tuple(sorted(((mask(theta[a] for a in p.atoms_left), mask(theta[a] for a in p.atoms_right),
+                                   flows(p.slots_left), flows(p.slots_right)) for p in rule.premises),
+                                 key=lambda q: (q[2] is not None) + (q[3] is not None)))
+            instances.add((prems, mask(theta[a] for a in c.atoms_left), mask(theta[a] for a in c.atoms_right)))
+    return instances
+
+
+def _reference_facts(premises, calc, universe):
+    """Every fact of the closure, by firing the ground instances of each rule
+    on the minimal facts until nothing new appears."""
+    index = {a: i for i, a in enumerate(universe)}
+    facts = set()
+    for s in premises:
+        for member in at_set(s):
+            sup = member.support()
+            facts.add((sum(1 << index[f.name] for f in sup.left if isinstance(f, Atom)),
+                       sum(1 << index[f.name] for f in sup.right if isinstance(f, Atom))))
+    instances = _ground_instances(calc, tuple(universe))
+    changed = True
+    while changed:
+        minimal = _minimal_facts(facts)
+        before = len(facts)
+        shares = {}  # premise -> what the facts that weaken to it bring to the conclusion
+        for prems, cl, cr in instances:
+            conclusions = {(cl, cr)}
+            for prem in prems:
+                if prem not in shares:
+                    # a fact weakens to the premise when its slot-free sides
+                    # fit; the rest of a slotted side goes into the slot
+                    lm, rm, lflows, rflows = prem
+                    shares[prem] = {((k[0] & ~lm) * bool(lflows), (k[1] & ~rm) * bool(rflows)) for k in minimal
+                                    if (lflows is not None or k[0] & ~lm == 0) and (rflows is not None or k[1] & ~rm == 0)}
+                conclusions = {(a | x, b | y) for a, b in conclusions for x, y in shares[prem]}
+                if not conclusions:
+                    break
+            facts |= conclusions
+        changed = len(facts) > before
+    return facts
+
+
+GLP_LC = Calculus("glp+lc", (IDENTITY, LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT))
+# the structural rules of the Hilbert rules ~p | q / r and p & ~q / q | r:
+# "p |- q => |- r" and "q |- ; |- p => |- q, r"
+HILBERT = Calculus("hilbert", tuple(sorted(
+    hilbert_to_structural([pf("~p | q")], pf("r")) | hilbert_to_structural([pf("p & ~q")], pf("q | r")),
+    key=lambda r: r.name)))
+DIFFERENTIAL_CALCULI = [effective_calculus(builtin_calculus(n))[0] for n in CALCULUS_NAMES]
+DIFFERENTIAL_CALCULI += [effective_calculus(GLP_LC)[0], HILBERT]
+
+
+class TestJoinDifferential:
+    """The join over the antichain keeps exactly the minimal facts of the
+    ground-instance closure."""
+
+    def assert_same(self, premises, calc, universe):
+        state = saturate(premises, calc, universe)
+        want = set(_minimal_facts(_reference_facts(premises, calc, universe)))
+        assert set(state.facts) == want, (calc.name, universe, [s.render() for s in premises])
+        assert set(state.facts) <= set(state.provenance)
+
+    def test_random_premise_sets(self, rng):
+        for i in range(350):
+            atoms = ["p", "q", "r", "s"][: rng.randint(2, 4)]
+            premises = [random_sequent(rng, atoms, rng.randint(0, 2)) for _ in range(rng.randint(0, 3))]
+            self.assert_same(premises, DIFFERENTIAL_CALCULI[i % len(DIFFERENTIAL_CALCULI)], atoms)
+
+    def test_atomic_premise_chains(self, rng):
+        # more, shallower premises, so that facts build on facts over several rounds
+        for i in range(64):
+            atoms = ["p", "q", "r", "s"]
+            premises = [random_sequent(rng, atoms, rng.randint(0, 1)) for _ in range(rng.randint(3, 7))]
+            self.assert_same(premises, DIFFERENTIAL_CALCULI[i % len(DIFFERENTIAL_CALCULI)], atoms)
+
+    @pytest.mark.parametrize("calc, premises", [
+        ("gk", ["p, r |-", "|- F, ~s", "|- q, r", "q |- F, F", "~s |- q & T"]),
+        ("gcl", ["q |- r", "|- q", "|- q, r", "|- ~r, ~t", "T, T |- t", "t |- r"]),
+    ])
+    def test_facts_of_one_round_meet_in_the_next(self, calc, premises):
+        # found by random search: a semi-naive round that joins with only one
+        # of the previous round's new facts misses a minimal fact here
+        premises = [ps(s) for s in premises]
+        universe = sorted(set().union(*(atoms_of(s) for s in premises)))
+        self.assert_same(premises, builtin_calculus(calc), universe)
+
+    @pytest.mark.parametrize("calc", DIFFERENTIAL_CALCULI, ids=lambda c: c.name)
+    def test_no_seed_fact(self, calc):
+        # F on the left closes every premise by axiom: only rules without
+        # premises can derive anything
+        for premises in ([], [ps("F |- p")], [ps("p & F |- q"), ps("F, q |-")]):
+            self.assert_same(premises, calc, ["p", "q", "r"])
+
+    def test_identity_only(self):
+        calc = Calculus("id", (IDENTITY,))
+        state = saturate([], calc, ["p", "q"])
+        assert set(state.facts) == {(1, 1), (2, 2)}
+        self.assert_same([ps("q, p |- r")], calc, ["p", "q", "r"])
+
+    def test_cut_away_atom_on_empty_fact_sides(self):
+        # "p |- q => |- r": a fact |- s binds q; p meets only the fact's empty
+        # left side, so any universe atom instantiates it
+        state = saturate([ps("|- s")], HILBERT, ["p", "s", "t"])
+        assert set(state.facts) == {(0, 1), (0, 2), (0, 4)}
+        self.assert_same([ps("|- s")], HILBERT, ["p", "s", "t"])
+        self.assert_same([ps("|- s, t"), ps("p |-")], HILBERT, ["p", "s", "t"])

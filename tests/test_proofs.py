@@ -274,3 +274,21 @@ class TestSerialization:
         proof, _ = interderivability_fixtures()[0]
         dot = proof_to_dot(proof)
         assert dot.startswith("digraph proof {") and "identity" in dot
+
+    def test_deep_chain(self):
+        # 4,001 nodes, one per level: premise, then alternating weakening and
+        # contraction on the left
+        d = structural("weakening-left", [premise(ps("|- p"), 0)], ps("q |- p"))
+        for _ in range(1999):
+            d = structural("contraction-left", [structural("weakening-left", [d], ps("q, q |- p"))], ps("q |- p"))
+        d = structural("weakening-left", [d], ps("q, q |- p"))
+        walked = list(d.walk())
+        assert len(walked) == 4001 and walked[-1][0] == (0,) * 4000 and walked[-1][1].rule == "premise"
+        copy = proof_from_dict(proof_to_dict(d))
+        assert [(path, n.conclusion, n.rule, n.premise_index) for path, n in copy.walk()] == [
+            (path, n.conclusion, n.rule, n.premise_index) for path, n in walked
+        ]
+        assert check(copy, GCL, [ps("|- p")]).ok
+        dot = proof_to_dot(d).splitlines()
+        assert dot[2] == '  n0 [label="q, q |- p"];' and dot[-2] == '  n1 -> n0 [label="weakening-left"];'
+        assert sum(" -> " in line for line in dot) == 4000

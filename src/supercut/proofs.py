@@ -43,12 +43,16 @@ class Proof:
         return node
 
     def replace_at(self, path: Path, sub: "Proof") -> "Proof":
-        if not path:
-            return sub
-        i = path[0]
-        kids = list(self.children)
-        kids[i] = kids[i].replace_at(path[1:], sub)
-        return Proof(self.conclusion, self.rule, tuple(kids), self.premise_index)
+        """The proof with the node at ``path`` replaced by ``sub``; the nodes
+        above it are rebuilt bottom-up, one level at a time."""
+        spine = [self]
+        for i in path[:-1]:
+            spine.append(spine[-1].children[i])
+        for node, i in zip(reversed(spine), reversed(path)):
+            kids = list(node.children)
+            kids[i] = sub
+            sub = Proof(node.conclusion, node.rule, tuple(kids), node.premise_index)
+        return sub
 
     def walk(self, path: Path = ()) -> Iterable[tuple[Path, "Proof"]]:
         """Every node of the proof read as a tree with its path, in pre-order."""

@@ -6,7 +6,8 @@ Everything here is immutable and hashable; values are shared freely.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 
@@ -33,9 +34,44 @@ class ResourceCapError(SupercutError):
 
 
 class Formula:
-    """Base class of formula nodes. Subclasses are frozen dataclasses."""
+    """Base class of formula nodes. Subclasses are frozen dataclasses.
 
-    __slots__ = ()
+    Each node stores its rendering and its hash when it is built, from its
+    children's, so neither is recomputed per use and neither recurses.
+    Equality stays structural. The stored values are not dataclass fields:
+    they stay out of ``repr`` and out of pickles, which rebuild the node
+    through its constructor (a hash of atom names differs per process).
+    The hash is the one the dataclass would generate, the hash of the tuple
+    of field values, so hash-ordered iteration is as it was.
+
+    ``_plain`` says that every atom name is an identifier other than ``T``
+    and ``F``. Rendering is injective on such formulas (reading identifiers
+    as atoms parses the rendering back), so two of them with the same type
+    and rendering are equal.
+    """
+
+    __slots__ = ("_key", "_hash", "_plain")
+    # precedence of the node's rendering: 0 = or-level, 1 = and-level,
+    # 2 = neg/atom-level; an operand rendered below the level its position
+    # asks for is parenthesised
+    _prec = 2
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        if self._plain and other._plain and self._key is not None and other._key is not None:
+            return self._key == other._key
+        return _same(self, other)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
@@ -47,36 +83,111 @@ class Formula:
         return Neg(self)
 
 
-@dataclass(frozen=True)
+# Longest rendering stored on a compound node. A parent's rendering contains
+# its children's, so storing every one would take memory quadratic in the
+# depth of a chain; past the cap, render() builds the text on each call.
+KEY_CAP = 1024
+
+_set = object.__setattr__
+
+
+def _operand(g: Formula, prec: int) -> str | None:
+    """g's stored rendering in a position asking for level ``prec``."""
+    key = g._key
+    return key if key is None or g._prec >= prec else "(" + key + ")"
+
+
+def _joined(*parts: str | None) -> str | None:
+    """The rendering made of ``parts``; None when a part is not stored or
+    the whole is past ``KEY_CAP``."""
+    if None in parts:
+        return None
+    key = "".join(parts)
+    return key if len(key) <= KEY_CAP else None
+
+
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_key", name)
+        _set(self, "_hash", hash((name,)))
+        _set(self, "_plain", name.isidentifier() and name not in ("T", "F"))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
-    pass
+    __slots__ = ()
+
+    def __init__(self):
+        _set(self, "_key", "T")
+        _set(self, "_hash", hash(()))
+        _set(self, "_plain", True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bot(Formula):
-    pass
+    __slots__ = ()
+
+    def __init__(self):
+        _set(self, "_key", "F")
+        _set(self, "_hash", hash(()))
+        _set(self, "_plain", True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(Formula):
+    __slots__ = ("arg",)
     arg: Formula
 
+    def __init__(self, arg: Formula):
+        _set(self, "arg", arg)
+        _set(self, "_key", _joined("~", _operand(arg, 2)))
+        _set(self, "_hash", hash((arg._hash,)))
+        _set(self, "_plain", arg._plain)
 
-@dataclass(frozen=True)
-class And(Formula):
+    def _layout(self) -> tuple:
+        """The rendering as literal text and (operand, level asked of it)."""
+        return ("~", (self.arg, 2))
+
+
+@dataclass(frozen=True, eq=False)
+class _Binary(Formula):
+    """A binary connective: its text ``_op`` between operands asked for
+    the levels ``_operand_prec``."""
+
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        lp, rp = self._operand_prec
+        _set(self, "_key", _joined(_operand(left, lp), self._op, _operand(right, rp)))
+        _set(self, "_hash", hash((left._hash, right._hash)))
+        _set(self, "_plain", left._plain and right._plain)
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+    def _layout(self) -> tuple:
+        lp, rp = self._operand_prec
+        return ((self.left, lp), self._op, (self.right, rp))
+
+
+class And(_Binary):
+    __slots__ = ()
+    _prec = 1
+    _op = " & "
+    _operand_prec = (1, 2)
+
+
+class Or(_Binary):
+    __slots__ = ()
+    _prec = 0
+    _op = " | "
+    _operand_prec = (0, 1)
 
 
 TOP = Top()
@@ -85,33 +196,55 @@ BOT = Bot()
 _ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 
+def _same(f: Formula, g: Formula) -> bool:
+    """Structural equality, one pair of nodes at a time; pairs that differ
+    in type or stored hash differ, identical objects are equal unseen."""
+    todo = [(f, g)]
+    while todo:
+        f, g = todo.pop()
+        if f is g:
+            continue
+        if type(f) is not type(g) or f._hash != g._hash:
+            return False
+        if isinstance(f, Atom):
+            if f.name != g.name:
+                return False
+        elif isinstance(f, Neg):
+            todo.append((f.arg, g.arg))
+        elif isinstance(f, _Binary):
+            todo.append((f.right, g.right))
+            todo.append((f.left, g.left))
+    return True
+
+
 def render(f: Formula) -> str:
     """Render a formula with minimal parentheses.
 
     Precedence is ~ > & > | with & and | left-associative, so
     ``parse_formula(render(f)) == f`` for every formula built from
-    parser-accepted atom names.
+    parser-accepted atom names. A rendering the node does not store (past
+    ``KEY_CAP``) is built from an explicit stack of pieces.
     """
-    return _render(f, 0)
-
-
-def _render(f: Formula, prec: int) -> str:
-    # prec: 0 = or-level, 1 = and-level, 2 = neg/atom-level
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Bot):
-        return "F"
-    if isinstance(f, Neg):
-        return "~" + _render(f.arg, 2)
-    if isinstance(f, And):
-        s = _render(f.left, 1) + " & " + _render(f.right, 2)
-        return "(" + s + ")" if prec > 1 else s
-    if isinstance(f, Or):
-        s = _render(f.left, 0) + " | " + _render(f.right, 1)
-        return "(" + s + ")" if prec > 0 else s
-    raise TypeError(f"not a formula: {f!r}")
+    if f._key is not None:
+        return f._key
+    out: list[str] = []
+    todo: list = [(f, 0)]
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+            continue
+        g, prec = piece
+        if g._key is not None:
+            out.append(_operand(g, prec))
+            continue
+        wrap = g._prec < prec
+        if wrap:
+            todo.append(")")
+        todo.extend(reversed(g._layout()))
+        if wrap:
+            todo.append("(")
+    return "".join(out)
 
 
 class _Tokens:
@@ -182,27 +315,29 @@ def _parse_neg(toks: _Tokens) -> Formula:
     return Atom(m.group())
 
 
-def formula_key(f: Formula) -> str:
-    """Canonical total-order key for formulas (the rendered form)."""
-    return render(f)
+# Canonical total-order key for formulas: the rendered form.
+formula_key = render
 
 
 def atoms_of(x: Union[Formula, "Sequent"]) -> frozenset[str]:
     """Set of atom names occurring in a formula or sequent."""
     if isinstance(x, Sequent):
-        out: set[str] = set()
-        for f in x.left + x.right:
-            out |= atoms_of(f)
-        return frozenset(out)
-    if isinstance(x, Atom):
-        return frozenset((x.name,))
-    if isinstance(x, (Top, Bot)):
-        return frozenset()
-    if isinstance(x, Neg):
-        return atoms_of(x.arg)
-    if isinstance(x, (And, Or)):
-        return atoms_of(x.left) | atoms_of(x.right)
-    raise TypeError(f"not a formula or sequent: {x!r}")
+        todo = list(x.left + x.right)
+    elif isinstance(x, Formula):
+        todo = [x]
+    else:
+        raise TypeError(f"not a formula or sequent: {x!r}")
+    out: set[str] = set()
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Atom):
+            out.add(g.name)
+        elif isinstance(g, Neg):
+            todo.append(g.arg)
+        elif isinstance(g, (And, Or)):
+            todo.append(g.left)
+            todo.append(g.right)
+    return frozenset(out)
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
@@ -276,8 +411,17 @@ def is_balanced(f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_stored_key = attrgetter("_key")
+
+
 def _sorted_side(forms: Iterable[Formula]) -> tuple[Formula, ...]:
-    return tuple(sorted(forms, key=formula_key))
+    forms = tuple(forms)
+    if len(forms) < 2:
+        return forms
+    try:
+        return tuple(sorted(forms, key=_stored_key))
+    except TypeError:  # a rendering not stored (None) does not compare with a string
+        return tuple(sorted(forms, key=render))
 
 
 @dataclass(frozen=True)
@@ -309,9 +453,11 @@ class Sequent:
         """Remove one occurrence of f from the given side ('left'/'right')."""
         forms = list(getattr(self, side))
         forms.remove(f)
-        if side == "left":
-            return Sequent(forms, self.right)
-        return Sequent(self.left, forms)
+        # what is left of a sorted side is sorted
+        out = object.__new__(Sequent)
+        object.__setattr__(out, "left", tuple(forms) if side == "left" else self.left)
+        object.__setattr__(out, "right", tuple(forms) if side == "right" else self.right)
+        return out
 
     def support(self) -> "Sequent":
         """The underlying set-sequent (each member once)."""

@@ -1,13 +1,25 @@
 """Formula/sequent syntax, polarity, substitutions, and the transformers."""
 
+import copy
+import os
+import pickle
+import random
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from supercut.matrices import B4, builtin, holds
 from supercut.syntax import (
+    KEY_CAP,
     And,
     Atom,
     BOT,
+    Bot,
+    Formula,
     FreshNames,
     Neg,
     Or,
@@ -15,6 +27,7 @@ from supercut.syntax import (
     Sequent,
     Substitution,
     TOP,
+    Top,
     apply_subst,
     atoms_of,
     decompose_substitution,
@@ -31,6 +44,8 @@ from supercut.syntax import (
     subformulas,
     tau,
 )
+
+from conftest import random_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -99,6 +114,20 @@ class TestSequent:
 
     def test_support(self):
         assert parse_sequent("p, p |- q").support() == parse_sequent("p |- q")
+
+    def test_remove_one_keeps_the_order_a_new_sequent_gets(self, rng):
+        extra = [Atom("T"), TOP, Atom("p & q"), And(p, q)]  # pairs with one rendering
+        for _ in range(200):
+            forms = [random_formula(rng, ["p", "q"], 2) for _ in range(rng.randint(1, 4))]
+            forms += rng.sample(extra, rng.randint(0, 2))
+            s = Sequent(forms, reversed(forms))
+            for side in ("left", "right"):
+                for f in forms:
+                    rest = list(getattr(s, side))
+                    rest.remove(f)
+                    want = Sequent(rest, s.right) if side == "left" else Sequent(s.left, rest)
+                    got = s.remove_one(f, side)
+                    assert (got.left, got.right) == (want.left, want.right)
 
 
 class TestAtomsAndSubformulas:
@@ -211,3 +240,184 @@ class TestTransformers:
     def test_set_to_formula_order_insensitive(self):
         a, b = parse_sequent("|- p"), parse_sequent("p |- q")
         assert set_to_formula([a, b]) == set_to_formula([b, a])
+
+
+def _render_reference(f, prec=0):
+    """Reference renderer, a case analysis with one call per level; prec
+    0 = or-level, 1 = and-level, 2 = neg/atom-level."""
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Top):
+        return "T"
+    if isinstance(f, Bot):
+        return "F"
+    if isinstance(f, Neg):
+        return "~" + _render_reference(f.arg, 2)
+    if isinstance(f, And):
+        s = _render_reference(f.left, 1) + " & " + _render_reference(f.right, 2)
+        return "(" + s + ")" if prec > 1 else s
+    s = _render_reference(f.left, 0) + " | " + _render_reference(f.right, 1)
+    return "(" + s + ")" if prec > 0 else s
+
+
+def _same_reference(f, g):
+    """Structural equality by type and fields, one call per level."""
+    if type(f) is not type(g):
+        return False
+    return all(
+        _same_reference(a, b) if isinstance(a, Formula) else a == b
+        for a, b in ((getattr(f, x.name), getattr(g, x.name)) for x in fields(f))
+    )
+
+
+class TestStoredKeyAndHash:
+    ATOMS = ["p", "q", "r", "s1", "long_name"]
+
+    def _corpus(self, n=500, seed=6):
+        """Formulas built by constructor, each paired with its parsed copy."""
+        rng = random.Random(seed)
+        built = [random_formula(rng, self.ATOMS, 5) for _ in range(n)]
+        return [(f, parse_formula(_render_reference(f))) for f in built]
+
+    def test_render_agrees_with_the_reference(self):
+        for f, g in self._corpus():
+            assert render(f) == _render_reference(f) == render(g)
+            assert parse_formula(render(f)) == f
+
+    def test_equality_and_hash_agree_with_the_reference(self):
+        corpus = self._corpus()
+        rng = random.Random(7)
+        pairs = [(f, g) for f, g in corpus]  # equal, distinct objects
+        pool = [f for pair in corpus for f in pair]
+        pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(2000)]
+        pairs += [(Neg(f), Neg(g)) for f, g in corpus[:50]] + [(And(f, g), Or(f, g)) for f, g in corpus[:50]]
+        pairs += [
+            (Atom("T"), TOP),
+            (Atom("F"), BOT),
+            (TOP, BOT),
+            (Atom("p & q"), And(p, q)),
+            (And(p, q), Or(p, q)),
+            (Neg(TOP), Neg(BOT)),
+            (And(And(p, q), r), And(p, And(q, r))),
+            (And(Atom("p & q"), r), And(And(p, q), r)),  # same type and rendering
+            (Neg(Atom("T")), Neg(TOP)),
+        ]
+        assert sum(f == g and f is not g for f, g in pairs) > 500
+        for f, g in pairs:
+            same = _same_reference(f, g)
+            assert (f == g) is same and (g == f) is same and (f != g) is not same
+            if same:
+                assert hash(f) == hash(g)
+        assert Atom("T") not in {TOP, BOT} and And(p, q) not in {Atom("p & q"), Or(p, q)}
+
+    def test_equal_renderings_under_a_hash_collision(self):
+        # atom names that are not identifiers make renderings ambiguous;
+        # equality must still tell such formulas apart when hashes collide
+        for f, g in [
+            (And(Atom("p & q"), r), And(And(p, q), r)),
+            (Neg(Atom("T")), Neg(TOP)),
+            (Or(Atom("p | q"), r), Or(Or(p, q), r)),
+        ]:
+            assert render(f) == render(g)
+            object.__setattr__(g, "_hash", hash(f))
+            assert f != g and g != f
+
+    def test_sides_sorted_by_the_reference_rendering(self):
+        forms = [f for pair in self._corpus(60) for f in pair]
+        rng = random.Random(8)
+        for _ in range(100):
+            side = rng.sample(forms, 4)
+            s = Sequent(side, reversed(side))
+            assert [_render_reference(f) for f in s.left] == sorted(_render_reference(f) for f in side)
+            assert s.right == s.left
+
+    def test_past_the_key_cap(self):
+        # long enough that render() builds the text on the call: a chain of
+        # random connectives, each with a small random sibling
+        rng = random.Random(9)
+        for _ in range(20):
+            f = Atom("p")
+            for _ in range(150):
+                g = random_formula(rng, self.ATOMS, 1)
+                f = rng.choice([Neg(f), And(f, g), And(g, f), Or(f, g), Or(g, f)])
+            assert len(render(f)) > KEY_CAP
+            assert render(f) == _render_reference(f)
+            assert parse_formula(render(f)) == f
+            assert render(Or(f, TOP)) == _render_reference(Or(f, TOP))
+
+    def test_stored_values_are_not_fields(self):
+        assert [x.name for x in fields(And)] == ["left", "right"]
+        assert repr(And(p, Neg(TOP))) == "And(left=Atom(name='p'), right=Neg(arg=Top()))"
+        f = parse_formula("~(p & q) | r")
+        assert b"_hash" not in pickle.dumps(f) and b"_key" not in pickle.dumps(f)
+        assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
+
+
+class TestDeepFormulas:
+    DEPTH = 10_000
+
+    def _chains(self):
+        """Neg, left-nested And and right-nested And chains, built by
+        constructor; each with its expected rendering and atoms."""
+        neg, left, right = Atom("p"), Atom("p"), Atom("p")
+        for _ in range(self.DEPTH):
+            neg, left, right = Neg(neg), And(left, q), And(q, right)
+        n = self.DEPTH
+        return [
+            (neg, "~" * n + "p", {"p"}),
+            (left, "p" + " & q" * n, {"p", "q"}),
+            (right, "q & (" * (n - 1) + "q & p" + ")" * (n - 1), {"p", "q"}),
+        ]
+
+    def test_no_recursion_error(self):
+        for (f, text, atoms), (copy_, _, _) in zip(self._chains(), self._chains()):
+            assert f is not copy_
+            assert hash(f) == hash(copy_) and f == copy_ and not f != copy_
+            assert f != Neg(copy_) and f != Or(q, copy_)
+            assert render(f) == text
+            s = Sequent([f, p], [f])
+            assert s.left == (p, f) and s == Sequent([copy_, p], [copy_])
+            assert atoms_of(f) == atoms_of(s) == atoms
+
+    def test_differ_at_the_bottom(self):
+        f, g = Atom("p"), Atom("r")
+        for _ in range(self.DEPTH):
+            f, g = Neg(f), Neg(g)
+        assert f != g and not f == g
+
+
+_PICKLE_CHILD = """
+import pickle, sys
+from supercut.syntax import parse_formula, parse_sequent
+text = "~(p & q) | r & long_name"
+if sys.argv[1] == "dump":
+    with open(sys.argv[2], "wb") as fh:
+        pickle.dump((parse_formula(text), parse_sequent(text + ", q |- p")), fh)
+    print(hash(parse_formula(text)))
+else:
+    with open(sys.argv[2], "rb") as fh:
+        f, s = pickle.load(fh)
+    fresh_f, fresh_s = parse_formula(text), parse_sequent(text + ", q |- p")
+    assert f == fresh_f and hash(f) == hash(fresh_f) and f in {fresh_f}
+    assert s == fresh_s and hash(s) == hash(fresh_s) and s in {fresh_s}
+    assert fresh_f in set(s.left)
+    print(hash(fresh_f))
+"""
+
+
+def test_pickles_carry_no_hash_across_hash_seeds(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    blob = tmp_path / "formulas.pickle"
+
+    def child(seed, mode):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _PICKLE_CHILD, mode, str(blob)], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        return int(out.stdout)
+
+    dumped, loaded = child(1, "dump"), child(2, "load")
+    # the atoms' hashes differ between the two seeds, so a hash carried in
+    # the pickle would be stale
+    assert dumped != loaded

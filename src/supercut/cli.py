@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import engine as E
@@ -56,7 +57,10 @@ def _int_at_least(low: int):
     return parse
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused: parsing keeps no
+    state in the parser, each call fills a fresh namespace."""
     ap = _Parser(prog="supercut", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

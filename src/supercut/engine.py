@@ -291,15 +291,6 @@ class SaturationState:
         return {a: i for i, a in enumerate(self.universe)}
 
 
-def _minimal_facts(facts: Iterable[FactKey]) -> list[FactKey]:
-    keys = sorted(facts, key=lambda k: (k[0].bit_count() + k[1].bit_count(), k))
-    out: list[FactKey] = []
-    for k in keys:
-        if not any(d[0] & ~k[0] == 0 and d[1] & ~k[1] == 0 for d in out):
-            out.append(k)
-    return out
-
-
 def saturate(
     premises: Sequence[Sequent],
     calc: R.Calculus,

@@ -14,27 +14,62 @@ from .syntax import (
     Sequent,
     SupercutError,
     Top,
+    _dataclass_repr,
+    _parse_sequent,
     formula_key,
-    parse_sequent,
     subformulas,
 )
 
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Proof:
     """A finite labeled proof tree.
 
     ``rule`` is one of: "premise", the axioms "top-right"/"bot-left", a
     logical rule id, or a structural rule name. Instantiations are not
     stored; the checker re-infers them.
+
+    Equality and repr are the ones the dataclass would generate, and the
+    hash is taken over the same fields; none of them recurses, so a proof
+    of any depth has them.
     """
 
     conclusion: Sequent
     rule: str
     children: tuple["Proof", ...] = ()
     premise_index: Optional[int] = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        compared = set()  # pairs of shared subproofs met before
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if (
+                a.rule != b.rule
+                or a.premise_index != b.premise_index
+                or len(a.children) != len(b.children)
+                or a.conclusion != b.conclusion
+            ):
+                return False
+            for x, y in zip(a.children, b.children):
+                if x is not y and (id(x), id(y)) not in compared:
+                    if y.__class__ is not x.__class__:
+                        return False
+                    compared.add((id(x), id(y)))
+                    todo.append((x, y))
+        return True
+
+    def __hash__(self) -> int:
+        return rebuild(self, lambda node, kids: hash((node.conclusion, node.rule, kids, node.premise_index)))
+
+    def __repr__(self) -> str:
+        return _dataclass_repr(self, Proof)
 
     def node_at(self, path: Path) -> "Proof":
         node = self
@@ -140,9 +175,29 @@ def axiom(s: Sequent, side: str) -> Proof:
 
 
 def logical(rule: str, children: Sequence[Proof], conclusion: Sequent) -> Proof:
+    """A logical step named by its rule, for proofs built by hand: the step
+    is re-matched against the rule, children taken in either branch order."""
     m = R.match_logical(rule, [c.conclusion for c in children], conclusion)
     assert m is not None, (rule, [str(c.conclusion) for c in children], str(conclusion))
     return Proof(conclusion, rule, tuple(children))
+
+
+def intro(row: R.Decomposition, goal: Sequent, f: Formula, prove: Callable[[Sequent], Proof]) -> Proof:
+    """The introduction of f on ``row.side`` concluding goal: goal is split
+    on f once, and ``prove`` builds the child of each branch, in branch
+    order, from the branch's sequent, which the child must conclude."""
+    kids = []
+    for target in row.split(goal, f):
+        kid = prove(target)
+        assert kid.conclusion == target, (row.intro, kid.conclusion.render(), target.render())
+        kids.append(kid)
+    return Proof(goal, row.intro, tuple(kids))
+
+
+def elim(row: R.Decomposition, p: Proof, f: Formula, i: int) -> Proof:
+    """The elimination of f on ``row.side`` from p's conclusion, taking
+    branch i."""
+    return Proof(row.branch(p.conclusion, f, i), row.elim, (p,))
 
 
 def structural(rule_name: str, children: Sequence[Proof], conclusion: Sequent) -> Proof:
@@ -385,7 +440,7 @@ def elim_targets(base: Proof) -> dict[Sequent, Proof]:
         return {s: base}
     side, f = cands[0]
     row = R.ROWS[type(f), side]
-    chains = [elim_targets(logical(row.elim, [base], t)) for t in row.split(s, f)]
+    chains = [elim_targets(elim(row, base, f, i)) for i in range(len(row.branches))]
     out = chains[-1]
     for chain in reversed(chains[:-1]):
         out = {**out, **chain}
@@ -409,8 +464,7 @@ def build_intro(goal: Sequent, supply: Callable[[Sequent], Proof]) -> Proof:
     if not cands:
         return supply(goal)
     side, f = cands[0]
-    row = R.ROWS[type(f), side]
-    return logical(row.intro, [build_intro(t, supply) for t in row.split(goal, f)], goal)
+    return intro(R.ROWS[type(f), side], goal, f, lambda t: build_intro(t, supply))
 
 
 def intro_derive(c: Sequent, available: Iterable[Sequent]) -> Optional[Proof]:
@@ -477,6 +531,7 @@ def proof_from_dict(d: dict) -> Proof:
     first, so the first fault in that order is the one reported.
     """
     _check_node(d)
+    parsed: dict[str, Formula] = {}  # formula texts of this proof, each parsed once
     on_path = {id(d)}
     stack: list = [(d, iter(d.get("children", ())), [])]
     while True:
@@ -491,7 +546,7 @@ def proof_from_dict(d: dict) -> Proof:
             continue
         stack.pop()
         on_path.discard(id(node))
-        proof = Proof(parse_sequent(node["sequent"]), node["rule"], tuple(kids), node.get("premise_index"))
+        proof = Proof(_parse_sequent(node["sequent"], parsed), node["rule"], tuple(kids), node.get("premise_index"))
         if not stack:
             return proof
         stack[-1][2].append(proof)

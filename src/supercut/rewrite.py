@@ -59,13 +59,15 @@ def weaken_by(p: Proof, f: Formula, side: str) -> Proof:
     row = R.ROWS.get((type(f), side))
     if row is None:
         return P.axiom(goal, side)
-    kids = []
-    for branch in row.branches:
+    branches = iter(row.branches)
+
+    def prove(_: Sequent) -> Proof:
         q = p
-        for comp_side, attr in branch:
+        for comp_side, attr in next(branches):
             q = weaken_by(q, getattr(f, attr), comp_side)
-        kids.append(q)
-    return P.logical(row.intro, kids, goal)
+        return q
+
+    return P.intro(row, goal, f, prove)
 
 
 def contract_by(p: Proof, f: Formula, side: str) -> Proof:
@@ -79,16 +81,17 @@ def contract_by(p: Proof, f: Formula, side: str) -> Proof:
     if row is None:
         return P.axiom(goal, side)
     if row.branches == ((),):
-        return P.logical(row.elim, [p], goal)
-    kids = []
-    for i, branch in enumerate(row.branches):
-        q = p
-        for _ in range(2):
-            q = P.logical(row.elim, [q], row.branch(q.conclusion, f, i))
+        return P.elim(row, p, f, 0)
+    branches = enumerate(row.branches)
+
+    def prove(_: Sequent) -> Proof:
+        i, branch = next(branches)
+        q = P.elim(row, P.elim(row, p, f, i), f, i)
         for comp_side, attr in branch:
             q = contract_by(q, getattr(f, attr), comp_side)
-        kids.append(q)
-    return P.logical(row.intro, kids, goal)
+        return q
+
+    return P.intro(row, goal, f, prove)
 
 
 def identity_proof(f: Formula) -> Proof:
@@ -106,7 +109,7 @@ def _introduce(goal: Sequent, f: Formula, side: str, prove: Callable[[Sequent], 
     row = R.ROWS.get((type(f), side))
     if row is None:
         return P.axiom(goal, side)
-    return P.logical(row.intro, [prove(s) for s in row.split(goal, f)], goal)
+    return P.intro(row, goal, f, prove)
 
 
 def _identity_leaf(s: Sequent) -> Proof:
@@ -145,12 +148,12 @@ def cut_on(p1: Proof, p2: Proof, f: Formula) -> Proof:
         return P.structural("cut", [p1, p2], goal)
     occurrences = [(R.ROWS.get((type(f), side)), p) for side, p in (("right", p1), ("left", p2))]
     (row, p), *others = sorted(((r, p) for r, p in occurrences if r), key=lambda o: len(o[0].branches))
-    q = P.logical(row.elim, [p], row.branch(p.conclusion, f, 0))
+    q = P.elim(row, p, f, 0)
     if not others:
         return _weaken_multiset(q, goal)
     ((row, p),) = others
     for i, ((comp_side, attr),) in enumerate(row.branches):
-        b = P.logical(row.elim, [p], row.branch(p.conclusion, f, i))
+        b = P.elim(row, p, f, i)
         comp = getattr(f, attr)
         q = cut_on(b, q, comp) if comp_side == "right" else cut_on(q, b, comp)
     return _contract_multiset(q, goal)
@@ -325,19 +328,37 @@ def _fix_root(node: Proof, trace: Optional[RewriteTrace]) -> Proof:
     if trace is not None:
         trace.record("reorder", node.conclusion.render(), node.rule)
     row = R.LOGICAL[node.rule].row
-    if R.LOGICAL[child.rule].row is row:
+    intro_row = R.LOGICAL[child.rule].row
+    if intro_row is row:
         for g in child.children:
             if g.conclusion == node.conclusion:
                 return g
-    m = R.match_logical(node.rule, [child.conclusion], node.conclusion)
-    assert m is not None
-    new_kids = [_fix_root(_apply_elim(row, m, g), trace) for g in child.children]
+    # the elimination, applied to each premise of the introduction instead
+    f, i = _principal(row, child.conclusion, node.conclusion)
+    h, j = _principal(intro_row, child.conclusion, child.children[0].conclusion)
+    if j == 0:
+        kids = iter(child.children)
+        return P.intro(intro_row, node.conclusion, h, lambda _: _fix_root(P.elim(row, next(kids), f, i), trace))
+    # premises listed against branch order: built by hand, so re-matched
+    new_kids = [_fix_root(P.elim(row, g, f, i), trace) for g in child.children]
     return P.logical(child.rule, new_kids, node.conclusion)
 
 
-def _apply_elim(row: R.Decomposition, m: R.LogicalMatch, g: Proof) -> Proof:
-    """The elimination matched by m, applied to g's conclusion instead."""
-    return P.logical(m.rule, [g], row.branch(g.conclusion, m.principal, m.branch))
+def _principal(row: R.Decomposition, before: Sequent, after: Sequent) -> tuple[Formula, int]:
+    """The formula decomposed by row and the branch taken, in a logical step
+    from ``before`` to ``after`` (an elimination's premise and conclusion,
+    or an introduction's conclusion and a premise).
+
+    The formula is the one member ``before``'s side of the row has and
+    ``after``'s lacks: no component of a formula is the formula itself. Where
+    the row branches, each branch adds one component to that side, the one
+    member ``after``'s side has and ``before``'s lacks.
+    """
+    (f,) = P._multiset_diff(getattr(before, row.side), getattr(after, row.side))
+    if len(row.branches) == 1:
+        return f, 0
+    (added,) = P._multiset_diff(getattr(after, row.side), getattr(before, row.side))
+    return f, next(i for i, ((_, attr),) in enumerate(row.branches) if getattr(f, attr) == added)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,9 @@ class Formula:
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
+    def __repr__(self) -> str:
+        return _dataclass_repr(self, Formula)
+
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
 
@@ -83,12 +86,45 @@ class Formula:
         return Neg(self)
 
 
+def _dataclass_repr(x: object, node: type) -> str:
+    """The repr a dataclass generates for x, ``Type(field=value, ...)``,
+    built from an explicit stack: a value of type ``node``, alone or in a
+    tuple, is written the same way, however deep the nesting."""
+    out: list[str] = []
+    todo: list = [x]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        pieces: list = [type(x).__qualname__ + "("]
+        for i, fld in enumerate(fields(x)):
+            pieces.append(", " * (i > 0) + fld.name + "=")
+            value = getattr(x, fld.name)
+            if isinstance(value, node):
+                pieces.append(value)
+            elif isinstance(value, tuple) and value and all(isinstance(v, node) for v in value):
+                pieces.append("(")
+                for j, v in enumerate(value):
+                    pieces.extend((", ", v) if j else (v,))
+                pieces.append(",)" if len(value) == 1 else ")")
+            else:
+                pieces.append(repr(value))
+        pieces.append(")")
+        todo.extend(reversed(pieces))
+    return "".join(out)
+
+
 # Longest rendering stored on a compound node. A parent's rendering contains
 # its children's, so storing every one would take memory quadratic in the
 # depth of a chain; past the cap, render() builds the text on each call.
 KEY_CAP = 1024
 
-_set = object.__setattr__
+# Each slot is set through its own descriptor: a frozen dataclass refuses
+# plain assignment, and object.__setattr__ looks the slot up on each call.
+_set_key = Formula._key.__set__
+_set_hash = Formula._hash.__set__
+_set_plain = Formula._plain.__set__
 
 
 def _operand(g: Formula, prec: int) -> str | None:
@@ -106,55 +142,61 @@ def _joined(*parts: str | None) -> str | None:
     return key if len(key) <= KEY_CAP else None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
     __slots__ = ("name",)
     name: str
 
     def __init__(self, name: str):
-        _set(self, "name", name)
-        _set(self, "_key", name)
-        _set(self, "_hash", hash((name,)))
-        _set(self, "_plain", name.isidentifier() and name not in ("T", "F"))
+        _set_name(self, name)
+        _set_key(self, name)
+        _set_hash(self, hash((name,)))
+        _set_plain(self, name.isidentifier() and name not in ("T", "F"))
 
 
-@dataclass(frozen=True, eq=False)
+_set_name = Atom.name.__set__
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Top(Formula):
     __slots__ = ()
 
     def __init__(self):
-        _set(self, "_key", "T")
-        _set(self, "_hash", hash(()))
-        _set(self, "_plain", True)
+        _set_key(self, "T")
+        _set_hash(self, hash(()))
+        _set_plain(self, True)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bot(Formula):
     __slots__ = ()
 
     def __init__(self):
-        _set(self, "_key", "F")
-        _set(self, "_hash", hash(()))
-        _set(self, "_plain", True)
+        _set_key(self, "F")
+        _set_hash(self, hash(()))
+        _set_plain(self, True)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Formula):
     __slots__ = ("arg",)
     arg: Formula
 
     def __init__(self, arg: Formula):
-        _set(self, "arg", arg)
-        _set(self, "_key", _joined("~", _operand(arg, 2)))
-        _set(self, "_hash", hash((arg._hash,)))
-        _set(self, "_plain", arg._plain)
+        _set_arg(self, arg)
+        _set_key(self, _joined("~", _operand(arg, 2)))
+        _set_hash(self, hash((arg._hash,)))
+        _set_plain(self, arg._plain)
 
     def _layout(self) -> tuple:
         """The rendering as literal text and (operand, level asked of it)."""
         return ("~", (self.arg, 2))
 
 
-@dataclass(frozen=True, eq=False)
+_set_arg = Neg.arg.__set__
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class _Binary(Formula):
     """A binary connective: its text ``_op`` between operands asked for
     the levels ``_operand_prec``."""
@@ -164,16 +206,20 @@ class _Binary(Formula):
     right: Formula
 
     def __init__(self, left: Formula, right: Formula):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
         lp, rp = self._operand_prec
-        _set(self, "_key", _joined(_operand(left, lp), self._op, _operand(right, rp)))
-        _set(self, "_hash", hash((left._hash, right._hash)))
-        _set(self, "_plain", left._plain and right._plain)
+        _set_key(self, _joined(_operand(left, lp), self._op, _operand(right, rp)))
+        _set_hash(self, hash((left._hash, right._hash)))
+        _set_plain(self, left._plain and right._plain)
 
     def _layout(self) -> tuple:
         lp, rp = self._operand_prec
         return ((self.left, lp), self._op, (self.right, rp))
+
+
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
 
 
 class And(_Binary):
@@ -192,8 +238,6 @@ class Or(_Binary):
 
 TOP = Top()
 BOT = Bot()
-
-_ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 
 def _same(f: Formula, g: Formula) -> bool:
@@ -247,72 +291,68 @@ def render(f: Formula) -> str:
     return "".join(out)
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ParseError("unexpected input", self.pos, repr(ch))
-        self.pos += 1
+# one token after optional whitespace: an atom (group 1), or else one
+# character, empty at the end of the text (group 2)
+_TOKEN_RE = re.compile(r"\s*(?:([a-z][A-Za-z0-9_]*)|(.?))")
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the ASCII formula grammar: atoms, T, F, ~, &, | and parentheses."""
-    toks = _Tokens(text)
-    f = _parse_or(toks)
-    toks.skip_ws()
-    if toks.pos != len(text):
-        raise ParseError("trailing input", toks.pos, "end of input")
-    return f
+    """Parse the ASCII formula grammar: atoms, T, F, ~, &, | and parentheses.
 
-
-def _parse_or(toks: _Tokens) -> Formula:
-    f = _parse_and(toks)
-    while toks.peek() == "|":
-        toks.eat("|")
-        f = Or(f, _parse_and(toks))
-    return f
-
-
-def _parse_and(toks: _Tokens) -> Formula:
-    f = _parse_neg(toks)
-    while toks.peek() == "&":
-        toks.eat("&")
-        f = And(f, _parse_neg(toks))
-    return f
-
-
-def _parse_neg(toks: _Tokens) -> Formula:
-    c = toks.peek()
-    if c == "~":
-        toks.eat("~")
-        return Neg(_parse_neg(toks))
-    if c == "(":
-        toks.eat("(")
-        f = _parse_or(toks)
-        toks.eat(")")
-        return f
-    if c == "T":
-        toks.pos += 1
-        return TOP
-    if c == "F":
-        toks.pos += 1
-        return BOT
-    m = _ATOM_RE.match(toks.text, toks.pos)
-    if m is None:
-        raise ParseError("unexpected input", toks.pos, "atom, 'T', 'F', '~' or '('")
-    toks.pos = m.end()
-    return Atom(m.group())
+    An operator-precedence parse over explicit stacks, so nesting costs no
+    recursion: ``ops`` holds the pending ``~``, ``(``, ``&`` and ``|``,
+    innermost last, and ``args`` the left operands of the pending ``&`` and
+    ``|``. An error is reported where the recursive-descent reading of the
+    grammar would: at the first token no rule can take.
+    """
+    ops: list[str] = []
+    args: list[Formula] = []
+    match = _TOKEN_RE.match
+    pos = 0
+    while True:
+        # an operand: negations and opening parentheses, then a leaf
+        m = match(text, pos)
+        pos = m.end()
+        atom, tok = m.groups()
+        if atom is not None:
+            f: Formula = Atom(atom)
+        elif tok == "~" or tok == "(":
+            ops.append(tok)
+            continue
+        elif tok == "T":
+            f = TOP
+        elif tok == "F":
+            f = BOT
+        else:
+            raise ParseError("unexpected input", m.start(2), "atom, 'T', 'F', '~' or '('")
+        # then what follows it: ~ binds tighter than &, & than |, and both
+        # group to the left
+        while True:
+            while ops and ops[-1] == "~":
+                ops.pop()
+                f = Neg(f)
+            m = match(text, pos)
+            tok = m.group(2)
+            # & closes the pending &; anything else closes every pending &
+            # and | back to the innermost open parenthesis
+            closes = "&" if tok == "&" else "&|"
+            while ops and ops[-1] in closes:
+                f = (And if ops.pop() == "&" else Or)(args.pop(), f)
+            if tok == "&" or tok == "|":
+                ops.append(tok)
+                args.append(f)
+                pos = m.end()
+                break
+            # only an open parenthesis can be left on ops
+            if tok == ")" and ops:
+                ops.pop()
+                pos = m.end()
+                continue
+            if tok == "" and not ops:
+                return f
+            if ops:
+                raise ParseError("unexpected input", m.start(m.lastindex), "')'")
+            raise ParseError("trailing input", m.start(m.lastindex), "end of input")
 
 
 # Canonical total-order key for formulas: the rendered form.
@@ -484,17 +524,31 @@ def sequent_key(s: Sequent) -> str:
 
 def parse_sequent(text: str) -> Sequent:
     """Parse 'p, q |- r, s'; either side may be empty."""
+    return _parse_sequent(text, {})
+
+
+def _parse_sequent(text: str, parsed: dict[str, Formula]) -> Sequent:
+    """parse_sequent, taking the formula of a text already in ``parsed``
+    from there and adding each formula it parses, keyed by its text without
+    surrounding whitespace, which the parser skips."""
     parts = text.split("|-")
     if len(parts) != 2:
         raise ParseError("sequent must contain exactly one '|-'", text.find("|-"), "'|-'")
-    return Sequent(_parse_side(parts[0]), _parse_side(parts[1]))
+    return Sequent(_parse_side(parts[0], parsed), _parse_side(parts[1], parsed))
 
 
-def _parse_side(text: str) -> list[Formula]:
+def _parse_side(text: str, parsed: dict[str, Formula]) -> list[Formula]:
     text = text.strip()
     if not text:
         return []
-    return [parse_formula(chunk) for chunk in text.split(",")]
+    out = []
+    for chunk in text.split(","):
+        key = chunk.strip()
+        f = parsed.get(key)
+        if f is None:
+            f = parsed[key] = parse_formula(chunk)
+        out.append(f)
+    return out
 
 
 # ---------------------------------------------------------------------------

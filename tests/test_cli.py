@@ -221,3 +221,25 @@ def test_out_of_range_bounds_are_usage_errors(capsys, flag, value):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and flag in err
 
+
+def test_parser_reuse_matches_fresh_processes(capsys):
+    # one parser serves every call in a process: repeated -p lists, a flag
+    # given then left out, and a usage error must not leak into later calls
+    calls = [
+        ["prove", "--calculus", "gk", "-p", "|- p", "-p", "|- ~p | q", "--json", "|- q"],
+        ["prove", "--calculus", "gk", "|- q"],
+        ["semantics", "--logic", "b", "-p", "p", "p | q"],
+        ["prove", "--calculus", "nope", "|- q"],
+        ["prove", "--calculus", "gb", "-p", "|- p", "--json", "|- p | q"],
+        ["semantics", "--logic", "k", "--json", "p"],
+        ["refute", "--calculus", "gk", "-p", "|- p"],
+    ]
+    src = os.path.dirname(os.path.dirname(supercut.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in calls:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "supercut", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from supercut.engine import DeriveResult, ResourceCapError, _minimal_facts, derives, effective_calculus, refutes, saturate
+from supercut.engine import DeriveResult, ResourceCapError, derives, effective_calculus, refutes, saturate
 from supercut.matrices import builtin, holds_sequent
 from supercut.proofs import (
     check,
@@ -27,6 +27,18 @@ from supercut.rules import (
 from supercut.syntax import Atom, Sequent, atoms_of, parse_formula as pf, parse_sequent as ps
 
 from conftest import random_sequent
+
+
+def _minimal_facts(facts):
+    """Reference antichain: the facts (pairs of atom masks) no other fact
+    subsumes, smallest first."""
+    keys = sorted(facts, key=lambda k: (k[0].bit_count() + k[1].bit_count(), k))
+    out = []
+    for k in keys:
+        if not any(d[0] & ~k[0] == 0 and d[1] & ~k[1] == 0 for d in out):
+            out.append(k)
+    return out
+
 
 CALC_LOGIC = [("gb", "b"), ("glp", "lp"), ("gk", "k"), ("gcl", "cl")]
 

@@ -1,7 +1,9 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and each private
+module-level function is used somewhere in the package."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -49,3 +51,34 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read, attributes taken and names imported under ``node``."""
+    out: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name] += 1
+    return out
+
+
+def test_no_unused_private_functions():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    everywhere: Counter = Counter()
+    for tree in trees.values():
+        everywhere += _references(tree)
+    unused = [
+        f"{name}:{node.name} (line {node.lineno})"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        # a call from its own body does not count
+        and everywhere[node.name] == _references(node)[node.name]
+    ]
+    assert not unused, f"private functions nothing in the package uses: {', '.join(unused)}"

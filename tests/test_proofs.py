@@ -8,8 +8,10 @@ from supercut.proofs import (
     Proof,
     build_intro,
     check,
+    elim,
     elim_targets,
     has_subformula_property,
+    intro,
     intro_derive,
     is_analytic_synthetic,
     is_structurally_atomic,
@@ -24,10 +26,17 @@ from supercut.proofs import (
     structural,
     weaken_to,
 )
-from supercut import rules
-from supercut.rewrite import normalize
-from supercut.rules import at_set, builtin_calculus
-from supercut.syntax import Atom, Sequent, SupercutError, parse_sequent as ps
+from supercut import proofs, rules
+from supercut.rewrite import (
+    RewriteTrace,
+    contract_by,
+    cut_on,
+    make_analytic_synthetic,
+    normalize,
+    weaken_by,
+)
+from supercut.rules import ROWS, at_set, builtin_calculus
+from supercut.syntax import And, Atom, Or, Sequent, SupercutError, parse_formula as pf, parse_sequent as ps
 
 from conftest import random_sequent
 
@@ -170,6 +179,125 @@ class TestSharing:
         assert check(d, GCL, [ps("|- p")]).ok
         assert d.size() == len(list(d.nodes())) == 2 * 5000 + 2
         assert is_structurally_atomic(d) and is_analytic_synthetic(d)
+
+    def test_deep_chains_compare_hash_and_repr(self):
+        # 3,001 nodes, one per level: premise, then alternating weakening
+        # and contraction on the left
+        def chain(index: int) -> Proof:
+            d = structural("weakening-left", [premise(ps("|- p"), index)], ps("q |- p"))
+            for _ in range(1499):
+                d = structural("contraction-left", [structural("weakening-left", [d], ps("q, q |- p"))], ps("q |- p"))
+            return structural("weakening-left", [d], ps("q, q |- p"))
+
+        d, e, other = chain(0), chain(0), chain(1)
+        assert d is not e and d.size() == 3001
+        assert d == e and not d != e and hash(d) == hash(e)
+        assert d != other and not d == other
+        assert repr(d) == repr(e) != repr(other)
+        assert repr(d).count("Proof(") == 3001
+        # the dataclass form
+        leaf = premise(ps("|- p"), 0)
+        assert repr(leaf) == (
+            "Proof(conclusion=Sequent(left=(), right=(Atom(name='p'),)), rule='premise', children=(), premise_index=0)"
+        )
+        w = structural("weakening-left", [leaf], ps("q |- p"))
+        assert repr(w) == (
+            "Proof(conclusion=Sequent(left=(Atom(name='q'),), right=(Atom(name='p'),)), rule='weakening-left', "
+            f"children=({leaf!r},), premise_index=None)"
+        )
+        assert repr(structural("cut", [w, leaf], ps("|- p"))).endswith(f"children=({w!r}, {leaf!r}), premise_index=None)")
+
+
+def _count_matches(monkeypatch) -> list:
+    """The calls to rules.match_logical made from here on."""
+    calls: list = []
+    match = rules.match_logical
+    monkeypatch.setattr(rules, "match_logical", lambda *a: calls.append(a) or match(*a))
+    return calls
+
+
+class TestConstruction:
+    """Builders make each logical step from its decomposition row, so only
+    check and the name-based ``logical`` re-match a step."""
+
+    def test_builders_do_not_rematch(self, monkeypatch, rng):
+        calls = _count_matches(monkeypatch)
+        for _ in range(40):
+            s = random_sequent(rng, ["p", "q"], 2)
+            chains = elim_targets(premise(s, 0))
+            for leaf, chain in chains.items():
+                assert chain.conclusion == leaf
+            build_intro(s, premise)
+        for text in ["(p | ~q) & r", "~(p & q) | T", "F & ~p", "~~p | (q & r)"]:
+            f = pf(text)
+            for side in ("left", "right"):
+                weaken_by(premise(ps("|- s"), 0), f, side)
+                doubled = Sequent([f, f], []) if side == "left" else Sequent([], [f, f])
+                contract_by(premise(doubled, 0), f, side)
+            cut_on(premise(Sequent([], [f]), 0), premise(Sequent([f], []), 1), f)
+        assert calls == []
+
+    def test_normalize_rematches_only_in_check(self, monkeypatch):
+        fixtures = interderivability_fixtures()
+        calls = _count_matches(monkeypatch)
+        monkeypatch.setattr(proofs, "check", lambda *a: proofs.OK)
+        trace = RewriteTrace()
+        outs = [normalize(proof, GCL, prems, proof.conclusion, trace) for proof, prems in fixtures]
+        assert calls == []
+        assert {"expand-principal", "reorder"} <= {entry[0] for entry in trace.entries}
+        monkeypatch.undo()
+        for out, (proof, prems) in zip(outs, fixtures):
+            assert check(out, GCL, prems).ok and out.conclusion == proof.conclusion
+
+    def test_check_matches_each_distinct_logical_node_once(self, monkeypatch):
+        out = normalize(*_compound_cut_tower(8))
+        logical_nodes = [n for n in out.nodes() if proofs.is_logical(n.rule)]
+        assert out.size() > 2 ** 8 > len(logical_nodes)
+        calls = _count_matches(monkeypatch)
+        assert check(out, GCL, []).ok
+        assert 0 < len(calls) <= len(logical_nodes)
+
+    def test_intro_guards_each_child(self):
+        row = ROWS[And, "right"]
+        goal, f = ps("r |- p & q"), pf("p & q")
+        assert intro(row, goal, f, premise).children == (premise(ps("r |- p")), premise(ps("r |- q")))
+        with pytest.raises(AssertionError):
+            intro(row, goal, f, lambda t: premise(t.add(left=[Atom("s")])))
+
+    def test_elim_takes_its_branch(self):
+        row = ROWS[Or, "left"]
+        p = premise(ps("p | q, r |-"), 0)
+        assert elim(row, p, pf("p | q"), 1).conclusion == ps("q, r |-")
+        assert check(elim(row, p, pf("p | q"), 0), GB, [p.conclusion]).ok
+
+    def test_fix_root_takes_premises_in_either_order(self, monkeypatch):
+        # an or-elimination on r | s below an and-introduction of p & q,
+        # whose premises are listed in branch order or against it
+        sides = [ps("|- p, r | s"), ps("|- q, r | s")]
+        outs = []
+        for order in (sides, sides[::-1]):
+            kids = [premise(s, sides.index(s)) for s in order]
+            node = logical("or-right-elim", [logical("and-right-intro", kids, ps("|- p & q, r | s"))],
+                           ps("|- p & q, r, s"))
+            calls = _count_matches(monkeypatch)
+            out = make_analytic_synthetic(node)
+            monkeypatch.undo()
+            assert check(out, GB, sides).ok and is_analytic_synthetic(out)
+            assert out.rule == "and-right-intro" and all(c.rule == "or-right-elim" for c in out.children)
+            outs.append((out, len(calls)))
+        (in_order, in_order_calls), (reversed_, _) = outs
+        assert in_order_calls == 0
+        assert [c.conclusion for c in reversed_.children] == [c.conclusion for c in in_order.children][::-1]
+
+
+def _compound_cut_tower(height: int):
+    """normalize's arguments for a proof whose normal form shares logical
+    nodes: a tower of cuts over the identity on p & q."""
+    goal = ps("p & q |- p & q")
+    d = structural("identity", [], goal)
+    for _ in range(height):
+        d = structural("cut", [d, d], goal)
+    return d, GCL, [], goal
 
 
 def _strip_indices(node: Proof) -> Proof:

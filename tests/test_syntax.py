@@ -379,6 +379,25 @@ class TestDeepFormulas:
             assert s.left == (p, f) and s == Sequent([copy_, p], [copy_])
             assert atoms_of(f) == atoms_of(s) == atoms
 
+    def test_parse_deep_nesting(self):
+        n = 3000
+        neg, conj = p, p
+        for _ in range(n):
+            neg, conj = Neg(neg), And(conj, q)
+        assert parse_formula("~" * n + "p") == neg
+        assert parse_formula("~(" * n + "p" + ")" * n) == neg
+        assert parse_formula("(" * n + "p" + ")" * n) == p
+        assert parse_formula(" & ".join(["p"] + ["q"] * n)) == conj
+        with pytest.raises(ParseError) as exc:
+            parse_formula("(" * n + "p" + ")" * (n - 1))
+        assert exc.value.position == 2 * n and exc.value.expected == "')'"
+
+    def test_repr_of_a_deep_chain(self):
+        f = p
+        for _ in range(2000):
+            f = Neg(f)
+        assert repr(f) == "Neg(arg=" * 2000 + "Atom(name='p')" + ")" * 2000
+
     def test_differ_at_the_bottom(self):
         f, g = Atom("p"), Atom("r")
         for _ in range(self.DEPTH):

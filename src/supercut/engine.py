@@ -64,8 +64,10 @@ def is_exact(calc: R.Calculus) -> bool:
     return all(r.schema_key() in _EXPANSION_SAFE_KEYS for r in calc.specific)
 
 
+@lru_cache(maxsize=64)
 def effective_calculus(calc: R.Calculus, depth_bound: int = 2) -> tuple[R.Calculus, bool]:
-    """The calculus actually saturated: bounded calculi gain their expansion pool."""
+    """The calculus actually saturated: bounded calculi gain their expansion
+    pool. Built once per (calculus, depth bound)."""
     if is_exact(calc):
         return calc, True
     pool: dict[tuple, R.StructuralRule] = {r.schema_key(): r for r in calc.specific}
@@ -117,7 +119,11 @@ class _Shape(NamedTuple):
     in_conclusion: tuple[bool, ...]  # per schema atom
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=64)
+def _shapes(calc: R.Calculus) -> tuple[_Shape, ...]:
+    return tuple(_compile(r) for r in calc.specific)
+
+
 def _compile(rule: R.StructuralRule) -> _Shape:
     names = rule.schema_atoms()
     at = {n: i for i, n in enumerate(names)}
@@ -332,7 +338,7 @@ def saturate(
             if not subsumed(key):
                 keep(key, ("seed", i, member))
 
-    shapes = [_compile(r) for r in calc.specific]
+    shapes = _shapes(calc)
     umask = (1 << len(universe)) - 1
     delta: set[FactKey] = set()
     first = True

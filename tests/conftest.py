@@ -8,7 +8,16 @@ import random
 import pytest
 
 from supercut.matrices import Matrix, eval_formula
-from supercut.syntax import And, Atom, BOT, Formula, Neg, Or, Sequent, TOP
+from supercut.rules import IDENTITY, LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT, Calculus, hilbert_to_structural
+from supercut.syntax import And, Atom, BOT, Formula, Neg, Or, Sequent, TOP, parse_formula
+
+GLP_LC = Calculus("glp+lc", (IDENTITY, LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT))
+# the structural rules of the Hilbert rules ~p | q / r and p & ~q / q | r:
+# "p |- q => |- r" and "q |- ; |- p => |- q, r"
+HILBERT = Calculus("hilbert", tuple(sorted(
+    hilbert_to_structural([parse_formula("~p | q")], parse_formula("r"))
+    | hilbert_to_structural([parse_formula("p & ~q")], parse_formula("q | r")),
+    key=lambda r: r.name)))
 
 
 def random_formula(rng: random.Random, atoms: list[str], depth: int, constants: bool = True) -> Formula:

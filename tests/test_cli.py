@@ -192,12 +192,23 @@ def test_valuation_cap_exit_code(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["prove", "--calculus", "gb", "|- " + "~" * 3000 + "p"], ["semantics", "--logic", "b", "~" * 3000 + "p"]],
+    [
+        # derivable: building the proof's introductions still recurses per level
+        ["prove", "--calculus", "gb", "-p", "|- p", "|- " + "~" * 3000 + "p"],
+        ["semantics", "--logic", "b", "~" * 3000 + "p"],
+    ],
 )
 def test_deep_nesting_is_a_resource_error(capsys, argv):
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "nested too deeply" in err
+
+
+def test_deep_negative_gets_a_verdict(capsys):
+    # saturation seeds and the conclusion's At-set walk 3,000 levels without recursing
+    assert run(["prove", "--calculus", "gb", "|- " + "~" * 3000 + "p"]) == 1
+    out = capsys.readouterr()
+    assert out.out.strip() == "not derivable" and out.err == ""
 
 
 def test_proof_json_past_the_json_nesting_limit(tmp_path, capsys):

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from supercut import engine, rules
 from supercut.engine import DeriveResult, ResourceCapError, derives, effective_calculus, refutes, saturate
 from supercut.matrices import builtin, holds_sequent
 from supercut.proofs import (
@@ -17,16 +18,13 @@ from supercut.proofs import (
 from supercut.rules import (
     CALCULUS_NAMES,
     IDENTITY,
-    LIMITED_CUT_LEFT,
-    LIMITED_CUT_RIGHT,
     Calculus,
     at_set,
     builtin_calculus,
-    hilbert_to_structural,
 )
-from supercut.syntax import Atom, Sequent, atoms_of, parse_formula as pf, parse_sequent as ps
+from supercut.syntax import Atom, Sequent, atoms_of, parse_sequent as ps
 
-from conftest import random_sequent
+from conftest import GLP_LC, HILBERT, random_sequent
 
 
 def _minimal_facts(facts):
@@ -122,6 +120,20 @@ class TestDerives:
         assert len(out) == len(set(out))
         assert set(out) == {k for k in keys if not any(d != k and below(d, k) for d in keys)}
         assert {(1 << 35, 0), (0, 1 << 3)} <= set(out)
+
+    def test_bounded_calculus_built_once(self, monkeypatch):
+        # the pool and the compiled shapes belong to the (calculus, depth
+        # bound): a second query does no work proportional to the pool
+        pools, compiled = [], []
+        pool, compile_ = rules.expansion_pool, engine._compile
+        monkeypatch.setattr(rules, "expansion_pool", lambda *a: pools.append(a) or pool(*a))
+        monkeypatch.setattr(engine, "_compile", lambda r: compiled.append(r) or compile_(r))
+        calc = Calculus("getl-built-once", builtin_calculus("getl").specific)
+        first = derives([ps("|- p"), ps("p |- q")], ps("|- q"), calc)
+        assert first.verdict and len(pools) == 2 and len(compiled) == len(first.calculus.specific) == 54
+        second = derives([ps("|- p, q"), ps("p |-")], ps("|- q"), calc)
+        assert second.verdict and second.calculus is first.calculus
+        assert len(pools) == 2 and len(compiled) == 54
 
 
 class TestRefutes:
@@ -278,12 +290,6 @@ def _reference_facts(premises, calc, universe):
     return facts
 
 
-GLP_LC = Calculus("glp+lc", (IDENTITY, LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT))
-# the structural rules of the Hilbert rules ~p | q / r and p & ~q / q | r:
-# "p |- q => |- r" and "q |- ; |- p => |- q, r"
-HILBERT = Calculus("hilbert", tuple(sorted(
-    hilbert_to_structural([pf("~p | q")], pf("r")) | hilbert_to_structural([pf("p & ~q")], pf("q | r")),
-    key=lambda r: r.name)))
 DIFFERENTIAL_CALCULI = [effective_calculus(builtin_calculus(n))[0] for n in CALCULUS_NAMES]
 DIFFERENTIAL_CALCULI += [effective_calculus(GLP_LC)[0], HILBERT]
 

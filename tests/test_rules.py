@@ -1,16 +1,25 @@
 """Rule matching, At-sets, rule classification and expansions."""
 
+import itertools
 import random
+import time
 
 import pytest
 
+from supercut import rules as R
+from supercut.cli import run
+from supercut.engine import effective_calculus
 from supercut.matrices import builtin, holds_sequent
 from supercut.rules import (
     CUT,
     EXPLOSIVE_CUT,
     IDENTITY,
     LIMITED_CUT_LEFT,
+    LIMITED_CUT_RIGHT,
+    MAX_EXPANSION_IMAGES,
     WEAKENING_LEFT,
+    SequentSchema,
+    StructuralRule,
     at_set,
     balanced_expansions,
     builtin_calculus,
@@ -27,6 +36,7 @@ from supercut.syntax import (
     Atom,
     Neg,
     Or,
+    ResourceCapError,
     Sequent,
     Substitution,
     SupercutError,
@@ -34,7 +44,7 @@ from supercut.syntax import (
     parse_sequent as ps,
 )
 
-from conftest import random_sequent
+from conftest import GLP_LC, HILBERT, random_sequent
 
 B = builtin("b")
 
@@ -152,6 +162,18 @@ class TestAtSet:
                 assert holds_sequent(B, [s], a)
             assert holds_sequent(B, members, s)
 
+    def test_deep_formulas_do_not_recurse(self, rng):
+        deep = Atom("p")
+        for _ in range(3000):
+            deep = Neg(deep)
+        wide = Or(And(Atom("p"), Atom("q")), Atom("r"))
+        for _ in range(3000):
+            wide = Neg(Neg(wide))
+        chooser = lambda cands: rng.randrange(len(cands))
+        for f, want in ((deep, {ps("|- p")}), (wide, {ps("|- p, r"), ps("|- q, r")})):
+            assert at_set(Sequent((), (f,))) == want
+            assert at_set(Sequent((), (f,)), chooser) == want
+
 
 class TestClassification:
     def test_generalized_cuts(self):
@@ -239,6 +261,153 @@ class TestBalancedExpansions:
 
                 prems = [inst(s) for s in rule.premises]
                 assert holds_sequent(spec, prems, inst(rule.conclusion)), rule.render()
+
+
+# ---------------------------------------------------------------------------
+# Canonical labelling and the expansion pool
+# ---------------------------------------------------------------------------
+
+
+def _canonical_by_permutation(rule: StructuralRule) -> StructuralRule:
+    """Reference canonical form: the renaming to x0, x1, ... with the least
+    rendering, by trying every permutation of the schema atoms."""
+    names = rule.schema_atoms()
+    best = None
+    for perm in itertools.permutations(range(len(names))):
+        r = R._rename_rule(rule, {n: f"x{i}" for n, i in zip(names, perm)})
+        if best is None or r.render() < best.render():
+            best = r
+    if best is None:
+        return StructuralRule(rule.render(), rule.premises, rule.conclusion)
+    return StructuralRule(best.render(), best.premises, best.conclusion)
+
+
+def _image(shape, fresh):
+    """A shape's formula, its leaves drawn from the iterator of fresh names."""
+    if shape == "x":
+        return Atom(next(fresh))
+    if shape[0] == "~":
+        return Neg(_image(shape[1], fresh))
+    left, right = _image(shape[1], fresh), _image(shape[2], fresh)
+    return And(left, right) if shape[0] == "&" else Or(left, right)
+
+
+def _leaves(shape) -> int:
+    return 1 if shape == "x" else sum(map(_leaves, shape[1:]))
+
+
+def _raw_expansions(rule: StructuralRule, combos):
+    """The sigma-expansions of the rule, before canonical renaming, for each
+    combination of shapes of its schema atoms."""
+    names = rule.schema_atoms()
+    for combo in combos:
+        fresh = (f"_e{i}" for i in itertools.count())
+        sigma = Substitution({a: _image(shape, fresh) for a, shape in zip(names, combo)})
+        yield from sigma_expand(rule, sigma)
+
+
+def _reference_effective(calc, depth):
+    """effective_calculus's rules, built with the reference canonical form."""
+    pool = {r.schema_key(): r for r in calc.specific}
+    shapes = R._linear_shapes(depth)
+    for r in calc.specific:
+        for e in _raw_expansions(r, itertools.product(shapes, repeat=len(r.schema_atoms()))):
+            e = _canonical_by_permutation(e)
+            pool.setdefault(e.schema_key(), e)
+    return tuple(sorted(pool.values(), key=lambda r: r.name))
+
+
+_SLOT_CHOICES = ((), ("G",), ("G'",), ("G", "G'"))
+
+
+def _random_rule(rng: random.Random, names: list[str], max_side: int = 3) -> StructuralRule:
+    """A rule over the given schema atoms, repeats allowed, with random slots."""
+
+    def side():
+        return [rng.choice(names) for _ in range(rng.randint(0, max_side))] if names else []
+
+    def schema():
+        right_slots = tuple(s.replace("G", "D") for s in rng.choice(_SLOT_CHOICES))
+        return SequentSchema(side(), rng.choice(_SLOT_CHOICES), side(), right_slots)
+
+    return StructuralRule("r", tuple(schema() for _ in range(rng.randint(0, 4))), schema())
+
+
+_ATOM_NAMES = ["a", "b", "c", "p", "q", "r", "s", "t", "u", "v", "w", "x0", "x1", "x12", "y", "z"]
+
+
+class TestCanonicalRule:
+    def test_matches_permutation_search_on_expansions(self, rng):
+        for rule in (LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT, EXPLOSIVE_CUT, IDENTITY, CUT):
+            for depth in (0, 1, 2):
+                shapes = R._linear_shapes(depth)
+                for e in _raw_expansions(rule, itertools.product(shapes, repeat=len(rule.schema_atoms()))):
+                    assert canonical_rule(e) == _canonical_by_permutation(e), e.render()
+        # three schema atoms each, 37**3 combinations at depth 2: a sample of
+        # those with at most six leaves, where the reference still runs
+        shapes = R._linear_shapes(2)
+        combos = []
+        while len(combos) < 40:
+            combo = tuple(rng.choice(shapes) for _ in range(3))
+            if sum(map(_leaves, combo)) <= 6:
+                combos.append(combo)
+        for rule in HILBERT.specific:
+            for e in _raw_expansions(rule, combos):
+                assert canonical_rule(e) == _canonical_by_permutation(e), e.render()
+
+    def test_matches_permutation_search_on_random_rules(self, rng):
+        for i in range(600):
+            n = 7 if i % 50 == 0 else rng.randint(0, 5)
+            rule = _random_rule(rng, rng.sample(_ATOM_NAMES, n))
+            assert canonical_rule(rule) == _canonical_by_permutation(rule), rule.render()
+
+    def test_invariant_under_renaming(self, rng):
+        for _ in range(300):
+            names = rng.sample(_ATOM_NAMES, rng.randint(0, 14))
+            rule = _random_rule(rng, names, max_side=5)
+            canon = canonical_rule(rule)
+            renamed = R._rename_rule(rule, dict(zip(names, rng.sample(_ATOM_NAMES, len(names)))))
+            assert canonical_rule(renamed) == canon, rule.render()
+            assert canonical_rule(canon) == canon
+
+    def test_renames_once(self, monkeypatch):
+        calls = []
+        rename = R._rename_rule
+        monkeypatch.setattr(R, "_rename_rule", lambda *a: calls.append(a) or rename(*a))
+        canonical_rule(parse_structural_rule("|- a, b ; |- a, c ; |- b, d ; |- c, d ; d, G |- D => G |- D"))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("calc", [builtin_calculus("getl"), builtin_calculus("gecq"), GLP_LC], ids=lambda c: c.name)
+    def test_effective_calculus_matches_reference_pool(self, calc):
+        for depth in (0, 1, 2):
+            eff, exact = effective_calculus(calc, depth)
+            assert not exact and eff.name == f"{calc.name}+exp{depth}"
+            assert eff.specific == _reference_effective(calc, depth)
+        assert len(effective_calculus(builtin_calculus("getl"), 2)[0].specific) == 54
+        assert len(effective_calculus(builtin_calculus("gecq"), 2)[0].specific) == 27
+
+
+class TestExpansionCap:
+    def test_shape_count_is_arithmetic(self):
+        for depth in range(-1, 4):
+            assert R._shape_count(depth) == len(R._linear_shapes(depth))
+        # past the cap the count stops growing: depth 4 alone has about 15M shapes
+        assert MAX_EXPANSION_IMAGES < R._shape_count(10**6) < MAX_EXPANSION_IMAGES**3
+
+    def test_cap_admits_depth_two_and_refuses_depth_three(self):
+        assert R._shape_count(2) ** 2 <= MAX_EXPANSION_IMAGES < R._shape_count(3)
+        with pytest.raises(ResourceCapError):
+            R.expansion_pool(EXPLOSIVE_CUT, 3)
+        with pytest.raises(ResourceCapError):
+            R.expansion_pool(HILBERT.specific[0], 2)  # 37**3 combinations
+        assert R.expansion_pool(parse_structural_rule("=> |-", "empty"), 10**6)
+
+    def test_cli_depth_three_exits_three(self, capsys):
+        start = time.perf_counter()
+        assert run(["prove", "--calculus", "getl", "--depth-bound", "3", "-p", "|- p", "-p", "p |- q", "|- q"]) == 3
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "expansion cap" in err
 
 
 class TestHilbertToStructural:

@@ -186,11 +186,15 @@ def intro(row: R.Decomposition, goal: Sequent, f: Formula, prove: Callable[[Sequ
     """The introduction of f on ``row.side`` concluding goal: goal is split
     on f once, and ``prove`` builds the child of each branch, in branch
     order, from the branch's sequent, which the child must conclude."""
-    kids = []
-    for target in row.split(goal, f):
-        kid = prove(target)
+    targets = row.split(goal, f)
+    return _introduced(row, goal, targets, [prove(t) for t in targets])
+
+
+def _introduced(row: R.Decomposition, goal: Sequent, targets: list[Sequent], kids: list[Proof]) -> Proof:
+    """The introduction concluding goal whose children conclude ``targets``,
+    the split of goal by row, in branch order."""
+    for kid, target in zip(kids, targets):
         assert kid.conclusion == target, (row.intro, kid.conclusion.render(), target.render())
-        kids.append(kid)
     return Proof(goal, row.intro, tuple(kids))
 
 
@@ -229,9 +233,18 @@ def check(p: Proof, calc: R.Calculus, declared_premises: Sequence[Sequent] = ())
     A subproof shared by several parents is checked once: nodes found sound
     are remembered, and the first failure ends the check.
     """
+    return _check_matches(p, calc, declared_premises)[0]
+
+
+def _check_matches(
+    p: Proof, calc: R.Calculus, declared_premises: Sequence[Sequent] = ()
+) -> tuple[CheckResult, dict[int, R.StructuralMatch]]:
+    """``check``, also returning the match of each structural node found
+    sound, keyed by the node's id; the ids stay valid while p is alive."""
     declared = list(declared_premises)
     table = calc.rule_map()
     sound: set[int] = set()
+    matches: dict[int, R.StructuralMatch] = {}
     # the open branch: (node, its index under the node before it)
     todo: list[tuple[Proof, int]] = [(p, 0)]
     while todo:
@@ -240,16 +253,22 @@ def check(p: Proof, calc: R.Calculus, declared_premises: Sequence[Sequent] = ())
         if i is not None:
             todo.append((node.children[i], i))
             continue
-        reason = _fault(node, declared, table)
+        reason = _fault(node, declared, table, matches)
         if reason is not None:
-            return CheckResult(False, tuple(i for _, i in todo[1:]), reason)
+            return CheckResult(False, tuple(i for _, i in todo[1:]), reason), matches
         sound.add(id(node))
         todo.pop()
-    return OK
+    return OK, matches
 
 
-def _fault(node: Proof, declared: list[Sequent], table: dict[str, R.StructuralRule]) -> Optional[str]:
-    """Why node is not a sound step from its children, or None."""
+def _fault(
+    node: Proof,
+    declared: list[Sequent],
+    table: dict[str, R.StructuralRule],
+    matches: dict[int, R.StructuralMatch],
+) -> Optional[str]:
+    """Why node is not a sound step from its children, or None; a sound
+    structural node's match goes into ``matches``."""
     rule = node.rule
     if rule == "premise":
         if node.children:
@@ -287,8 +306,10 @@ def _fault(node: Proof, declared: list[Sequent], table: dict[str, R.StructuralRu
     schema = table[rule]
     if len(prems) != len(schema.premises):
         return f"arity: {rule} expects {len(schema.premises)} premises"
-    if R.match_structural(schema, prems, node.conclusion, atomic_only=False) is None:
+    m = R.match_structural(schema, prems, node.conclusion)
+    if m is None:
         return f"not an instance of {rule}"
+    matches[id(node)] = m
     return None
 
 
@@ -429,21 +450,23 @@ def _multiset_diff(a: Sequence[Formula], b: Sequence[Formula]) -> list[Formula]:
 def elim_targets(base: Proof) -> dict[Sequent, Proof]:
     """Elimination chains from a proof to every member of its At-set.
 
-    Mirrors the At-set recursion; keys are exactly at_set(base.conclusion),
-    and on a key two branches share, the first branch's chain wins.
+    Mirrors the At-set walk; keys are exactly at_set(base.conclusion), and
+    on a key two branches share, the first branch's chain wins. The chains
+    grow from an explicit stack, so a deep conclusion does not recurse.
     """
-    s = base.conclusion
-    if R.axiom_side(s):
-        return {}
-    cands = R._decomposition_candidates(s)
-    if not cands:
-        return {s: base}
-    side, f = cands[0]
-    row = R.ROWS[type(f), side]
-    chains = [elim_targets(elim(row, base, f, i)) for i in range(len(row.branches))]
-    out = chains[-1]
-    for chain in reversed(chains[:-1]):
-        out = {**out, **chain}
+    out: dict[Sequent, Proof] = {}
+    todo = [base]
+    while todo:
+        p = todo.pop()
+        if R.axiom_side(p.conclusion):
+            continue
+        cands = R._decomposition_candidates(p.conclusion)
+        if not cands:
+            out.setdefault(p.conclusion, p)
+            continue
+        side, f = cands[0]
+        row = R.ROWS[type(f), side]
+        todo.extend(elim(row, p, f, i) for i in reversed(range(len(row.branches))))
     return out
 
 
@@ -452,19 +475,40 @@ class LeafUnavailable(SupercutError):
 
 
 def build_intro(goal: Sequent, supply: Callable[[Sequent], Proof]) -> Proof:
-    """Introduction tree for the goal; atomic branch leaves come from supply.
+    """Introduction tree for the goal; atomic branch leaves come from supply,
+    asked for left to right.
 
     Branches reaching a top on the right or a bottom on the left close with
-    the corresponding axiom.
+    the corresponding axiom. The tree grows from an explicit stack of open
+    introductions, so a deep goal does not recurse.
     """
-    side = R.axiom_side(goal)
-    if side:
-        return axiom(goal, side)
-    cands = R._decomposition_candidates(goal)
-    if not cands:
-        return supply(goal)
-    side, f = cands[0]
-    return intro(R.ROWS[type(f), side], goal, f, lambda t: build_intro(t, supply))
+    # (row, goal, its branch sequents, the children built so far)
+    pending: list[tuple[R.Decomposition, Sequent, list[Sequent], list[Proof]]] = []
+    while True:
+        side = R.axiom_side(goal)
+        if side:
+            proof = axiom(goal, side)
+        elif cands := R._decomposition_candidates(goal):
+            side, f = cands[0]
+            row = R.ROWS[type(f), side]
+            targets = row.split(goal, f)
+            pending.append((row, goal, targets, []))
+            goal = targets[0]
+            continue
+        else:
+            proof = supply(goal)
+        # the proof is the next child of the innermost open introduction;
+        # each introduction it completes closes in turn
+        while pending:
+            row, below, targets, kids = pending[-1]
+            kids.append(proof)
+            if len(kids) < len(targets):
+                goal = targets[len(kids)]
+                break
+            pending.pop()
+            proof = _introduced(row, below, targets, kids)
+        else:
+            return proof
 
 
 def intro_derive(c: Sequent, available: Iterable[Sequent]) -> Optional[Proof]:

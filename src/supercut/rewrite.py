@@ -4,6 +4,7 @@ subformula enforcement, cut elimination and refutation reshaping."""
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -178,57 +179,112 @@ def _node_is_atomic(node: Proof) -> bool:
     return node.conclusion.is_atomic() and all(c.conclusion.is_atomic() for c in node.children)
 
 
-def expand_structural(p: Proof, calc: R.Calculus, trace: Optional[RewriteTrace] = None) -> Proof:
-    """Replace every non-atomic structural step by logical rules plus atomic
-    instances available in the calculus."""
-    step1 = P.rebuild(p, lambda node, kids: _expand_principal(node, kids, calc, trace))
-    return P.rebuild(step1, lambda node, kids: _atomize_context(node, kids, calc, trace))
+Matches = dict[int, R.StructuralMatch]
+Table = dict[Sequent, Proof]
+# the rules whose steps on a compound formula the expansion builders replace
+_PRINCIPAL_RULES = R.COMMON_NAMES | {"identity", "cut"}
+
+
+def expand_structural(
+    p: Proof, calc: R.Calculus, trace: Optional[RewriteTrace] = None, matches: Optional[Matches] = None
+) -> Proof:
+    """The three-phase form of p: eliminations from the premises, atomic
+    structural steps, introductions down to the conclusion.
+
+    A first pass replaces each step of a common rule, Identity or Cut whose
+    principal formula is compound by logical rules around steps on its
+    components. A fold then maps each node to its At-leaf table, and the
+    root's table supplies the leaves of one introduction tree.
+
+    ``matches`` maps the id of structural nodes of p to their matches (as
+    ``proofs._check_matches`` returns them); every other structural node
+    that needs its match is matched here. The dict is extended in place.
+    """
+    matches = {} if matches is None else matches
+    step1 = P.rebuild(p, lambda node, kids: _expand_principal(node, kids, calc, trace, matches))
+    tables = P.rebuild(step1, lambda node, kids: _at_leaves(node, kids, calc, trace, matches))
+    return P.build_intro(step1.conclusion, tables.__getitem__)
+
+
+def _structural_match(node: Proof, calc: R.Calculus, matches: Matches) -> R.StructuralMatch:
+    m = matches.get(id(node))
+    if m is not None:
+        return m
+    table = calc.rule_map()
+    if node.rule not in table:
+        raise InexpandableNode(f"structural rule {node.rule} not in calculus {calc.name}")
+    m = R.match_structural(table[node.rule], [c.conclusion for c in node.children], node.conclusion)
+    if m is None:
+        raise InexpandableNode(f"node is not an instance of {node.rule}")
+    matches[id(node)] = m
+    return m
 
 
 def _expand_principal(
-    node: Proof, kids: tuple[Proof, ...], calc: R.Calculus, trace: Optional[RewriteTrace]
+    node: Proof, kids: tuple[Proof, ...], calc: R.Calculus, trace: Optional[RewriteTrace], matches: Matches
 ) -> Proof:
-    cur = Proof(node.conclusion, node.rule, kids, node.premise_index)
-    if not P.is_structural(cur.rule) or cur.rule == "premise":
+    """node over its rewritten children, a step of a common rule, Identity
+    or Cut on a compound formula replaced by the expansion builders."""
+    if all(map(operator.is_, kids, node.children)):
+        cur = node
+    else:
+        cur = Proof(node.conclusion, node.rule, kids, node.premise_index)
+    if not P.is_structural(cur.rule):
         return cur
-    table = calc.rule_map()
-    if cur.rule not in table:
-        raise InexpandableNode(f"structural rule {cur.rule} not in calculus {calc.name}")
-    schema = table[cur.rule]
-    m = R.match_structural(schema, [c.conclusion for c in cur.children], cur.conclusion)
-    if m is None:
-        raise InexpandableNode(f"node is not an instance of {cur.rule}")
+    m = _structural_match(node, calc, matches)
     values = m.atom_assignment
-    if all(isinstance(v, Atom) for v in values.values()):
+    if all(isinstance(v, Atom) for v in values.values()) or cur.rule not in _PRINCIPAL_RULES:
+        # any other rule (a bounded calculus's own) on a compound formula is
+        # expanded with its context by the fold's sandwich
+        matches[id(cur)] = m  # cur stays in the pass's output, so its id stays its own
         return cur
     if trace is not None:
         trace.record("expand-principal", cur.conclusion.render(), cur.rule)
     if cur.rule == "identity":
         (f,) = values.values()
         return identity_proof(f)
-    if cur.rule in R.WEAKENING_NAMES:
-        (f,) = values.values()
-        return weaken_by(cur.children[0], f, R.COMMON_SIDE[cur.rule])
-    if cur.rule in R.CONTRACTION_NAMES:
-        (f,) = values.values()
-        return contract_by(cur.children[0], f, R.COMMON_SIDE[cur.rule])
     if cur.rule == "cut":
-        f = values["x"]
-        return cut_on(cur.children[0], cur.children[1], f)
-    # bounded calculi: the step must correspond to expansion rules present
-    # in the calculus; _sandwich performs the replacement
-    return _sandwich(cur, calc, m)
+        return cut_on(cur.children[0], cur.children[1], values["x"])
+    (f,) = values.values()
+    build = weaken_by if cur.rule in R.WEAKENING_NAMES else contract_by
+    return build(cur.children[0], f, R.COMMON_SIDE[cur.rule])
 
 
-def _atomize_context(
-    node: Proof, kids: tuple[Proof, ...], calc: R.Calculus, trace: Optional[RewriteTrace]
-) -> Proof:
-    cur = Proof(node.conclusion, node.rule, kids, node.premise_index)
-    if not P.is_structural(cur.rule) or cur.rule == "premise" or _node_is_atomic(cur):
-        return cur
+def _at_leaves(
+    node: Proof, kids: tuple[Table, ...], calc: R.Calculus, trace: Optional[RewriteTrace], matches: Matches
+) -> Table:
+    """node's At-leaf table: each member of At(node.conclusion), and maybe
+    more atomic sequents, mapped to an introduction-free proof of it, from
+    the tables of node's children.
+
+    At(branch) is part of At(premise) and At(conclusion) is the union of
+    At(branch) over an introduction's branches, so an elimination keeps its
+    child's table and an introduction merges its children's, the earlier
+    child winning on a shared key.
+    """
+    if node.rule == "premise":
+        return P.elim_targets(node)
+    if P.is_axiom(node.rule):
+        return {}
+    if P.is_elim(node.rule):
+        return kids[0]
+    if P.is_intro(node.rule):
+        if len(kids) == 1:
+            return kids[0]
+        merged: Table = {}
+        for t in reversed(kids):
+            merged.update(t)
+        return merged
+    if _node_is_atomic(node):
+        leaves = tuple(t[c.conclusion] for t, c in zip(kids, node.children))
+        if not all(map(operator.is_, leaves, node.children)):
+            node = Proof(node.conclusion, node.rule, leaves)
+        return {node.conclusion: node}
+    m = _structural_match(node, calc, matches)
     if trace is not None:
-        trace.record("atomize-context", cur.conclusion.render(), cur.rule)
-    return _sandwich(cur, calc, None)
+        compound = not all(isinstance(v, Atom) for v in m.atom_assignment.values())
+        trace.record("expand-principal" if compound else "atomize-context", node.conclusion.render(), node.rule)
+    return _sandwich(node, calc, m, kids)
 
 
 def _slot_side(rule: R.StructuralRule, slot: str) -> str:
@@ -245,14 +301,11 @@ def _names_by_canonical_schema(calc: R.Calculus) -> dict[tuple, str]:
     return {R.canonical_rule(r).schema_key(): r.name for r in calc.rule_map().values()}
 
 
-def _sandwich(node: Proof, calc: R.Calculus, m: Optional[R.StructuralMatch]) -> Proof:
-    """Replace a structural step by eliminations, atomic instances of its
-    expansion rules, and introductions."""
-    table = calc.rule_map()
-    rule = table[node.rule]
-    if m is None:
-        m = R.match_structural(rule, [c.conclusion for c in node.children], node.conclusion)
-        assert m is not None, node.rule
+def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple[Table, ...]) -> Table:
+    """The At-leaf table of a structural step: atomic instances of its
+    expansion rules, each child taken from the table of the step's premise
+    it comes from."""
+    rule = calc.rule_map()[node.rule]
     sigma = Substitution(m.atom_assignment)
     by_key = _names_by_canonical_schema(calc)
 
@@ -265,8 +318,7 @@ def _sandwich(node: Proof, calc: R.Calculus, m: Optional[R.StructuralMatch]) -> 
             branches = R.at_set(Sequent((), content))
         slot_branches[slot] = sorted(branches, key=sequent_key)
 
-    elim_chains = [P.elim_targets(c) for c in node.children]
-    supply: dict[Sequent, Proof] = {}
+    supply: Table = {}
     slots_sorted = sorted(rule.slot_names())
 
     def instantiate(schema: R.SequentSchema, bc: dict[str, Sequent]) -> Sequent:
@@ -295,10 +347,9 @@ def _sandwich(node: Proof, calc: R.Calculus, m: Optional[R.StructuralMatch]) -> 
             children = []
             for j, schema in tagged:
                 mj = instantiate(schema, bc)
-                children.append(elim_chains[j][mj])
+                children.append(tables[j][mj])
             supply[member] = P.structural(e_name, children, member)
-
-    return P.build_intro(node.conclusion, lambda leaf: supply[leaf])
+    return supply
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +425,9 @@ def enforce_subformula(
     resident: set[str] = set(atoms_of(conclusion))
     for s in premises:
         resident |= atoms_of(s)
-    used: set[str] = set()
-    for node in p.nodes():
-        used |= atoms_of(node.conclusion)
-    foreign = used - resident
+    # the proof's distinct formulas are far fewer than its sequents' members
+    forms = {f for node in p.nodes() for f in node.conclusion.left + node.conclusion.right}
+    foreign = set().union(*map(atoms_of, forms)) - resident
     if not foreign:
         return p
     if trace is not None:
@@ -418,15 +468,15 @@ def normalize(
 ) -> Proof:
     """Full pipeline to structurally atomic analytic-synthetic form with the
     subformula property; idempotent on its own output."""
-    res = P.check(p, calc, premises)
+    res, matches = P._check_matches(p, calc, premises)
     if not res.ok:
         raise RewriteError(f"input proof fails checking at {res.path}: {res.reason}")
     if p.conclusion != conclusion:
         raise RewriteError("proof conclusion differs from the stated conclusion")
-    out = expand_structural(p, calc, trace)
-    out = make_analytic_synthetic(out, trace)
+    out = expand_structural(p, calc, trace, matches)
     out = enforce_subformula(out, premises, conclusion, trace)
     assert out.conclusion == conclusion
+    assert P.is_structurally_atomic(out) and P.is_analytic_synthetic(out)
     return out
 
 

@@ -487,7 +487,13 @@ class Sequent:
         return not self.left and not self.right
 
     def add(self, left: Iterable[Formula] = (), right: Iterable[Formula] = ()) -> "Sequent":
-        return Sequent(self.left + tuple(left), self.right + tuple(right))
+        """The sequent with the given formulas added; a side that gains none
+        is already sorted and is kept as it is."""
+        left, right = tuple(left), tuple(right)
+        out = object.__new__(Sequent)
+        object.__setattr__(out, "left", _sorted_side(self.left + left) if left else self.left)
+        object.__setattr__(out, "right", _sorted_side(self.right + right) if right else self.right)
+        return out
 
     def remove_one(self, f: Formula, side: str) -> "Sequent":
         """Remove one occurrence of f from the given side ('left'/'right')."""

@@ -10,7 +10,7 @@ import pytest
 import supercut
 from supercut.cli import run
 from supercut.proofs import check, proof_from_dict
-from supercut.engine import effective_calculus
+from supercut.engine import derives, effective_calculus
 from supercut.rules import builtin_calculus
 from supercut.syntax import parse_sequent as ps
 
@@ -193,8 +193,8 @@ def test_valuation_cap_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # derivable: building the proof's introductions still recurses per level
-        ["prove", "--calculus", "gb", "-p", "|- p", "|- " + "~" * 3000 + "p"],
+        # the matrix oracle evaluates a formula recursively, once per level
+        ["interpolate", "--logic", "k", "p", "~" * 3000 + "p"],
         ["semantics", "--logic", "b", "~" * 3000 + "p"],
     ],
 )
@@ -202,6 +202,18 @@ def test_deep_nesting_is_a_resource_error(capsys, argv):
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "nested too deeply" in err
+
+
+def test_deep_derivable_gets_a_proof(capsys):
+    # the proof's eliminations and introductions are built without recursing
+    deep = "~" * 3000 + "p"
+    assert run(["prove", "--calculus", "gb", "-p", "|- p", "|- " + deep]) == 0
+    out = capsys.readouterr()
+    assert out.out.strip() == "derivable" and out.err == ""
+    prems, goal = [ps("|- p")], ps("|- " + deep)
+    res = derives(prems, goal, builtin_calculus("gb"))
+    assert res.verdict and check(res.proof, res.calculus, prems).ok
+    assert res.proof.conclusion == goal and res.proof.size() > 3000
 
 
 def test_deep_negative_gets_a_verdict(capsys):

@@ -26,7 +26,7 @@ from supercut.proofs import (
     structural,
     weaken_to,
 )
-from supercut import proofs, rules
+from supercut import proofs, rewrite, rules
 from supercut.rewrite import (
     RewriteTrace,
     contract_by,
@@ -240,14 +240,52 @@ class TestConstruction:
     def test_normalize_rematches_only_in_check(self, monkeypatch):
         fixtures = interderivability_fixtures()
         calls = _count_matches(monkeypatch)
-        monkeypatch.setattr(proofs, "check", lambda *a: proofs.OK)
+        monkeypatch.setattr(proofs, "_check_matches", lambda *a: (proofs.OK, {}))
         trace = RewriteTrace()
         outs = [normalize(proof, GCL, prems, proof.conclusion, trace) for proof, prems in fixtures]
+        assert "expand-principal" in {entry[0] for entry in trace.entries}
+        # normalize builds the three-phase form directly; reordering a
+        # detour is left to make_analytic_synthetic, which re-matches nothing
+        row, f = ROWS[And, "right"], pf("p & q")
+        detour = elim(row, intro(row, ps("r |- p & q"), f, premise), f, 1)
+        trace = RewriteTrace()
+        assert make_analytic_synthetic(detour, trace) == premise(ps("r |- q"))
+        assert trace.entries == [("reorder", "r |- q", "and-right-elim")]
         assert calls == []
-        assert {"expand-principal", "reorder"} <= {entry[0] for entry in trace.entries}
         monkeypatch.undo()
         for out, (proof, prems) in zip(outs, fixtures):
             assert check(out, GCL, prems).ok and out.conclusion == proof.conclusion
+
+    def test_normalize_matches_each_structural_node_once(self, monkeypatch, rng):
+        # check matches each structural node of the input; after it, only the
+        # non-atomic structural nodes that principal expansion creates are
+        # matched, by the fold that puts them into three-phase form
+        jobs = [(proof, GCL, prems) for proof, prems in interderivability_fixtures()]
+        jobs.append(_compound_cut_tower(8)[:3])
+        for calc in (GB, GLP, GCL):
+            for _ in range(10):
+                prems, goal = [random_sequent(rng, ["p", "q"], 2)], random_sequent(rng, ["p", "q"], 2)
+                res = derives(prems, goal, calc)
+                if res.verdict:
+                    jobs.append((res.proof, res.calculus, prems))
+        created_total = 0
+        for proof, calc, prems in jobs:
+            res, matches = proofs._check_matches(proof, calc, prems)
+            inputs = [n for n in proof.nodes() if proofs.is_structural(n.rule)]
+            assert res.ok and sorted(matches) == sorted(map(id, inputs))
+            step1 = rebuild(proof, lambda n, k: rewrite._expand_principal(n, k, calc, None, matches))
+            created = [
+                n for n in step1.nodes()
+                if proofs.is_structural(n.rule) and id(n) not in matches and not rewrite._node_is_atomic(n)
+            ]
+            created_total += len(created)
+            calls = []
+            match = rules.match_structural
+            monkeypatch.setattr(rules, "match_structural", lambda *a, **k: calls.append(1) or match(*a, **k))
+            normalize(proof, calc, prems, proof.conclusion)
+            monkeypatch.undo()
+            assert len(calls) == len(inputs) + len(created)
+        assert created_total > 0
 
     def test_check_matches_each_distinct_logical_node_once(self, monkeypatch):
         out = normalize(*_compound_cut_tower(8))

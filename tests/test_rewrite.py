@@ -33,8 +33,8 @@ from supercut.rewrite import (
     simplify_refutation,
     weaken_by,
 )
-from supercut.rules import DECOMPOSITION, builtin_calculus
-from supercut.syntax import Bot, Neg, Sequent, Top, parse_formula as pf, parse_sequent as ps
+from supercut.rules import CALCULUS_NAMES, DECOMPOSITION, builtin_calculus
+from supercut.syntax import Atom, Bot, Neg, Sequent, Top, parse_formula as pf, parse_sequent as ps
 
 from conftest import random_formula, random_sequent
 
@@ -165,16 +165,86 @@ class TestEnforceSubformula:
         assert check(out, GB, []).ok and out.conclusion == ps("|- T | F")
 
 
+def _pad(proof: Proof, prems: list, calc, rng) -> Proof:
+    """proof wrapped in one structural detour on a compound formula that
+    keeps its conclusion: a weakening then contraction of a member, a cut
+    against an identity on a member, a cut on a fresh formula between two
+    weakenings, or (in a bounded calculus with limited cuts) a limited cut
+    on a formula that becomes a new last premise."""
+    c = proof.conclusion
+    members = [(side, f) for side in ("left", "right") for f in getattr(c, side) if not isinstance(f, Atom)]
+    chi = random_formula(rng, ["p", "q"], 2)
+    while isinstance(chi, Atom):
+        chi = random_formula(rng, ["p", "q"], 2)
+    rules_ = calc.rule_map()
+    styles = ["cut"] if "cut" in rules_ else []
+    if members:
+        styles.append("contract")
+        if "identity" in rules_ and "cut" in rules_:
+            styles.append("identity")
+    if "limited-cut-left" in rules_:
+        styles.append("limited-cut")
+    style = rng.choice(styles)
+    if style == "contract":
+        side, f = rng.choice(members)
+        grown = structural(f"weakening-{side}", [proof], c.add(**{side: [f]}))
+        return structural(f"contraction-{side}", [grown], c)
+    if style == "identity":
+        side, f = rng.choice(members)
+        ident = structural("identity", [], Sequent([f], [f]))
+        return structural("cut", [proof, ident] if side == "right" else [ident, proof], c)
+    if style == "limited-cut":
+        # no atom twice: the expansion pool's images of x are injective
+        chi = pf(rng.choice(["p & q", "~p", "q | ~p", "~(p & q)", "T & q", "~~p | F"]))
+        prems.append(Sequent([], [chi]))
+        grown = structural("weakening-left", [proof], c.add(left=[chi]))
+        return structural("limited-cut-left", [premise(prems[-1], len(prems) - 1), grown], c)
+    left = structural("weakening-right", [proof], c.add(right=[chi]))
+    right = structural("weakening-left", [proof], c.add(left=[chi]))
+    padded = structural("cut", [left, right], Sequent(c.left + c.left, c.right + c.right))
+    for side in ("left", "right"):
+        for f in getattr(c, side):
+            padded = structural(f"contraction-{side}", [padded], padded.conclusion.remove_one(f, side))
+    return padded
+
+
 class TestNormalize:
     def test_engine_output_is_fixpoint(self, rng):
-        for _ in range(15):
-            prems = [random_sequent(rng, ["p", "q"], 2)]
+        for name in CALCULUS_NAMES:
+            seen = 0
+            for _ in range(15):
+                prems = [random_sequent(rng, ["p", "q"], 2)]
+                goal = random_sequent(rng, ["p", "q"], 2)
+                res = derives(prems, goal, builtin_calculus(name))
+                if res.proof is None or res.proof.rule == "premise":
+                    continue
+                seen += 1
+                n = normalize(res.proof, res.calculus, prems, goal)
+                assert n == res.proof
+            assert seen, name
+
+    @pytest.mark.parametrize("name", ["gk", "gcl", "getl"])
+    def test_padded_engine_proofs(self, rng, name):
+        done = 0
+        while done < 12:
+            prems = [random_sequent(rng, ["p", "q"], 2) for _ in range(rng.randint(0, 2))]
             goal = random_sequent(rng, ["p", "q"], 2)
-            res = derives(prems, goal, GK)
-            if res.proof is None or res.proof.rule == "premise":
+            res = derives(prems, goal, builtin_calculus(name))
+            if not res.verdict:
                 continue
-            n = normalize(res.proof, GK, prems, goal)
-            assert n == res.proof
+            calc, proof = res.calculus, res.proof
+            for _ in range(rng.randint(1, 3)):
+                proof = _pad(proof, prems, calc, rng)
+            assert check(proof, calc, prems).ok
+            trace = RewriteTrace()
+            n = normalize(proof, calc, prems, goal, trace)
+            assert check(n, calc, prems).ok and n.conclusion == goal
+            assert is_structurally_atomic(n) and is_analytic_synthetic(n)
+            assert has_subformula_property(n, prems)
+            assert normalize(n, calc, prems, goal) == n
+            assert replay_trace(proof, calc, prems, goal, trace) == n
+            assert {e[0] for e in trace.entries} <= {"expand-principal", "atomize-context", "enforce-subformula"}
+            done += 1
 
     def test_trace_replays(self):
         p1 = premise(ps("|- p & q"), 0)

@@ -129,6 +129,24 @@ class TestSequent:
                     got = s.remove_one(f, side)
                     assert (got.left, got.right) == (want.left, want.right)
 
+    def test_add_keeps_the_order_a_new_sequent_gets(self, rng):
+        # long formulas whose rendering is past the key cap, so not stored
+        long = []
+        for f in (p, q):
+            for _ in range(KEY_CAP // 4):
+                f = And(f, r)
+            long.append(f)
+        assert all(len(render(f)) > KEY_CAP for f in long)
+        extra = [Atom("T"), TOP, Atom("p & q"), And(p, q)] + long
+        for _ in range(300):
+            def forms():
+                out = [random_formula(rng, ["p", "q"], 2) for _ in range(rng.randint(0, 3))]
+                return out + rng.sample(extra, rng.randint(0, 2))
+            s, left, right = Sequent(forms(), forms()), forms(), forms()
+            for gained_l, gained_r in ((left, right), (left, []), ([], right), ([], [])):
+                got, want = s.add(gained_l, gained_r), Sequent(s.left + tuple(gained_l), s.right + tuple(gained_r))
+                assert (got.left, got.right) == (want.left, want.right)
+
 
 class TestAtomsAndSubformulas:
     def test_atoms(self):

@@ -4,7 +4,7 @@ oracle-backed verifier for interpolation claims."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from . import engine as E
 from . import matrices as M
@@ -62,32 +62,24 @@ def _node_paths(
 ) -> list[P.Path]:
     """Paths whose subtree has no introductions (nor Identity, for the Milne
     variant), whose path to the root is introductions only, and whose subtree
-    reaches at least one premise leaf."""
-    info: dict[P.Path, tuple[bool, bool]] = {}
+    reaches at least one premise leaf; in preorder, children left to right."""
+    # per distinct node: (its subproof is clean, it reaches a premise)
+    info: dict[int, tuple[bool, bool]] = {}
 
-    def scan(node: Proof, path: P.Path) -> tuple[bool, bool]:
-        clean = not P.is_intro(node.rule)
-        if forbid_identity and node.rule == "identity":
-            clean = False
-        has_premise = node.rule == "premise"
-        for i, c in enumerate(node.children):
-            sub_clean, sub_prem = scan(c, path + (i,))
-            clean = clean and sub_clean
-            has_premise = has_premise or sub_prem
-        info[path] = (clean, has_premise)
-        return info[path]
+    def scan(node: Proof, kids: tuple[tuple[bool, bool], ...]) -> tuple[bool, bool]:
+        clean = not (P.is_intro(node.rule) or forbid_identity and node.rule == "identity")
+        info[id(node)] = (clean and all(c for c, _ in kids), node.rule == "premise" or any(r for _, r in kids))
+        return info[id(node)]
 
-    scan(p, ())
+    P.rebuild(p, scan)
     out: list[P.Path] = []
-
-    def collect(node: Proof, path: P.Path, below_intro: bool) -> None:
-        clean, has_premise = info[path]
-        if below_intro and clean and has_premise:
+    todo: list[tuple[Proof, P.Path]] = [(p, ())]
+    while todo:
+        node, path = todo.pop()
+        if all(info[id(node)]):
             out.append(path)
-        for i, c in enumerate(node.children):
-            collect(c, path + (i,), below_intro and P.is_intro(node.rule))
-
-    collect(p, (), True)
+        if P.is_intro(node.rule):
+            todo.extend((node.children[i], path + (i,)) for i in reversed(range(len(node.children))))
     return out
 
 
@@ -163,20 +155,34 @@ def _prune_subproof(sub: Proof, keep_atoms: frozenset[str], rules: dict[str, R.S
         out = _delete_occurrence(out, side, a, rules)
 
 
-def prune_foreign_atoms(p: Proof, premise_atoms: Iterable[str], calc: R.Calculus) -> Proof:
-    """Delete ancestor trees of critical-node atoms outside the premises,
-    restoring contexts with weakenings below each pruned node."""
+def _require_generalized_cut(calc: R.Calculus) -> None:
     bad = [r.name for r in calc.specific if not R.classify(r).is_generalized_cut]
     if bad:
         raise InterpolationError(f"calculus contains non-generalized-cut rules: {', '.join(bad)}")
-    keep = frozenset(premise_atoms)
+
+
+def _prune_critical_nodes(
+    p: Proof, keep: frozenset[str], calc: R.Calculus, stand_in: Callable[[Proof], Proof], forbid_identity: bool = False
+) -> tuple[list[Proof], Proof]:
+    """Each critical (or separating) node of p with the atoms outside
+    ``keep`` pruned, and p with each such node replaced by ``stand_in`` of
+    its pruned subproof, weakened back to the node's conclusion."""
     rules = calc.rule_map()
+    pruned_subs: list[Proof] = []
     out = p
-    for path in _node_paths(p):
+    for path in _node_paths(p, forbid_identity):
         sub = p.node_at(path)
         pruned = _prune_subproof(sub, keep, rules)
-        out = out.replace_at(path, P.weaken_to(pruned, sub.conclusion))
-    return out
+        pruned_subs.append(pruned)
+        out = out.replace_at(path, P.weaken_to(stand_in(pruned), sub.conclusion))
+    return pruned_subs, out
+
+
+def prune_foreign_atoms(p: Proof, premise_atoms: Iterable[str], calc: R.Calculus) -> Proof:
+    """Delete ancestor trees of critical-node atoms outside the premises,
+    restoring contexts with weakenings below each pruned node."""
+    _require_generalized_cut(calc)
+    return _prune_critical_nodes(p, frozenset(premise_atoms), calc, lambda q: q)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +199,8 @@ def _interpolate_from_proof(
     """Shared core: prune critical (or separating) nodes, return the pruned
     sequents, their subproofs, and the proof of the conclusion from them."""
     keep = frozenset().union(*(atoms_of(s) for s in premises)) if premises else frozenset()
-    paths = _node_paths(proof, forbid_identity=forbid_identity)
-    rules = eff_calc.rule_map()
-    interp: list[Sequent] = []
-    subs: list[Proof] = []
-    rest = proof
-    for path in paths:
-        sub = proof.node_at(path)
-        pruned = _prune_subproof(sub, keep, rules)
-        interp.append(pruned.conclusion)
-        subs.append(pruned)
-        leaf = P.premise(pruned.conclusion)
-        rest = rest.replace_at(path, P.weaken_to(leaf, sub.conclusion))
-    return interp, subs, rest
+    subs, rest = _prune_critical_nodes(proof, keep, eff_calc, lambda q: P.premise(q.conclusion), forbid_identity)
+    return [s.conclusion for s in subs], subs, rest
 
 
 def interpolate_sequents(
@@ -226,9 +221,7 @@ def interpolate_sequents(
     if not res.verdict:
         raise EntailmentError("the premises do not derive the conclusion in this calculus")
     eff = res.calculus
-    bad = [r.name for r in eff.specific if not R.classify(r).is_generalized_cut]
-    if bad:
-        raise InterpolationError(f"calculus contains non-generalized-cut rules: {', '.join(bad)}")
+    _require_generalized_cut(eff)
     proof = res.proof
     assert proof is not None
     if proof.rule == "premise":

@@ -1,5 +1,5 @@
-"""Proof rewriting: structural expansion, analytic-synthetic reordering,
-subformula enforcement, cut elimination and refutation reshaping."""
+"""Proof rewriting: structural expansion into three-phase form, subformula
+enforcement, cut elimination and refutation reshaping."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .syntax import (
     SupercutError,
     apply_subst,
     atoms_of,
+    map_atoms,
     sequent_key,
 )
 
@@ -202,8 +203,24 @@ def expand_structural(
     """
     matches = {} if matches is None else matches
     step1 = P.rebuild(p, lambda node, kids: _expand_principal(node, kids, calc, trace, matches))
-    tables = P.rebuild(step1, lambda node, kids: _at_leaves(node, kids, calc, trace, matches))
-    return P.build_intro(step1.conclusion, tables.__getitem__)
+    return _three_phase(step1, calc, trace, matches)
+
+
+def make_analytic_synthetic(p: Proof) -> Proof:
+    """The three-phase form of a structurally atomic proof, by the fold
+    ``expand_structural`` ends with: every structural node is atomic, so
+    no calculus is consulted."""
+    if not P.is_structurally_atomic(p):
+        raise RewriteError("make_analytic_synthetic requires a structurally atomic proof")
+    return _three_phase(p, None, None, {})
+
+
+def _three_phase(p: Proof, calc: Optional[R.Calculus], trace: Optional[RewriteTrace], matches: Matches) -> Proof:
+    """Each node of p folded into its At-leaf table; the root's table
+    supplies the leaves of one introduction tree for p's conclusion.
+    ``calc`` may be None when every structural node of p is atomic."""
+    tables = P.rebuild(p, lambda node, kids: _at_leaves(node, kids, calc, trace, matches))
+    return P.build_intro(p.conclusion, tables.__getitem__)
 
 
 def _structural_match(node: Proof, calc: R.Calculus, matches: Matches) -> R.StructuralMatch:
@@ -251,7 +268,7 @@ def _expand_principal(
 
 
 def _at_leaves(
-    node: Proof, kids: tuple[Table, ...], calc: R.Calculus, trace: Optional[RewriteTrace], matches: Matches
+    node: Proof, kids: tuple[Table, ...], calc: Optional[R.Calculus], trace: Optional[RewriteTrace], matches: Matches
 ) -> Table:
     """node's At-leaf table: each member of At(node.conclusion), and maybe
     more atomic sequents, mapped to an introduction-free proof of it, from
@@ -304,9 +321,22 @@ def _names_by_canonical_schema(calc: R.Calculus) -> dict[tuple, str]:
 def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple[Table, ...]) -> Table:
     """The At-leaf table of a structural step: atomic instances of its
     expansion rules, each child taken from the table of the step's premise
-    it comes from."""
+    it comes from.
+
+    The expansion pool is built over linear images, one fresh atom per
+    leaf, so the step is expanded over the linear form of its atom
+    assignment, each atom occurrence a fresh ``_e<i>``, and every fresh
+    atom is mapped back to its atom in the instances.
+    """
     rule = calc.rule_map()[node.rule]
-    sigma = Substitution(m.atom_assignment)
+    back: dict[str, Atom] = {}
+
+    def fresh(a: Atom) -> Atom:
+        name = f"_e{len(back)}"
+        back[name] = a
+        return Atom(name)
+
+    sigma = Substitution({a: map_atoms(m.atom_assignment[a], fresh) for a in rule.schema_atoms()})
     by_key = _names_by_canonical_schema(calc)
 
     slot_branches: dict[str, list[Sequent]] = {}
@@ -322,9 +352,9 @@ def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple
     slots_sorted = sorted(rule.slot_names())
 
     def instantiate(schema: R.SequentSchema, bc: dict[str, Sequent]) -> Sequent:
-        # expanded schemas use the sigma-image atoms as their schema atoms
-        left = [Atom(a) for a in schema.atoms_left]
-        right = [Atom(a) for a in schema.atoms_right]
+        # expanded schemas use the fresh atoms of sigma's images as their schema atoms
+        left = [back[a] for a in schema.atoms_left]
+        right = [back[a] for a in schema.atoms_right]
         for s in schema.slots_left + schema.slots_right:
             left.extend(bc[s].left)
             right.extend(bc[s].right)
@@ -350,66 +380,6 @@ def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple
                 children.append(tables[j][mj])
             supply[member] = P.structural(e_name, children, member)
     return supply
-
-
-# ---------------------------------------------------------------------------
-# Analytic-synthetic reordering
-# ---------------------------------------------------------------------------
-
-
-def make_analytic_synthetic(p: Proof, trace: Optional[RewriteTrace] = None) -> Proof:
-    """Reorder a structurally atomic proof so eliminations precede introductions."""
-    if not P.is_structurally_atomic(p):
-        raise RewriteError("make_analytic_synthetic requires a structurally atomic proof")
-    out = P.rebuild(p, lambda node, kids: _reorder(node, kids, trace))
-    assert P.is_analytic_synthetic(out)
-    return out
-
-
-def _reorder(node: Proof, kids: tuple[Proof, ...], trace: Optional[RewriteTrace]) -> Proof:
-    return _fix_root(Proof(node.conclusion, node.rule, kids, node.premise_index), trace)
-
-
-def _fix_root(node: Proof, trace: Optional[RewriteTrace]) -> Proof:
-    if not P.is_elim(node.rule):
-        return node
-    child = node.children[0]
-    if not P.is_intro(child.rule):
-        return node
-    if trace is not None:
-        trace.record("reorder", node.conclusion.render(), node.rule)
-    row = R.LOGICAL[node.rule].row
-    intro_row = R.LOGICAL[child.rule].row
-    if intro_row is row:
-        for g in child.children:
-            if g.conclusion == node.conclusion:
-                return g
-    # the elimination, applied to each premise of the introduction instead
-    f, i = _principal(row, child.conclusion, node.conclusion)
-    h, j = _principal(intro_row, child.conclusion, child.children[0].conclusion)
-    if j == 0:
-        kids = iter(child.children)
-        return P.intro(intro_row, node.conclusion, h, lambda _: _fix_root(P.elim(row, next(kids), f, i), trace))
-    # premises listed against branch order: built by hand, so re-matched
-    new_kids = [_fix_root(P.elim(row, g, f, i), trace) for g in child.children]
-    return P.logical(child.rule, new_kids, node.conclusion)
-
-
-def _principal(row: R.Decomposition, before: Sequent, after: Sequent) -> tuple[Formula, int]:
-    """The formula decomposed by row and the branch taken, in a logical step
-    from ``before`` to ``after`` (an elimination's premise and conclusion,
-    or an introduction's conclusion and a premise).
-
-    The formula is the one member ``before``'s side of the row has and
-    ``after``'s lacks: no component of a formula is the formula itself. Where
-    the row branches, each branch adds one component to that side, the one
-    member ``after``'s side has and ``before``'s lacks.
-    """
-    (f,) = P._multiset_diff(getattr(before, row.side), getattr(after, row.side))
-    if len(row.branches) == 1:
-        return f, 0
-    (added,) = P._multiset_diff(getattr(after, row.side), getattr(before, row.side))
-    return f, next(i for i, ((_, attr),) in enumerate(row.branches) if getattr(f, attr) == added)
 
 
 # ---------------------------------------------------------------------------

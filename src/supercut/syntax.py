@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 
 class SupercutError(Exception):
@@ -587,22 +587,38 @@ class Substitution:
 
 def apply_subst(s: Substitution, x: Union[Formula, Sequent]) -> Union[Formula, Sequent]:
     """Homomorphic replacement of atoms in a formula or sequent."""
+
+    def image(a: Atom) -> Formula:
+        return s(a.name)
+
     if isinstance(x, Sequent):
-        return Sequent(
-            (apply_subst(s, f) for f in x.left),
-            (apply_subst(s, f) for f in x.right),
-        )
-    if isinstance(x, Atom):
-        return s(x.name)
-    if isinstance(x, (Top, Bot)):
-        return x
-    if isinstance(x, Neg):
-        return Neg(apply_subst(s, x.arg))
-    if isinstance(x, And):
-        return And(apply_subst(s, x.left), apply_subst(s, x.right))
-    if isinstance(x, Or):
-        return Or(apply_subst(s, x.left), apply_subst(s, x.right))
-    raise TypeError(f"not a formula or sequent: {x!r}")
+        return Sequent((map_atoms(f, image) for f in x.left), (map_atoms(f, image) for f in x.right))
+    if not isinstance(x, Formula):
+        raise TypeError(f"not a formula or sequent: {x!r}")
+    return map_atoms(x, image)
+
+
+def map_atoms(f: Formula, image: Callable[[Atom], Formula]) -> Formula:
+    """f with each atom occurrence replaced by its image, asked for in leaf
+    order; constants stay. Built from an explicit stack, so a deep formula
+    does not recurse."""
+    built: list[Formula] = []
+    todo: list[tuple[Formula, bool]] = [(f, False)]
+    while todo:
+        g, operands_built = todo.pop()
+        if isinstance(g, Atom):
+            built.append(image(g))
+        elif isinstance(g, (Top, Bot)):
+            built.append(g)
+        elif not operands_built:
+            todo.append((g, True))
+            todo.extend([(g.arg, False)] if isinstance(g, Neg) else [(g.right, False), (g.left, False)])
+        elif isinstance(g, Neg):
+            built.append(Neg(built.pop()))
+        else:
+            right = built.pop()
+            built.append(type(g)(built.pop(), right))
+    return built[0]
 
 
 def is_balanced_subst(s: Substitution, extra_atoms: Iterable[str] = ()) -> bool:

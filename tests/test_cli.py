@@ -97,6 +97,23 @@ def test_normalize_command(tmp_path, capsys):
     assert check(normalized, builtin_calculus("gcl"), []).ok
 
 
+def test_normalize_bounded_step_on_a_repeated_atom(tmp_path, capsys):
+    proof = {
+        "sequent": "r |- s",
+        "rule": "limited-cut-left",
+        "children": [
+            {"sequent": "|- p & p", "rule": "premise"},
+            {"sequent": "p & p, r |- s", "rule": "premise"},
+        ],
+    }
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(proof))
+    assert run(["normalize", "--calculus", "getl", "--json", str(path)]) == 0
+    normalized = proof_from_dict(json.loads(capsys.readouterr().out)["proof"])
+    calc, _ = effective_calculus(builtin_calculus("getl"))
+    assert check(normalized, calc, [ps("|- p & p"), ps("p & p, r |- s")]).ok
+
+
 def test_interpolate_command(capsys):
     assert run(["interpolate", "--logic", "cl", "p & q", "p | r"]) == 0
     out = capsys.readouterr().out

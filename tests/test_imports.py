@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and each private
-module-level function is used somewhere in the package."""
+"""Every module of the package uses each name it imports, each private
+module-level function is used somewhere in the package, and no function
+recurses that is not on the list of those that still do."""
 
 import ast
 import pathlib
@@ -82,3 +83,46 @@ def test_no_unused_private_functions():
         and everywhere[node.name] == _references(node)[node.name]
     ]
     assert not unused, f"private functions nothing in the package uses: {', '.join(unused)}"
+
+
+# Functions that still call themselves, by module and qualified name. Most
+# recurse once per nesting level of a formula or proof (ROADMAP item 5);
+# engine's _join.rec and rules' solve, _solve_side, _shape_image and
+# _set_partitions are bounded by the size of a rule. A function made
+# iterative leaves this list, and a new self-recursive function fails the
+# test below.
+STILL_RECURSIVE = {
+    "engine": {"_join.rec", "reconstruct.replay"},
+    "interpolation": {"_delete_occurrence"},
+    "matrices": {"eval_formula", "_holds_single.value"},
+    "rewrite": {"weaken_by", "contract_by", "cut_on"},
+    "rules": {"match_structural.solve", "_solve_side", "_shape_image", "_set_partitions"},
+    "syntax": {"polarity.walk", "decompose_substitution.freshen"},
+}
+
+
+def _self_recursive(node: ast.AST, qualifier: str = "", in_class: bool = False) -> set[str]:
+    """Qualified names of the module-level and nested functions under node
+    whose body, nested functions included, calls the function's own name.
+    Methods are not counted: a bare name in a method does not call it."""
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = qualifier + child.name
+            if not in_class and any(
+                isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == child.name
+                for sub in ast.walk(child)
+            ):
+                out.add(name)
+            out |= _self_recursive(child, name + ".")
+        elif isinstance(child, ast.ClassDef):
+            out |= _self_recursive(child, qualifier + child.name + ".", in_class=True)
+        else:
+            out |= _self_recursive(child, qualifier, in_class)
+    return out
+
+
+def test_recursion_ratchet():
+    found = {path.stem: _self_recursive(ast.parse(path.read_text())) for path in MODULES}
+    found = {module: names for module, names in found.items() if names}
+    assert found == STILL_RECURSIVE, "self-recursive functions differ from STILL_RECURSIVE"

@@ -3,10 +3,12 @@ cut elimination, refutation reshaping, identity/cut separation."""
 
 import pytest
 
-from supercut.engine import derives
+from supercut.engine import derives, effective_calculus
 from supercut.proofs import (
     Proof,
+    build_intro,
     check,
+    elim_targets,
     has_subformula_property,
     is_analytic_synthetic,
     is_elim,
@@ -39,6 +41,7 @@ from supercut.syntax import Atom, Bot, Neg, Sequent, Top, parse_formula as pf, p
 from conftest import random_formula, random_sequent
 
 GB = builtin_calculus("gb")
+GLP = builtin_calculus("glp")
 GK = builtin_calculus("gk")
 GCL = builtin_calculus("gcl")
 
@@ -139,6 +142,27 @@ class TestMakeAnalyticSynthetic:
         e = logical("and-right-elim", [premise(ps("|- p & q"), 0)], ps("|- p"))
         i = logical("or-right-intro", [structural("weakening-right", [e], ps("|- p, r"))], ps("|- p | r"))
         assert make_analytic_synthetic(i) == i
+
+    def test_detours_over_engine_proofs(self, rng):
+        # eliminations put below an engine proof's introductions, and the
+        # introductions built again below them
+        detours = 0
+        for calc in (GB, GLP, GCL):
+            for _ in range(25):
+                prems = [random_sequent(rng, ["p", "q"], 2)]
+                goal = random_sequent(rng, ["p", "q"], 2)
+                res = derives(prems, goal, calc)
+                if not res.verdict:
+                    continue
+                detour = build_intro(goal, elim_targets(res.proof).__getitem__)
+                detours += not is_analytic_synthetic(detour)
+                out = make_analytic_synthetic(detour)
+                assert check(out, res.calculus, prems).ok and out.conclusion == goal
+                assert is_analytic_synthetic(out)
+                assert out.premise_leaves() <= detour.premise_leaves()
+                n = normalize(res.proof, res.calculus, prems, goal)
+                assert make_analytic_synthetic(n) == n
+        assert detours > 10
 
 
 class TestEnforceSubformula:
@@ -264,6 +288,23 @@ class TestNormalize:
         assert trace.entries == [("expand-principal", "|- r", "cut")]
         assert check(out, GK, prems).ok
         assert replay_trace(shared, GK, prems, ps("|- s"), trace) == out
+
+    @pytest.mark.parametrize("name", ["getl", "gecq"])
+    @pytest.mark.parametrize("text", ["p & p", "~p | p", "(p & q) | p"])
+    def test_bounded_step_whose_formula_repeats_an_atom(self, name, text):
+        # the expansion pool has one fresh atom per leaf of an image, so the
+        # step is expanded over the linear form of its cut formula
+        calc, _ = effective_calculus(builtin_calculus(name))
+        f = pf(text)
+        if name == "getl":
+            rule, prems, goal = "limited-cut-left", [Sequent([], [f]), Sequent([f, Atom("r")], [Atom("s")])], ps("r |- s")
+        else:
+            rule, prems, goal = "explosive-cut", [Sequent([], [f]), Sequent([f], [])], Sequent()
+        proof = structural(rule, [premise(s, i) for i, s in enumerate(prems)], goal)
+        assert check(proof, calc, prems).ok
+        out = normalize(proof, calc, prems, goal)
+        assert check(out, calc, prems).ok and out.conclusion == goal
+        assert is_structurally_atomic(out) and is_analytic_synthetic(out)
 
     def test_rejects_bad_input(self):
         node = structural("identity", [], ps("p |- p"))

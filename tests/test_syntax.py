@@ -35,6 +35,7 @@ from supercut.syntax import (
     is_balanced,
     is_balanced_subst,
     is_non_conflicting,
+    map_atoms,
     parse_formula,
     parse_sequent,
     polarity,
@@ -229,6 +230,11 @@ class TestSubstitution:
         assert sa(img.left.name) == Atom("a")
         assert apply_subst(sa, img) == s("p")
 
+    def test_map_atoms_in_leaf_order(self):
+        seen = []
+        out = map_atoms(parse_formula("(p & ~q) | (T & p)"), lambda a: seen.append(a) or Atom(f"_e{len(seen)}"))
+        assert seen == [p, q, p] and render(out) == "_e1 & ~_e2 | T & _e3"
+
     def test_shared_image_atoms_split(self):
         s = Substitution({"p": q, "r": q})
         bnc, sa = decompose_substitution(s, {"p", "r"}, FreshNames())
@@ -409,6 +415,10 @@ class TestDeepFormulas:
         with pytest.raises(ParseError) as exc:
             parse_formula("(" * n + "p" + ")" * (n - 1))
         assert exc.value.position == 2 * n and exc.value.expected == "')'"
+
+    def test_substitution_of_a_deep_chain(self):
+        for f, text, _ in self._chains():
+            assert render(apply_subst(Substitution({"p": r}), f)) == text.replace("p", "r")
 
     def test_repr_of_a_deep_chain(self):
         f = p

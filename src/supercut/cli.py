@@ -139,6 +139,30 @@ def _read_formulas(args) -> list[Formula]:
     return out
 
 
+def _declared_premises(args, proof: P.Proof) -> list[Sequent]:
+    """The premises given on the command line; without any, the proof's
+    premise leaves: each leaf with a ``premise_index`` at that position, the
+    leaves without one in rendering order in the positions left free."""
+    given = _read_sequents(args)
+    if given:
+        return given
+    indexed: dict[int, Sequent] = {}
+    loose: set[Sequent] = set()
+    for node in proof.nodes():
+        if node.rule == "premise":
+            if node.premise_index is None:
+                loose.add(node.conclusion)
+            else:
+                indexed.setdefault(node.premise_index, node.conclusion)
+    free = iter(sorted(loose, key=lambda s: s.render()))
+    out = []
+    for i in range(len(indexed) + len(loose)):
+        s = indexed[i] if i in indexed else next(free, None)
+        if s is not None:  # else an index past the end left a gap, and check rejects it
+            out.append(s)
+    return out
+
+
 def _emit_proof(proof: Optional[P.Proof], args) -> None:
     if proof is None or not getattr(args, "emit_proof", None):
         return
@@ -228,8 +252,7 @@ def _dispatch(args) -> int:
         calc, _ = E.effective_calculus(R.builtin_calculus(args.calculus), args.depth_bound)
         with open(args.proof) as fh:
             proof = P.proof_from_dict(json.load(fh))
-        declared = _read_sequents(args) or sorted(proof.premise_leaves(), key=lambda s: s.render())
-        res = P.check(proof, calc, declared)
+        res = P.check(proof, calc, _declared_premises(args, proof))
         if args.json:
             print(json.dumps({"ok": res.ok, "path": list(res.path or ()), "reason": res.reason}))
         elif res.ok:
@@ -242,7 +265,7 @@ def _dispatch(args) -> int:
         calc, _ = E.effective_calculus(R.builtin_calculus(args.calculus), args.depth_bound)
         with open(args.proof) as fh:
             proof = P.proof_from_dict(json.load(fh))
-        declared = _read_sequents(args) or sorted(proof.premise_leaves(), key=lambda s: s.render())
+        declared = _declared_premises(args, proof)
         trace = RW.RewriteTrace() if args.trace else None
         out = RW.normalize(proof, calc, declared, proof.conclusion, trace)
         if args.json:

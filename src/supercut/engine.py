@@ -19,8 +19,29 @@ Rounds are semi-naive: after the first, a join must use a fact the
 previous round added, and rules without premises fire in the first round
 only.
 
+getl saturates by one join instead, the context cut MC(A, B) for sets of
+atoms A and B: from A |- B, from G |- D, a for each a in A and from
+b, G |- D for each b in B, conclude G |- D. It is the sigma-expansion of
+limited-cut-right by x := the conjunction of A and of the negations of B,
+so each member is a derived rule of getl; limited-cut-left is MC({}, {x})
+and limited-cut-right is MC({x}, {}). Saturation under the family is
+complete for getl:
+
+- The family is closed under one-step expansion up to derivability. In
+  MC(A, B), a := y & z, a := ~y, b := y | z or b := ~y gives another
+  member. a := y | z takes two steps: MC with y, A' |- B as its core in
+  the context (G, D + z) gives G |- D, z, and MC with z, A' |- B as its
+  core in (G, D) then concludes. b := y & z is the mirror case. T and F
+  drop an atom from A or B, or make the step's conclusion a premise. An
+  image of any depth is a sequence of such steps.
+- Generalized cut elimination gives every getl derivation an
+  analytic-synthetic form whose structural steps are atomic instances of
+  expansions of the calculus's rules. By the closure, each is derivable
+  by atomic context cuts, which the join finds.
+
 Reconstruction replays each fact's provenance, kept for removed facts too,
-and reinserts explicit atomic Weakening/Contraction steps.
+and reinserts explicit atomic Weakening/Contraction steps. A context cut
+step is one structural node, named by ``rules.context_cut``.
 """
 
 from __future__ import annotations
@@ -66,8 +87,11 @@ def is_exact(calc: R.Calculus) -> bool:
 
 @lru_cache(maxsize=64)
 def effective_calculus(calc: R.Calculus, depth_bound: int = 2) -> tuple[R.Calculus, bool]:
-    """The calculus actually saturated: bounded calculi gain their expansion
-    pool. Built once per (calculus, depth bound)."""
+    """The calculus results and their proofs live in, and whether it is the
+    calculus itself: one without the expansion property gains its expansion
+    pool. gecq saturates its pool; getl saturates its own rules by the
+    context cut join, and its pool names the steps ``normalize`` expands.
+    Built once per (calculus, depth bound)."""
     if is_exact(calc):
         return calc, True
     pool: dict[tuple, R.StructuralRule] = {r.schema_key(): r for r in calc.specific}
@@ -281,6 +305,100 @@ def _provenance(shape: _Shape, theta: list[int], chosen: list[FactKey], universe
     return ("rule", shape.rule.name, {n: universe[v] for n, v in zip(shape.names, theta)}, tuple(parents), slots)
 
 
+# The rules of getl. Their expansions are the context cuts, which one join
+# closes: see the module docstring.
+_CONTEXT_CUT_KEYS = frozenset({R.LIMITED_CUT_LEFT.schema_key(), R.LIMITED_CUT_RIGHT.schema_key()})
+
+
+def _saturates_by_context_cut(calc: R.Calculus) -> bool:
+    """Whether saturation closes the calculus under the context cut join:
+    its rules are limited-cut-right and perhaps limited-cut-left."""
+    keys = {r.schema_key() for r in calc.specific}
+    return R.LIMITED_CUT_RIGHT.schema_key() in keys and keys <= _CONTEXT_CUT_KEYS
+
+
+def _context_cut_join(snapshot: list[FactKey], delta: set[FactKey], first: bool, subsumed, offer, cap: int) -> None:
+    """Offer the conclusions of the context cut MC(A, B) with each kept fact
+    (A, B) as its core: one kept fact per atom of A with that atom on its
+    right, one per atom of B with it on its left, and as conclusion the
+    union of those facts with each one's atom taken out.
+
+    The atoms are taken one at a time, fewest candidates first, over the
+    set of partial unions, so a large |A| + |B| costs no recursion; a
+    partial union that contains a kept fact is dropped, since every
+    conclusion it leads to does too. Unless ``first``, a join must use a
+    fact of ``delta``. More than ``cap`` partial unions at once raise
+    ResourceCapError, as more than ``cap`` facts do.
+    """
+    by_atom: dict[tuple[int, int], list[tuple[FactKey, FactKey]]] = {}
+
+    def holding(i: int, side: int) -> list[tuple[FactKey, FactKey]]:
+        """(share, fact) for each fact with atom i on the side."""
+        if (i, side) not in by_atom:
+            bit = 1 << i
+            by_atom[i, side] = [((f[0] & ~bit, f[1]) if side == 0 else (f[0], f[1] & ~bit), f)
+                                for f in snapshot if f[side] & bit]
+        return by_atom[i, side]
+
+    for core in snapshot:
+        # an atom of A is needed on the right (side 1), one of B on the left
+        needs = [(i, 1) for i in _bits(core[0])] + [(i, 0) for i in _bits(core[1])]
+        lists = [holding(*need) for need in needs]
+        if not needs or not all(lists):
+            continue
+        order = sorted(range(len(needs)), key=lambda k: len(lists[k]))
+        delta_after = [False] * (len(order) + 1)
+        for j in range(len(order) - 1, -1, -1):
+            delta_after[j] = delta_after[j + 1] or any(f in delta for _, f in lists[order[j]])
+        # partial union -> (uses a fact of delta, the facts chosen so far)
+        frontier: dict[FactKey, tuple[bool, tuple[FactKey, ...]]] = {(0, 0): (first or core in delta, ())}
+        for j, k in enumerate(order):
+            # the first way to a partial union is kept: another way that
+            # uses delta where it does not leads to the same conclusions,
+            # and those from facts before delta were offered in earlier rounds
+            grown: dict[FactKey, Optional[tuple[bool, tuple[FactKey, ...]]]] = {}
+            for (pl, pr), (fresh, chosen) in frontier.items():
+                if not fresh and not delta_after[j]:
+                    continue
+                for (sl, sr), f in lists[k]:
+                    key = (pl | sl, pr | sr)
+                    if key not in grown:
+                        grown[key] = None if subsumed(key) else (fresh or f in delta, chosen + (f,))
+            frontier = {key: v for key, v in grown.items() if v is not None}
+            if len(frontier) > cap:
+                raise ResourceCapError(f"fact cap {cap} exceeded by the partial unions of one context cut")
+        for key, (fresh, chosen) in frontier.items():
+            if fresh:
+                offer(key, core, {needs[k]: f for k, f in zip(order, chosen)})
+
+
+@lru_cache(maxsize=256)
+def _context_cut_rule(calc: R.Calculus, n_left: int, n_right: int) -> R.StructuralRule:
+    """MC of these sizes, under the calculus's own name for it if it has
+    one (limited-cut-left is MC({}, {x}))."""
+    rule = R.context_cut(n_left, n_right)
+    return next((r for r in calc.specific if R.canonical_rule(r).schema_key() == rule.schema_key()), rule)
+
+
+def _cut_provenance(
+    calc: R.Calculus, key: FactKey, core: FactKey, picks: dict[tuple[int, int], FactKey],
+    universe: Sequence[str], index: dict[str, int],
+) -> tuple:
+    """The ``("rule", name, theta, parents, slots)`` record of a context cut
+    step, as ``_provenance`` gives for a compiled rule."""
+    left, right = _bits(core[0]), _bits(core[1])
+    rule = _context_cut_rule(calc, len(left), len(right))
+    schema = rule.premises[0]
+    theta = {x: universe[i] for x, i in zip(schema.atoms_left + schema.atoms_right, left + right)}
+    parents = [core]
+    for p in rule.premises[1:]:
+        # G |- D, a for an atom a of A; b, G |- D for an atom b of B
+        need = (index[theta[p.atoms_right[0]]], 1) if p.atoms_right else (index[theta[p.atoms_left[0]]], 0)
+        parents.append(picks[need])
+    (g,), (d,) = rule.conclusion.slots_left, rule.conclusion.slots_right
+    return ("rule", rule.name, theta, tuple(parents), {g: (key[0], 0), d: (0, key[1])})
+
+
 @dataclass
 class SaturationState:
     """The saturated store: ``facts`` holds the subsumption-minimal facts and
@@ -338,13 +456,20 @@ def saturate(
             if not subsumed(key):
                 keep(key, ("seed", i, member))
 
-    shapes = _shapes(calc)
+    def offer_cut(key: FactKey, core: FactKey, picks: dict[tuple[int, int], FactKey]) -> None:
+        if not subsumed(key):
+            keep(key, _cut_provenance(calc, key, core, picks, state.universe, index))
+
+    by_cut = _saturates_by_context_cut(calc)
+    shapes = () if by_cut else _shapes(calc)
     umask = (1 << len(universe)) - 1
     delta: set[FactKey] = set()
     first = True
     while first or delta:
         snapshot = list(facts)
         added.clear()
+        if by_cut:
+            _context_cut_join(snapshot, delta, first, subsumed, offer_cut, max_facts)
         for shape in shapes:
             cands = [[f for f in snapshot if p.admits(f)] for p in shape.premises]
             if all(cands):
@@ -385,7 +510,6 @@ def reconstruct(state: SaturationState, goal: Sequent, premises: Sequence[Sequen
     atomic structural steps from the saturation provenance, introductions
     down to the goal."""
     universe = state.universe
-    rule_map = state.calculus.rule_map()
     elim_cache: dict[int, dict[Sequent, P.Proof]] = {}
     replay_cache: dict[FactKey, P.Proof] = {}
 
@@ -404,7 +528,7 @@ def reconstruct(state: SaturationState, goal: Sequent, premises: Sequence[Sequen
             proof = P.contract_to(elim_for(i)[member], target)
         else:
             _, rule_name, theta, parents, slots = prov
-            rule = rule_map[rule_name]
+            rule = state.calculus.rule(rule_name)
             children = []
             for j, schema in enumerate(rule.premises):
                 inst = _instance_sequent(schema, theta, slots, universe)
@@ -450,24 +574,26 @@ def derives(
     depth_bound: int = 2,
     max_facts: int = 200000,
 ) -> DeriveResult:
-    """Decide derivability; exact for GB/GLP/GK/GCL, sound-but-bounded otherwise.
+    """Decide derivability; exact for GB/GLP/GK/GCL/GETL, sound-but-bounded
+    for GECQ, whose depth bound sizes the expansion pool.
 
     Returns a checked structurally atomic analytic-synthetic proof with the
     subformula property whenever the verdict is positive.
     """
     prems = list(premises)
     eff, exact = effective_calculus(calc, depth_bound)
+    by_cut = _saturates_by_context_cut(calc)
     if conclusion in prems:
         proof = P.premise(conclusion, prems.index(conclusion))
-        return DeriveResult(True, exact, eff, proof, 0)
+        return DeriveResult(True, exact or by_cut, eff, proof, 0)
     universe = sorted(set().union(*(atoms_of(s) for s in prems + [conclusion])))
     if not universe:
         universe = ["a"]  # subformula-property corner: one designated atom
-    state = saturate(prems, eff, universe, max_facts=max_facts)
+    state = saturate(prems, calc if by_cut else eff, universe, max_facts=max_facts)
     leaves = R.at_set(conclusion)
     verdict = all(_covering_fact(state, leaf) is not None for leaf in leaves)
     proof = reconstruct(state, conclusion, prems) if verdict else None
-    return DeriveResult(verdict, exact, eff, proof, len(state.provenance))
+    return DeriveResult(verdict, exact or by_cut, eff, proof, len(state.provenance))
 
 
 def refutes(

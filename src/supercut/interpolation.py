@@ -96,17 +96,17 @@ def critical_nodes(p: Proof) -> frozenset[Sequent]:
 # ---------------------------------------------------------------------------
 
 
-def _delete_occurrence(node: Proof, side: str, atom: str, rules: dict[str, R.StructuralRule]) -> Proof:
+def _delete_occurrence(node: Proof, side: str, atom: str, calc: R.Calculus) -> Proof:
     """Remove one occurrence of the atom from the node's conclusion together
     with its ancestor occurrences; weakenings bottom the recursion out.
-    ``rules`` is the rule map of the calculus the proof lives in."""
+    ``calc`` is the calculus the proof lives in."""
     target = Atom(atom)
     rule = node.rule
     assert target in getattr(node.conclusion, side), (node.conclusion.render(), side, atom)
     reduced = node.conclusion.remove_one(target, side)
 
     def delete(child: Proof) -> Proof:
-        return _delete_occurrence(child, side, atom, rules)
+        return _delete_occurrence(child, side, atom, calc)
 
     if rule in R.WEAKENING_NAMES:
         w, wside = RW._weakened_formula(node)
@@ -126,7 +126,7 @@ def _delete_occurrence(node: Proof, side: str, atom: str, rules: dict[str, R.Str
     if P.is_logical(rule):
         return Proof(reduced, rule, tuple(delete(c) for c in node.children))
     # specific structural rule: the occurrence lives in a context slot
-    schema = rules[rule]
+    schema = calc.rule(rule)
     m = R.match_structural(schema, [c.conclusion for c in node.children], node.conclusion)
     assert m is not None, rule
     slots = schema.conclusion.slots_left if side == "left" else schema.conclusion.slots_right
@@ -144,7 +144,7 @@ def _delete_occurrence(node: Proof, side: str, atom: str, rules: dict[str, R.Str
     return Proof(reduced, rule, tuple(kids))
 
 
-def _prune_subproof(sub: Proof, keep_atoms: frozenset[str], rules: dict[str, R.StructuralRule]) -> Proof:
+def _prune_subproof(sub: Proof, keep_atoms: frozenset[str], calc: R.Calculus) -> Proof:
     out = sub
     while True:
         foreign = sorted(atoms_of(out.conclusion) - keep_atoms)
@@ -152,7 +152,7 @@ def _prune_subproof(sub: Proof, keep_atoms: frozenset[str], rules: dict[str, R.S
             return out
         a = foreign[0]
         side = "left" if Atom(a) in out.conclusion.left else "right"
-        out = _delete_occurrence(out, side, a, rules)
+        out = _delete_occurrence(out, side, a, calc)
 
 
 def _require_generalized_cut(calc: R.Calculus) -> None:
@@ -167,12 +167,11 @@ def _prune_critical_nodes(
     """Each critical (or separating) node of p with the atoms outside
     ``keep`` pruned, and p with each such node replaced by ``stand_in`` of
     its pruned subproof, weakened back to the node's conclusion."""
-    rules = calc.rule_map()
     pruned_subs: list[Proof] = []
     out = p
     for path in _node_paths(p, forbid_identity):
         sub = p.node_at(path)
-        pruned = _prune_subproof(sub, keep, rules)
+        pruned = _prune_subproof(sub, keep, calc)
         pruned_subs.append(pruned)
         out = out.replace_at(path, P.weaken_to(stand_in(pruned), sub.conclusion))
     return pruned_subs, out

@@ -242,7 +242,6 @@ def _check_matches(
     """``check``, also returning the match of each structural node found
     sound, keyed by the node's id; the ids stay valid while p is alive."""
     declared = list(declared_premises)
-    table = calc.rule_map()
     sound: set[int] = set()
     matches: dict[int, R.StructuralMatch] = {}
     # the open branch: (node, its index under the node before it)
@@ -253,7 +252,7 @@ def _check_matches(
         if i is not None:
             todo.append((node.children[i], i))
             continue
-        reason = _fault(node, declared, table, matches)
+        reason = _fault(node, declared, calc, matches)
         if reason is not None:
             return CheckResult(False, tuple(i for _, i in todo[1:]), reason), matches
         sound.add(id(node))
@@ -264,7 +263,7 @@ def _check_matches(
 def _fault(
     node: Proof,
     declared: list[Sequent],
-    table: dict[str, R.StructuralRule],
+    calc: R.Calculus,
     matches: dict[int, R.StructuralMatch],
 ) -> Optional[str]:
     """Why node is not a sound step from its children, or None; a sound
@@ -301,9 +300,9 @@ def _fault(
         if R.match_logical(rule, prems, node.conclusion) is None:
             return f"not an instance of {rule}"
         return None
-    if rule not in table:
+    schema = calc.rule(rule)
+    if schema is None:
         return f"rule not in calculus: {rule}"
-    schema = table[rule]
     if len(prems) != len(schema.premises):
         return f"arity: {rule} expects {len(schema.premises)} premises"
     m = R.match_structural(schema, prems, node.conclusion)

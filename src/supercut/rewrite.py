@@ -227,10 +227,10 @@ def _structural_match(node: Proof, calc: R.Calculus, matches: Matches) -> R.Stru
     m = matches.get(id(node))
     if m is not None:
         return m
-    table = calc.rule_map()
-    if node.rule not in table:
+    rule = calc.rule(node.rule)
+    if rule is None:
         raise InexpandableNode(f"structural rule {node.rule} not in calculus {calc.name}")
-    m = R.match_structural(table[node.rule], [c.conclusion for c in node.children], node.conclusion)
+    m = R.match_structural(rule, [c.conclusion for c in node.children], node.conclusion)
     if m is None:
         raise InexpandableNode(f"node is not an instance of {node.rule}")
     matches[id(node)] = m
@@ -315,7 +315,7 @@ def _slot_side(rule: R.StructuralRule, slot: str) -> str:
 
 @lru_cache(maxsize=None)
 def _names_by_canonical_schema(calc: R.Calculus) -> dict[tuple, str]:
-    return {R.canonical_rule(r).schema_key(): r.name for r in calc.rule_map().values()}
+    return {R.canonical_rule(r).schema_key(): r.name for r in R.COMMON_RULES + calc.specific}
 
 
 def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple[Table, ...]) -> Table:
@@ -328,7 +328,7 @@ def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple
     assignment, each atom occurrence a fresh ``_e<i>``, and every fresh
     atom is mapped back to its atom in the instances.
     """
-    rule = calc.rule_map()[node.rule]
+    rule = calc.rule(node.rule)
     back: dict[str, Atom] = {}
 
     def fresh(a: Atom) -> Atom:

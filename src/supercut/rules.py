@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .syntax import (
@@ -296,10 +296,21 @@ class Calculus:
         # keyed by an effective calculus then hashes none of its rules.
         return hash(self.name)
 
-    def rule_map(self) -> dict[str, StructuralRule]:
-        table = {r.name: r for r in COMMON_RULES}
-        table.update({r.name: r for r in self.specific})
-        return table
+    @cached_property
+    def _table(self) -> tuple[dict[str, StructuralRule], bool]:
+        """The rules by name, and whether limited-cut-right is one of them."""
+        table = {r.name: r for r in COMMON_RULES + self.specific}
+        return table, any(r.schema_key() == LIMITED_CUT_RIGHT.schema_key() for r in self.specific)
+
+    def rule(self, name: str) -> Optional[StructuralRule]:
+        """The structural rule of this calculus named ``name``, or None. A
+        calculus with limited-cut-right also has every context cut, under
+        the name ``context_cut`` gives it."""
+        table, context_cuts = self._table
+        found = table.get(name)
+        if found is None and context_cuts:
+            found = context_cut_named(name)
+        return found
 
 
 _CALCULI = {
@@ -644,6 +655,40 @@ def _rename_rule(rule: StructuralRule, table: dict[str, str]) -> StructuralRule:
         )
 
     return StructuralRule(rule.name, tuple(map(ren, rule.premises)), ren(rule.conclusion))
+
+
+@lru_cache(maxsize=None)
+def context_cut(n_left: int, n_right: int) -> StructuralRule:
+    """The context cut MC(A, B) with |A| = n_left and |B| = n_right: from
+    A |- B, from G |- D, a for each a in A and from b, G |- D for each b in
+    B, conclude G |- D.
+
+    It is the sigma-expansion of limited-cut-right by the conjunction of A
+    and the negations of B, with its premise from ``x |-`` (the core A |- B)
+    put first, as in limited-cut-left, which is MC({}, {x}). The rule is in
+    canonical form and named by its rendering.
+    """
+    atoms = [Atom(f"_e{i}") for i in range(n_left + n_right)]
+    conjuncts = atoms[:n_left] + [Neg(a) for a in atoms[n_left:]]
+    image = reduce(And, conjuncts) if conjuncts else Top()
+    ((tagged, concl),) = sigma_expand_tagged(LIMITED_CUT_RIGHT, Substitution({"x": image}))
+    premises = tuple(s for i, s in tagged if i == 1) + tuple(s for i, s in tagged if i == 0)
+    return canonical_rule(StructuralRule("", premises, concl))
+
+
+@lru_cache(maxsize=4096)
+def context_cut_named(name: str) -> Optional[StructuralRule]:
+    """The context cut whose name is ``name``, or None. The sizes of A and B
+    are read off the core premise's shape; no other member is built."""
+    try:
+        parsed = parse_structural_rule(name)
+    except ParseError:
+        return None
+    if not parsed.premises:
+        return None
+    core = parsed.premises[0]
+    rule = context_cut(len(core.atoms_left), len(core.atoms_right))
+    return rule if rule.name == name else None
 
 
 def _set_partitions(items: list[str], max_blocks: int):

@@ -297,8 +297,9 @@ def test_criterion_7_interpolation():
 
 
 def test_criterion_8_bounded_calculus_soundness():
-    """Bounded GETL/GECQ verdicts are never false positives; the completeness
-    gap is reported informationally."""
+    """GETL/GECQ verdicts are never false positives, and GETL, which is
+    exact, misses nothing; the GECQ completeness gap is reported
+    informationally."""
     rng = random.Random(SEED + 6)
     stats = {"getl": [0, 0], "gecq": [0, 0]}  # oracle-true -> [derived, missed]
     false_positives = 0
@@ -313,6 +314,7 @@ def test_criterion_8_bounded_calculus_soundness():
         if want:
             stats[calc_name][0 if res.verdict else 1] += 1
     assert false_positives == 0
+    assert stats["getl"][1] == 0
     gap = {
         name: f"{missed}/{derived + missed} missed"
         for name, (derived, missed) in stats.items()

@@ -97,21 +97,51 @@ def test_normalize_command(tmp_path, capsys):
     assert check(normalized, builtin_calculus("gcl"), []).ok
 
 
+# premise 0 renders after premise 1, so premises declared in rendering
+# order would not match the indices
+REPEATED_ATOM_CUT = {
+    "sequent": "r |- s",
+    "rule": "limited-cut-left",
+    "children": [
+        {"sequent": "|- p & p", "rule": "premise", "premise_index": 0},
+        {"sequent": "p & p, r |- s", "rule": "premise", "premise_index": 1},
+    ],
+}
+
+
 def test_normalize_bounded_step_on_a_repeated_atom(tmp_path, capsys):
-    proof = {
-        "sequent": "r |- s",
-        "rule": "limited-cut-left",
-        "children": [
-            {"sequent": "|- p & p", "rule": "premise"},
-            {"sequent": "p & p, r |- s", "rule": "premise"},
-        ],
-    }
     path = tmp_path / "cut.json"
-    path.write_text(json.dumps(proof))
+    path.write_text(json.dumps(REPEATED_ATOM_CUT))
     assert run(["normalize", "--calculus", "getl", "--json", str(path)]) == 0
     normalized = proof_from_dict(json.loads(capsys.readouterr().out)["proof"])
     calc, _ = effective_calculus(builtin_calculus("getl"))
     assert check(normalized, calc, [ps("|- p & p"), ps("p & p, r |- s")]).ok
+
+
+def test_check_declares_premises_by_their_index(tmp_path, capsys):
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(REPEATED_ATOM_CUT))
+    assert run(["check", "--calculus", "getl", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+    # a leaf without an index takes a position no index names
+    loose = json.loads(json.dumps(REPEATED_ATOM_CUT))
+    del loose["children"][0]["premise_index"]
+    loose["children"][1]["premise_index"] = 0
+    path.write_text(json.dumps(loose))
+    assert run(["check", "--calculus", "getl", str(path)]) == 0
+    # an index past the premises is still refused
+    loose["children"][1]["premise_index"] = 5
+    path.write_text(json.dumps(loose))
+    assert run(["check", "--calculus", "getl", str(path)]) == 1
+    assert "premise index out of range" in capsys.readouterr().out
+
+
+def test_getl_verdicts_are_exact(capsys):
+    miss = ["-p", "x0 |- x1, x2, x3", "-p", "|- d, x0", "-p", "x1 |- d", "-p", "x2 |- d", "-p", "x3 |- d"]
+    assert run(["prove", "--calculus", "getl", *miss, "|- d"]) == 0
+    assert capsys.readouterr().out.strip() == "derivable"
+    assert run(["prove", "--calculus", "getl", *miss[:-2], "|- d"]) == 1
+    assert capsys.readouterr().out.strip() == "not derivable"
 
 
 def test_interpolate_command(capsys):

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import time
 
 import pytest
 
@@ -58,7 +59,7 @@ class TestDerives:
     def test_disjunctive_syllogism_getl(self):
         prems = [ps("|- p"), ps("|- ~p | q")]
         res = derives(prems, ps("|- q"), builtin_calculus("getl"))
-        assert res.verdict and not res.complete
+        assert res.verdict and res.complete
         assert_good_proof(res, prems)
         # the structural zone is a single atomic Limited Cut
         structural_rules = [
@@ -128,12 +129,12 @@ class TestDerives:
         pool, compile_ = rules.expansion_pool, engine._compile
         monkeypatch.setattr(rules, "expansion_pool", lambda *a: pools.append(a) or pool(*a))
         monkeypatch.setattr(engine, "_compile", lambda r: compiled.append(r) or compile_(r))
-        calc = Calculus("getl-built-once", builtin_calculus("getl").specific)
-        first = derives([ps("|- p"), ps("p |- q")], ps("|- q"), calc)
-        assert first.verdict and len(pools) == 2 and len(compiled) == len(first.calculus.specific) == 54
-        second = derives([ps("|- p, q"), ps("p |-")], ps("|- q"), calc)
+        calc = Calculus("gecq-built-once", builtin_calculus("gecq").specific)
+        first = refutes([ps("|- p"), ps("p |-")], calc)
+        assert first.verdict and len(pools) == 1 and len(compiled) == len(first.calculus.specific) == 27
+        second = refutes([ps("|- p, q"), ps("p |-"), ps("q |-")], calc)
         assert second.verdict and second.calculus is first.calculus
-        assert len(pools) == 2 and len(compiled) == 54
+        assert len(pools) == 1 and len(compiled) == 27
 
 
 class TestRefutes:
@@ -147,8 +148,8 @@ class TestRefutes:
     def test_antitheorem_discriminator(self):
         prems = [ps("|- (p & ~p) | (q & ~q)")]
         assert refutes(prems, builtin_calculus("gk")).verdict
-        bounded = refutes(prems, builtin_calculus("getl"))
-        assert not bounded.verdict and not bounded.complete
+        etl = refutes(prems, builtin_calculus("getl"))
+        assert not etl.verdict and etl.complete
 
     def test_consistency(self):
         assert not refutes([], builtin_calculus("gcl")).verdict
@@ -221,6 +222,119 @@ class TestOracleAgreement:
             if want and not res.verdict:
                 # the bounded search may miss; it must say so
                 assert not res.complete
+
+
+# The three getl entailments the depth-2 expansion pool missed.
+GETL_MISSES = [
+    (["x0 |- x1, x2, x3", "|- d, x0", "x1 |- d", "x2 |- d", "x3 |- d"], "|- d"),
+    (["x0, x1 |- x2, x3", "|- d, x0", "|- d, x1", "x2 |- d", "x3 |- d"], "|- d"),
+    (["|- d, x0", "|- d, x1", "|- d, x2", "|- d, x3", "|- d, x4", "x0, x1, x2, x3, x4 |-"], "|- d"),
+]
+
+
+def _getl_chain(n, broken=None):
+    """|- p0 and |- ~p_i | p_{i+1} for i < n, without link ``broken``."""
+    return [ps("|- p0")] + [ps(f"|- ~p{i} | p{i + 1}") for i in range(n) if i != broken]
+
+
+class TestContextCut:
+    """getl saturates by the context cut join and is exact."""
+
+    @pytest.mark.parametrize("premises, goal", GETL_MISSES)
+    def test_former_misses(self, premises, goal):
+        prems = [ps(s) for s in premises]
+        res = derives(prems, ps(goal), builtin_calculus("getl"))
+        assert res.verdict and res.complete
+        assert_good_proof(res, prems)
+        assert holds_sequent(builtin("etl"), prems, ps(goal))
+
+    def test_oracle_agreement_four_and_five_atoms(self, rng):
+        etl, getl = builtin("etl"), builtin_calculus("getl")
+        valid = 0
+        for _ in range(300):
+            atoms = ["p", "q", "r", "s", "t"][: rng.randint(4, 5)]
+            prems = [random_sequent(rng, atoms, rng.randint(0, 1), 3) for _ in range(rng.randint(2, 6))]
+            goal = random_sequent(rng, atoms, rng.randint(0, 1))
+            res = derives(prems, goal, getl)
+            want = holds_sequent(etl, prems, goal)
+            assert res.verdict == want and res.complete, ([s.render() for s in prems], goal.render())
+            if res.verdict:
+                valid += 1
+                assert check(res.proof, res.calculus, prems).ok
+        assert 50 < valid < 250
+
+    @pytest.mark.parametrize("broken", [None, 11])
+    def test_chain_of_24(self, broken):
+        prems = _getl_chain(24, broken)
+        start = time.perf_counter()
+        res = derives(prems, ps("|- p24"), builtin_calculus("getl"))
+        assert time.perf_counter() - start < 2
+        assert res.verdict == (broken is None) and res.complete
+        if res.verdict:
+            assert check(res.proof, res.calculus, prems).ok
+
+    def test_fact_cap(self):
+        prems = [ps(s) for s in GETL_MISSES[0][0]]
+        assert derives(prems, ps("|- d"), builtin_calculus("getl"), max_facts=6).verdict
+        with pytest.raises(ResourceCapError):
+            derives(prems, ps("|- d"), builtin_calculus("getl"), max_facts=5)
+
+    def test_join_keeps_the_minimal_facts_of_the_closure(self, rng):
+        # atomic premises, none empty, so that most sets derive facts and
+        # some derive them from derived facts
+        def atomic():
+            left = rng.sample(atoms, rng.randint(0, 2))
+            return Sequent(map(Atom, left), map(Atom, rng.sample(atoms, rng.randint(0 if left else 1, 2))))
+
+        getl = builtin_calculus("getl")
+        for _ in range(200):
+            atoms = ["p", "q", "r", "s", "t"][: rng.randint(4, 5)]
+            premises = [atomic() for _ in range(rng.randint(4, 8))]
+            state = saturate(premises, getl, atoms)
+            want = set(_minimal_facts(_reference_context_cut_facts(premises, atoms)))
+            assert set(state.facts) == want, [s.render() for s in premises]
+
+    def test_steps_are_named_by_schema(self):
+        # MC({x0}, {x1, x2, x3}) is no rule of the depth-2 pool; MC({}, {x})
+        # is limited-cut-left
+        prems = [ps(s) for s in GETL_MISSES[0][0]]
+        res = derives(prems, ps("|- d"), builtin_calculus("getl"))
+        (step,) = {n.rule for n in res.proof.nodes() if n.rule != "premise"}
+        assert step == rules.context_cut(1, 3).name
+        assert step not in {r.name for r in res.calculus.specific}
+        assert res.calculus.rule(step) == rules.context_cut(1, 3)
+        assert rules.context_cut(0, 1).schema_key() == rules.canonical_rule(rules.LIMITED_CUT_LEFT).schema_key()
+
+
+def _reference_context_cut_facts(premises, universe):
+    """Every fact of the closure under the context cut, firing it on the
+    minimal facts until nothing new appears: per core fact, the unions of
+    one fact per needed atom, with that atom taken out."""
+    index = {a: i for i, a in enumerate(universe)}
+    facts = set()
+    for s in premises:
+        for member in at_set(s):
+            sup = member.support()
+            facts.add((sum(1 << index[f.name] for f in sup.left if isinstance(f, Atom)),
+                       sum(1 << index[f.name] for f in sup.right if isinstance(f, Atom))))
+    changed = True
+    while changed:
+        minimal = _minimal_facts(facts)
+        before = len(facts)
+        for core in minimal:
+            conclusions = {(0, 0)}
+            for i in range(len(universe)):
+                bit = 1 << i
+                if core[0] & bit:  # G |- D, a for an atom a on the core's left
+                    shares = {(f[0], f[1] & ~bit) for f in minimal if f[1] & bit}
+                    conclusions = {(a | x, b | y) for a, b in conclusions for x, y in shares}
+                if core[1] & bit:  # b, G |- D for an atom b on its right
+                    shares = {(f[0] & ~bit, f[1]) for f in minimal if f[0] & bit}
+                    conclusions = {(a | x, b | y) for a, b in conclusions for x, y in shares}
+            if core != (0, 0):
+                facts |= conclusions
+        changed = len(facts) > before
+    return facts
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from supercut.syntax import (
     parse_formula as pf,
     parse_sequent as ps,
     render,
+    rho,
 )
 
 from conftest import random_formula, semantic_classes
@@ -131,6 +132,15 @@ class TestInterpolateFormulas:
     def test_etl_route(self):
         r = interpolate_formulas(pf("p & (~p | q)"), pf("q | r"), "etl")
         assert r.verified and (r.left_logic, r.right_logic) == ("etl", "b")
+
+    def test_etl_route_through_a_wide_context_cut(self):
+        # the premises of x0 |- x1, x2, x3; |- d, x0; x1 |- d; x2 |- d;
+        # x3 |- d, whose one structural step cuts four atoms at once
+        phi = pf("(~x0 | x1 | x2 | x3) & (d | x0) & (~x1 | d) & (~x2 | d) & (~x3 | d)")
+        r = interpolate_formulas(phi, pf("d"), "etl")
+        assert r.verified and r.interpolant_sequents == (ps("|- d"),)
+        (cert,) = r.left_certificates
+        assert check(cert, builtin_calculus("getl"), [rho(phi)]).ok
 
     def test_lp_duality_route(self):
         r = interpolate_formulas(pf("p"), pf("q | ~q"), "lp")

@@ -200,13 +200,13 @@ def _pad(proof: Proof, prems: list, calc, rng) -> Proof:
     chi = random_formula(rng, ["p", "q"], 2)
     while isinstance(chi, Atom):
         chi = random_formula(rng, ["p", "q"], 2)
-    rules_ = calc.rule_map()
-    styles = ["cut"] if "cut" in rules_ else []
+    has = {name for name in ("cut", "identity", "limited-cut-left") if calc.rule(name) is not None}
+    styles = ["cut"] if "cut" in has else []
     if members:
         styles.append("contract")
-        if "identity" in rules_ and "cut" in rules_:
+        if "identity" in has and "cut" in has:
             styles.append("identity")
-    if "limited-cut-left" in rules_:
+    if "limited-cut-left" in has:
         styles.append("limited-cut")
     style = rng.choice(styles)
     if style == "contract":

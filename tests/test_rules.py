@@ -64,8 +64,28 @@ class TestCalculi:
             builtin_calculus("gnope")
 
     def test_common_rules_always_available(self):
-        table = builtin_calculus("gb").rule_map()
-        assert {"weakening-left", "weakening-right", "contraction-left", "contraction-right"} <= set(table)
+        gb = builtin_calculus("gb")
+        for name in ("weakening-left", "weakening-right", "contraction-left", "contraction-right"):
+            assert gb.rule(name).name == name
+        assert gb.rule("cut") is None
+
+    def test_context_cut_is_an_expansion_of_limited_cut_right(self):
+        # MC({p}, {q, r}) is limited-cut-right under x := p & ~q & ~r
+        (expanded,) = sigma_expand(LIMITED_CUT_RIGHT, Substitution({"x": pf("p & ~q & ~r")}))
+        mc = R.context_cut(1, 2)
+        renamed = R._rename_rule(mc, {"x0": "p", "x1": "q", "x2": "r"})
+        assert set(renamed.premises) == set(expanded.premises) and renamed.conclusion == expanded.conclusion
+        assert mc.premises[0] == SequentSchema(["x0"], (), ["x1", "x2"], ())  # the core comes first
+        assert R.context_cut(0, 1).schema_key() == canonical_rule(LIMITED_CUT_LEFT).schema_key()
+
+    def test_context_cuts_resolve_by_name(self):
+        getl, gk = builtin_calculus("getl"), builtin_calculus("gk")
+        for a, b in [(0, 0), (1, 3), (4, 2)]:
+            rule = R.context_cut(a, b)
+            assert getl.rule(rule.name) is rule and gk.rule(rule.name) is None
+        assert getl.rule(R.context_cut(1, 1).name.replace("x0", "y0")) is None  # not canonical
+        assert getl.rule(LIMITED_CUT_RIGHT.render()) is None  # its core comes second
+        assert getl.rule("no => rule") is None and getl.rule("not a rule") is None
 
     def test_rule_text_roundtrip(self):
         for rule in (CUT, IDENTITY, LIMITED_CUT_LEFT, EXPLOSIVE_CUT, WEAKENING_LEFT):

@@ -64,10 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="supercut", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, calculus=True):
-        if calculus:
-            sp.add_argument("--calculus", choices=R.CALCULUS_NAMES, required=True)
-        sp.add_argument("--depth-bound", type=_int_at_least(0), default=2)
+    def add_common(sp, depth_bound=True):
+        sp.add_argument("--calculus", choices=R.CALCULUS_NAMES, required=True)
+        if depth_bound:  # only the search sizes gecq's expansion pool by it
+            sp.add_argument("--depth-bound", type=_int_at_least(0), default=2)
         sp.add_argument("--max-facts", type=_int_at_least(1), default=200000)
         sp.add_argument("--emit-proof", metavar="PATH")
         sp.add_argument("--format", choices=("text", "dot"), default="text")
@@ -90,11 +90,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("check", help="check a serialized proof")
-    add_common(sp)
+    add_common(sp, depth_bound=False)
     sp.add_argument("proof", metavar="PROOF_JSON")
 
     sp = sub.add_parser("normalize", help="normalize a serialized proof")
-    add_common(sp)
+    add_common(sp, depth_bound=False)
     sp.add_argument("proof", metavar="PROOF_JSON")
     sp.add_argument("--trace", action="store_true")
 
@@ -249,7 +249,7 @@ def _dispatch(args) -> int:
         return EXIT_YES if verdict else EXIT_NO
 
     if args.command == "check":
-        calc, _ = E.effective_calculus(R.builtin_calculus(args.calculus), args.depth_bound)
+        calc = R.builtin_calculus(args.calculus)
         with open(args.proof) as fh:
             proof = P.proof_from_dict(json.load(fh))
         res = P.check(proof, calc, _declared_premises(args, proof))
@@ -262,7 +262,7 @@ def _dispatch(args) -> int:
         return EXIT_YES if res.ok else EXIT_NO
 
     if args.command == "normalize":
-        calc, _ = E.effective_calculus(R.builtin_calculus(args.calculus), args.depth_bound)
+        calc = R.builtin_calculus(args.calculus)
         with open(args.proof) as fh:
             proof = P.proof_from_dict(json.load(fh))
         declared = _declared_premises(args, proof)

@@ -22,10 +22,10 @@ only.
 getl saturates by one join instead, the context cut MC(A, B) for sets of
 atoms A and B: from A |- B, from G |- D, a for each a in A and from
 b, G |- D for each b in B, conclude G |- D. It is the sigma-expansion of
-limited-cut-right by x := the conjunction of A and of the negations of B,
+limited-cut-left by x := the disjunction of the negations of A and of B,
 so each member is a derived rule of getl; limited-cut-left is MC({}, {x})
-and limited-cut-right is MC({x}, {}). Saturation under the family is
-complete for getl:
+and limited-cut-right is MC({x}, {}) up to the order of its premises.
+Saturation under the family is complete for getl:
 
 - The family is closed under one-step expansion up to derivability. In
   MC(A, B), a := y & z, a := ~y, b := y | z or b := ~y gives another
@@ -41,19 +41,21 @@ complete for getl:
 
 Reconstruction replays each fact's provenance, kept for removed facts too,
 and reinserts explicit atomic Weakening/Contraction steps. A context cut
-step is one structural node, named by ``rules.context_cut``.
+step is one structural node, named as ``rules.expansion`` names the
+expansion of limited-cut-left, for instance
+``limited-cut-left[~x0 | x1 | x2 | x3]`` for MC({x0}, {x1, x2, x3}).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import proofs as P
 from . import rules as R
-from .syntax import Atom, ResourceCapError, Sequent, atoms_of, sequent_key
+from .syntax import Atom, Neg, Or, ResourceCapError, Sequent, atoms_of, sequent_key
 
 FactKey = tuple[int, int]
 
@@ -69,35 +71,23 @@ class DeriveResult:
 
 # Rule shapes known to satisfy the expansion property, making saturation
 # over plain atomic instances complete.
-_EXPANSION_SAFE_KEYS = frozenset(
-    {
-        R.IDENTITY.schema_key(),
-        R.CUT.schema_key(),
-        R.WEAKENING_LEFT.schema_key(),
-        R.WEAKENING_RIGHT.schema_key(),
-        R.CONTRACTION_LEFT.schema_key(),
-        R.CONTRACTION_RIGHT.schema_key(),
-    }
-)
-
-
-def is_exact(calc: R.Calculus) -> bool:
-    return all(r.schema_key() in _EXPANSION_SAFE_KEYS for r in calc.specific)
+_EXPANSION_SAFE_KEYS = frozenset(r.schema_key() for r in (R.IDENTITY, R.CUT) + R.COMMON_RULES)
 
 
 @lru_cache(maxsize=64)
 def effective_calculus(calc: R.Calculus, depth_bound: int = 2) -> tuple[R.Calculus, bool]:
-    """The calculus results and their proofs live in, and whether it is the
-    calculus itself: one without the expansion property gains its expansion
-    pool. gecq saturates its pool; getl saturates its own rules by the
-    context cut join, and its pool names the steps ``normalize`` expands.
+    """The calculus results and their proofs live in, and whether saturating
+    it is complete. A calculus whose rules have the expansion property, or
+    that saturates by the context cut join (getl), is its own; any other
+    (gecq) gains the expansion pools of its rules that lack the property.
     Built once per (calculus, depth bound)."""
-    if is_exact(calc):
+    if _saturates_by_context_cut(calc) or all(r.schema_key() in _EXPANSION_SAFE_KEYS for r in calc.specific):
         return calc, True
-    pool: dict[tuple, R.StructuralRule] = {r.schema_key(): r for r in calc.specific}
+    pool = {R.canonical_rule(r).schema_key(): r for r in calc.specific}
     for r in calc.specific:
-        for e in R.expansion_pool(r, depth_bound):
-            pool.setdefault(e.schema_key(), e)
+        if r.schema_key() not in _EXPANSION_SAFE_KEYS:
+            for e in R.expansion_pool(r, depth_bound):
+                pool.setdefault(R.canonical_rule(e).schema_key(), e)
     specific = tuple(sorted(pool.values(), key=lambda r: r.name))
     return R.Calculus(f"{calc.name}+exp{depth_bound}", specific), False
 
@@ -289,7 +279,7 @@ def _conclude(shape: _Shape, theta: list[int], avoid: list[int], chosen: list[Fa
 
 
 def _provenance(shape: _Shape, theta: list[int], chosen: list[FactKey], universe: Sequence[str]) -> tuple:
-    """The ``("rule", name, theta, parents, slots)`` record reconstruction replays."""
+    """The ``("rule", rule, theta, parents, slots)`` record reconstruction replays."""
     parents: list[FactKey] = [(0, 0)] * len(chosen)
     slots: dict[str, tuple[int, int]] = {}
     for prem, f in zip(shape.premises, chosen):
@@ -302,7 +292,7 @@ def _provenance(shape: _Shape, theta: list[int], chosen: list[FactKey], universe
                 rest &= ~(1 << theta[x])
             old = slots.get(side.slot, (0, 0))
             slots[side.slot] = (old[0] | rest, old[1]) if s == 0 else (old[0], old[1] | rest)
-    return ("rule", shape.rule.name, {n: universe[v] for n, v in zip(shape.names, theta)}, tuple(parents), slots)
+    return ("rule", shape.rule, {n: universe[v] for n, v in zip(shape.names, theta)}, tuple(parents), slots)
 
 
 # The rules of getl. Their expansions are the context cuts, which one join
@@ -312,9 +302,10 @@ _CONTEXT_CUT_KEYS = frozenset({R.LIMITED_CUT_LEFT.schema_key(), R.LIMITED_CUT_RI
 
 def _saturates_by_context_cut(calc: R.Calculus) -> bool:
     """Whether saturation closes the calculus under the context cut join:
-    its rules are limited-cut-right and perhaps limited-cut-left."""
+    its rules are limited-cut-left, which names the steps, and perhaps
+    limited-cut-right."""
     keys = {r.schema_key() for r in calc.specific}
-    return R.LIMITED_CUT_RIGHT.schema_key() in keys and keys <= _CONTEXT_CUT_KEYS
+    return R.LIMITED_CUT_LEFT.schema_key() in keys and keys <= _CONTEXT_CUT_KEYS
 
 
 def _context_cut_join(snapshot: list[FactKey], delta: set[FactKey], first: bool, subsumed, offer, cap: int) -> None:
@@ -372,22 +363,22 @@ def _context_cut_join(snapshot: list[FactKey], delta: set[FactKey], first: bool,
                 offer(key, core, {needs[k]: f for k, f in zip(order, chosen)})
 
 
-@lru_cache(maxsize=256)
-def _context_cut_rule(calc: R.Calculus, n_left: int, n_right: int) -> R.StructuralRule:
-    """MC of these sizes, under the calculus's own name for it if it has
-    one (limited-cut-left is MC({}, {x}))."""
-    rule = R.context_cut(n_left, n_right)
-    return next((r for r in calc.specific if R.canonical_rule(r).schema_key() == rule.schema_key()), rule)
-
-
 def _cut_provenance(
     calc: R.Calculus, key: FactKey, core: FactKey, picks: dict[tuple[int, int], FactKey],
     universe: Sequence[str], index: dict[str, int],
 ) -> tuple:
-    """The ``("rule", name, theta, parents, slots)`` record of a context cut
-    step, as ``_provenance`` gives for a compiled rule."""
+    """The ``("rule", rule, theta, parents, slots)`` record of a context cut
+    step, as ``_provenance`` gives for a compiled rule: MC(A, B) is the
+    calculus's limited-cut-left expanded by the disjunction of ~x<i> for
+    the atoms of A and x<i> for those of B, with the core first."""
     left, right = _bits(core[0]), _bits(core[1])
-    rule = _context_cut_rule(calc, len(left), len(right))
+    atoms = [Atom(f"x{i}") for i in range(len(left) + len(right))]
+    base = next(r for r in calc.specific if r.schema_key() == R.LIMITED_CUT_LEFT.schema_key())
+    rule = R.expansion(base, (reduce(Or, [Neg(a) for a in atoms[: len(left)]] + atoms[len(left):]),))
+    # The atoms of A are interchangeable, as are those of B, so any
+    # bijection side by side will do. The core's schema atoms sort by name
+    # (x10 < x2), like the universe's atoms: zipped in that order, they give
+    # the assignment ``rules.match_structural`` tries first when checking.
     schema = rule.premises[0]
     theta = {x: universe[i] for x, i in zip(schema.atoms_left + schema.atoms_right, left + right)}
     parents = [core]
@@ -396,7 +387,7 @@ def _cut_provenance(
         need = (index[theta[p.atoms_right[0]]], 1) if p.atoms_right else (index[theta[p.atoms_left[0]]], 0)
         parents.append(picks[need])
     (g,), (d,) = rule.conclusion.slots_left, rule.conclusion.slots_right
-    return ("rule", rule.name, theta, tuple(parents), {g: (key[0], 0), d: (0, key[1])})
+    return ("rule", rule, theta, tuple(parents), {g: (key[0], 0), d: (0, key[1])})
 
 
 @dataclass
@@ -527,14 +518,13 @@ def reconstruct(state: SaturationState, goal: Sequent, premises: Sequence[Sequen
             _, i, member = prov
             proof = P.contract_to(elim_for(i)[member], target)
         else:
-            _, rule_name, theta, parents, slots = prov
-            rule = state.calculus.rule(rule_name)
+            _, rule, theta, parents, slots = prov
             children = []
             for j, schema in enumerate(rule.premises):
                 inst = _instance_sequent(schema, theta, slots, universe)
                 children.append(P.weaken_to(replay(parents[j]), inst))
             concl = _instance_sequent(rule.conclusion, theta, slots, universe)
-            node = P.structural(rule_name, children, concl)
+            node = P.structural(rule.name, children, concl)
             proof = P.contract_to(node, target)
         replay_cache[key] = proof
         return proof
@@ -581,19 +571,18 @@ def derives(
     subformula property whenever the verdict is positive.
     """
     prems = list(premises)
-    eff, exact = effective_calculus(calc, depth_bound)
-    by_cut = _saturates_by_context_cut(calc)
+    eff, complete = effective_calculus(calc, depth_bound)
     if conclusion in prems:
         proof = P.premise(conclusion, prems.index(conclusion))
-        return DeriveResult(True, exact or by_cut, eff, proof, 0)
+        return DeriveResult(True, complete, eff, proof, 0)
     universe = sorted(set().union(*(atoms_of(s) for s in prems + [conclusion])))
     if not universe:
         universe = ["a"]  # subformula-property corner: one designated atom
-    state = saturate(prems, calc if by_cut else eff, universe, max_facts=max_facts)
+    state = saturate(prems, eff, universe, max_facts=max_facts)
     leaves = R.at_set(conclusion)
     verdict = all(_covering_fact(state, leaf) is not None for leaf in leaves)
     proof = reconstruct(state, conclusion, prems) if verdict else None
-    return DeriveResult(verdict, exact or by_cut, eff, proof, len(state.provenance))
+    return DeriveResult(verdict, complete, eff, proof, len(state.provenance))
 
 
 def refutes(

@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from . import proofs as P
@@ -313,31 +312,27 @@ def _slot_side(rule: R.StructuralRule, slot: str) -> str:
     raise AssertionError(slot)
 
 
-@lru_cache(maxsize=None)
-def _names_by_canonical_schema(calc: R.Calculus) -> dict[tuple, str]:
-    return {R.canonical_rule(r).schema_key(): r.name for r in R.COMMON_RULES + calc.specific}
-
-
 def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple[Table, ...]) -> Table:
     """The At-leaf table of a structural step: atomic instances of its
-    expansion rules, each child taken from the table of the step's premise
-    it comes from.
+    expansion, each child taken from the table of the step's premise it
+    comes from.
 
-    The expansion pool is built over linear images, one fresh atom per
-    leaf, so the step is expanded over the linear form of its atom
-    assignment, each atom occurrence a fresh ``_e<i>``, and every fresh
-    atom is mapped back to its atom in the instances.
+    The step is expanded over the linear form of its atom assignment, each
+    atom occurrence a fresh ``x<i>`` in leaf order, as ``rules.expansion``
+    writes the images it names the step by; every fresh atom is mapped back
+    to its atom in the instances.
     """
     rule = calc.rule(node.rule)
     back: dict[str, Atom] = {}
 
     def fresh(a: Atom) -> Atom:
-        name = f"_e{len(back)}"
+        name = f"x{len(back)}"
         back[name] = a
         return Atom(name)
 
-    sigma = Substitution({a: map_atoms(m.atom_assignment[a], fresh) for a in rule.schema_atoms()})
-    by_key = _names_by_canonical_schema(calc)
+    step = R.expansion(rule, tuple(map_atoms(m.atom_assignment[a], fresh) for a in rule.schema_atoms()))
+    if step is None:
+        raise InexpandableNode(f"the expansion of {node.rule} on this instance has several conclusions")
 
     slot_branches: dict[str, list[Sequent]] = {}
     for slot in rule.slot_names():
@@ -352,7 +347,7 @@ def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple
     slots_sorted = sorted(rule.slot_names())
 
     def instantiate(schema: R.SequentSchema, bc: dict[str, Sequent]) -> Sequent:
-        # expanded schemas use the fresh atoms of sigma's images as their schema atoms
+        # the expansion's schema atoms are the fresh atoms of its images
         left = [back[a] for a in schema.atoms_left]
         right = [back[a] for a in schema.atoms_right]
         for s in schema.slots_left + schema.slots_right:
@@ -360,25 +355,13 @@ def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple
             right.extend(bc[s].right)
         return Sequent(left, right)
 
-    for tagged, concl_schema in R.sigma_expand_tagged(rule, sigma):
-        prem_schemas = tuple(schema for _, schema in tagged)
-        e_rule = R.StructuralRule("", prem_schemas, concl_schema)
-        key = R.canonical_rule(e_rule).schema_key()
-        if key not in by_key:
-            raise InexpandableNode(
-                f"no expansion of {node.rule} in calculus {calc.name} covers this instance"
-            )
-        e_name = by_key[key]
-        for combo in itertools.product(*(slot_branches[s] for s in slots_sorted)):
-            bc = dict(zip(slots_sorted, combo))
-            member = instantiate(concl_schema, bc)
-            if member in supply:
-                continue
-            children = []
-            for j, schema in tagged:
-                mj = instantiate(schema, bc)
-                children.append(tables[j][mj])
-            supply[member] = P.structural(e_name, children, member)
+    for combo in itertools.product(*(slot_branches[s] for s in slots_sorted)):
+        bc = dict(zip(slots_sorted, combo))
+        member = instantiate(step.conclusion, bc)
+        if member in supply:
+            continue
+        children = [tables[j][instantiate(schema, bc)] for j, schema in zip(step.sources, step.premises)]
+        supply[member] = P.structural(step.name, children, member)
     return supply
 
 

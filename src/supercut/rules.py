@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .syntax import (
@@ -22,6 +22,9 @@ from .syntax import (
     SupercutError,
     Top,
     formula_key,
+    map_atoms,
+    parse_formula,
+    render,
     sequent_key,
 )
 
@@ -196,6 +199,8 @@ class StructuralRule:
     name: str
     premises: tuple[SequentSchema, ...]
     conclusion: SequentSchema
+    # of an expansion: per premise, the index of the base premise it expands
+    sources: tuple[int, ...] = field(default=(), compare=False)
 
     def schema_atoms(self) -> tuple[str, ...]:
         names: set[str] = set(self.conclusion.atom_names())
@@ -297,19 +302,27 @@ class Calculus:
         return hash(self.name)
 
     @cached_property
-    def _table(self) -> tuple[dict[str, StructuralRule], bool]:
-        """The rules by name, and whether limited-cut-right is one of them."""
-        table = {r.name: r for r in COMMON_RULES + self.specific}
-        return table, any(r.schema_key() == LIMITED_CUT_RIGHT.schema_key() for r in self.specific)
+    def _table(self) -> dict[str, Optional[StructuralRule]]:
+        """The rules by name, with each expansion name resolved so far."""
+        return {r.name: r for r in COMMON_RULES + self.specific}
 
     def rule(self, name: str) -> Optional[StructuralRule]:
-        """The structural rule of this calculus named ``name``, or None. A
-        calculus with limited-cut-right also has every context cut, under
-        the name ``context_cut`` gives it."""
-        table, context_cuts = self._table
-        found = table.get(name)
-        if found is None and context_cuts:
-            found = context_cut_named(name)
+        """The structural rule of this calculus named ``name``, or None. Past
+        its own rules, ``base[images]`` names the expansion ``expansion``
+        gives that name, where ``base`` is itself such a name or the
+        bracket-free name of a rule here."""
+        table = self._table
+        if name in table:
+            return table[name]
+        head, *groups = name.split("[")
+        found = table.get(head)
+        for group in groups:
+            if found is None:
+                return None
+            head += "[" + group
+            if head not in table:
+                table[head] = _expansion_named(found, group, head)
+            found = table[head]
         return found
 
 
@@ -576,6 +589,45 @@ def sigma_expand(
     return frozenset(out)
 
 
+@lru_cache(maxsize=4096)
+def expansion(base: StructuralRule, images: tuple[Formula, ...]) -> Optional[StructuralRule]:
+    """The sigma-expansion of ``base`` taking its schema atoms, in
+    ``schema_atoms()`` order, to ``images``; None when the count is wrong or
+    the expansion has no single conclusion.
+
+    Each atom occurrence of the images, in leaf order, is first renamed to
+    the next of x0, x1, ..., the schema atoms of the expansion. It is named
+    ``base[image, ...]`` over those atoms, or ``base`` when every image is
+    an atom, so a name spells out one rule and ``Calculus.rule`` resolves it.
+    """
+    names = base.schema_atoms()
+    if len(images) != len(names):
+        return None
+    leaves = itertools.count()
+    linear = [map_atoms(f, lambda a: Atom(f"x{next(leaves)}")) for f in images]
+    expanded = sigma_expand_tagged(base, Substitution(dict(zip(names, linear))))
+    if len(expanded) != 1:
+        return None
+    ((tagged, concl),) = expanded
+    name = base.name
+    if not all(isinstance(f, Atom) for f in linear):
+        name += "[" + ", ".join(map(render, linear)) + "]"
+    return StructuralRule(name, tuple(s for _, s in tagged), concl, tuple(i for i, _ in tagged))
+
+
+def _expansion_named(base: StructuralRule, group: str, name: str) -> Optional[StructuralRule]:
+    """The expansion of ``base`` by the images of ``group``, which closes
+    the bracket that ``name`` ends in, when ``name`` is its name."""
+    if not group.endswith("]"):
+        return None
+    try:
+        images = tuple(parse_formula(text) for text in group[:-1].split(","))
+    except ParseError:
+        return None
+    found = expansion(base, images)
+    return found if found is not None and found.name == name else None
+
+
 # ---------------------------------------------------------------------------
 # Balanced non-conflicting expansions
 # ---------------------------------------------------------------------------
@@ -613,17 +665,14 @@ def _shape_count(depth: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _shape_image(shape, start: int) -> tuple[Formula, int]:
-    """The shape's formula over the fresh atoms _e<start>, _e<start+1>, ...
-    in leaf order, and the index after its last leaf."""
+def _shape_image(shape) -> Formula:
+    """The shape's formula, each leaf the atom x: ``expansion`` gives every
+    leaf a fresh atom of its own."""
     if shape == "x":
-        return Atom(f"_e{start}"), start + 1
+        return Atom("x")
     if shape[0] == "~":
-        arg, end = _shape_image(shape[1], start)
-        return Neg(arg), end
-    left, mid = _shape_image(shape[1], start)
-    right, end = _shape_image(shape[2], mid)
-    return (And if shape[0] == "&" else Or)(left, right), end
+        return Neg(_shape_image(shape[1]))
+    return (And if shape[0] == "&" else Or)(_shape_image(shape[1]), _shape_image(shape[2]))
 
 
 def canonical_rule(rule: StructuralRule) -> StructuralRule:
@@ -655,40 +704,6 @@ def _rename_rule(rule: StructuralRule, table: dict[str, str]) -> StructuralRule:
         )
 
     return StructuralRule(rule.name, tuple(map(ren, rule.premises)), ren(rule.conclusion))
-
-
-@lru_cache(maxsize=None)
-def context_cut(n_left: int, n_right: int) -> StructuralRule:
-    """The context cut MC(A, B) with |A| = n_left and |B| = n_right: from
-    A |- B, from G |- D, a for each a in A and from b, G |- D for each b in
-    B, conclude G |- D.
-
-    It is the sigma-expansion of limited-cut-right by the conjunction of A
-    and the negations of B, with its premise from ``x |-`` (the core A |- B)
-    put first, as in limited-cut-left, which is MC({}, {x}). The rule is in
-    canonical form and named by its rendering.
-    """
-    atoms = [Atom(f"_e{i}") for i in range(n_left + n_right)]
-    conjuncts = atoms[:n_left] + [Neg(a) for a in atoms[n_left:]]
-    image = reduce(And, conjuncts) if conjuncts else Top()
-    ((tagged, concl),) = sigma_expand_tagged(LIMITED_CUT_RIGHT, Substitution({"x": image}))
-    premises = tuple(s for i, s in tagged if i == 1) + tuple(s for i, s in tagged if i == 0)
-    return canonical_rule(StructuralRule("", premises, concl))
-
-
-@lru_cache(maxsize=4096)
-def context_cut_named(name: str) -> Optional[StructuralRule]:
-    """The context cut whose name is ``name``, or None. The sizes of A and B
-    are read off the core premise's shape; no other member is built."""
-    try:
-        parsed = parse_structural_rule(name)
-    except ParseError:
-        return None
-    if not parsed.premises:
-        return None
-    core = parsed.premises[0]
-    rule = context_cut(len(core.atoms_left), len(core.atoms_right))
-    return rule if rule.name == name else None
 
 
 def _set_partitions(items: list[str], max_blocks: int):
@@ -729,8 +744,10 @@ MAX_EXPANSION_IMAGES = 2000
 
 @lru_cache(maxsize=None)
 def expansion_pool(rule: StructuralRule, depth_bound: int) -> frozenset[StructuralRule]:
-    """Expansion rules for saturation: collision merging is left to the
-    atom-assignment enumeration, so partitions are skipped.
+    """The rule's expansions for saturation, one per renaming class: under
+    each combination of linear shapes up to the depth bound for its schema
+    atoms, named as ``expansion`` names it. Collision merging is left to
+    the atom-assignment enumeration, so partitions are skipped.
 
     Raises ResourceCapError when the schema atoms have more than
     MAX_EXPANSION_IMAGES combinations of shapes to take.
@@ -741,14 +758,12 @@ def expansion_pool(rule: StructuralRule, depth_bound: int) -> frozenset[Structur
             f"expansion cap {MAX_EXPANSION_IMAGES} exceeded: {rule.name} at depth bound "
             f"{depth_bound} has more combinations of shapes"
         )
-    raw: set[tuple] = set()  # shapes such as x and ~~x expand alike
+    pool: dict[tuple, StructuralRule] = {}  # shapes such as x and ~~x expand alike
     for combo in itertools.product(_linear_shapes(depth_bound) if schema_atoms else (), repeat=len(schema_atoms)):
-        mapping, start = {}, 0
-        for a, shape in zip(schema_atoms, combo):
-            mapping[a], start = _shape_image(shape, start)
-        for tagged, concl in sigma_expand_tagged(rule, Substitution(mapping)):
-            raw.add((tuple(schema for _, schema in tagged), concl))
-    return frozenset(canonical_rule(StructuralRule("", *r)) for r in raw)
+        e = expansion(rule, tuple(map(_shape_image, combo)))
+        if e is not None:
+            pool.setdefault(canonical_rule(e).schema_key(), e)
+    return frozenset(pool.values())
 
 
 # ---------------------------------------------------------------------------

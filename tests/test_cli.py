@@ -10,7 +10,7 @@ import pytest
 import supercut
 from supercut.cli import run
 from supercut.proofs import check, proof_from_dict
-from supercut.engine import derives, effective_calculus
+from supercut.engine import derives
 from supercut.rules import builtin_calculus
 from supercut.syntax import parse_sequent as ps
 
@@ -51,8 +51,7 @@ def test_prove_json_and_proof_roundtrip(tmp_path, capsys):
     blob = json.loads(capsys.readouterr().out)
     assert blob["verdict"] is True and blob["complete"] is True
     proof = proof_from_dict(blob["proof"])
-    calc, _ = effective_calculus(builtin_calculus("gk"), 2)
-    assert check(proof, calc, [ps("|- p | q"), ps("|- ~q | r")]).ok
+    assert check(proof, builtin_calculus("gk"), [ps("|- p | q"), ps("|- ~q | r")]).ok
     # the emitted file goes through the check command
     assert run(["check", "--calculus", "gk", str(out_path),
                 "-p", "|- p | q", "-p", "|- ~q | r"]) == 0
@@ -114,8 +113,79 @@ def test_normalize_bounded_step_on_a_repeated_atom(tmp_path, capsys):
     path.write_text(json.dumps(REPEATED_ATOM_CUT))
     assert run(["normalize", "--calculus", "getl", "--json", str(path)]) == 0
     normalized = proof_from_dict(json.loads(capsys.readouterr().out)["proof"])
-    calc, _ = effective_calculus(builtin_calculus("getl"))
-    assert check(normalized, calc, [ps("|- p & p"), ps("p & p, r |- s")]).ok
+    assert check(normalized, builtin_calculus("getl"), [ps("|- p & p"), ps("p & p, r |- s")]).ok
+
+
+DEEP_LIMITED_CUT = {
+    "sequent": "t |- u",
+    "rule": "limited-cut-left",
+    "children": [
+        {"sequent": "|- ((p & q) | ~r) & s", "rule": "premise", "premise_index": 0},
+        {"sequent": "((p & q) | ~r) & s, t |- u", "rule": "premise", "premise_index": 1},
+    ],
+}
+
+
+def test_normalize_bounded_step_on_a_depth_three_formula(tmp_path, capsys):
+    path, out = tmp_path / "cut.json", tmp_path / "normal.json"
+    path.write_text(json.dumps(DEEP_LIMITED_CUT))
+    assert run(["check", "--calculus", "getl", str(path)]) == 0
+    assert run(["normalize", "--calculus", "getl", str(path), "--emit-proof", str(out)]) == 0
+    assert run(["check", "--calculus", "getl", str(out)]) == 0
+    capsys.readouterr()
+    steps = {node["rule"] for node in _nodes(json.loads(out.read_text()))}
+    assert "limited-cut-left[(x0 & x1 | ~x2) & x3]" in steps
+
+
+def _nodes(blob):
+    todo = [blob]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(node.get("children", ()))
+
+
+def test_prove_normalize_check_round_trip(tmp_path, capsys):
+    # a getl proof whose one step is a wide context cut goes through
+    # normalize and check with no flags beyond the calculus
+    proof, normal = tmp_path / "proof.json", tmp_path / "normal.json"
+    prems = ["-p", "x0 |- x1, x2, x3", "-p", "|- d, x0", "-p", "x1 |- d", "-p", "x2 |- d", "-p", "x3 |- d"]
+    assert run(["prove", "--calculus", "getl", "--json", *prems, "--emit-proof", str(proof), "|- d"]) == 0
+    assert json.loads(capsys.readouterr().out)["calculus"] == "getl"  # no pool: the calculus itself
+    assert run(["normalize", "--calculus", "getl", str(proof), "--emit-proof", str(normal)]) == 0
+    assert run(["check", "--calculus", "getl", str(normal)]) == 0
+    assert capsys.readouterr().out.endswith("ok\n")
+    assert json.loads(normal.read_text()) == json.loads(proof.read_text())  # already normal
+
+
+@pytest.mark.parametrize("calculus, rule", [
+    ("getl", "nope[x0]"),  # an unknown base
+    ("getl", "limited-cut-left[p &]"),  # an image that does not parse
+    ("getl", "limited-cut-left[x0, x1]"),  # one image too many
+    ("getl", "limited-cut-left[x0 & x1"),  # an unclosed bracket
+    ("getl", "limited-cut-left[p & q]"),  # not over x0, x1, ... in leaf order
+    ("glp", "identity[x0 & x1]"),  # an expansion with two conclusions
+])
+def test_malformed_step_names_are_not_in_the_calculus(tmp_path, capsys, calculus, rule):
+    assert builtin_calculus(calculus).rule(rule) is None
+    blob = json.loads(json.dumps(DEEP_LIMITED_CUT))
+    blob["rule"] = rule
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    assert run(["check", "--calculus", calculus, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"invalid at []: rule not in calculus: {rule}\n" and err == ""
+    assert run(["normalize", "--calculus", calculus, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "rule not in calculus" in err
+
+
+def test_check_and_normalize_take_no_depth_bound(tmp_path, capsys):
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(REPEATED_ATOM_CUT))
+    for command in ("check", "normalize"):
+        assert run([command, "--calculus", "getl", "--depth-bound", "2", str(path)]) == 2
+        assert "--depth-bound" in capsys.readouterr().err
 
 
 def test_check_declares_premises_by_their_index(tmp_path, capsys):

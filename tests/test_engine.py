@@ -23,7 +23,7 @@ from supercut.rules import (
     at_set,
     builtin_calculus,
 )
-from supercut.syntax import Atom, Sequent, atoms_of, parse_sequent as ps
+from supercut.syntax import Atom, Sequent, atoms_of, parse_formula as pf, parse_sequent as ps
 
 from conftest import GLP_LC, HILBERT, random_sequent
 
@@ -131,10 +131,37 @@ class TestDerives:
         monkeypatch.setattr(engine, "_compile", lambda r: compiled.append(r) or compile_(r))
         calc = Calculus("gecq-built-once", builtin_calculus("gecq").specific)
         first = refutes([ps("|- p"), ps("p |-")], calc)
-        assert first.verdict and len(pools) == 1 and len(compiled) == len(first.calculus.specific) == 27
+        assert first.verdict and len(pools) == 1 and len(compiled) == len(first.calculus.specific) == 26
         second = refutes([ps("|- p, q"), ps("p |-"), ps("q |-")], calc)
         assert second.verdict and second.calculus is first.calculus
-        assert len(pools) == 1 and len(compiled) == 27
+        assert len(pools) == 1 and len(compiled) == 26
+        # getl and the exact calculi build no pool
+        for name in ("getl", "gk"):
+            assert derives([ps("|- p"), ps("p |- q")], ps("|- q"), builtin_calculus(name)).verdict
+        assert len(pools) == 1
+
+    def test_proofs_check_in_the_base_calculus(self, rng):
+        # a proof's expansion steps are named base[images], so it checks in
+        # the calculus the query named, not only in the effective one
+        def assert_checks(prems, goal, name):
+            res = derives(prems, goal, builtin_calculus(name))
+            if res.verdict:
+                assert check(res.proof, builtin_calculus(name), prems).ok, (name, goal.render())
+            return res.verdict and any("[" in n.rule for n in res.proof.nodes())
+
+        for i in range(240):
+            atoms = ["p", "q", "r"][: rng.randint(2, 3)]
+            prems = [random_sequent(rng, atoms, 2) for _ in range(rng.randint(1, 3))]
+            assert_checks(prems, random_sequent(rng, atoms, rng.randint(0, 1)), CALCULUS_NAMES[i % len(CALCULUS_NAMES)])
+        pooled = 0
+        for _ in range(120):
+            # refutations of atomic sets, some of which take gecq's pool
+            prems = []
+            for _ in range(rng.randint(3, 5)):
+                left = rng.sample(["p", "q", "r"], rng.randint(0, 1))
+                prems.append(Sequent(map(Atom, left), map(Atom, rng.sample(["p", "q", "r"], rng.randint(0 if left else 1, 2)))))
+            pooled += assert_checks(prems, Sequent(), "gecq")
+        assert pooled >= 3
 
 
 class TestRefutes:
@@ -295,15 +322,29 @@ class TestContextCut:
             assert set(state.facts) == want, [s.render() for s in premises]
 
     def test_steps_are_named_by_schema(self):
-        # MC({x0}, {x1, x2, x3}) is no rule of the depth-2 pool; MC({}, {x})
-        # is limited-cut-left
+        # MC({x0}, {x1, x2, x3}) is limited-cut-left expanded by
+        # ~x0 | x1 | x2 | x3, its core first; MC({}, {x}) is limited-cut-left
         prems = [ps(s) for s in GETL_MISSES[0][0]]
-        res = derives(prems, ps("|- d"), builtin_calculus("getl"))
+        getl = builtin_calculus("getl")
+        res = derives(prems, ps("|- d"), getl)
         (step,) = {n.rule for n in res.proof.nodes() if n.rule != "premise"}
-        assert step == rules.context_cut(1, 3).name
-        assert step not in {r.name for r in res.calculus.specific}
-        assert res.calculus.rule(step) == rules.context_cut(1, 3)
-        assert rules.context_cut(0, 1).schema_key() == rules.canonical_rule(rules.LIMITED_CUT_LEFT).schema_key()
+        assert step == "limited-cut-left[~x0 | x1 | x2 | x3]"
+        assert res.calculus == getl and step not in {r.name for r in getl.specific}
+        rule = getl.rule(step)
+        assert rule == rules.expansion(rules.LIMITED_CUT_LEFT, (pf("~a | b | c | e"),))
+        assert rule.premises[0] == rules.SequentSchema(["x0"], (), ["x1", "x2", "x3"], ())
+        assert rules.expansion(rules.LIMITED_CUT_LEFT, (Atom("a"),)).name == "limited-cut-left"
+
+    def test_step_wider_than_ten_atoms(self):
+        # eleven side atoms: the schema atoms sort as x1 < x10 < x11 < x2
+        n = 12
+        prems = [ps(f"a0 |- {', '.join(f'a{i}' for i in range(1, n))}"), ps("|- d, a0")]
+        prems += [ps(f"a{i} |- d") for i in range(1, n)]
+        res = derives(prems, ps("|- d"), builtin_calculus("getl"))
+        assert res.verdict
+        assert_good_proof(res, prems)
+        (step,) = {n.rule for n in res.proof.nodes() if n.rule != "premise"}
+        assert step == "limited-cut-left[~x0 | " + " | ".join(f"x{i}" for i in range(1, n)) + "]"
 
 
 def _reference_context_cut_facts(premises, universe):
@@ -410,11 +451,15 @@ DIFFERENTIAL_CALCULI += [effective_calculus(GLP_LC)[0], HILBERT]
 
 class TestJoinDifferential:
     """The join over the antichain keeps exactly the minimal facts of the
-    ground-instance closure."""
+    ground-instance closure; getl's context cut join, those of the context
+    cut closure."""
 
     def assert_same(self, premises, calc, universe):
         state = saturate(premises, calc, universe)
-        want = set(_minimal_facts(_reference_facts(premises, calc, universe)))
+        if calc == builtin_calculus("getl"):
+            want = set(_minimal_facts(_reference_context_cut_facts(premises, universe)))
+        else:
+            want = set(_minimal_facts(_reference_facts(premises, calc, universe)))
         assert set(state.facts) == want, (calc.name, universe, [s.render() for s in premises])
         assert set(state.facts) <= set(state.provenance)
 

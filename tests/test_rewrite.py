@@ -13,12 +13,14 @@ from supercut.proofs import (
     is_analytic_synthetic,
     is_elim,
     is_intro,
+    is_structural,
     is_structurally_atomic,
     logical,
     premise,
     structural,
 )
 from supercut.rewrite import (
+    InexpandableNode,
     RefutationShapeError,
     RewriteError,
     RewriteTrace,
@@ -38,7 +40,7 @@ from supercut.rewrite import (
 from supercut.rules import CALCULUS_NAMES, DECOMPOSITION, builtin_calculus
 from supercut.syntax import Atom, Bot, Neg, Sequent, Top, parse_formula as pf, parse_sequent as ps
 
-from conftest import random_formula, random_sequent
+from conftest import HILBERT, random_formula, random_sequent
 
 GB = builtin_calculus("gb")
 GLP = builtin_calculus("glp")
@@ -292,24 +294,80 @@ class TestNormalize:
     @pytest.mark.parametrize("name", ["getl", "gecq"])
     @pytest.mark.parametrize("text", ["p & p", "~p | p", "(p & q) | p"])
     def test_bounded_step_whose_formula_repeats_an_atom(self, name, text):
-        # the expansion pool has one fresh atom per leaf of an image, so the
+        # an expansion name has one fresh atom per leaf of an image, so the
         # step is expanded over the linear form of its cut formula
-        calc, _ = effective_calculus(builtin_calculus(name))
-        f = pf(text)
-        if name == "getl":
-            rule, prems, goal = "limited-cut-left", [Sequent([], [f]), Sequent([f, Atom("r")], [Atom("s")])], ps("r |- s")
-        else:
-            rule, prems, goal = "explosive-cut", [Sequent([], [f]), Sequent([f], [])], Sequent()
-        proof = structural(rule, [premise(s, i) for i, s in enumerate(prems)], goal)
-        assert check(proof, calc, prems).ok
-        out = normalize(proof, calc, prems, goal)
-        assert check(out, calc, prems).ok and out.conclusion == goal
-        assert is_structurally_atomic(out) and is_analytic_synthetic(out)
+        rule = "limited-cut-left" if name == "getl" else "explosive-cut"
+        _assert_normalizes(builtin_calculus(name), *_bounded_step(rule, pf(text), [Atom("r")], [Atom("s")]))
 
     def test_rejects_bad_input(self):
         node = structural("identity", [], ps("p |- p"))
         with pytest.raises(RewriteError):
             normalize(node, GB, [], ps("p |- p"))
+
+
+def _bounded_step(rule: str, f, g=(), d=()):
+    """One step of a rule of getl or gecq on the formula f, in the context
+    g |- d for the limited cuts: the proof, its premises and conclusion."""
+    g, d = list(g), list(d)
+    if rule == "limited-cut-left":  # |- x ; x, G |- D => G |- D
+        prems, goal = [Sequent([], [f]), Sequent([f, *g], d)], Sequent(g, d)
+    elif rule == "limited-cut-right":  # G |- D, x ; x |- => G |- D
+        prems, goal = [Sequent(g, [*d, f]), Sequent([f], [])], Sequent(g, d)
+    else:  # explosive-cut: |- x ; x |- => |-
+        prems, goal = [Sequent([], [f]), Sequent([f], [])], Sequent()
+    return structural(rule, [premise(s, i) for i, s in enumerate(prems)], goal), prems, goal
+
+
+def _assert_normalizes(calc, proof, prems, goal) -> Proof:
+    """normalize's output for a checked proof checks in calc, is
+    structurally atomic and analytic-synthetic, and is a fixpoint."""
+    assert check(proof, calc, prems).ok
+    out = normalize(proof, calc, prems, goal)
+    assert check(out, calc, prems).ok and out.conclusion == goal
+    assert is_structurally_atomic(out) and is_analytic_synthetic(out)
+    assert normalize(out, calc, prems, goal) == out
+    return out
+
+
+BOUNDED_RULES = [("getl", "limited-cut-left"), ("getl", "limited-cut-right"), ("gecq", "explosive-cut")]
+
+
+class TestExpansionSteps:
+    """normalize names each atomic step of a bounded rule on a compound
+    formula base[images], which checks in the base calculus at any depth."""
+
+    @pytest.mark.parametrize("name, rule", BOUNDED_RULES)
+    @pytest.mark.parametrize("text", ["((p & q) | ~r) & s", "~((p | q) & ~r)", "(p & ~q) | ~(r | s)"])
+    def test_depth_three_images(self, name, rule, text):
+        _assert_normalizes(builtin_calculus(name), *_bounded_step(rule, pf(text), [Atom("t")], [Atom("u")]))
+
+    def test_step_names(self):
+        getl = builtin_calculus("getl")
+        out = _assert_normalizes(getl, *_bounded_step("limited-cut-left", pf("((p & q) | ~r) & s"), [Atom("t")], [Atom("u")]))
+        assert {n.rule for n in out.nodes() if is_structural(n.rule)} == {"limited-cut-left[(x0 & x1 | ~x2) & x3]"}
+        # an atomic image keeps the base name, a compound context or not
+        out = _assert_normalizes(getl, *_bounded_step("limited-cut-right", Atom("p"), [pf("q & r")], [Atom("s")]))
+        assert {n.rule for n in out.nodes() if is_structural(n.rule)} == {"limited-cut-right"}
+
+    def test_step_with_several_conclusions_is_refused(self):
+        # "p |- q => |- r" at r := s & t has the two conclusions |- s and
+        # |- t; no one name covers that expansion
+        prems, goal = [ps("p |- q")], ps("|- s & t")
+        proof = structural(HILBERT.specific[0].name, [premise(prems[0], 0)], goal)
+        assert check(proof, HILBERT, prems).ok
+        with pytest.raises(InexpandableNode, match="several conclusions"):
+            normalize(proof, HILBERT, prems, goal)
+
+    def test_random_images_up_to_depth_three(self, rng):
+        for i in range(90):
+            name, rule = BOUNDED_RULES[i % len(BOUNDED_RULES)]
+            f = random_formula(rng, ["p", "q", "r"], rng.randint(0, 3))
+            g = [random_formula(rng, ["p", "q", "r"], 1) for _ in range(rng.randint(0, 1))]
+            d = [random_formula(rng, ["p", "q", "r"], 1) for _ in range(rng.randint(0, 1))]
+            proof, prems, goal = _bounded_step(rule, f, g, d)
+            out = _assert_normalizes(builtin_calculus(name), proof, prems, goal)
+            # the names resolve in the effective calculus too, pool or none
+            assert check(out, effective_calculus(builtin_calculus(name))[0], prems).ok
 
 
 class TestEliminateCuts:

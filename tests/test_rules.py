@@ -1,5 +1,6 @@
 """Rule matching, At-sets, rule classification and expansions."""
 
+import functools
 import itertools
 import random
 import time
@@ -70,22 +71,39 @@ class TestCalculi:
         assert gb.rule("cut") is None
 
     def test_context_cut_is_an_expansion_of_limited_cut_right(self):
-        # MC({p}, {q, r}) is limited-cut-right under x := p & ~q & ~r
+        # MC({p}, {q, r}) is limited-cut-left under x := ~p | q | r, and also,
+        # up to the order of its premises, limited-cut-right under x := p & ~q & ~r
         (expanded,) = sigma_expand(LIMITED_CUT_RIGHT, Substitution({"x": pf("p & ~q & ~r")}))
-        mc = R.context_cut(1, 2)
+        mc = R.expansion(LIMITED_CUT_LEFT, (pf("~p | q | r"),))
+        assert mc.name == "limited-cut-left[~x0 | x1 | x2]"
         renamed = R._rename_rule(mc, {"x0": "p", "x1": "q", "x2": "r"})
         assert set(renamed.premises) == set(expanded.premises) and renamed.conclusion == expanded.conclusion
         assert mc.premises[0] == SequentSchema(["x0"], (), ["x1", "x2"], ())  # the core comes first
-        assert R.context_cut(0, 1).schema_key() == canonical_rule(LIMITED_CUT_LEFT).schema_key()
+        assert mc.sources == (0, 1, 1, 1)
+        # MC({}, {x}) keeps the base name
+        assert R.expansion(LIMITED_CUT_LEFT, (pf("p"),)).name == "limited-cut-left"
 
     def test_context_cuts_resolve_by_name(self):
         getl, gk = builtin_calculus("getl"), builtin_calculus("gk")
-        for a, b in [(0, 0), (1, 3), (4, 2)]:
-            rule = R.context_cut(a, b)
-            assert getl.rule(rule.name) is rule and gk.rule(rule.name) is None
-        assert getl.rule(R.context_cut(1, 1).name.replace("x0", "y0")) is None  # not canonical
-        assert getl.rule(LIMITED_CUT_RIGHT.render()) is None  # its core comes second
+        for a, b in [(0, 2), (1, 3), (4, 2), (3, 9)]:
+            xs = [Atom(f"x{i}") for i in range(a + b)]
+            rule = R.expansion(LIMITED_CUT_LEFT, (functools.reduce(Or, [Neg(x) for x in xs[:a]] + xs[a:]),))
+            assert getl.rule(rule.name) == rule and getl.rule(rule.name) is getl.rule(rule.name)
+            assert gk.rule(rule.name) is None
+            assert getl.rule(rule.name.replace("x0", "y0")) is None  # not over x0, x1, ... in leaf order
+        assert getl.rule("limited-cut-left[~x0 | x10 | x2]") is None  # leaf order
+        assert getl.rule(LIMITED_CUT_RIGHT.render()) is None
         assert getl.rule("no => rule") is None and getl.rule("not a rule") is None
+
+    def test_expansion_names_nest(self):
+        # an expansion of a pool member is named over the member's name, and
+        # resolves in the base calculus
+        gecq = builtin_calculus("gecq")
+        member = gecq.rule("explosive-cut[x0 | x1]")
+        step = R.expansion(member, (pf("p & q"), pf("r")))
+        assert step.name == "explosive-cut[x0 | x1][x0 & x1, x2]"
+        assert gecq.rule(step.name) == step
+        assert step.render() == "|- x0, x2 ; |- x1, x2 ; x0, x1 |- ; x2 |- => |-"
 
     def test_rule_text_roundtrip(self):
         for rule in (CUT, IDENTITY, LIMITED_CUT_LEFT, EXPLOSIVE_CUT, WEAKENING_LEFT):
@@ -327,14 +345,19 @@ def _raw_expansions(rule: StructuralRule, combos):
 
 
 def _reference_effective(calc, depth):
-    """effective_calculus's rules, built with the reference canonical form."""
-    pool = {r.schema_key(): r for r in calc.specific}
+    """The renaming classes of effective_calculus's rules, by the reference
+    canonical form: the calculus's rules and the single-conclusion
+    expansions of those other than Identity."""
+    keys = {_canonical_by_permutation(r).schema_key() for r in calc.specific}
     shapes = R._linear_shapes(depth)
     for r in calc.specific:
-        for e in _raw_expansions(r, itertools.product(shapes, repeat=len(r.schema_atoms()))):
-            e = _canonical_by_permutation(e)
-            pool.setdefault(e.schema_key(), e)
-    return tuple(sorted(pool.values(), key=lambda r: r.name))
+        if r.schema_key() == IDENTITY.schema_key():
+            continue  # its expansions are weakenings of atomic identities
+        for combo in itertools.product(shapes, repeat=len(r.schema_atoms())):
+            expanded = list(_raw_expansions(r, [combo]))
+            if len(expanded) == 1:
+                keys.add(_canonical_by_permutation(expanded[0]).schema_key())
+    return keys
 
 
 _SLOT_CHOICES = ((), ("G",), ("G'",), ("G", "G'"))
@@ -401,10 +424,18 @@ class TestCanonicalRule:
     def test_effective_calculus_matches_reference_pool(self, calc):
         for depth in (0, 1, 2):
             eff, exact = effective_calculus(calc, depth)
+            if calc.name == "getl":
+                # the context cut join saturates getl itself: no pool
+                assert (eff, exact) == (calc, True)
+                continue
             assert not exact and eff.name == f"{calc.name}+exp{depth}"
-            assert eff.specific == _reference_effective(calc, depth)
-        assert len(effective_calculus(builtin_calculus("getl"), 2)[0].specific) == 54
-        assert len(effective_calculus(builtin_calculus("gecq"), 2)[0].specific) == 27
+            keys = [canonical_rule(r).schema_key() for r in eff.specific]
+            assert len(keys) == len(set(keys)) and set(keys) == _reference_effective(calc, depth)
+            assert [r.name for r in eff.specific] == sorted(r.name for r in eff.specific)
+            # each member's name resolves to it in the calculus itself
+            assert all(calc.rule(r.name) == r for r in eff.specific)
+        # the pool no longer holds a renamed copy of explosive-cut
+        assert len(effective_calculus(builtin_calculus("gecq"), 2)[0].specific) == 26
 
 
 class TestExpansionCap:
@@ -424,10 +455,13 @@ class TestExpansionCap:
 
     def test_cli_depth_three_exits_three(self, capsys):
         start = time.perf_counter()
-        assert run(["prove", "--calculus", "getl", "--depth-bound", "3", "-p", "|- p", "-p", "p |- q", "|- q"]) == 3
+        assert run(["prove", "--calculus", "gecq", "--depth-bound", "3", "-p", "|- p", "-p", "p |- q", "|- q"]) == 3
         assert time.perf_counter() - start < 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "expansion cap" in err
+        # getl builds no pool, so its depth bound sizes nothing
+        assert run(["prove", "--calculus", "getl", "--depth-bound", "3", "-p", "|- p", "-p", "p |- q", "|- q"]) == 0
+        capsys.readouterr()
 
 
 class TestHilbertToStructural:

@@ -64,13 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="supercut", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, depth_bound=True):
+    def add_common(sp, search=True, output=True):
         sp.add_argument("--calculus", choices=R.CALCULUS_NAMES, required=True)
-        if depth_bound:  # only the search sizes gecq's expansion pool by it
+        if search:  # only the search takes bounds
             sp.add_argument("--depth-bound", type=_int_at_least(0), default=2)
-        sp.add_argument("--max-facts", type=_int_at_least(1), default=200000)
-        sp.add_argument("--emit-proof", metavar="PATH")
-        sp.add_argument("--format", choices=("text", "dot"), default="text")
+            sp.add_argument("--max-facts", type=_int_at_least(1), default=200000)
+        if output:  # check prints a verdict, never a proof
+            sp.add_argument("--emit-proof", metavar="PATH")
+            sp.add_argument("--format", choices=("text", "dot"), default="text")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("-p", "--premise", action="append", default=[], metavar="SEQ")
         sp.add_argument("--premises-file", metavar="PATH")
@@ -90,11 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("check", help="check a serialized proof")
-    add_common(sp, depth_bound=False)
+    add_common(sp, search=False, output=False)
     sp.add_argument("proof", metavar="PROOF_JSON")
 
     sp = sub.add_parser("normalize", help="normalize a serialized proof")
-    add_common(sp, depth_bound=False)
+    add_common(sp, search=False)
     sp.add_argument("proof", metavar="PROOF_JSON")
     sp.add_argument("--trace", action="store_true")
 
@@ -117,26 +118,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _read_sequents(args) -> list[Sequent]:
-    out = [parse_sequent(t) for t in args.premise]
+def _premise_texts(args) -> list[str]:
+    """The -p texts, then the lines of --premises-file less comments and blanks."""
+    texts = list(args.premise)
     if getattr(args, "premises_file", None):
         with open(args.premises_file) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    out.append(parse_sequent(line))
-    return out
+            texts += [t for t in (line.split("#", 1)[0].strip() for line in fh) if t]
+    return texts
+
+
+def _read_sequents(args) -> list[Sequent]:
+    return [parse_sequent(t) for t in _premise_texts(args)]
 
 
 def _read_formulas(args) -> list[Formula]:
-    out = [parse_formula(t) for t in args.premise]
-    if getattr(args, "premises_file", None):
-        with open(args.premises_file) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    out.append(parse_formula(line))
-    return out
+    return [parse_formula(t) for t in _premise_texts(args)]
 
 
 def _declared_premises(args, proof: P.Proof) -> list[Sequent]:
@@ -164,10 +160,10 @@ def _declared_premises(args, proof: P.Proof) -> list[Sequent]:
 
 
 def _emit_proof(proof: Optional[P.Proof], args) -> None:
-    if proof is None or not getattr(args, "emit_proof", None):
+    if proof is None or not args.emit_proof:
         return
     with open(args.emit_proof, "w") as fh:
-        if getattr(args, "format", "json") == "dot":
+        if args.format == "dot":
             fh.write(P.proof_to_dot(proof))
         else:
             json.dump(P.proof_to_dict(proof), fh, indent=2)

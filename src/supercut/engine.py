@@ -375,10 +375,7 @@ def _cut_provenance(
     atoms = [Atom(f"x{i}") for i in range(len(left) + len(right))]
     base = next(r for r in calc.specific if r.schema_key() == R.LIMITED_CUT_LEFT.schema_key())
     rule = R.expansion(base, (reduce(Or, [Neg(a) for a in atoms[: len(left)]] + atoms[len(left):]),))
-    # The atoms of A are interchangeable, as are those of B, so any
-    # bijection side by side will do. The core's schema atoms sort by name
-    # (x10 < x2), like the universe's atoms: zipped in that order, they give
-    # the assignment ``rules.match_structural`` tries first when checking.
+    # the atoms of A are interchangeable, as are those of B: any bijection side by side will do
     schema = rule.premises[0]
     theta = {x: universe[i] for x, i in zip(schema.atoms_left + schema.atoms_right, left + right)}
     parents = [core]

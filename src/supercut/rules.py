@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .syntax import (
     And,
@@ -21,7 +23,6 @@ from .syntax import (
     Substitution,
     SupercutError,
     Top,
-    formula_key,
     map_atoms,
     parse_formula,
     render,
@@ -367,99 +368,93 @@ def match_structural(
 
     Distinct schema atoms may collide on the same formula. In atomic mode
     schema atoms take atoms and slots take atom multisets only.
+
+    The sides go in ``_match_plan`` order, depth first from an explicit
+    stack, branching only on a side with several unbound names: over the
+    first one's values in ``formula_key`` order, or over the splits among
+    its slots. That finds the match a search in rule order finds first.
     """
     if len(premises) != len(rule.premises):
         return None
-    schemas = list(rule.premises) + [rule.conclusion]
-    givens = list(premises) + [conclusion]
-    eqs: list[tuple[tuple[str, ...], tuple[str, ...], tuple[Formula, ...]]] = []
-    for schema, given in zip(schemas, givens):
-        eqs.append((schema.atoms_left, schema.slots_left, given.left))
-        eqs.append((schema.atoms_right, schema.slots_right, given.right))
-
-    atom_asn: dict[str, Formula] = {}
-    slot_asn: dict[str, tuple[Formula, ...]] = {}
-
-    def solve(i: int) -> bool:
-        if i == len(eqs):
-            return True
-        atoms, slots, given = eqs[i]
-        return _solve_side(list(atoms), slots, list(given), atom_asn, slot_asn, atomic_only, lambda: solve(i + 1))
-
-    if solve(0):
-        return StructuralMatch(rule.name, dict(atom_asn), dict(slot_asn))
+    givens = tuple(premises) + (conclusion,)
+    plan = _match_plan(rule)
+    # iterators over the states to try: (plan step, atom and slot assignments)
+    stack: list[Iterator[tuple[int, dict, dict]]] = [iter([(0, {}, {})])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        i, atom_asn, slot_asn = state
+        while i < len(plan):
+            g, side, atoms, slots = plan[i]
+            taken: dict[Formula, int] = {}  # what the bound names take
+            for f in [atom_asn[a] for a in atoms if a in atom_asn] + [f for s in slots for f in slot_asn.get(s, ())]:
+                taken[f] = taken.get(f, 0) + 1
+            rest = []  # the rest of the side, in order
+            for f in getattr(givens[g], side):
+                if taken.get(f):
+                    taken[f] -= 1
+                else:
+                    rest.append(f)
+            if any(taken.values()) or atomic_only and not all(isinstance(f, Atom) for f in rest):
+                break
+            free_atoms = [a for a in dict.fromkeys(atoms) if a not in atom_asn]
+            free_slots = [s for s in slots if s not in slot_asn]
+            if free_atoms and (len(free_atoms) > 1 or free_slots):
+                a, copies = free_atoms[0], atoms.count(free_atoms[0])
+                stack.append(iter([(i, {**atom_asn, a: f}, dict(slot_asn)) for f, n in Counter(rest).items() if n >= copies]))
+                break
+            if len(free_slots) > 1:
+                stack.append(_split_states(i + 1, atom_asn, slot_asn, free_slots, rest))
+                break
+            if free_atoms:  # one atom, perhaps repeated, takes all that is left
+                if not rest or rest[:1] * atoms.count(free_atoms[0]) != rest:
+                    break
+                atom_asn[free_atoms[0]] = rest[0]
+            elif free_slots:
+                slot_asn[free_slots[0]] = tuple(rest)
+            elif rest:
+                break
+            i += 1
+        else:
+            return StructuralMatch(rule.name, atom_asn, slot_asn)
     return None
 
 
-def _solve_side(
-    atoms: list[str],
-    slots: tuple[str, ...],
-    given: list[Formula],
-    atom_asn: dict[str, Formula],
-    slot_asn: dict[str, tuple[Formula, ...]],
-    atomic_only: bool,
-    k: Callable[[], bool],
-) -> bool:
-    if not atoms:
-        remaining = sorted(given, key=formula_key)
-        if atomic_only and any(not isinstance(f, Atom) for f in remaining):
-            return False
-        fixed = [s for s in slots if s in slot_asn]
-        free = [s for s in slots if s not in slot_asn]
-        pool = list(remaining)
-        for s in fixed:
-            for f in slot_asn[s]:
-                if f in pool:
-                    pool.remove(f)
-                else:
-                    return False
-        if not free:
-            return not pool and k()
-        if len(free) == 1:
-            slot_asn[free[0]] = tuple(sorted(pool, key=formula_key))
-            if k():
-                return True
-            del slot_asn[free[0]]
-            return False
-        # Several open slots on one side: enumerate assignments per element.
-        for choice in itertools.product(range(len(free)), repeat=len(pool)):
-            parts: list[list[Formula]] = [[] for _ in free]
-            for f, c in zip(pool, choice):
-                parts[c].append(f)
-            for s, part in zip(free, parts):
-                slot_asn[s] = tuple(sorted(part, key=formula_key))
-            if k():
-                return True
-            for s in free:
-                del slot_asn[s]
-        return False
+@lru_cache(maxsize=4096)
+def _match_plan(rule: StructuralRule) -> tuple[tuple[int, str, tuple[str, ...], tuple[str, ...]], ...]:
+    """The rule's schema sides as (index among the premises and then the
+    conclusion, side, schema atoms, slots) in matching order: next the
+    first side left with at most one name no side before it binds, else
+    the first side left."""
+    sides = [(i, side, getattr(s, "atoms_" + side), getattr(s, "slots_" + side))
+             for i, s in enumerate(rule.premises + (rule.conclusion,)) for side in ("left", "right")]
+    names = [set(atoms) | set(slots) for _, _, atoms, slots in sides]
+    unbound = [len(n) for n in names]
+    sides_of: dict[str, list[int]] = {}
+    for j, n in enumerate(names):
+        for name in n:
+            sides_of.setdefault(name, []).append(j)
+    ready = [j for j, n in enumerate(unbound) if n <= 1]  # a heap
+    order: dict[int, None] = {}
+    while len(order) < len(sides):
+        j = heapq.heappop(ready) if ready else next(j for j in range(len(sides)) if j not in order)
+        if j not in order:
+            order[j] = None
+            for k in (k for name in names[j] for k in sides_of.pop(name, ())):
+                unbound[k] -= 1
+                if unbound[k] == 1:
+                    heapq.heappush(ready, k)
+    return tuple(sides[j] for j in order)
 
-    name = atoms[0]
-    rest = atoms[1:]
-    if name in atom_asn:
-        f = atom_asn[name]
-        if f not in given:
-            return False
-        new_given = list(given)
-        new_given.remove(f)
-        return _solve_side(rest, slots, new_given, atom_asn, slot_asn, atomic_only, k)
-    candidates = []
-    seen = set()
-    for f in sorted(given, key=formula_key):
-        if f in seen:
-            continue
-        seen.add(f)
-        if atomic_only and not isinstance(f, Atom):
-            continue
-        candidates.append(f)
-    for f in candidates:
-        atom_asn[name] = f
-        new_given = list(given)
-        new_given.remove(f)
-        if _solve_side(rest, slots, new_given, atom_asn, slot_asn, atomic_only, k):
-            return True
-        del atom_asn[name]
-    return False
+
+def _split_states(i: int, atom_asn: dict, slot_asn: dict, slots: list[str], pool: list[Formula]):
+    """The states at plan step i that share the pool out among the slots,
+    in lexicographic order of the choice of a slot per formula."""
+    for choice in itertools.product(range(len(slots)), repeat=len(pool)):
+        split = {s: tuple(f for f, c in zip(pool, choice) if c == k) for k, s in enumerate(slots)}
+        yield i, dict(atom_asn), {**slot_asn, **split}
 
 
 # ---------------------------------------------------------------------------
@@ -491,17 +486,27 @@ def _at_set_default(s: Sequent) -> frozenset[Sequent]:
 
 
 def _at_set_walk(s: Sequent, chooser) -> frozenset[Sequent]:
-    # an explicit stack, branches in order, so deep formulas do not recurse
+    # an explicit stack, so deep formulas do not recurse, of branches: the
+    # unsorted atoms per side, the (side, compound) candidates and the
+    # (side, formula) pairs still to add; each member is sorted once
     out: set[Sequent] = set()
-    stack = [s]
+    stack = [([], [], [], [("left", f) for f in s.left] + [("right", f) for f in s.right])]
     while stack:
-        t = stack.pop()
-        cands = _decomposition_candidates(t)
-        if not cands:
-            out.add(t)
-        elif not axiom_side(t):
-            side, f = cands[chooser(cands)]
-            stack.extend(reversed(ROWS[type(f), side].split(t, f)))
+        left, right, cands, new = stack.pop()
+        for side, f in new:
+            if isinstance(f, Atom):
+                (right if side == "right" else left).append(f)
+            elif isinstance(f, Top if side == "right" else Bot):
+                break  # an axiom: the branch has no members
+            else:
+                cands.append((side, f))
+        else:
+            if not cands:
+                out.add(Sequent(left, right))
+                continue
+            side, f = cands.pop(chooser(cands))
+            stack.extend((left[:], right[:], cands[:], [(to, getattr(f, attr)) for to, attr in pairs])
+                         for pairs in ROWS[type(f), side].branches)
     return frozenset(out)
 
 

@@ -8,7 +8,8 @@ import random
 import pytest
 
 from supercut.matrices import Matrix, eval_formula
-from supercut.rules import IDENTITY, LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT, Calculus, hilbert_to_structural
+from supercut.proofs import Proof
+from supercut.rules import IDENTITY, LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT, Calculus, expansion, hilbert_to_structural
 from supercut.syntax import And, Atom, BOT, Formula, Neg, Or, Sequent, TOP, parse_formula
 
 GLP_LC = Calculus("glp+lc", (IDENTITY, LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT))
@@ -39,6 +40,25 @@ def random_sequent(rng: random.Random, atoms: list[str], depth: int, max_side: i
         return [random_formula(rng, atoms, depth) for _ in range(rng.randint(0, max_side))]
 
     return Sequent(side(), side())
+
+
+def wide_context_cut(n: int, rng: random.Random) -> tuple[Proof, list[Sequent]]:
+    """One getl context cut step MC({a}, B) of n atoms over its premises,
+    with ``d`` for context: the core ``a |- B``, then ``|- d, a`` and
+    ``b |- d`` for each b in B. Its schema atoms x0, x1, ... take the
+    atoms in a random order, so that name order pairs them wrongly."""
+    names = [f"a{i}" for i in range(n)]
+    rng.shuffle(names)
+    atoms = [Atom(a) for a in names]  # x<i> takes atoms[i]
+    d = Atom("d")
+    premises = [Sequent(atoms[:1], atoms[1:]), Sequent((), (d, atoms[0]))]
+    premises += [Sequent((b,), (d,)) for b in atoms[1:]]
+    image = " | ".join(["~x0"] + [f"x{i}" for i in range(1, n)])
+    rule = expansion(LIMITED_CUT_LEFT, (parse_formula(image),))
+    leaves = [Proof(s, "premise", (), i) for i, s in enumerate(premises)]
+    # the side premise of schema atom x<i> is premises[i + 1]
+    order = [int((p.atoms_right or p.atoms_left)[0][1:]) + 1 for p in rule.premises[1:]]
+    return Proof(Sequent((), (d,)), rule.name, (leaves[0], *(leaves[i] for i in order))), premises
 
 
 def semantic_classes(atoms: list[str], depth: int, matrix: Matrix) -> list[Formula]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -9,10 +10,12 @@ import pytest
 
 import supercut
 from supercut.cli import run
-from supercut.proofs import check, proof_from_dict
+from supercut.proofs import check, proof_from_dict, proof_to_dict
 from supercut.engine import derives
 from supercut.rules import builtin_calculus
 from supercut.syntax import parse_sequent as ps
+
+from conftest import wide_context_cut
 
 
 def test_prove_exit_codes(capsys):
@@ -186,6 +189,30 @@ def test_check_and_normalize_take_no_depth_bound(tmp_path, capsys):
     for command in ("check", "normalize"):
         assert run([command, "--calculus", "getl", "--depth-bound", "2", str(path)]) == 2
         assert "--depth-bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--max-facts", "5"),
+    ("check", "--emit-proof", "out.json"),
+    ("check", "--format", "dot"),
+    ("normalize", "--max-facts", "5"),
+])
+def test_check_and_normalize_take_no_unread_flags(tmp_path, capsys, command, flag, value):
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(REPEATED_ATOM_CUT))
+    value = str(tmp_path / value) if flag == "--emit-proof" else value
+    assert run([command, "--calculus", "getl", flag, value, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err
+    assert sorted(os.listdir(tmp_path)) == ["cut.json"]
+
+
+def test_check_a_permuted_wide_step(tmp_path, capsys):
+    proof, _ = wide_context_cut(400, random.Random(400))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(proof_to_dict(proof)))
+    assert run(["check", "--calculus", "getl", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
 
 
 def test_check_declares_premises_by_their_index(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from supercut import engine, rules
 from supercut.engine import DeriveResult, ResourceCapError, derives, effective_calculus, refutes, saturate
-from supercut.matrices import builtin, holds_sequent
+from supercut.matrices import builtin, holds, holds_sequent
 from supercut.proofs import (
     check,
     has_subformula_property,
@@ -23,7 +23,7 @@ from supercut.rules import (
     at_set,
     builtin_calculus,
 )
-from supercut.syntax import Atom, Sequent, atoms_of, parse_formula as pf, parse_sequent as ps
+from supercut.syntax import Atom, Sequent, atoms_of, parse_formula as pf, parse_sequent as ps, tau
 
 from conftest import GLP_LC, HILBERT, random_sequent
 
@@ -180,6 +180,19 @@ class TestRefutes:
 
     def test_consistency(self):
         assert not refutes([], builtin_calculus("gcl")).verdict
+
+    def test_classically_unsatisfiable_facts_need_not_be_refutable(self):
+        # An atom's value is two bits, true and false; a fact L |- R holds
+        # when some a in L is false or some b in R true, and no a in L is
+        # true while every b in R is false. c = n (neither bit) and d = b
+        # (both) satisfy all four facts, which no classical valuation does.
+        facts = [ps("|- c, d"), ps("c |- d"), ps("d |- c"), ps("c, d |-")]
+        forms = [tau(s) for s in facts]
+        assert not holds(builtin("etl"), forms) and not holds(builtin("ecq"), forms)
+        assert holds(builtin("cl"), forms)
+        res = refutes(facts, builtin_calculus("gecq"))
+        assert not res.verdict
+        assert refutes(facts, builtin_calculus("gcl")).verdict
 
 
 class TestOracleAgreement:

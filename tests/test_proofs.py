@@ -38,7 +38,7 @@ from supercut.rewrite import (
 from supercut.rules import ROWS, at_set, builtin_calculus
 from supercut.syntax import And, Atom, Or, Sequent, SupercutError, parse_formula as pf, parse_sequent as ps
 
-from conftest import random_sequent
+from conftest import random_sequent, wide_context_cut
 
 GB = builtin_calculus("gb")
 GLP = builtin_calculus("glp")
@@ -143,6 +143,25 @@ def _cut_tower(height: int) -> Proof:
     for _ in range(height):
         d = structural("cut", [d, d], ps("p |- p"))
     return d
+
+
+class TestWideSteps:
+    def test_permuted_context_cut_step(self, rng):
+        # schema atom x<i> takes the i-th atom of a shuffled list: name order
+        # pairs the core's atoms with the wrong side premises throughout
+        proof, premises = wide_context_cut(200, rng)
+        getl = builtin_calculus("getl")
+        assert check(proof, getl, premises).ok
+        # one side premise that names another atom breaks the step
+        broken = list(premises)
+        broken[7] = Sequent(broken[7].left, (Atom("e"),))
+        leaves = tuple(premise(broken[c.premise_index], c.premise_index) for c in proof.children)
+        res = check(Proof(proof.conclusion, proof.rule, leaves), getl, broken)
+        assert not res.ok and res.path == () and res.reason == f"not an instance of {proof.rule}"
+
+    def test_wide_step_does_not_recurse(self, rng):
+        proof, premises = wide_context_cut(2000, rng)
+        assert check(proof, builtin_calculus("getl"), premises).ok
 
 
 class TestSharing:

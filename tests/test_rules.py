@@ -41,6 +41,7 @@ from supercut.syntax import (
     Sequent,
     Substitution,
     SupercutError,
+    formula_key,
     parse_formula as pf,
     parse_sequent as ps,
 )
@@ -171,6 +172,135 @@ class TestMatchStructural:
         assert m is not None
         assert m.slot_assignment["G"] == (Atom("a"),)
         assert m.slot_assignment["G'"] == (Atom("c"),)
+
+    def test_matches_reference_search(self, rng):
+        # the same verdict and the same first match as the search in rule
+        # order, atomic mode included
+        found = 0
+        for _ in range(5000):
+            rule, premises, conclusion = _random_step(rng)
+            for atomic_only in (False, True):
+                want = _reference_match(rule, premises, conclusion, atomic_only)
+                got = match_structural(rule, premises, conclusion, atomic_only)
+                assert (got is None) == (want is None), rule.render()
+                if got is not None:
+                    found += 1
+                    assert (got.atom_assignment, got.slot_assignment) == (want.atom_assignment, want.slot_assignment)
+        assert 3000 < found < 7000  # matches in both modes, and misses
+
+    def test_reference_on_calculus_rules(self):
+        steps = [
+            (CUT, [ps("a |- b, p"), ps("p, c |- d")], ps("a, c |- b, d")),
+            (CUT, [ps("p |- p"), ps("p |- p")], ps("p |- p")),
+            (LIMITED_CUT_LEFT, [ps("|- p & q"), ps("p & q, a |- b")], ps("a |- b")),
+            (R.CONTRACTION_RIGHT, [ps("|- q, p, p")], ps("|- q, p")),
+            (WEAKENING_LEFT, [ps("|- q")], ps("p, p |- q")),
+        ]
+        for rule, premises, conclusion in steps:
+            for atomic_only in (False, True):
+                want = _reference_match(rule, premises, conclusion, atomic_only)
+                got = match_structural(rule, premises, conclusion, atomic_only)
+                assert (got and (got.atom_assignment, got.slot_assignment)) == (
+                    want and (want.atom_assignment, want.slot_assignment)), rule.name
+
+
+def _reference_match(rule, premises, conclusion, atomic_only=False):
+    """The backtracking search match_structural replaced, kept as the
+    reference: the sides in rule order, the schema atoms of a side in name
+    order, each unbound one tried on the side's values in formula_key
+    order, then the side's open slots, several of them split every way."""
+    if len(premises) != len(rule.premises):
+        return None
+    eqs = []
+    for schema, given in zip(list(rule.premises) + [rule.conclusion], list(premises) + [conclusion]):
+        eqs.append((schema.atoms_left, schema.slots_left, given.left))
+        eqs.append((schema.atoms_right, schema.slots_right, given.right))
+    atom_asn, slot_asn = {}, {}
+
+    def solve(i):
+        if i == len(eqs):
+            return True
+        atoms, slots, given = eqs[i]
+        return solve_side(list(atoms), slots, list(given), lambda: solve(i + 1))
+
+    def solve_side(atoms, slots, given, k):
+        if not atoms:
+            pool = sorted(given, key=formula_key)
+            if atomic_only and any(not isinstance(f, Atom) for f in pool):
+                return False
+            free = [s for s in slots if s not in slot_asn]
+            for s in slots:
+                for f in slot_asn.get(s, ()):
+                    if f not in pool:
+                        return False
+                    pool.remove(f)
+            if not free:
+                return not pool and k()
+            for choice in itertools.product(range(len(free)), repeat=len(pool)):
+                parts = [[] for _ in free]
+                for f, c in zip(pool, choice):
+                    parts[c].append(f)
+                for s, part in zip(free, parts):
+                    slot_asn[s] = tuple(sorted(part, key=formula_key))
+                if k():
+                    return True
+                for s in free:
+                    del slot_asn[s]
+            return False
+        name, rest = atoms[0], atoms[1:]
+        if name in atom_asn:
+            if atom_asn[name] not in given:
+                return False
+            given = list(given)
+            given.remove(atom_asn[name])
+            return solve_side(rest, slots, given, k)
+        for f in sorted(dict.fromkeys(given), key=formula_key):
+            if atomic_only and not isinstance(f, Atom):
+                continue
+            atom_asn[name] = f
+            left = list(given)
+            left.remove(f)
+            if solve_side(rest, slots, left, k):
+                return True
+            del atom_asn[name]
+        return False
+
+    return R.StructuralMatch(rule.name, dict(atom_asn), dict(slot_asn)) if solve(0) else None
+
+
+def _random_step(rng: random.Random):
+    """A rule with colliding schema atoms and up to two slots a side, and
+    a step instantiating it, one sequent of which is sometimes changed."""
+    names = rng.sample(["x", "y", "z"], rng.randint(0, 3))
+    forms = [pf(t) for t in ("p", "q", "r", "~p", "p & q")]
+
+    def schema():
+        def atoms():
+            return [rng.choice(names) for _ in range(rng.randint(0, 2))] if names else []
+
+        return SequentSchema(atoms(), rng.sample("GHK", rng.randint(0, 2)), atoms(), rng.sample("DEF", rng.randint(0, 2)))
+
+    rule = StructuralRule("r", tuple(schema() for _ in range(rng.randint(0, 3))), schema())
+    value = {n: rng.choice(forms[:3] if rng.random() < 0.5 else forms) for n in names}
+    value.update({s: [rng.choice(forms) for _ in range(rng.randint(0, 2))] for s in "GHKDEF"})
+
+    def instance(schema):
+        return Sequent(
+            [value[a] for a in schema.atoms_left] + [f for s in schema.slots_left for f in value[s]],
+            [value[a] for a in schema.atoms_right] + [f for s in schema.slots_right for f in value[s]],
+        )
+
+    steps = [instance(p) for p in rule.premises] + [instance(rule.conclusion)]
+    if rng.random() < 0.3:
+        i = rng.randrange(len(steps))
+        left, right = list(steps[i].left), list(steps[i].right)
+        side = rng.choice([left, right])
+        if side and rng.random() < 0.5:
+            side.pop(rng.randrange(len(side)))
+        else:
+            side.append(rng.choice(forms))
+        steps[i] = Sequent(left, right)
+    return rule, steps[:-1], steps[-1]
 
 
 class TestAtSet:

@@ -300,10 +300,11 @@ def _provenance(shape: _Shape, theta: list[int], chosen: list[FactKey], universe
 _CONTEXT_CUT_KEYS = frozenset({R.LIMITED_CUT_LEFT.schema_key(), R.LIMITED_CUT_RIGHT.schema_key()})
 
 
+@lru_cache(maxsize=64)
 def _saturates_by_context_cut(calc: R.Calculus) -> bool:
     """Whether saturation closes the calculus under the context cut join:
     its rules are limited-cut-left, which names the steps, and perhaps
-    limited-cut-right."""
+    limited-cut-right. Computed once per calculus."""
     keys = {r.schema_key() for r in calc.specific}
     return R.LIMITED_CUT_LEFT.schema_key() in keys and keys <= _CONTEXT_CUT_KEYS
 

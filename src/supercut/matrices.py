@@ -4,14 +4,18 @@ This module is the independent semantic oracle: every syntactic verdict in
 the package can be cross-checked against exhaustive valuation enumeration
 over these matrices. The enumeration is bit-sliced: a subformula's value
 over all valuations at once is one bitmask per carrier element, so each
-subformula is evaluated once per query, not once per valuation.
+subformula is evaluated once per query, not once per valuation. A product
+matrix is enumerated factor by factor, and factors with the same operation
+tables share one evaluation: the 16-valued ecq matrix costs one four-valued
+pass.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import lru_cache
+from typing import Callable, Iterable, Optional
 
 from .syntax import (
     And,
@@ -25,7 +29,6 @@ from .syntax import (
     SupercutError,
     Top,
     atoms_of,
-    tau,
 )
 
 
@@ -49,15 +52,20 @@ class Matrix:
     top: str
     bot: str
     designated: frozenset[str]
+    # The factors of a product matrix, flattened; () for any other matrix.
+    # ``holds`` decides a product through its factors.
+    factors: tuple["Matrix", ...] = field(default=(), repr=False, compare=False)
     # Lookup tables derived from the rows above once, in __post_init__; they
-    # take no part in equality, hashing or repr. ``_indexed`` holds the
+    # take no part in equality, hashing or repr. ``_ops`` holds the
     # operations over carrier indices for bit-sliced evaluation: the meet
-    # and join tables, the neg table, the top and bottom indices and the
+    # and join tables, the neg table, and the top and bottom indices.
+    # Matrices with equal ``_ops`` differ only in ``_designated_at``, the
     # designated indices.
     _meet: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
     _join: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
     _neg: dict[str, str] = field(init=False, repr=False, compare=False)
-    _indexed: tuple = field(init=False, repr=False, compare=False)
+    _ops: tuple = field(init=False, repr=False, compare=False)
+    _designated_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         meet = {(a, b): c for a, b, c in self.meet}
@@ -65,20 +73,21 @@ class Matrix:
         neg = dict(self.neg)
         index = {c: i for i, c in enumerate(self.carrier)}
         try:
-            indexed = (
+            ops = (
                 tuple(tuple(index[meet[a, b]] for b in self.carrier) for a in self.carrier),
                 tuple(tuple(index[join[a, b]] for b in self.carrier) for a in self.carrier),
                 tuple(index[neg[a]] for a in self.carrier),
                 index[self.top],
                 index[self.bot],
-                tuple(sorted(index[d] for d in self.designated)),
             )
+            designated_at = tuple(sorted(index[d] for d in self.designated))
         except KeyError as exc:
             raise MatrixError(f"matrix {self.name}: tables not total over the carrier at {exc}") from None
         object.__setattr__(self, "_meet", meet)
         object.__setattr__(self, "_join", join)
         object.__setattr__(self, "_neg", neg)
-        object.__setattr__(self, "_indexed", indexed)
+        object.__setattr__(self, "_ops", ops)
+        object.__setattr__(self, "_designated_at", designated_at)
 
     def meet_of(self, a: str, b: str) -> str:
         return self._meet[a, b]
@@ -210,7 +219,8 @@ BOOL2 = _lattice_matrix(
 
 
 def product_matrix(a: Matrix, b: Matrix) -> Matrix:
-    """Componentwise product; designated pairs are designated x designated."""
+    """Componentwise product; designated pairs are designated x designated.
+    Its ``factors`` are those of a and b, nested products flattened."""
 
     def pid(x: str, y: str) -> str:
         return f"({x},{y})"
@@ -235,6 +245,7 @@ def product_matrix(a: Matrix, b: Matrix) -> Matrix:
         designated=frozenset(
             pid(x, y) for x in a.designated for y in b.designated
         ),
+        factors=(a.factors or (a,)) + (b.factors or (b,)),
     )
 
 
@@ -299,30 +310,43 @@ LOGIC_NAMES = ("b", "k", "lp", "etl", "ecq", "cl", "kleq")
 
 def eval_formula(m: Matrix, valuation: dict[str, str], f: Formula) -> str:
     """Homomorphic evaluation under one valuation; raises on missing atom
-    bindings. The tests check the bit-sliced ``holds`` against it."""
-    if isinstance(f, Atom):
-        try:
-            return valuation[f.name]
-        except KeyError:
-            raise MatrixError(f"valuation missing atom {f.name!r}") from None
-    if isinstance(f, Top):
-        return m.top
-    if isinstance(f, Bot):
-        return m.bot
-    if isinstance(f, Neg):
-        return m.neg_of(eval_formula(m, valuation, f.arg))
-    if isinstance(f, And):
-        return m.meet_of(eval_formula(m, valuation, f.left), eval_formula(m, valuation, f.right))
-    if isinstance(f, Or):
-        return m.join_of(eval_formula(m, valuation, f.left), eval_formula(m, valuation, f.right))
-    raise TypeError(f"not a formula: {f!r}")
+    bindings. The tests check the bit-sliced ``holds`` against it. Built from
+    an explicit stack, so a deep formula does not recurse."""
+    values: list[str] = []
+    todo: list[tuple[Formula, bool]] = [(f, False)]
+    while todo:
+        g, operands_done = todo.pop()
+        if isinstance(g, Atom):
+            try:
+                values.append(valuation[g.name])
+            except KeyError:
+                raise MatrixError(f"valuation missing atom {g.name!r}") from None
+        elif isinstance(g, Top):
+            values.append(m.top)
+        elif isinstance(g, Bot):
+            values.append(m.bot)
+        elif operands_done:
+            if isinstance(g, Neg):
+                values.append(m.neg_of(values.pop()))
+            else:
+                right = values.pop()
+                values.append((m.meet_of if isinstance(g, And) else m.join_of)(values.pop(), right))
+        elif isinstance(g, (Neg, And, Or)):
+            todo.append((g, True))
+            todo.extend([(g.arg, False)] if isinstance(g, Neg) else [(g.right, False), (g.left, False)])
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return values[0]
 
 
-# Beyond this many valuations per matrix ``holds`` raises ResourceCapError:
-# at the cap a bit-sliced value takes 128 KiB per carrier element.
+# Beyond this many valuations of one enumerated matrix ``holds`` raises
+# ResourceCapError: at the cap a bit-sliced value takes 128 KiB per carrier
+# element. A product is enumerated factor by factor, so the cap applies to
+# each factor.
 MAX_VALUATIONS = 2**20
 
 
+@lru_cache(maxsize=None)
 def _atom_slices(n: int, j: int, count: int) -> tuple[int, ...]:
     """The bit-sliced value of the atom at position ``j`` of the atom tuple.
 
@@ -337,67 +361,177 @@ def _atom_slices(n: int, j: int, count: int) -> tuple[int, ...]:
     return tuple((((1 << run) - 1) << (v * run)) * repeat for v in range(n))
 
 
-def _holds_single(
-    m: Matrix,
-    atom_tuple: tuple[str, ...],
-    premises: tuple[Formula, ...],
-    conclusion: Optional[Formula],
-) -> bool:
-    """Consequence in one matrix over every valuation of ``atom_tuple``.
+def _apply(table: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
+    slots = [0] * len(x)
+    for v, bits in enumerate(x):
+        if bits:
+            slots[table[v]] |= bits
+    return tuple(slots)
 
-    A subformula's value is a tuple with one int per carrier index: bit i of
-    slot v is set when the subformula takes element v under valuation i.
+
+def _combine(table: tuple[tuple[int, ...], ...], x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    slots = [0] * len(x)
+    right = [(w, bits) for w, bits in enumerate(y) if bits]
+    for v, left in enumerate(x):
+        if left:
+            row = table[v]
+            for w, bits in right:
+                slots[row[w]] |= left & bits
+    return tuple(slots)
+
+
+class _Values:
+    """Bit-sliced values in one algebra (a matrix's ``_ops``) over every
+    valuation of ``atom_tuple``, shared by all matrices with that algebra.
+
+    A value is a tuple with one int per carrier index: bit i of slot v is set
+    when the formula takes element v under valuation i. Each distinct
+    subformula is evaluated once, in an explicit post-order pass. ``of``
+    evaluates a query's items: formulas, or sequents read as their ``tau``.
     """
-    meet, join, neg, top, bot, designated = m._indexed
-    n = len(m.carrier)
-    count = n ** len(atom_tuple)
-    full = (1 << count) - 1
-    position = {a: j for j, a in enumerate(atom_tuple)}
-    memo: dict[Formula, tuple[int, ...]] = {}
 
-    def value(f: Formula) -> tuple[int, ...]:
-        out = memo.get(f)
-        if out is not None:
-            return out
-        if isinstance(f, Atom):
-            out = _atom_slices(n, position[f.name], count)
-        else:
-            slots = [0] * n
-            if isinstance(f, (Top, Bot)):
-                slots[top if isinstance(f, Top) else bot] = full
-            elif isinstance(f, Neg):
-                for x, bits in enumerate(value(f.arg)):
-                    slots[neg[x]] |= bits
-            elif isinstance(f, (And, Or)):
-                table = meet if isinstance(f, And) else join
-                right = [(y, bits) for y, bits in enumerate(value(f.right)) if bits]
-                for x, left in enumerate(value(f.left)):
-                    if left:
-                        row = table[x]
-                        for y, bits in right:
-                            slots[row[y]] |= left & bits
-            else:
-                raise TypeError(f"not a formula: {f!r}")
-            out = tuple(slots)
-        memo[f] = out
+    def __init__(self, ops: tuple, n: int, atom_tuple: tuple[str, ...], sequents: bool):
+        self.ops = ops
+        self.n = n
+        self.count = n ** len(atom_tuple)
+        self.full = (1 << self.count) - 1
+        self.position = {a: j for j, a in enumerate(atom_tuple)}
+        self.memo: dict[Formula, tuple[int, ...]] = {}
+        self.sequents = sequents
+        # the values of the query's items, by id: the query keeps every
+        # item alive, and ids skip hashing a sequent
+        self.items: dict[int, tuple[int, ...]] = {}
+
+    def of(self, item) -> tuple[int, ...]:
+        """The value of a query item: a formula, or a sequent read as its tau."""
+        out = self.items.get(id(item))
+        if out is None:
+            out = self.items[id(item)] = self.sequent(item) if self.sequents else self.formula(item)
         return out
 
-    def designation_mask(f: Formula) -> int:
-        slots = value(f)
+    def designation(self, m: Matrix, item) -> int:
+        """The valuations under which m designates the item."""
+        slots = self.of(item)
         mask = 0
-        for v in designated:
+        for v in m._designated_at:
             mask |= slots[v]
         return mask
 
-    prem_mask = full
-    for p in premises:
-        prem_mask &= designation_mask(p)
-        if not prem_mask:
-            return True
+    def constant(self, v: int) -> tuple[int, ...]:
+        slots = [0] * self.n
+        slots[v] = self.full
+        return tuple(slots)
+
+    def formula(self, f: Formula) -> tuple[int, ...]:
+        memo = self.memo
+        meet, join, neg, top, bot = self.ops
+        done: list[tuple[int, ...]] = []
+        todo: list[tuple[Formula, bool]] = [(f, False)]
+        while todo:
+            g, operands_done = todo.pop()
+            if operands_done:
+                if isinstance(g, Neg):
+                    out = _apply(neg, done.pop())
+                else:
+                    right = done.pop()
+                    out = _combine(meet if isinstance(g, And) else join, done.pop(), right)
+                memo[g] = out
+            else:
+                # a formula popped before g is finished or is an ancestor
+                # of g, so an earlier occurrence of g is in memo
+                out = memo.get(g)
+                if out is None:
+                    if isinstance(g, Atom):
+                        out = memo[g] = _atom_slices(self.n, self.position[g.name], self.count)
+                    elif isinstance(g, (Top, Bot)):
+                        out = memo[g] = self.constant(top if isinstance(g, Top) else bot)
+                    elif isinstance(g, (Neg, And, Or)):
+                        todo.append((g, True))
+                        todo.extend([(g.arg, False)] if isinstance(g, Neg) else [(g.right, False), (g.left, False)])
+                        continue
+                    else:
+                        raise TypeError(f"not a formula: {g!r}")
+            done.append(out)
+        return done[0]
+
+    def sequent(self, s: Sequent) -> tuple[int, ...]:
+        """The value of ``tau(s)``, from the values of s's members: the
+        negated right-nested meet of the left side (T if empty) joined with
+        the right-nested join of the right side (F if empty)."""
+        meet, join, neg, top, bot = self.ops
+        sides = []
+        for members, table, unit in ((s.left, meet, top), (s.right, join, bot)):
+            if not members:
+                sides.append(self.constant(unit))
+                continue
+            acc = self.formula(members[-1])
+            for f in reversed(members[:-1]):
+                acc = _combine(table, self.formula(f), acc)
+            sides.append(acc)
+        return _combine(join, _apply(neg, sides[0]), sides[1])
+
+
+def _factor_masks(
+    m: Matrix,
+    values_of: Callable[[Matrix], _Values],
+    premises: tuple,
+    conclusion,
+) -> Optional[list[tuple[int, int]]]:
+    """For each factor of m (m itself unless it is a product), the
+    valuations designating every premise and those designating the
+    conclusion (none for a None conclusion), as bits of one bit-sliced
+    enumeration per factor. None once some factor designates the premises
+    under no valuation: then no valuation of m does, and the conclusion is
+    not evaluated.
+
+    A valuation of a product is one valuation per factor, and it designates
+    a formula iff each factor's does. So the premises entail the conclusion
+    in m unless every factor has premise bits and some factor has premise
+    bits outside its conclusion bits; a countermodel takes one valuation
+    from each factor's premise bits, from outside the conclusion bits in
+    one of them.
+    """
+    factors = m.factors or (m,)
+    prems = []
+    for fac in factors:
+        values = values_of(fac)
+        mask = values.full
+        for p in premises:
+            mask &= values.designation(fac, p)
+            if not mask:
+                return None
+        prems.append(mask)
     if conclusion is None:
-        # Antitheorem check: no valuation designates all premises.
-        return False
-    return prem_mask & ~designation_mask(conclusion) == 0
+        return [(mask, 0) for mask in prems]
+    return [(mask, values_of(fac).designation(fac, conclusion)) for fac, mask in zip(factors, prems)]
+
+
+def _decide(spec: LogicSpec, premises: tuple, conclusion, sequents: bool) -> bool:
+    names: set[str] = set()
+    for x in premises if conclusion is None else premises + (conclusion,):
+        names |= atoms_of(x)
+    atom_tuple = tuple(sorted(names))
+    for m in spec.matrices:
+        for fac in m.factors or (m,):
+            count = len(fac.carrier) ** len(atom_tuple)
+            if count > MAX_VALUATIONS:
+                raise ResourceCapError(
+                    f"valuation cap {MAX_VALUATIONS} exceeded: {fac.name} over "
+                    f"{len(atom_tuple)} atoms has {count} valuations"
+                )
+    algebras: dict[tuple, _Values] = {}
+
+    def values_of(fac: Matrix) -> _Values:
+        values = algebras.get(fac._ops)
+        if values is None:
+            values = algebras[fac._ops] = _Values(fac._ops, len(fac.carrier), atom_tuple, sequents)
+        return values
+
+    for m in spec.matrices:
+        masks = _factor_masks(m, values_of, premises, conclusion)
+        if masks is not None and any(p & ~c for p, c in masks):
+            return False
+    return True
 
 
 def holds(
@@ -408,28 +542,18 @@ def holds(
     """Matrix consequence by exhaustive, bit-sliced valuation enumeration.
 
     A ``None`` conclusion asks whether the premises form an antitheorem.
-    For intersections the verdict is the conjunction over all matrices.
-    Raises ResourceCapError when a matrix has more than ``MAX_VALUATIONS``
-    valuations of the query's atoms.
+    For intersections the verdict is the conjunction over all matrices; a
+    product is decided through its factors (``_factor_masks``). Raises
+    ResourceCapError when a matrix, or a factor of a product, has more than
+    ``MAX_VALUATIONS`` valuations of the query's atoms.
     """
-    prem = tuple(premises)
-    names: set[str] = set()
-    for f in prem if conclusion is None else prem + (conclusion,):
-        names |= atoms_of(f)
-    atom_tuple = tuple(sorted(names))
-    for m in spec.matrices:
-        count = len(m.carrier) ** len(atom_tuple)
-        if count > MAX_VALUATIONS:
-            raise ResourceCapError(
-                f"valuation cap {MAX_VALUATIONS} exceeded: {m.name} over "
-                f"{len(atom_tuple)} atoms has {count} valuations"
-            )
-    return all(_holds_single(m, atom_tuple, prem, conclusion) for m in spec.matrices)
+    return _decide(spec, tuple(premises), conclusion, sequents=False)
 
 
 def holds_sequent(spec: LogicSpec, premises: Iterable[Sequent], conclusion: Sequent) -> bool:
-    """Sequent-level consequence via the tau transformer."""
-    return holds(spec, (tau(s) for s in premises), tau(conclusion))
+    """Sequent-level consequence: ``holds`` on the ``tau`` of each sequent,
+    evaluated from the sequents' members without building ``tau``."""
+    return _decide(spec, tuple(premises), conclusion, sequents=True)
 
 
 # ---------------------------------------------------------------------------

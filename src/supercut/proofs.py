@@ -244,17 +244,22 @@ def _check_matches(
     declared = list(declared_premises)
     sound: set[int] = set()
     matches: dict[int, R.StructuralMatch] = {}
-    # the open branch: (node, its index under the node before it)
-    todo: list[tuple[Proof, int]] = [(p, 0)]
+    # the open branch: [node, its index under the node before it, the index
+    # of its next child to visit]; children before that one are sound
+    todo: list[list] = [[p, 0, 0]]
     while todo:
-        node = todo[-1][0]
-        i = next((i for i, c in enumerate(node.children) if id(c) not in sound), None)
-        if i is not None:
-            todo.append((node.children[i], i))
+        frame = todo[-1]
+        node, _, i = frame
+        children = node.children
+        while i < len(children) and id(children[i]) in sound:
+            i += 1
+        if i < len(children):
+            frame[2] = i + 1
+            todo.append([children[i], i, 0])
             continue
         reason = _fault(node, declared, calc, matches)
         if reason is not None:
-            return CheckResult(False, tuple(i for _, i in todo[1:]), reason), matches
+            return CheckResult(False, tuple(f[1] for f in todo[1:]), reason), matches
         sound.add(id(node))
         todo.pop()
     return OK, matches

@@ -324,28 +324,31 @@ def test_module_entry_point():
 
 
 def test_valuation_cap_exit_code(capsys):
-    # 16**7 valuations of the ecq product matrix: refused before enumerating
-    assert run(["semantics", "--logic", "ecq", "-p", "p & q & r & s", "t | u | v"]) == 3
+    # 4**11 valuations of each factor of the ecq product: refused before enumerating
+    assert run(["semantics", "--logic", "ecq", "-p", "p & q & r & s & t", "u | v | w | x | y | z"]) == 3
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "valuation cap" in err
-    # 16**5 valuations: within the cap, answered
+    assert err.count("\n") == 1 and "valuation cap" in err and "ETL4 over 11 atoms" in err
+    # 5 to 10 atoms: within the cap, answered
     assert run(["semantics", "--logic", "ecq", "-p", "p & ~p & q", "r | s"]) == 0
     assert run(["semantics", "--logic", "ecq", "-p", "p & q", "r | s | ~t"]) == 1
+    assert run(["semantics", "--logic", "ecq", "-p", "p & q & r & s", "t | u | v"]) == 1
+    assert run(["semantics", "--logic", "ecq", "-p", "p & q & r & s & t", "-p", "u | v | w | x | y", "y | t"]) == 0
     capsys.readouterr()
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code, verdict",
     [
-        # the matrix oracle evaluates a formula recursively, once per level
-        ["interpolate", "--logic", "k", "p", "~" * 3000 + "p"],
-        ["semantics", "--logic", "b", "~" * 3000 + "p"],
+        # the matrix oracle evaluates each distinct subformula from an explicit stack
+        (["interpolate", "--logic", "k", "p", "~" * 3000 + "p"], 0, "\ncertified: k entailment ok"),
+        (["semantics", "--logic", "b", "~" * 3000 + "p"], 1, "invalid\n"),
     ],
+    ids=["interpolate", "semantics"],
 )
-def test_deep_nesting_is_a_resource_error(capsys, argv):
-    assert run(argv) == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "nested too deeply" in err
+def test_deep_nesting_gets_a_verdict(capsys, argv, code, verdict):
+    assert run(argv) == code
+    out = capsys.readouterr()
+    assert verdict in out.out and out.err == ""
 
 
 def test_deep_derivable_gets_a_proof(capsys):

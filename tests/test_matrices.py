@@ -1,5 +1,6 @@
 """Matrix laws, builtin logics, the consequence oracle, information order."""
 
+import dataclasses
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from supercut.matrices import (
     LOGIC_NAMES,
     LP3,
     MAX_VALUATIONS,
+    LogicSpec,
     Matrix,
     MatrixError,
     builtin,
@@ -29,9 +31,11 @@ from supercut.syntax import (
     Neg,
     Or,
     ResourceCapError,
+    Sequent,
     atoms_of,
     parse_formula as pf,
     parse_sequent as ps,
+    tau,
 )
 
 from conftest import random_formula
@@ -70,6 +74,9 @@ class TestMatrices:
         assert m.neg_of("(t,f)") == "(f,t)"
         m2 = product_matrix(BOOL2, BOOL2)
         assert len(m2.carrier) == 4 and m2.designated == {"(t,t)"}
+        assert m.factors == (ETL4, B4) and B4.factors == ()
+        nested = product_matrix(product_matrix(BOOL2, K3), LP3)
+        assert [f.name for f in nested.factors] == ["BOOL2", "K3", "LP3"]
 
     def test_dump(self):
         text = BOOL2.dump()
@@ -80,6 +87,7 @@ class TestMatrices:
         assert m == builtin("ecq").matrices[0] and hash(m) == hash(builtin("ecq").matrices[0])
         assert m != product_matrix(B4, ETL4)
         assert "_meet" not in repr(BOOL2)
+        assert m == dataclasses.replace(m, factors=()) and "factors" not in repr(m)
 
     def test_partial_table_is_rejected(self):
         with pytest.raises(MatrixError):
@@ -167,20 +175,63 @@ class TestOracleDifferential:
         assert not holds(builtin("b"), [pf("p & ~p & (q | r)")], pf("s"))
 
 
+    def test_factor_route_matches_the_flat_product(self, rng):
+        # a product decided through its factors against the same product
+        # enumerated over its flat carrier
+        products = (product_matrix(ETL4, B4), product_matrix(product_matrix(BOOL2, K3), LP3))
+        verdicts = set()
+        for i in range(240):
+            m = products[i % 2]
+            routed = LogicSpec("routed", (m,))
+            flat = LogicSpec("flat", (dataclasses.replace(m, factors=()),))
+            atoms = ["p", "q", "r"][: rng.randint(0, 3)]
+            prems = [random_formula(rng, atoms, 3) for _ in range(rng.randint(0, 2))]
+            concl = None if rng.random() < 0.3 else random_formula(rng, atoms, 3)
+            want = holds(flat, prems, concl)
+            assert holds(routed, prems, concl) == want, (m.name, prems, concl)
+            verdicts.add((concl is None, want))
+        assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_holds_sequent_is_holds_on_tau(self, rng):
+        for i in range(120):
+            spec = builtin(LOGIC_NAMES[i % len(LOGIC_NAMES)])
+            atoms = ["p", "q", "r"][: rng.randint(1, 3)]
+
+            def side():
+                return [random_formula(rng, atoms, 2) for _ in range(rng.randint(0, 3))]
+
+            prems = [Sequent(side(), side()) for _ in range(rng.randint(0, 2))]
+            goal = Sequent(side(), side())
+            assert holds_sequent(spec, prems, goal) == holds(spec, map(tau, prems), tau(goal))
+
+
 class TestValuationCap:
     def test_cap_raises_before_enumerating(self):
-        seven = [pf("p & q & r & s"), pf("t | u | v")]
-        assert len(builtin("ecq").matrices[0].carrier) ** 7 > MAX_VALUATIONS
-        with pytest.raises(ResourceCapError, match="valuation cap"):
-            holds(builtin("ecq"), seven, None)
+        eleven = [pf("p & q & r & s & t"), pf("u | v | w | x | y | z")]
+        assert len(ETL4.carrier) ** 11 > MAX_VALUATIONS
+        with pytest.raises(ResourceCapError, match="valuation cap .* ETL4 over 11 atoms"):
+            holds(builtin("ecq"), eleven, None)
         # the same atoms are within the cap on two-valued logic
-        assert not holds(builtin("cl"), seven, None)
+        assert not holds(builtin("cl"), eleven, None)
 
     def test_largest_query_within_the_cap(self):
         # 4**10 == MAX_VALUATIONS
         atoms = "abcdefghij"
         prems = [pf(" & ".join(atoms))]
         assert holds(builtin("b"), prems, pf(f"{atoms[-1]} | ~{atoms[0]}"))
+        # each factor of the 16-valued ecq is enumerated on its own
+        assert holds(builtin("ecq"), prems, pf(f"{atoms[-1]} | ~{atoms[0]}"))
+
+    def test_ecq_over_six_and_seven_atoms(self):
+        ecq = builtin("ecq")
+        seven = [pf("p & q & r & s"), pf("t | u | v")]
+        assert holds(ecq, seven, pf("s & (v | u | t)"))
+        assert not holds(ecq, seven, pf("v"))
+        assert not holds(ecq, seven, None)
+        six = [pf("p & ~p & q"), pf("r | s")]
+        assert holds(ecq, six, pf("t"))  # explosive: not valid in b
+        assert not holds(builtin("b"), six, pf("t"))
+        assert not holds(ecq, [pf("p & q"), pf("r | s | ~t")], pf("t | ~p"))
 
 
 class TestSampledInvariants:

@@ -159,6 +159,15 @@ class TestWideSteps:
         res = check(Proof(proof.conclusion, proof.rule, leaves), getl, broken)
         assert not res.ok and res.path == () and res.reason == f"not an instance of {proof.rule}"
 
+    def test_failure_after_sound_siblings(self, rng):
+        # checking resumes after the last sound child: the first failure is
+        # still the leftmost innermost one
+        proof, premises = wide_context_cut(50, rng)
+        bad = Proof(proof.children[30].conclusion, "top-right")
+        children = proof.children[:30] + (bad,) + proof.children[31:]
+        res = check(Proof(proof.conclusion, proof.rule, children), builtin_calculus("getl"), premises)
+        assert not res.ok and res.path == (30,) and res.reason == "no top on the right"
+
     def test_wide_step_does_not_recurse(self, rng):
         proof, premises = wide_context_cut(2000, rng)
         assert check(proof, builtin_calculus("getl"), premises).ok

@@ -478,13 +478,25 @@ class LeafUnavailable(SupercutError):
     pass
 
 
+def _closes(side: str, f: Formula) -> bool:
+    """Every branch of decomposing f on side gains a top on the right or a
+    bottom on the left."""
+    return all(
+        any(isinstance(getattr(f, attr), Top if to == "right" else Bot) for to, attr in branch)
+        for branch in R.ROWS[type(f), side].branches
+    )
+
+
 def build_intro(goal: Sequent, supply: Callable[[Sequent], Proof]) -> Proof:
     """Introduction tree for the goal; atomic branch leaves come from supply,
     asked for left to right.
 
-    Branches reaching a top on the right or a bottom on the left close with
-    the corresponding axiom. The tree grows from an explicit stack of open
-    introductions, so a deep goal does not recurse.
+    Each goal decomposes its first compound formula, unless decomposing
+    another closes every branch by an axiom at once; such a goal has no
+    At-set, so the leaves asked for are the same. Branches reaching a top
+    on the right or a bottom on the left close with the corresponding
+    axiom. The tree grows from an explicit stack of open introductions, so
+    a deep goal does not recurse.
     """
     # (row, goal, its branch sequents, the children built so far)
     pending: list[tuple[R.Decomposition, Sequent, list[Sequent], list[Proof]]] = []
@@ -493,7 +505,7 @@ def build_intro(goal: Sequent, supply: Callable[[Sequent], Proof]) -> Proof:
         if side:
             proof = axiom(goal, side)
         elif cands := R._decomposition_candidates(goal):
-            side, f = cands[0]
+            side, f = next((c for c in cands if _closes(*c)), cands[0])
             row = R.ROWS[type(f), side]
             targets = row.split(goal, f)
             pending.append((row, goal, targets, []))

@@ -12,11 +12,15 @@ from . import proofs as P
 from . import rules as R
 from .proofs import Proof
 from .syntax import (
+    And,
     Atom,
+    Bot,
     Formula,
+    Neg,
     Sequent,
     Substitution,
     SupercutError,
+    Top,
     apply_subst,
     atoms_of,
     map_atoms,
@@ -47,130 +51,6 @@ class RewriteTrace:
 
 
 # ---------------------------------------------------------------------------
-# Expansion-aware constructors (recurse on the principal formula)
-# ---------------------------------------------------------------------------
-
-
-def weaken_by(p: Proof, f: Formula, side: str) -> Proof:
-    """Weaken p by f on the given side, atomizing f: f is introduced over
-    weakenings by its components."""
-    goal = p.conclusion.add(**{side: [f]})
-    if isinstance(f, Atom):
-        return P.structural(R.WEAKENING[side], [p], goal)
-    row = R.ROWS.get((type(f), side))
-    if row is None:
-        return P.axiom(goal, side)
-    branches = iter(row.branches)
-
-    def prove(_: Sequent) -> Proof:
-        q = p
-        for comp_side, attr in next(branches):
-            q = weaken_by(q, getattr(f, attr), comp_side)
-        return q
-
-    return P.intro(row, goal, f, prove)
-
-
-def contract_by(p: Proof, f: Formula, side: str) -> Proof:
-    """From a proof of f, f, G |- D (f on the given side) produce f, G |- D,
-    atomizing f: both copies are eliminated, the components contracted and f
-    introduced again."""
-    goal = p.conclusion.remove_one(f, side)
-    if isinstance(f, Atom):
-        return P.structural(R.CONTRACTION[side], [p], goal)
-    row = R.ROWS.get((type(f), side))
-    if row is None:
-        return P.axiom(goal, side)
-    if row.branches == ((),):
-        return P.elim(row, p, f, 0)
-    branches = enumerate(row.branches)
-
-    def prove(_: Sequent) -> Proof:
-        i, branch = next(branches)
-        q = P.elim(row, P.elim(row, p, f, i), f, i)
-        for comp_side, attr in branch:
-            q = contract_by(q, getattr(f, attr), comp_side)
-        return q
-
-    return P.intro(row, goal, f, prove)
-
-
-def identity_proof(f: Formula) -> Proof:
-    """f |- f with f introduced on the left below f on the right (the other
-    way round when the left closes by axiom); each leaf is the identity on
-    the component both sides share, weakened by the rest."""
-    goal = Sequent([f], [f])
-    if isinstance(f, Atom):
-        return P.structural("identity", [], goal)
-    outer, inner = ("left", "right") if (type(f), "left") in R.ROWS else ("right", "left")
-    return _introduce(goal, f, outer, lambda s: _introduce(s, f, inner, _identity_leaf))
-
-
-def _introduce(goal: Sequent, f: Formula, side: str, prove: Callable[[Sequent], Proof]) -> Proof:
-    row = R.ROWS.get((type(f), side))
-    if row is None:
-        return P.axiom(goal, side)
-    return P.intro(row, goal, f, prove)
-
-
-def _identity_leaf(s: Sequent) -> Proof:
-    shared = next(g for g in s.left if g in s.right)
-    return _weaken_multiset(identity_proof(shared), s)
-
-
-def _contract_multiset(p: Proof, target: Sequent) -> Proof:
-    """Expansion-aware contraction of arbitrary formulas down to target."""
-    cur = p
-    while True:
-        extra_left = P._multiset_diff(cur.conclusion.left, target.left)
-        extra_right = P._multiset_diff(cur.conclusion.right, target.right)
-        if not extra_left and not extra_right:
-            break
-        if extra_left:
-            cur = contract_by(cur, extra_left[0], "left")
-        else:
-            cur = contract_by(cur, extra_right[0], "right")
-    assert cur.conclusion == target
-    return cur
-
-
-def cut_on(p1: Proof, p2: Proof, f: Formula) -> Proof:
-    """Cut p1: G |- D, f against p2: f, G' |- D', atomizing the cut formula.
-
-    The occurrence whose decomposition does not branch is eliminated once;
-    each branch of the other occurrence is then cut against the running
-    proof on its component. A constant closes one side by axiom, and the
-    other side's elimination is weakened to the conclusion.
-    """
-    left = p1.conclusion.remove_one(f, "right")
-    right = p2.conclusion.remove_one(f, "left")
-    goal = Sequent(left.left + right.left, left.right + right.right)
-    if isinstance(f, Atom):
-        return P.structural("cut", [p1, p2], goal)
-    occurrences = [(R.ROWS.get((type(f), side)), p) for side, p in (("right", p1), ("left", p2))]
-    (row, p), *others = sorted(((r, p) for r, p in occurrences if r), key=lambda o: len(o[0].branches))
-    q = P.elim(row, p, f, 0)
-    if not others:
-        return _weaken_multiset(q, goal)
-    ((row, p),) = others
-    for i, ((comp_side, attr),) in enumerate(row.branches):
-        b = P.elim(row, p, f, i)
-        comp = getattr(f, attr)
-        q = cut_on(b, q, comp) if comp_side == "right" else cut_on(q, b, comp)
-    return _contract_multiset(q, goal)
-
-
-def _weaken_multiset(p: Proof, target: Sequent) -> Proof:
-    cur = p
-    for f in P._multiset_diff(target.left, cur.conclusion.left):
-        cur = weaken_by(cur, f, "left")
-    for f in P._multiset_diff(target.right, cur.conclusion.right):
-        cur = weaken_by(cur, f, "right")
-    assert cur.conclusion == target, (cur.conclusion.render(), target.render())
-    return cur
-
-
-# ---------------------------------------------------------------------------
 # expand_structural
 # ---------------------------------------------------------------------------
 
@@ -181,7 +61,7 @@ def _node_is_atomic(node: Proof) -> bool:
 
 Matches = dict[int, R.StructuralMatch]
 Table = dict[Sequent, Proof]
-# the rules whose steps on a compound formula the expansion builders replace
+# the rules whose steps on a compound formula take their tables from At-sets
 _PRINCIPAL_RULES = R.COMMON_NAMES | {"identity", "cut"}
 
 
@@ -191,24 +71,20 @@ def expand_structural(
     """The three-phase form of p: eliminations from the premises, atomic
     structural steps, introductions down to the conclusion.
 
-    A first pass replaces each step of a common rule, Identity or Cut whose
-    principal formula is compound by logical rules around steps on its
-    components. A fold then maps each node to its At-leaf table, and the
-    root's table supplies the leaves of one introduction tree.
+    A fold maps each node to its At-leaf table, and the root's table
+    supplies the leaves of one introduction tree.
 
     ``matches`` maps the id of structural nodes of p to their matches (as
     ``proofs._check_matches`` returns them); every other structural node
     that needs its match is matched here. The dict is extended in place.
     """
-    matches = {} if matches is None else matches
-    step1 = P.rebuild(p, lambda node, kids: _expand_principal(node, kids, calc, trace, matches))
-    return _three_phase(step1, calc, trace, matches)
+    return _three_phase(p, calc, trace, {} if matches is None else matches)
 
 
 def make_analytic_synthetic(p: Proof) -> Proof:
     """The three-phase form of a structurally atomic proof, by the fold
-    ``expand_structural`` ends with: every structural node is atomic, so
-    no calculus is consulted."""
+    ``expand_structural`` is: every structural node is atomic, so no
+    calculus is consulted."""
     if not P.is_structurally_atomic(p):
         raise RewriteError("make_analytic_synthetic requires a structurally atomic proof")
     return _three_phase(p, None, None, {})
@@ -234,36 +110,6 @@ def _structural_match(node: Proof, calc: R.Calculus, matches: Matches) -> R.Stru
         raise InexpandableNode(f"node is not an instance of {node.rule}")
     matches[id(node)] = m
     return m
-
-
-def _expand_principal(
-    node: Proof, kids: tuple[Proof, ...], calc: R.Calculus, trace: Optional[RewriteTrace], matches: Matches
-) -> Proof:
-    """node over its rewritten children, a step of a common rule, Identity
-    or Cut on a compound formula replaced by the expansion builders."""
-    if all(map(operator.is_, kids, node.children)):
-        cur = node
-    else:
-        cur = Proof(node.conclusion, node.rule, kids, node.premise_index)
-    if not P.is_structural(cur.rule):
-        return cur
-    m = _structural_match(node, calc, matches)
-    values = m.atom_assignment
-    if all(isinstance(v, Atom) for v in values.values()) or cur.rule not in _PRINCIPAL_RULES:
-        # any other rule (a bounded calculus's own) on a compound formula is
-        # expanded with its context by the fold's sandwich
-        matches[id(cur)] = m  # cur stays in the pass's output, so its id stays its own
-        return cur
-    if trace is not None:
-        trace.record("expand-principal", cur.conclusion.render(), cur.rule)
-    if cur.rule == "identity":
-        (f,) = values.values()
-        return identity_proof(f)
-    if cur.rule == "cut":
-        return cut_on(cur.children[0], cur.children[1], values["x"])
-    (f,) = values.values()
-    build = weaken_by if cur.rule in R.WEAKENING_NAMES else contract_by
-    return build(cur.children[0], f, R.COMMON_SIDE[cur.rule])
 
 
 def _at_leaves(
@@ -297,10 +143,95 @@ def _at_leaves(
             node = Proof(node.conclusion, node.rule, leaves)
         return {node.conclusion: node}
     m = _structural_match(node, calc, matches)
+    compound = not all(isinstance(v, Atom) for v in m.atom_assignment.values())
     if trace is not None:
-        compound = not all(isinstance(v, Atom) for v in m.atom_assignment.values())
         trace.record("expand-principal" if compound else "atomize-context", node.conclusion.render(), node.rule)
+    if compound and node.rule in _PRINCIPAL_RULES:
+        return _principal_table(node, m, kids)
     return _sandwich(node, calc, m, kids)
+
+
+def _members(s: Sequent) -> list[Sequent]:
+    return sorted(R.at_set(s), key=sequent_key)
+
+
+def _join(s: Sequent, t: Sequent) -> Sequent:
+    return s.add(t.left, t.right)
+
+
+def _principal_table(node: Proof, m: R.StructuralMatch, tables: tuple[Table, ...]) -> Table:
+    """The At-leaf table of a Weakening, Contraction, Identity or Cut on a
+    compound formula f, from At-sets and atomic steps: At(G, f |- D) is the
+    joins of a member of At(G |- D) with one of At(f |-), and likewise on
+    the right. Members go in ``sequent_key`` order; the first entry for a
+    key wins."""
+    table: Table = {}
+    if node.rule == "identity":
+        (f,) = m.atom_assignment.values()
+        for s in _members(Sequent([f], [f])):
+            shared = next(a for a in s.left if a in s.right)
+            table[s] = P.weaken_to(P.structural("identity", [], Sequent([shared], [shared])), s)
+        return table
+    if node.rule == "cut":
+        f = m.atom_assignment["x"]
+        t1, t2 = tables
+        for x in _members(node.children[0].conclusion.remove_one(f, "right")):
+            for y in _members(node.children[1].conclusion.remove_one(f, "left")):
+                goal = _join(x, y)
+                if goal not in table:
+                    table[goal] = _cut_atoms(f, x, lambda n, x=x: t1[_join(x, n)], y, lambda n, y=y: t2[_join(y, n)])
+        return table
+    (f,) = m.atom_assignment.values()
+    side = R.COMMON_SIDE[node.rule]
+    (child,) = tables
+    parts = _members(Sequent(**{side: [f]}))
+    for rest in _members(node.conclusion.remove_one(f, side)):
+        for part in parts:
+            s = _join(rest, part)
+            if s in table:
+                continue
+            if s in child:
+                table[s] = child[s]
+            elif node.rule in R.WEAKENING_NAMES:
+                table[s] = P.weaken_to(child[rest], s)
+            else:
+                table[s] = P.contract_to(child[_join(s, part)], s)
+    return table
+
+
+def _cut_atoms(
+    f: Formula, x: Sequent, right: Callable[[Sequent], Proof], y: Sequent, left: Callable[[Sequent], Proof]
+) -> Proof:
+    """A proof of ``_join(x, y)`` by cuts on the atoms of f, where
+    ``right(n)`` proves ``_join(x, n)`` for each n in At(|- f) and
+    ``left(n)`` proves ``_join(y, n)`` for each n in At(f |-).
+
+    An atom is cut once; a constant leaves the side it does not close,
+    weakened; a negation swaps the sides. Of a conjunction g & h, g is cut
+    once for each member of At(h |-), then h against those proofs, and the
+    doubled x contracted; a disjunction is the dual.
+    """
+    goal = _join(x, y)
+    if isinstance(f, Atom):
+        return P.structural("cut", [right(Sequent((), [f])), left(Sequent([f], ()))], goal)
+    if isinstance(f, Top):
+        return P.weaken_to(left(Sequent()), goal)
+    if isinstance(f, Bot):
+        return P.weaken_to(right(Sequent()), goal)
+    if isinstance(f, Neg):
+        return _cut_atoms(f.arg, y, left, x, right)
+    g, h = f.left, f.right
+    if isinstance(f, And):
+        cut_g = {
+            n: _cut_atoms(g, x, right, _join(y, n), lambda k, n=n: left(_join(k, n)))
+            for n in _members(Sequent([h], ()))
+        }
+        return P.contract_to(_cut_atoms(h, x, right, goal, cut_g.__getitem__), goal)
+    cut_g = {
+        n: _cut_atoms(g, _join(x, n), lambda k, n=n: right(_join(k, n)), y, left)
+        for n in _members(Sequent((), [h]))
+    }
+    return P.contract_to(_cut_atoms(h, goal, cut_g.__getitem__, y, left), goal)
 
 
 def _slot_side(rule: R.StructuralRule, slot: str) -> str:
@@ -334,14 +265,9 @@ def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple
     if step is None:
         raise InexpandableNode(f"the expansion of {node.rule} on this instance has several conclusions")
 
-    slot_branches: dict[str, list[Sequent]] = {}
-    for slot in rule.slot_names():
-        content = m.slot_assignment.get(slot, ())
-        if _slot_side(rule, slot) == "left":
-            branches = R.at_set(Sequent(content, ()))
-        else:
-            branches = R.at_set(Sequent((), content))
-        slot_branches[slot] = sorted(branches, key=sequent_key)
+    slot_branches = {
+        slot: _members(Sequent(**{_slot_side(rule, slot): m.slot_assignment.get(slot, ())})) for slot in rule.slot_names()
+    }
 
     supply: Table = {}
     slots_sorted = sorted(rule.slot_names())

@@ -779,21 +779,16 @@ def expansion_pool(rule: StructuralRule, depth_bound: int) -> frozenset[Structur
 def hilbert_to_structural(
     premises: Iterable[Formula], conclusion: Optional[Formula]
 ) -> frozenset[StructuralRule]:
-    """Turn a Hilbert rule into equivalent structural rules via At-sets."""
-    from .syntax import rho
-
-    prem_members: list[SequentSchema] = []
-    seen: set[SequentSchema] = set()
-    for g in premises:
-        for member in sorted(at_set(rho(g)), key=sequent_key):
-            schema = _sequent_to_schema(member, (), ())
-            if schema not in seen:
-                seen.add(schema)
-                prem_members.append(schema)
-    targets = at_set(rho(conclusion)) if conclusion is not None else frozenset((Sequent(),))
-    out = []
-    for member in sorted(targets, key=sequent_key):
-        concl = _sequent_to_schema(member, (), ())
-        r = StructuralRule("", tuple(prem_members), concl)
-        out.append(StructuralRule(r.render(), r.premises, r.conclusion))
-    return frozenset(out)
+    """Turn a Hilbert rule into equivalent structural rules: the
+    sigma-expansions of ``|- x0 ; |- x1 ; ... => |- y`` taking each x<i> to
+    a premise and y to the conclusion, or of ``... => |-`` when there is
+    none."""
+    sigma = {f"x{i}": g for i, g in enumerate(premises)}
+    rule = StructuralRule(
+        "",
+        tuple(SequentSchema(atoms_right=[a]) for a in sigma),
+        SequentSchema(atoms_right=[] if conclusion is None else ["y"]),
+    )
+    if conclusion is not None:
+        sigma["y"] = conclusion
+    return sigma_expand(rule, Substitution(sigma))

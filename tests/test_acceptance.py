@@ -123,8 +123,6 @@ def _engine_proofs(rng, count):
 def _pad_gcl(proof, prems, rng):
     """Wrap a GCL proof with non-atomic structural steps preserving its
     conclusion: a cut on a compound formula, or a compound identity cut."""
-    from supercut.rewrite import _weaken_multiset  # only for target arithmetic
-
     gcl = builtin_calculus("gcl")
     c = proof.conclusion
     chi = random_formula(rng, ["p", "q"], 1)

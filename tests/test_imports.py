@@ -94,7 +94,7 @@ def test_no_unused_private_functions():
 STILL_RECURSIVE = {
     "engine": {"_join.rec", "reconstruct.replay"},
     "interpolation": {"_delete_occurrence"},
-    "rewrite": {"weaken_by", "contract_by", "cut_on"},
+    "rewrite": {"_cut_atoms"},
     "rules": {"_shape_image", "_set_partitions"},
     "syntax": {"polarity.walk", "decompose_substitution.freshen"},
 }

@@ -29,11 +29,8 @@ from supercut.proofs import (
 from supercut import proofs, rewrite, rules
 from supercut.rewrite import (
     RewriteTrace,
-    contract_by,
-    cut_on,
     make_analytic_synthetic,
     normalize,
-    weaken_by,
 )
 from supercut.rules import ROWS, at_set, builtin_calculus
 from supercut.syntax import And, Atom, Or, Sequent, SupercutError, parse_formula as pf, parse_sequent as ps
@@ -256,13 +253,6 @@ class TestConstruction:
             for leaf, chain in chains.items():
                 assert chain.conclusion == leaf
             build_intro(s, premise)
-        for text in ["(p | ~q) & r", "~(p & q) | T", "F & ~p", "~~p | (q & r)"]:
-            f = pf(text)
-            for side in ("left", "right"):
-                weaken_by(premise(ps("|- s"), 0), f, side)
-                doubled = Sequent([f, f], []) if side == "left" else Sequent([], [f, f])
-                contract_by(premise(doubled, 0), f, side)
-            cut_on(premise(Sequent([], [f]), 0), premise(Sequent([f], []), 1), f)
         assert calls == []
 
     def test_normalize_rematches_only_in_check(self, monkeypatch):
@@ -283,9 +273,8 @@ class TestConstruction:
             assert check(out, GCL, prems).ok and out.conclusion == proof.conclusion
 
     def test_normalize_matches_each_structural_node_once(self, monkeypatch, rng):
-        # check matches each structural node of the input; after it, only the
-        # non-atomic structural nodes that principal expansion creates are
-        # matched, by the fold that puts them into three-phase form
+        # check matches each structural node of the input, and the fold that
+        # puts the proof into three-phase form reuses those matches
         jobs = [(proof, GCL, prems) for proof, prems in interderivability_fixtures()]
         jobs.append(_compound_cut_tower(8)[:3])
         for calc in (GB, GLP, GCL):
@@ -294,24 +283,21 @@ class TestConstruction:
                 res = derives(prems, goal, calc)
                 if res.verdict:
                     jobs.append((res.proof, res.calculus, prems))
-        created_total = 0
+        events = set()
+        match, check_matches = rules.match_structural, proofs._check_matches
         for proof, calc, prems in jobs:
-            res, matches = proofs._check_matches(proof, calc, prems)
             inputs = [n for n in proof.nodes() if proofs.is_structural(n.rule)]
-            assert res.ok and sorted(matches) == sorted(map(id, inputs))
-            step1 = rebuild(proof, lambda n, k: rewrite._expand_principal(n, k, calc, None, matches))
-            created = [
-                n for n in step1.nodes()
-                if proofs.is_structural(n.rule) and id(n) not in matches and not rewrite._node_is_atomic(n)
-            ]
-            created_total += len(created)
-            calls = []
-            match = rules.match_structural
+            calls, checked, trace = [], [], RewriteTrace()
             monkeypatch.setattr(rules, "match_structural", lambda *a, **k: calls.append(1) or match(*a, **k))
-            normalize(proof, calc, prems, proof.conclusion)
+            monkeypatch.setattr(proofs, "_check_matches", lambda *a: checked.append(len(calls)) or check_matches(*a))
+            normalize(proof, calc, prems, proof.conclusion, trace)
             monkeypatch.undo()
-            assert len(calls) == len(inputs) + len(created)
-        assert created_total > 0
+            assert checked == [0] and len(calls) == len(inputs)
+            # one trace event per non-atomic structural step of the input
+            expanded = [e for e in trace.entries if e[0] != "enforce-subformula"]
+            assert len(expanded) == sum(not rewrite._node_is_atomic(n) for n in inputs)
+            events |= {e[0] for e in expanded}
+        assert events == {"expand-principal", "atomize-context"}
 
     def test_check_matches_each_distinct_logical_node_once(self, monkeypatch):
         out = normalize(*_compound_cut_tower(8))
@@ -473,6 +459,19 @@ class TestBuilders:
             for member, proof in chains.items():
                 assert proof.conclusion == member
                 assert check(proof, GB, [s]).ok
+
+    def test_build_intro_closes_by_axiom_first(self, rng):
+        # ~T on the left closes the goal at once; p | ~p would branch first
+        assert build_intro(ps("p | ~p, ~T |-"), premise) == logical(
+            "neg-left-intro", [Proof(ps("p | ~p |- T"), "top-right")], ps("p | ~p, ~T |-")
+        )
+        assert build_intro(ps("|- p & q, q | T"), premise).rule == "or-right-intro"
+        # with no such candidate, the first compound formula goes first
+        assert build_intro(ps("|- q & p, r & T"), premise).children[0].conclusion == ps("|- q, r & T")
+        for _ in range(40):
+            s = random_sequent(rng, ["p", "q"], 2)
+            leaves = [n.conclusion for _, n in build_intro(s, premise).walk() if n.rule == "premise"]
+            assert set(leaves) == at_set(s)
 
     def test_intro_derive(self):
         assert intro_derive(ps("|- p & q"), [ps("|- p"), ps("|- q")]) is not None

@@ -24,20 +24,16 @@ from supercut.rewrite import (
     RefutationShapeError,
     RewriteError,
     RewriteTrace,
-    contract_by,
-    cut_on,
     eliminate_cuts,
     enforce_subformula,
     expand_structural,
-    identity_proof,
     make_analytic_synthetic,
     normalize,
     replay_trace,
     separate_identity_cut,
     simplify_refutation,
-    weaken_by,
 )
-from supercut.rules import CALCULUS_NAMES, DECOMPOSITION, builtin_calculus
+from supercut.rules import CALCULUS_NAMES, CONTRACTION, DECOMPOSITION, WEAKENING, builtin_calculus
 from supercut.syntax import Atom, Bot, Neg, Sequent, Top, parse_formula as pf, parse_sequent as ps
 
 from conftest import HILBERT, random_formula, random_sequent
@@ -88,13 +84,13 @@ class TestExpandStructural:
         assert out.conclusion == node.conclusion
 
     def test_helpers_produce_checked_proofs(self):
+        # a compound Identity, Weakening or Cut step takes its At-leaf table
+        # from At-sets: the output is atomic and checks
         f = pf("(p | ~q) & r")
-        idp = identity_proof(f)
-        assert check(idp, GCL, []).ok and idp.conclusion == Sequent([f], [f])
-        w = weaken_by(premise(ps("|- s"), 0), f, "left")
-        assert check(w, GCL, [ps("|- s")]).ok
-        c = cut_on(premise(ps("|- s," + " (p | ~q) & r"), 0), premise(ps("(p | ~q) & r |- t"), 1), f)
-        assert check(c, GCL, [ps("|- s, (p | ~q) & r"), ps("(p | ~q) & r |- t")]).ok
+        _assert_expands(structural("identity", [], Sequent([f], [f])), [])
+        _assert_expands(structural("weakening-left", [premise(ps("|- s"), 0)], Sequent([f], [Atom("s")])), [ps("|- s")])
+        prems = [ps("|- s, (p | ~q) & r"), ps("(p | ~q) & r |- t")]
+        _assert_expands(structural("cut", [premise(prems[0], 0), premise(prems[1], 1)], ps("|- s, t")), prems)
 
     @pytest.mark.parametrize("conn, side", list(DECOMPOSITION), ids=lambda x: getattr(x, "__name__", x))
     def test_helpers_on_every_table_row(self, rng, conn, side):
@@ -105,17 +101,24 @@ class TestExpandStructural:
                 comps = [random_formula(rng, ["p", "q"], 2) for _ in range(2)]
                 f = Neg(comps[0]) if conn is Neg else conn(*comps)
             s, t = random_sequent(rng, ["p", "q"], 0), random_sequent(rng, ["p", "q"], 0)
-            w = weaken_by(premise(s, 0), f, side)
-            assert w.conclusion == s.add(**{side: [f]}) and check(w, GCL, [s]).ok
+            w = structural(WEAKENING[side], [premise(s, 0)], s.add(**{side: [f]}))
+            _assert_expands(w, [s])
             doubled = s.add(**{side: [f, f]})
-            c = contract_by(premise(doubled, 0), f, side)
-            assert c.conclusion == s.add(**{side: [f]}) and check(c, GCL, [doubled]).ok
+            _assert_expands(structural(CONTRACTION[side], [premise(doubled, 0)], s.add(**{side: [f]})), [doubled])
             s1, s2 = s.add(right=[f]), t.add(left=[f])
-            cut = cut_on(premise(s1, 0), premise(s2, 1), f)
-            assert cut.conclusion == Sequent(s.left + t.left, s.right + t.right)
-            assert check(cut, GCL, [s1, s2]).ok
-            idp = identity_proof(f)
-            assert idp.conclusion == Sequent([f], [f]) and check(idp, GCL, []).ok
+            cut = structural("cut", [premise(s1, 0), premise(s2, 1)], Sequent(s.left + t.left, s.right + t.right))
+            _assert_expands(cut, [s1, s2])
+            _assert_expands(structural("identity", [], Sequent([f], [f])), [])
+
+
+def _assert_expands(node, prems):
+    """node, a single step of GCL over premise leaves, expands into a checked
+    three-phase proof of its conclusion, which normalize keeps."""
+    assert check(node, GCL, prems).ok
+    out = expand_structural(node, GCL)
+    assert out.conclusion == node.conclusion and check(out, GCL, prems).ok
+    assert is_structurally_atomic(out) and is_analytic_synthetic(out)
+    assert normalize(node, GCL, prems, node.conclusion) == out == normalize(out, GCL, prems, out.conclusion)
 
 
 class TestMakeAnalyticSynthetic:
@@ -271,6 +274,25 @@ class TestNormalize:
             assert replay_trace(proof, calc, prems, goal, trace) == n
             assert {e[0] for e in trace.entries} <= {"expand-principal", "atomize-context", "enforce-subformula"}
             done += 1
+
+    def test_closing_decomposition_comes_first(self):
+        # pad-22 of the benchmark's proofs corpus: an or-left introduction
+        # with ~T on each branch, weakened by p | q on each side, cut on it
+        # and contracted back; ~T alone closes the conclusion
+        c = ps("p | ~p, ~T |-")
+        inner = logical("or-left-intro", [
+            logical("neg-left-intro", [Proof(ps("p |- T"), "top-right")], ps("p, ~T |-")),
+            logical("neg-left-intro", [Proof(ps("~p |- T"), "top-right")], ps("~p, ~T |-")),
+        ], c)
+        chi = pf("p | q")
+        padded = structural("cut", [
+            structural("weakening-right", [inner], c.add(right=[chi])),
+            structural("weakening-left", [inner], c.add(left=[chi])),
+        ], ps("p | ~p, p | ~p, ~T, ~T |-"))
+        padded = structural("contraction-left", [padded], ps("p | ~p, ~T, ~T |-"))
+        padded = structural("contraction-left", [padded], c)
+        out = normalize(padded, GCL, [], c)
+        assert out == logical("neg-left-intro", [Proof(ps("p | ~p |- T"), "top-right")], c)
 
     def test_trace_replays(self):
         p1 = premise(ps("|- p & q"), 0)

@@ -57,30 +57,26 @@ def _base_name(calc: R.Calculus) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _node_paths(
-    p: Proof, forbid_identity: bool = False
-) -> list[P.Path]:
-    """Paths whose subtree has no introductions (nor Identity, for the Milne
-    variant), whose path to the root is introductions only, and whose subtree
-    reaches at least one premise leaf; in preorder, children left to right."""
-    # per distinct node: (its subproof is clean, it reaches a premise)
-    info: dict[int, tuple[bool, bool]] = {}
+def _replace_critical_nodes(p: Proof, replace: Callable[[Proof], Proof], forbid_identity: bool = False) -> Proof:
+    """p with each critical (or separating) node q replaced by
+    ``replace(q)``: a node whose subproof has no introductions (nor Identity,
+    for the Milne variant) and reaches a premise leaf, and whose path to the
+    root is introductions only.
 
-    def scan(node: Proof, kids: tuple[tuple[bool, bool], ...]) -> tuple[bool, bool]:
-        clean = not (P.is_intro(node.rule) or forbid_identity and node.rule == "identity")
-        info[id(node)] = (clean and all(c for c, _ in kids), node.rule == "premise" or any(r for _, r in kids))
-        return info[id(node)]
+    One fold: each node maps to (its rebuilt proof, its subproof is clean,
+    it reaches a premise), and an introduction replaces its critical
+    children as it is rebuilt.
+    """
 
-    P.rebuild(p, scan)
-    out: list[P.Path] = []
-    todo: list[tuple[Proof, P.Path]] = [(p, ())]
-    while todo:
-        node, path = todo.pop()
-        if all(info[id(node)]):
-            out.append(path)
-        if P.is_intro(node.rule):
-            todo.extend((node.children[i], path + (i,)) for i in reversed(range(len(node.children))))
-    return out
+    def step(node: Proof, kids: tuple[tuple[Proof, bool, bool], ...]) -> tuple[Proof, bool, bool]:
+        reaches = node.rule == "premise" or any(r for _, _, r in kids)
+        if not P.is_intro(node.rule):
+            clean = all(c for _, c, _ in kids) and not (forbid_identity and node.rule == "identity")
+            return node, clean, reaches
+        return P.with_children(node, [replace(q) if c and r else q for q, c, r in kids]), False, reaches
+
+    out, clean, reaches = P.rebuild(p, step)
+    return replace(out) if clean and reaches else out
 
 
 def critical_nodes(p: Proof) -> frozenset[Sequent]:
@@ -88,7 +84,14 @@ def critical_nodes(p: Proof) -> frozenset[Sequent]:
     only introductions below; requires a normalized proof."""
     if not (P.is_structurally_atomic(p) and P.is_analytic_synthetic(p)):
         raise InterpolationError("critical_nodes requires a normalized proof")
-    return frozenset(p.node_at(path).conclusion for path in _node_paths(p))
+    found: set[Sequent] = set()
+
+    def note(q: Proof) -> Proof:
+        found.add(q.conclusion)
+        return q
+
+    _replace_critical_nodes(p, note)
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +111,11 @@ def _delete_occurrence(node: Proof, side: str, atom: str, calc: R.Calculus) -> P
     def delete(child: Proof) -> Proof:
         return _delete_occurrence(child, side, atom, calc)
 
-    if rule in R.WEAKENING_NAMES:
-        w, wside = RW._weakened_formula(node)
-        if w == target and wside == side:
-            return node.children[0]
-        return Proof(reduced, rule, (delete(node.children[0]),))
-    if rule in R.CONTRACTION_NAMES:
-        cside = R.COMMON_SIDE[rule]
-        y = P._multiset_diff(getattr(node.children[0].conclusion, cside), getattr(node.conclusion, cside))[0]
-        if y == target and cside == side:
-            return delete(delete(node.children[0]))
+    if rule in R.COMMON_NAMES:
+        if P.common_formula(node) == (target, side):
+            # a weakening's occurrence goes with it; a contraction's two
+            # copies go from its child
+            return node.children[0] if rule in R.WEAKENING_NAMES else delete(delete(node.children[0]))
         return Proof(reduced, rule, (delete(node.children[0]),))
     if rule in R.AXIOM_RULES:
         return Proof(reduced, rule)
@@ -161,27 +159,12 @@ def _require_generalized_cut(calc: R.Calculus) -> None:
         raise InterpolationError(f"calculus contains non-generalized-cut rules: {', '.join(bad)}")
 
 
-def _prune_critical_nodes(
-    p: Proof, keep: frozenset[str], calc: R.Calculus, stand_in: Callable[[Proof], Proof], forbid_identity: bool = False
-) -> tuple[list[Proof], Proof]:
-    """Each critical (or separating) node of p with the atoms outside
-    ``keep`` pruned, and p with each such node replaced by ``stand_in`` of
-    its pruned subproof, weakened back to the node's conclusion."""
-    pruned_subs: list[Proof] = []
-    out = p
-    for path in _node_paths(p, forbid_identity):
-        sub = p.node_at(path)
-        pruned = _prune_subproof(sub, keep, calc)
-        pruned_subs.append(pruned)
-        out = out.replace_at(path, P.weaken_to(stand_in(pruned), sub.conclusion))
-    return pruned_subs, out
-
-
 def prune_foreign_atoms(p: Proof, premise_atoms: Iterable[str], calc: R.Calculus) -> Proof:
     """Delete ancestor trees of critical-node atoms outside the premises,
     restoring contexts with weakenings below each pruned node."""
     _require_generalized_cut(calc)
-    return _prune_critical_nodes(p, frozenset(premise_atoms), calc, lambda q: q)[1]
+    keep = frozenset(premise_atoms)
+    return _replace_critical_nodes(p, lambda q: P.weaken_to(_prune_subproof(q, keep, calc), q.conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +177,21 @@ def _interpolate_from_proof(
     premises: Sequence[Sequent],
     eff_calc: R.Calculus,
     forbid_identity: bool = False,
-) -> tuple[list[Sequent], list[Proof], Proof]:
-    """Shared core: prune critical (or separating) nodes, return the pruned
-    sequents, their subproofs, and the proof of the conclusion from them."""
+) -> tuple[tuple[Sequent, ...], tuple[Proof, ...], Proof]:
+    """Shared core: prune critical (or separating) nodes; return the pruned
+    sequents in ``sequent_key`` order, the first pruned subproof found for
+    each, and the proof of the conclusion from them."""
     keep = frozenset().union(*(atoms_of(s) for s in premises)) if premises else frozenset()
-    subs, rest = _prune_critical_nodes(proof, keep, eff_calc, lambda q: P.premise(q.conclusion), forbid_identity)
-    return [s.conclusion for s in subs], subs, rest
+    certificates: dict[Sequent, Proof] = {}
+
+    def stand_in(q: Proof) -> Proof:
+        pruned = _prune_subproof(q, keep, eff_calc)
+        certificates.setdefault(pruned.conclusion, pruned)
+        return P.weaken_to(P.premise(pruned.conclusion), q.conclusion)
+
+    rest = _replace_critical_nodes(proof, stand_in, forbid_identity)
+    ordered = tuple(sorted(certificates, key=sequent_key))
+    return ordered, tuple(map(certificates.__getitem__, ordered)), rest
 
 
 def interpolate_sequents(
@@ -221,16 +213,8 @@ def interpolate_sequents(
         raise EntailmentError("the premises do not derive the conclusion in this calculus")
     eff = res.calculus
     _require_generalized_cut(eff)
-    proof = res.proof
-    assert proof is not None
-    if proof.rule == "premise":
-        # the conclusion is itself a premise; it is its own interpolant
-        interp = [conclusion]
-        subs = [proof]
-        rest = P.premise(conclusion)
-    else:
-        interp, subs, rest = _interpolate_from_proof(proof, prems, eff)
-    ordered = sorted(set(interp), key=sequent_key)
+    assert res.proof is not None
+    ordered, certificates, rest = _interpolate_from_proof(res.proof, prems, eff)
     formula = set_to_formula(ordered)
     left_logic = CALC_TO_LOGIC[_base_name(eff)]
     var_ok = all(
@@ -241,11 +225,11 @@ def interpolate_sequents(
     oracle_left = all(M.holds_sequent(M.builtin(left_logic), prems, s) for s in ordered)
     oracle_right = M.holds_sequent(M.builtin("b"), ordered, conclusion)
     return InterpolationResult(
-        tuple(ordered),
+        ordered,
         formula,
         left_logic,
         "b",
-        tuple(subs),
+        certificates,
         rest,
         var_ok and oracle_left and oracle_right,
     )
@@ -259,12 +243,11 @@ def milne_interpolate(phi: Formula, psi: Formula) -> InterpolationResult:
     res = E.derives([rho(phi)], rho(psi), R.builtin_calculus("gcl"))
     assert res.verdict and res.proof is not None
     proof = RW.separate_identity_cut(res.proof)
-    interp, subs, rest = _interpolate_from_proof(proof, [rho(phi)], res.calculus, forbid_identity=True)
-    ordered = sorted(set(interp), key=sequent_key)
+    ordered, certificates, rest = _interpolate_from_proof(proof, [rho(phi)], res.calculus, forbid_identity=True)
     chi = set_to_formula(ordered)
     var_ok = atoms_of(chi) <= (atoms_of(phi) & atoms_of(psi))
     ok = var_ok and M.holds(M.builtin("k"), [phi], chi) and M.holds(M.builtin("lp"), [chi], psi)
-    return InterpolationResult(tuple(ordered), chi, "k", "lp", tuple(subs), rest, ok)
+    return InterpolationResult(ordered, chi, "k", "lp", certificates, rest, ok)
 
 
 def interpolate_formulas(phi: Formula, psi: Formula, logic_name: str) -> InterpolationResult:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -70,24 +71,6 @@ class Proof:
 
     def __repr__(self) -> str:
         return _dataclass_repr(self, Proof)
-
-    def node_at(self, path: Path) -> "Proof":
-        node = self
-        for i in path:
-            node = node.children[i]
-        return node
-
-    def replace_at(self, path: Path, sub: "Proof") -> "Proof":
-        """The proof with the node at ``path`` replaced by ``sub``; the nodes
-        above it are rebuilt bottom-up, one level at a time."""
-        spine = [self]
-        for i in path[:-1]:
-            spine.append(spine[-1].children[i])
-        for node, i in zip(reversed(spine), reversed(path)):
-            kids = list(node.children)
-            kids[i] = sub
-            sub = Proof(node.conclusion, node.rule, tuple(kids), node.premise_index)
-        return sub
 
     def walk(self, path: Path = ()) -> Iterable[tuple[Path, "Proof"]]:
         """Every node of the proof read as a tree with its path, in pre-order."""
@@ -206,6 +189,24 @@ def elim(row: R.Decomposition, p: Proof, f: Formula, i: int) -> Proof:
 
 def structural(rule_name: str, children: Sequence[Proof], conclusion: Sequent) -> Proof:
     return Proof(conclusion, rule_name, tuple(children))
+
+
+def with_children(node: Proof, kids: Sequence[Proof], conclusion: Optional[Sequent] = None) -> Proof:
+    """node's step over kids, concluding ``conclusion`` (node's own by
+    default); node itself when kids are its children."""
+    if all(map(operator.is_, kids, node.children)):
+        return node
+    return Proof(node.conclusion if conclusion is None else conclusion, node.rule, tuple(kids), node.premise_index)
+
+
+def common_formula(node: Proof) -> tuple[Formula, str]:
+    """The formula a Weakening step adds, or a Contraction step merges two
+    copies of, and the side it is on."""
+    side = R.COMMON_SIDE[node.rule]
+    more, fewer = node.conclusion, node.children[0].conclusion
+    if node.rule in R.CONTRACTION_NAMES:
+        more, fewer = fewer, more
+    return _multiset_diff(getattr(more, side), getattr(fewer, side))[0], side
 
 
 # ---------------------------------------------------------------------------

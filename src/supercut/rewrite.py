@@ -4,7 +4,6 @@ enforcement, cut elimination and refutation reshaping."""
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -138,10 +137,7 @@ def _at_leaves(
             merged.update(t)
         return merged
     if _node_is_atomic(node):
-        leaves = tuple(t[c.conclusion] for t, c in zip(kids, node.children))
-        if not all(map(operator.is_, leaves, node.children)):
-            node = Proof(node.conclusion, node.rule, leaves)
-        return {node.conclusion: node}
+        return {node.conclusion: P.with_children(node, [t[c.conclusion] for t, c in zip(kids, node.children)])}
     m = _structural_match(node, calc, matches)
     compound = not all(isinstance(v, Atom) for v in m.atom_assignment.values())
     if trace is not None:
@@ -164,7 +160,8 @@ def _principal_table(node: Proof, m: R.StructuralMatch, tables: tuple[Table, ...
     compound formula f, from At-sets and atomic steps: At(G, f |- D) is the
     joins of a member of At(G |- D) with one of At(f |-), and likewise on
     the right. Members go in ``sequent_key`` order; the first entry for a
-    key wins."""
+    key wins. A Cut against an Identity concludes what its other child
+    concludes, and takes that child's table."""
     table: Table = {}
     if node.rule == "identity":
         (f,) = m.atom_assignment.values()
@@ -173,6 +170,9 @@ def _principal_table(node: Proof, m: R.StructuralMatch, tables: tuple[Table, ...
             table[s] = P.weaken_to(P.structural("identity", [], Sequent([shared], [shared])), s)
         return table
     if node.rule == "cut":
+        for i, kid in enumerate(node.children):
+            if kid.rule == "identity":
+                return tables[1 - i]
         f = m.atom_assignment["x"]
         t1, t2 = tables
         for x in _members(node.children[0].conclusion.remove_one(f, "right")):
@@ -408,7 +408,8 @@ _REFUTATION_RULES = frozenset({"identity", "cut"}) | R.COMMON_NAMES
 
 def simplify_refutation(p: Proof) -> Proof:
     """Reshape an atomic Identity/Cut/Weakening/Contraction refutation into
-    contractions followed by cuts, per branch."""
+    contractions followed by cuts, per branch, by one fold: see
+    ``_reshape``."""
     if not p.conclusion.is_empty():
         raise RewriteError("simplify_refutation expects a proof of the empty sequent")
     if not P.is_structurally_atomic(p):
@@ -418,116 +419,68 @@ def simplify_refutation(p: Proof) -> Proof:
             raise RewriteError(f"unexpected rule in refutation: {node.rule}")
         if node.rule == "premise" and not node.conclusion.is_atomic():
             raise RewriteError("refutation premises must be atomic")
-    p = _remove_weakenings(p)
-    p = _drop_identity_cuts(p)
-    p = _raise_contractions(p)
-    _assert_contraction_then_cut(p)
-    return p
+    out = P.rebuild(p, _reshape)
+    if any(node.rule == "identity" for node in out.nodes()):
+        raise RewriteError("identity node not consumed by a cut")
+    _assert_contraction_then_cut(out)
+    return out
 
 
-def _find_nodes(p: Proof, pred) -> list[P.Path]:
-    return [path for path, node in p.walk() if pred(node)]
-
-
-def _cut_atom(node: Proof) -> tuple[Atom, Proof, Proof]:
+def _cut_atom(node: Proof) -> Atom:
     m = R.match_structural(R.CUT, [c.conclusion for c in node.children], node.conclusion)
     assert m is not None
-    return m.atom_assignment["x"], node.children[0], node.children[1]
+    return m.atom_assignment["x"]
 
 
-def _weakened_formula(node: Proof) -> tuple[Formula, str]:
-    child = node.children[0]
-    side = R.COMMON_SIDE[node.rule]
-    diff = P._multiset_diff(getattr(node.conclusion, side), getattr(child.conclusion, side))
-    return diff[0], side
+def _reshape(node: Proof, kids: tuple[Proof, ...]) -> Proof:
+    """node's result: a Weakening-free proof of part of node's conclusion,
+    built from its children's results.
+
+    A Weakening gives way to its child. A Cut gives way to a child that
+    lost an occurrence of the cut atom on the side the cut consumes, the
+    first such child, or else to the partner of an Identity. A Contraction
+    whose child still holds both copies goes above the cuts under it.
+    """
+    if node.rule in R.WEAKENING_NAMES:
+        return kids[0]
+    if node.rule == "cut":
+        x = _cut_atom(node)
+        for kid, child, side in zip(kids, node.children, ("right", "left")):
+            if getattr(kid.conclusion, side).count(x) < getattr(child.conclusion, side).count(x):
+                return kid
+        for i, kid in enumerate(kids):
+            if kid.rule == "identity":
+                return kids[1 - i]
+        conclusion = _join(kids[0].conclusion.remove_one(x, "right"), kids[1].conclusion.remove_one(x, "left"))
+        return P.with_children(node, kids, conclusion)
+    if node.rule in R.CONTRACTION_NAMES:
+        y, side = P.common_formula(node)
+        (kid,) = kids
+        if getattr(kid.conclusion, side).count(y) < 2:
+            return kid
+        return _contract_above_cuts(node, kid, y, side)
+    return node
 
 
-def _remove_weakenings(p: Proof) -> Proof:
-    while True:
-        paths = _find_nodes(p, lambda n: n.rule in R.WEAKENING_NAMES)
-        if not paths:
-            return p
-        path = min(paths, key=len)
-        assert path, "weakening cannot conclude the empty sequent"
-        wnode = p.node_at(path)
-        parent_path, idx = path[:-1], path[-1]
-        parent = p.node_at(parent_path)
-        w, wside = _weakened_formula(wnode)
-        inner = wnode.children[0]
-        if parent.rule == "cut":
-            x, c1, c2 = _cut_atom(parent)
-            consuming = (idx == 0 and wside == "right") or (idx == 1 and wside == "left")
-            if w == x and consuming:
-                repl = P.weaken_to(inner, parent.conclusion)
-            else:
-                others = list(parent.children)
-                others[idx] = inner
-                small = parent.conclusion.remove_one(w, wside)
-                cut2 = P.structural("cut", others, small)
-                repl = P.structural(R.WEAKENING[wside], [cut2], parent.conclusion)
-            p = p.replace_at(parent_path, repl)
-            continue
-        if parent.rule in R.CONTRACTION_NAMES:
-            cside = R.COMMON_SIDE[parent.rule]
-            y = P._multiset_diff(getattr(wnode.conclusion, cside), getattr(parent.conclusion, cside))[0]
-            if w == y and wside == cside:
-                repl = inner
-            else:
-                contracted = parent.conclusion.remove_one(w, wside)
-                c2 = P.structural(parent.rule, [inner], contracted)
-                repl = P.structural(R.WEAKENING[wside], [c2], parent.conclusion)
-            p = p.replace_at(parent_path, repl)
-            continue
-        raise RewriteError(f"weakening feeds unexpected rule {parent.rule}")
-
-
-def _drop_identity_cuts(p: Proof) -> Proof:
-    while True:
-        paths = _find_nodes(
-            p, lambda n: n.rule == "cut" and any(c.rule == "identity" for c in n.children)
-        )
-        if not paths:
-            for node in p.nodes():
-                if node.rule == "identity":
-                    raise RewriteError("identity node not consumed by a cut")
-            return p
-        path = paths[0]
-        node = p.node_at(path)
-        other = node.children[1] if node.children[0].rule == "identity" else node.children[0]
-        assert other.conclusion == node.conclusion, "identity-fed cut must be redundant"
-        p = p.replace_at(path, other)
-
-
-def _raise_contractions(p: Proof) -> Proof:
-    while True:
-        paths = _find_nodes(
-            p,
-            lambda n: n.rule in R.CONTRACTION_NAMES and n.children[0].rule == "cut",
-        )
-        if not paths:
-            return p
-        path = paths[0]
-        node = p.node_at(path)
-        cutnode = node.children[0]
-        x, c1, c2 = _cut_atom(cutnode)
-        cside = R.COMMON_SIDE[node.rule]
-        y = P._multiset_diff(getattr(cutnode.conclusion, cside), getattr(node.conclusion, cside))[0]
-        # contracting inside a premise is possible whenever it holds the pair;
-        # the cut consumes at most one occurrence, which a pair survives
-        count1 = getattr(c1.conclusion, cside).count(y)
-        count2 = getattr(c2.conclusion, cside).count(y)
-        if count1 >= 2:
-            c1b = P.structural(node.rule, [c1], c1.conclusion.remove_one(y, cside))
-            repl = P.structural("cut", [c1b, c2], node.conclusion)
-        elif count2 >= 2:
-            c2b = P.structural(node.rule, [c2], c2.conclusion.remove_one(y, cside))
-            repl = P.structural("cut", [c1, c2b], node.conclusion)
-        else:
+def _contract_above_cuts(node: Proof, kid: Proof, y: Formula, side: str) -> Proof:
+    """node's contraction of y applied to kid, above the cuts under it: at
+    each cut it goes into the first child that holds both copies."""
+    spine: list[tuple[Proof, int]] = []
+    while kid.rule == "cut":
+        i = next((i for i, c in enumerate(kid.children) if getattr(c.conclusion, side).count(y) >= 2), None)
+        if i is None:
             raise RefutationShapeError(
                 "contraction merges occurrences from both cut premises; "
                 "no contraction-then-cut reshaping exists for this proof"
             )
-        p = p.replace_at(path, repl)
+        spine.append((kid, i))
+        kid = kid.children[i]
+    out = P.with_children(node, [kid], kid.conclusion.remove_one(y, side))
+    for cut, i in reversed(spine):
+        kids = list(cut.children)
+        kids[i] = out
+        out = P.with_children(cut, kids, cut.conclusion.remove_one(y, side))
+    return out
 
 
 def _assert_contraction_then_cut(p: Proof) -> None:
@@ -543,25 +496,26 @@ def _assert_contraction_then_cut(p: Proof) -> None:
 
 
 def separate_identity_cut(p: Proof) -> Proof:
-    """Rewrite a normalized GCL proof so no branch contains both Identity and Cut."""
+    """Rewrite a normalized GCL proof so no branch contains both Identity and
+    Cut, by one fold: a Cut one of whose rewritten children is an Identity
+    under Weakenings and Contractions becomes a weakening of the other child
+    when it cuts the Identity's atom, and of the Identity otherwise."""
     if not (P.is_structurally_atomic(p) and P.is_analytic_synthetic(p)):
         raise RewriteError("separate_identity_cut requires a normalized proof")
-    while True:
-        target = _find_identity_cut(p)
-        if target is None:
-            _assert_separated(p)
-            return p
-        path, idx, ident_atom = target
-        node = p.node_at(path)
-        x, c1, c2 = _cut_atom(node)
-        chain = node.children[idx]
-        other = node.children[1 - idx]
-        if x == ident_atom:
-            repl = P.weaken_to(other, node.conclusion)
-        else:
-            ident = P.structural("identity", [], Sequent([ident_atom], [ident_atom]))
-            repl = P.weaken_to(ident, node.conclusion)
-        p = p.replace_at(path, repl)
+    out = P.rebuild(p, _separate)
+    _assert_separated(out)
+    return out
+
+
+def _separate(node: Proof, kids: tuple[Proof, ...]) -> Proof:
+    if node.rule == "cut":
+        for i, kid in enumerate(kids):
+            atom = _identity_chain_atom(kid)
+            if atom is not None:
+                if _cut_atom(node) == atom:
+                    return P.weaken_to(kids[1 - i], node.conclusion)
+                return P.weaken_to(P.structural("identity", [], Sequent([atom], [atom])), node.conclusion)
+    return P.with_children(node, kids)
 
 
 def _identity_chain_atom(node: Proof) -> Optional[Atom]:
@@ -571,17 +525,6 @@ def _identity_chain_atom(node: Proof) -> Optional[Atom]:
         node = node.children[0]
     if node.rule == "identity":
         return node.conclusion.left[0]  # type: ignore[return-value]
-    return None
-
-
-def _find_identity_cut(p: Proof) -> Optional[tuple[P.Path, int, Atom]]:
-    for path, node in p.walk():
-        if node.rule != "cut":
-            continue
-        for idx, child in enumerate(node.children):
-            atom = _identity_chain_atom(child)
-            if atom is not None:
-                return path, idx, atom
     return None
 
 

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, each private
-module-level function is used somewhere in the package, and no function
-recurses that is not on the list of those that still do."""
+module-level function is used somewhere in the package, no function
+recurses that is not on the list of those that still do, and no module
+uses another's private names beyond the list of those that still do."""
 
 import ast
 import pathlib
@@ -125,3 +126,50 @@ def test_recursion_ratchet():
     found = {path.stem: _self_recursive(ast.parse(path.read_text())) for path in MODULES}
     found = {module: names for module, names in found.items() if names}
     assert found == STILL_RECURSIVE, "self-recursive functions differ from STILL_RECURSIVE"
+
+
+# Uses of another module's private names, by the module that uses them:
+# ``M._x`` through a module imported as M, or ``from .m import _x``, once
+# per use. A private name that another module needs is a candidate for a
+# public helper; the list only shrinks, and a new use fails the test below.
+CROSS_MODULE_PRIVATE = {
+    "proofs": [
+        "rules._decomposition_candidates",
+        "rules._decomposition_candidates",
+        "syntax._dataclass_repr",
+        "syntax._parse_sequent",
+    ],
+    "rewrite": ["proofs._check_matches"],
+}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_uses(tree: ast.Module) -> list[str]:
+    """Each ``module._name`` of another package module that tree uses."""
+    aliases = {}  # the local name of each package module imported whole
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif _is_private(alias.name):
+                    out.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and _is_private(node.attr)
+        ):
+            out.append(f"{aliases[node.value.id]}.{node.attr}")
+    return sorted(out)
+
+
+def test_private_name_ratchet():
+    found = {path.stem: _private_uses(ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))}
+    found = {module: uses for module, uses in found.items() if uses}
+    assert found == CROSS_MODULE_PRIVATE, "cross-module uses of private names differ from CROSS_MODULE_PRIVATE"

@@ -104,15 +104,20 @@ class TestInterpolateSequents:
         assert r.verified
         assert r.interpolant_sequents == (c,)
 
-    def test_certificates_check(self):
-        prems = [ps("|- p & q")]
-        r = interpolate_sequents(prems, ps("|- p | r"), "gb")
-        for cert, seq in zip(r.left_certificates, r.interpolant_sequents):
-            assert cert.conclusion == seq
-            assert check(cert, builtin_calculus("gb"), prems).ok
-        assert check(
-            r.right_certificate, builtin_calculus("gb"), list(r.interpolant_sequents)
-        ).ok
+    def test_certificates_check(self, rng):
+        pairs = [(pf("p & q"), pf("p | r")), (pf("p & q"), pf("(q | r) & (p | s)"))]
+        pairs += _entailed_pairs(rng, "b", 30)
+        for phi, psi in pairs:
+            prems = [rho(phi)]
+            r = interpolate_sequents(prems, rho(psi), "gb")
+            # one certificate per interpolant sequent, in the same order
+            assert len(r.left_certificates) == len(r.interpolant_sequents)
+            for cert, seq in zip(r.left_certificates, r.interpolant_sequents):
+                assert cert.conclusion == seq
+                assert check(cert, builtin_calculus("gb"), prems).ok
+            assert check(
+                r.right_certificate, builtin_calculus("gb"), list(r.interpolant_sequents)
+            ).ok
 
     def test_entailment_failure(self):
         with pytest.raises(EntailmentError):
@@ -195,21 +200,34 @@ class TestMilne:
             assert r.verified, (render(phi), render(psi), render(r.interpolant_formula))
             done += 1
 
-    def test_certificates_split_between_gk_and_glp(self):
-        from supercut.syntax import rho
+    def test_certificates_split_between_gk_and_glp(self, rng):
+        pairs = [(pf("p & q"), pf("p | r")), (pf("p & q"), pf("(q | r) & (p | s)"))]
+        pairs += _entailed_pairs(rng, "cl", 30)
+        for phi, psi in pairs:
+            r = milne_interpolate(phi, psi)
+            # left halves: proofs from the premise in the cut fragment, one
+            # per interpolant sequent, in the same order
+            assert len(r.left_certificates) == len(r.interpolant_sequents)
+            for cert, seq in zip(r.left_certificates, r.interpolant_sequents):
+                assert cert.conclusion == seq
+                assert check(cert, builtin_calculus("gk"), [rho(phi)]).ok
+            # right half: proof of the conclusion from the interpolant
+            # sequents in the identity fragment
+            assert r.right_certificate.conclusion == rho(psi)
+            assert check(
+                r.right_certificate, builtin_calculus("glp"), list(r.interpolant_sequents)
+            ).ok
 
-        phi, psi = pf("p & q"), pf("p | r")
-        r = milne_interpolate(phi, psi)
-        # left halves: proofs from the premise in the cut fragment
-        for cert, seq in zip(r.left_certificates, r.interpolant_sequents):
-            assert cert.conclusion == seq
-            assert check(cert, builtin_calculus("gk"), [rho(phi)]).ok
-        # right half: proof of the conclusion from the interpolant sequents
-        # in the identity fragment
-        assert r.right_certificate.conclusion == rho(psi)
-        assert check(
-            r.right_certificate, builtin_calculus("glp"), list(r.interpolant_sequents)
-        ).ok
+
+def _entailed_pairs(rng, logic: str, count: int) -> list:
+    """``count`` random depth-3 pairs over four atoms, the first entailing
+    the second in the logic."""
+    spec, out = builtin(logic), []
+    while len(out) < count:
+        phi, psi = (random_formula(rng, ["p", "q", "r", "s"], 3) for _ in range(2))
+        if holds(spec, [phi], psi):
+            out.append((phi, psi))
+    return out
 
 
 class TestVerifyInterpolant:

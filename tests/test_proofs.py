@@ -351,40 +351,6 @@ def _strip_indices(node: Proof) -> Proof:
     return Proof(node.conclusion, node.rule, kids, None)
 
 
-def _replace_at_recursive(node: Proof, path: tuple, sub: Proof) -> Proof:
-    """Reference for ``Proof.replace_at``: one call per level."""
-    if not path:
-        return sub
-    kids = list(node.children)
-    kids[path[0]] = _replace_at_recursive(kids[path[0]], path[1:], sub)
-    return Proof(node.conclusion, node.rule, tuple(kids), node.premise_index)
-
-
-class TestReplaceAt:
-    def test_agrees_with_the_recursive_version(self):
-        sub = premise(ps("|- r"), 0)
-        proofs = [proof for proof, _ in interderivability_fixtures()] + [_cut_tower(3)]
-        for proof in proofs:
-            for path, _ in proof.walk():
-                assert proof.replace_at(path, sub) == _replace_at_recursive(proof, path, sub)
-
-    def test_deepest_node_of_a_deep_chain(self):
-        # the premise, then weakening and contraction on the left, one per level
-        d = structural("weakening-left", [premise(ps("|- p"), 0)], ps("q |- p"))
-        for _ in range(2499):
-            d = structural("contraction-left", [structural("weakening-left", [d], ps("q, q |- p"))], ps("q |- p"))
-        d = structural("weakening-left", [d], ps("q, q |- p"))
-        depth = 5000
-        out = d.replace_at((0,) * depth, premise(ps("|- p"), 1))
-        before, after = list(d.walk()), list(out.walk())
-        assert len(after) == depth + 1 and after[-1][0] == (0,) * depth
-        assert after[-1][1].premise_index == 1 and before[-1][1].premise_index == 0
-        assert [(path, n.conclusion, n.rule) for path, n in after] == [
-            (path, n.conclusion, n.rule) for path, n in before
-        ]
-        assert check(out, GCL, [ps("|- p"), ps("|- p")]).ok
-
-
 class TestPredicates:
     def test_structural_atomicity(self):
         assert not is_structurally_atomic(structural("identity", [], ps("p & q |- p & q")))

@@ -1,6 +1,8 @@
 """Proof rewriting passes: expansion, reordering, subformula enforcement,
 cut elimination, refutation reshaping, identity/cut separation."""
 
+import time
+
 import pytest
 
 from supercut.engine import derives, effective_calculus
@@ -275,6 +277,21 @@ class TestNormalize:
             assert {e[0] for e in trace.entries} <= {"expand-principal", "atomize-context", "enforce-subformula"}
             done += 1
 
+    def test_cut_against_an_identity_keeps_the_other_table(self, rng):
+        done = 0
+        while done < 12:
+            prems = [random_sequent(rng, ["p", "q"], 2) for _ in range(rng.randint(0, 2))]
+            goal = random_sequent(rng, ["p", "q"], 2)
+            compound = [(side, f) for side in ("left", "right") for f in getattr(goal, side) if not isinstance(f, Atom)]
+            res = derives(prems, goal, GCL)
+            if not (res.verdict and compound):
+                continue
+            side, f = rng.choice(compound)
+            ident = structural("identity", [], Sequent([f], [f]))
+            padded = structural("cut", [res.proof, ident] if side == "right" else [ident, res.proof], goal)
+            assert normalize(padded, res.calculus, prems, goal) == normalize(res.proof, res.calculus, prems, goal)
+            done += 1
+
     def test_closing_decomposition_comes_first(self):
         # pad-22 of the benchmark's proofs corpus: an or-left introduction
         # with ~T on each branch, weakened by p | q on each side, cut on it
@@ -415,7 +432,31 @@ class TestEliminateCuts:
             eliminate_cuts(res.proof)
 
 
+def _weakened_cut_tower(height: int) -> tuple[Proof, Proof, list[Sequent]]:
+    """s0 = cut(|- p, p |-), s(k+1) = cut(s(k) weakened by x on the right,
+    s(k) weakened by x on the left): 3 * height + 3 distinct nodes,
+    6 * 2**height - 3 as a tree. Returns the tower, s0 and the premises."""
+    prems = [ps("|- p"), ps("p |-")]
+    base = structural("cut", [premise(prems[0], 0), premise(prems[1], 1)], Sequent())
+    s = base
+    for _ in range(height):
+        s = structural(
+            "cut",
+            [structural("weakening-right", [s], ps("|- x")), structural("weakening-left", [s], ps("x |-"))],
+            Sequent(),
+        )
+    return s, base, prems
+
+
 class TestSimplifyRefutation:
+    def test_shared_proof(self):
+        tower, base, prems = _weakened_cut_tower(40)
+        assert len(list(tower.nodes())) == 123 and tower.size() == 6 * 2**40 - 3
+        start = time.perf_counter()
+        out = simplify_refutation(tower)
+        assert time.perf_counter() - start < 1
+        assert out == base and check(out, GCL, prems).ok
+
     def test_gratuitous_weakening_removed(self):
         p1 = premise(ps("|- p"), 0)
         w = structural("weakening-right", [p1], ps("|- p, p"))
@@ -480,6 +521,13 @@ class TestSimplifyRefutation:
 
 
 class TestSeparateIdentityCut:
+    def test_shared_proof(self):
+        tower, _, prems = _weakened_cut_tower(40)
+        start = time.perf_counter()
+        out = separate_identity_cut(tower)
+        assert time.perf_counter() - start < 1
+        assert out == tower and check(out, GCL, prems).ok
+
     def test_weakened_identity_cut_on_other_atom(self):
         ident = structural("identity", [], ps("p |- p"))
         w = structural("weakening-right", [ident], ps("p |- p, q"))

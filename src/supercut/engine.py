@@ -49,24 +49,25 @@ expansion of limited-cut-left, for instance
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import proofs as P
 from . import rules as R
-from .syntax import Atom, Neg, Or, ResourceCapError, Sequent, atoms_of, sequent_key
+from .syntax import Atom, Neg, Or, ResourceCapError, Sequent, Value, atoms_of, sequent_key
 
 FactKey = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class DeriveResult:
-    verdict: bool
-    complete: bool
-    calculus: R.Calculus
-    proof: Optional[P.Proof]
-    fact_count: int
+class DeriveResult(Value):
+    __slots__ = _fields = ("verdict", "complete", "calculus", "proof", "fact_count")
+
+    def __init__(self, verdict: bool, complete: bool, calculus: R.Calculus, proof: Optional[P.Proof], fact_count: int):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "calculus", calculus)
+        object.__setattr__(self, "proof", proof)
+        object.__setattr__(self, "fact_count", fact_count)
 
 
 # Rule shapes known to satisfy the expansion property, making saturation
@@ -388,16 +389,23 @@ def _cut_provenance(
     return ("rule", rule, theta, tuple(parents), {g: (key[0], 0), d: (0, key[1])})
 
 
-@dataclass
 class SaturationState:
     """The saturated store: ``facts`` holds the subsumption-minimal facts and
     ``provenance`` every fact ever admitted, each with how it was derived."""
 
-    universe: tuple[str, ...]
-    facts: dict[FactKey, tuple]
-    calculus: R.Calculus
-    premises: tuple[Sequent, ...]
-    provenance: dict[FactKey, tuple]
+    def __init__(
+        self,
+        universe: tuple[str, ...],
+        facts: dict[FactKey, tuple],
+        calculus: R.Calculus,
+        premises: tuple[Sequent, ...],
+        provenance: dict[FactKey, tuple],
+    ):
+        self.universe = universe
+        self.facts = facts
+        self.calculus = calculus
+        self.premises = premises
+        self.provenance = provenance
 
     @cached_property
     def index(self) -> dict[str, int]:

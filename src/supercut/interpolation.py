@@ -3,7 +3,6 @@ oracle-backed verifier for interpolation claims."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
 from . import engine as E
@@ -19,6 +18,7 @@ from .syntax import (
     Neg,
     Sequent,
     SupercutError,
+    Value,
     atoms_of,
     rho,
     sequent_key,
@@ -34,15 +34,22 @@ class EntailmentError(InterpolationError):
     pass
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
-    interpolant_sequents: tuple[Sequent, ...]
-    interpolant_formula: Formula
-    left_logic: str
-    right_logic: str
-    left_certificates: tuple  # one Proof per interpolant sequent, or ("oracle",)
-    right_certificate: object  # Proof or "oracle"
-    verified: bool
+class InterpolationResult(Value):
+    """``left_certificates`` holds one Proof per interpolant sequent, or
+    ("oracle",); ``right_certificate`` is a Proof or "oracle"."""
+
+    __slots__ = _fields = ("interpolant_sequents", "interpolant_formula", "left_logic", "right_logic",
+                           "left_certificates", "right_certificate", "verified")
+
+    def __init__(self, interpolant_sequents: tuple[Sequent, ...], interpolant_formula: Formula, left_logic: str,
+                 right_logic: str, left_certificates: tuple, right_certificate: object, verified: bool):
+        object.__setattr__(self, "interpolant_sequents", interpolant_sequents)
+        object.__setattr__(self, "interpolant_formula", interpolant_formula)
+        object.__setattr__(self, "left_logic", left_logic)
+        object.__setattr__(self, "right_logic", right_logic)
+        object.__setattr__(self, "left_certificates", left_certificates)
+        object.__setattr__(self, "right_certificate", right_certificate)
+        object.__setattr__(self, "verified", verified)
 
 
 CALC_TO_LOGIC = {"gb": "b", "glp": "lp", "gk": "k", "getl": "etl", "gecq": "ecq", "gcl": "cl"}

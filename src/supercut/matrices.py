@@ -13,7 +13,6 @@ pass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
@@ -28,6 +27,7 @@ from .syntax import (
     Sequent,
     SupercutError,
     Top,
+    Value,
     atoms_of,
 )
 
@@ -36,58 +36,70 @@ class MatrixError(SupercutError):
     pass
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Value):
     """A finite algebra with a designated subset.
 
     Operation tables are total maps over the carrier; ``check_laws`` verifies
     the lattice/De Morgan equations by enumeration.
+
+    ``factors`` holds the factors of a product matrix, flattened; () for any
+    other matrix. ``holds`` decides a product through its factors. The
+    lookup tables are derived from the rows once, at construction. Neither
+    takes part in equality, hashing or repr. ``_ops`` holds the operations
+    over carrier indices for bit-sliced evaluation: the meet and join
+    tables, the neg table, and the top and bottom indices. Matrices with
+    equal ``_ops`` differ only in ``_designated_at``, the designated indices.
     """
 
-    name: str
-    carrier: tuple[str, ...]
-    meet: tuple[tuple[str, str, str], ...]
-    join: tuple[tuple[str, str, str], ...]
-    neg: tuple[tuple[str, str], ...]
-    top: str
-    bot: str
-    designated: frozenset[str]
-    # The factors of a product matrix, flattened; () for any other matrix.
-    # ``holds`` decides a product through its factors.
-    factors: tuple["Matrix", ...] = field(default=(), repr=False, compare=False)
-    # Lookup tables derived from the rows above once, in __post_init__; they
-    # take no part in equality, hashing or repr. ``_ops`` holds the
-    # operations over carrier indices for bit-sliced evaluation: the meet
-    # and join tables, the neg table, and the top and bottom indices.
-    # Matrices with equal ``_ops`` differ only in ``_designated_at``, the
-    # designated indices.
-    _meet: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
-    _join: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
-    _neg: dict[str, str] = field(init=False, repr=False, compare=False)
-    _ops: tuple = field(init=False, repr=False, compare=False)
-    _designated_at: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("name", "carrier", "meet", "join", "neg", "top", "bot", "designated")
+    __slots__ = _fields + ("factors", "_meet", "_join", "_neg", "_ops", "_designated_at")
 
-    def __post_init__(self):
-        meet = {(a, b): c for a, b, c in self.meet}
-        join = {(a, b): c for a, b, c in self.join}
-        neg = dict(self.neg)
-        index = {c: i for i, c in enumerate(self.carrier)}
+    def __init__(
+        self,
+        name: str,
+        carrier: tuple[str, ...],
+        meet: tuple[tuple[str, str, str], ...],
+        join: tuple[tuple[str, str, str], ...],
+        neg: tuple[tuple[str, str], ...],
+        top: str,
+        bot: str,
+        designated: frozenset[str],
+        factors: tuple[Matrix, ...] = (),
+    ):
+        meet_at = {(a, b): c for a, b, c in meet}
+        join_at = {(a, b): c for a, b, c in join}
+        neg_at = dict(neg)
+        index = {c: i for i, c in enumerate(carrier)}
         try:
             ops = (
-                tuple(tuple(index[meet[a, b]] for b in self.carrier) for a in self.carrier),
-                tuple(tuple(index[join[a, b]] for b in self.carrier) for a in self.carrier),
-                tuple(index[neg[a]] for a in self.carrier),
-                index[self.top],
-                index[self.bot],
+                tuple(tuple(index[meet_at[a, b]] for b in carrier) for a in carrier),
+                tuple(tuple(index[join_at[a, b]] for b in carrier) for a in carrier),
+                tuple(index[neg_at[a]] for a in carrier),
+                index[top],
+                index[bot],
             )
-            designated_at = tuple(sorted(index[d] for d in self.designated))
+            designated_at = tuple(sorted(index[d] for d in designated))
         except KeyError as exc:
-            raise MatrixError(f"matrix {self.name}: tables not total over the carrier at {exc}") from None
-        object.__setattr__(self, "_meet", meet)
-        object.__setattr__(self, "_join", join)
-        object.__setattr__(self, "_neg", neg)
-        object.__setattr__(self, "_ops", ops)
-        object.__setattr__(self, "_designated_at", designated_at)
+            raise MatrixError(f"matrix {name}: tables not total over the carrier at {exc}") from None
+        # in the order of __slots__
+        values = (name, carrier, meet, join, neg, top, bot, designated, factors, meet_at, join_at, neg_at, ops,
+                  designated_at)
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+
+    def _compared(self) -> tuple:
+        return (self.name, self.carrier, self.meet, self.join, self.neg, self.top, self.bot, self.designated)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __reduce__(self):
+        return Matrix, self._compared() + (self.factors,)
 
     def meet_of(self, a: str, b: str) -> str:
         return self._meet[a, b]
@@ -254,16 +266,16 @@ def product_matrix(a: Matrix, b: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogicSpec:
+class LogicSpec(Value):
     """A single matrix or a nonempty intersection of logic specs."""
 
-    name: str
-    matrices: tuple[Matrix, ...]
+    __slots__ = _fields = ("name", "matrices")
 
-    def __post_init__(self):
-        if not self.matrices:
+    def __init__(self, name: str, matrices: tuple[Matrix, ...]):
+        if not matrices:
             raise MatrixError("intersection must be nonempty")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "matrices", matrices)
 
 
 def single(m: Matrix, name: str | None = None) -> LogicSpec:

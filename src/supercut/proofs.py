@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import rules as R
@@ -15,7 +14,7 @@ from .syntax import (
     Sequent,
     SupercutError,
     Top,
-    _dataclass_repr,
+    Value,
     _parse_sequent,
     formula_key,
     subformulas,
@@ -24,23 +23,26 @@ from .syntax import (
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Proof:
+class Proof(Value):
     """A finite labeled proof tree.
 
     ``rule`` is one of: "premise", the axioms "top-right"/"bot-left", a
     logical rule id, or a structural rule name. Instantiations are not
     stored; the checker re-infers them.
 
-    Equality and repr are the ones the dataclass would generate, and the
-    hash is taken over the same fields; none of them recurses, so a proof
-    of any depth has them.
+    Equality compares the fields and the hash is taken over them. None of
+    equality, hash and repr recurses, so a proof of any depth has them.
     """
 
-    conclusion: Sequent
-    rule: str
-    children: tuple["Proof", ...] = ()
-    premise_index: Optional[int] = None
+    __slots__ = _fields = ("conclusion", "rule", "children", "premise_index")
+
+    def __init__(
+        self, conclusion: Sequent, rule: str, children: tuple[Proof, ...] = (), premise_index: Optional[int] = None
+    ):
+        _set_conclusion(self, conclusion)
+        _set_rule(self, rule)
+        _set_children(self, children)
+        _set_premise_index(self, premise_index)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -69,20 +71,9 @@ class Proof:
     def __hash__(self) -> int:
         return rebuild(self, lambda node, kids: hash((node.conclusion, node.rule, kids, node.premise_index)))
 
-    def __repr__(self) -> str:
-        return _dataclass_repr(self, Proof)
-
-    def walk(self, path: Path = ()) -> Iterable[tuple[Path, "Proof"]]:
-        """Every node of the proof read as a tree with its path, in pre-order."""
-        todo = [(path, self)]
-        while todo:
-            path, node = todo.pop()
-            yield path, node
-            todo.extend((path + (i,), node.children[i]) for i in reversed(range(len(node.children))))
-
     def nodes(self) -> Iterator["Proof"]:
-        """Each distinct node once, in the order ``walk`` first reaches it;
-        a subproof shared by several parents is not walked again."""
+        """Each distinct node once, in pre-order of the proof read as a
+        tree; a subproof shared by several parents is not walked again."""
         seen: set[int] = set()
         todo = [self]
         while todo:
@@ -99,6 +90,12 @@ class Proof:
         """Node count of the proof read as a tree, in time linear in its
         distinct nodes."""
         return rebuild(self, lambda _, sizes: 1 + sum(sizes))
+
+
+_set_conclusion = Proof.conclusion.__set__
+_set_rule = Proof.rule.__set__
+_set_children = Proof.children.__set__
+_set_premise_index = Proof.premise_index.__set__
 
 
 T = TypeVar("T")
@@ -214,11 +211,13 @@ def common_formula(node: Proof) -> tuple[Formula, str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    path: Optional[Path] = None
-    reason: Optional[str] = None
+class CheckResult(Value):
+    __slots__ = _fields = ("ok", "path", "reason")
+
+    def __init__(self, ok: bool, path: Optional[Path] = None, reason: Optional[str] = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -376,42 +375,40 @@ def has_subformula_property(p: Proof, declared_premises: Iterable[Sequent] = ())
     return True
 
 
-def phase_split(p: Proof) -> tuple[frozenset[Path], frozenset[Path], frozenset[Path]]:
-    """Partition rule nodes into elimination, structural and introduction zones.
+def _zone(rule: str) -> int:
+    """0 for an elimination, 1 for a structural rule, 2 for an
+    introduction, -1 for a premise or an axiom."""
+    return 0 if is_elim(rule) else 2 if is_intro(rule) else 1 if is_structural(rule) else -1
+
+
+def phase_split(p: Proof) -> tuple[tuple[Proof, ...], tuple[Proof, ...], tuple[Proof, ...]]:
+    """Partition the distinct rule nodes into elimination, structural and
+    introduction zones, each in ``Proof.nodes()`` order.
 
     Requires a structurally atomic analytic-synthetic proof; the tripartite
-    branch shape is asserted.
+    branch shape is asserted once per node and zone below it.
     """
     if not (is_structurally_atomic(p) and is_analytic_synthetic(p)):
         raise SupercutError("phase_split requires a structurally atomic analytic-synthetic proof")
-    elim, struct, intro = set(), set(), set()
-    for path, node in p.walk():
-        if is_elim(node.rule):
-            elim.add(path)
-        elif is_intro(node.rule):
-            intro.add(path)
-        elif is_structural(node.rule) and node.rule != "premise":
-            struct.add(path)
-
-    def zone(path: Path) -> int:
-        if path in elim:
-            return 0
-        if path in struct:
-            return 1
-        if path in intro:
-            return 2
-        return -1
-
-    # walk from root upward: zones must not increase toward the leaves
-    todo = [(p, (), 2)]
-    while todo:
-        node, path, min_above = todo.pop()
-        z = zone(path)
+    zones: tuple[list[Proof], ...] = ([], [], [])
+    for node in p.nodes():
+        z = _zone(node.rule)
         if z >= 0:
-            assert z <= min_above, "branch violates elim/structural/intro ordering"
-            min_above = z
-        todo.extend((c, path + (i,), min_above) for i, c in enumerate(node.children))
-    return frozenset(elim), frozenset(struct), frozenset(intro)
+            zones[z].append(node)
+    # from the root upward: zones must not increase toward the leaves
+    seen: set[tuple[int, int]] = set()
+    todo = [(p, 2)]
+    while todo:
+        node, below = todo.pop()
+        if (id(node), below) in seen:
+            continue
+        seen.add((id(node), below))
+        z = _zone(node.rule)
+        if z >= 0:
+            assert z <= below, "branch violates elim/structural/intro ordering"
+            below = z
+        todo.extend((c, below) for c in node.children)
+    return tuple(zones[0]), tuple(zones[1]), tuple(zones[2])
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ enforcement, cut elimination and refutation reshaping."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import proofs as P
@@ -39,11 +38,13 @@ class RefutationShapeError(RewriteError):
     pass
 
 
-@dataclass
 class RewriteTrace:
     """Replayable record of rewrite events: (pass, site, rule applied)."""
 
-    entries: list[tuple[str, str, str]] = field(default_factory=list)
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        self.entries: list[tuple[str, str, str]] = []
 
     def record(self, pass_name: str, site: str, rule: str) -> None:
         self.entries.append((pass_name, site, rule))

@@ -6,7 +6,6 @@ import heapq
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -23,6 +22,7 @@ from .syntax import (
     Substitution,
     SupercutError,
     Top,
+    Value,
     map_atoms,
     parse_formula,
     render,
@@ -52,15 +52,18 @@ AXIOMS = {"right": "top-right", "left": "bot-left"}
 AXIOM_RULES = frozenset(AXIOMS.values())
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Value):
     """One row of DECOMPOSITION with its introduction and elimination names."""
 
-    connective: type
-    side: str
-    branches: tuple[tuple[tuple[str, str], ...], ...]
-    intro: str
-    elim: str
+    __slots__ = _fields = ("connective", "side", "branches", "intro", "elim")
+
+    def __init__(self, connective: type, side: str, branches: tuple[tuple[tuple[str, str], ...], ...], intro: str,
+                 elim: str):
+        object.__setattr__(self, "connective", connective)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "intro", intro)
+        object.__setattr__(self, "elim", elim)
 
     def branch(self, s: Sequent, f: Formula, i: int) -> Sequent:
         """s with one occurrence of f taken off its side and branch i's components added."""
@@ -102,11 +105,18 @@ INTRO_RULES = frozenset(r.intro for r in ROWS.values())
 ELIM_RULES = frozenset(r.elim for r in ROWS.values())
 
 
-@dataclass(frozen=True)
-class LogicalMatch:
-    rule: str
-    principal: Formula
-    branch: int = 0  # for an elimination, the branch its conclusion takes
+class LogicalMatch(Value):
+    __slots__ = _fields = ("rule", "principal", "branch")
+
+    def __init__(self, rule: str, principal: Formula, branch: int = 0):
+        _set_match_rule(self, rule)
+        _set_principal(self, principal)
+        _set_branch(self, branch)  # for an elimination, the branch its conclusion takes
+
+
+_set_match_rule = LogicalMatch.rule.__set__
+_set_principal = LogicalMatch.principal.__set__
+_set_branch = LogicalMatch.branch.__set__
 
 
 def match_logical(rule: str, premises: Sequence[Sequent], conclusion: Sequent) -> Optional[LogicalMatch]:
@@ -155,27 +165,29 @@ _SLOT_RE = re.compile(r"[A-Z][A-Za-z0-9_']*")
 _SATOM_RE = re.compile(r"[a-z][A-Za-z0-9_']*")
 
 
-@dataclass(frozen=True)
-class SequentSchema:
+class SequentSchema(Value):
     """One schematic sequent: schema-atom and context-slot names per side.
 
     Schema atoms instantiate to single formulas (atoms in atomic mode);
     slots instantiate to finite multisets. Slots are distinct per side.
     """
 
-    atoms_left: tuple[str, ...]
-    slots_left: tuple[str, ...]
-    atoms_right: tuple[str, ...]
-    slots_right: tuple[str, ...]
+    __slots__ = _fields = ("atoms_left", "slots_left", "atoms_right", "slots_right")
 
     def __init__(self, atoms_left=(), slots_left=(), atoms_right=(), slots_right=()):
-        # one write to the instance dict, which a frozen dataclass leaves open
-        self.__dict__.update(
-            atoms_left=tuple(sorted(atoms_left)),
-            slots_left=tuple(sorted(set(slots_left))),
-            atoms_right=tuple(sorted(atoms_right)),
-            slots_right=tuple(sorted(set(slots_right))),
-        )
+        _set_atoms_left(self, tuple(sorted(atoms_left)))
+        _set_slots_left(self, tuple(sorted(set(slots_left))))
+        _set_atoms_right(self, tuple(sorted(atoms_right)))
+        _set_slots_right(self, tuple(sorted(set(slots_right))))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SequentSchema:
+            return NotImplemented
+        return (self.atoms_left, self.slots_left, self.atoms_right, self.slots_right) == (
+            other.atoms_left, other.slots_left, other.atoms_right, other.slots_right)
+
+    def __hash__(self) -> int:
+        return hash((self.atoms_left, self.slots_left, self.atoms_right, self.slots_right))
 
     def atom_names(self) -> frozenset[str]:
         return frozenset(self.atoms_left) | frozenset(self.atoms_right)
@@ -195,13 +207,33 @@ class SequentSchema:
         return "|-"
 
 
-@dataclass(frozen=True)
-class StructuralRule:
-    name: str
-    premises: tuple[SequentSchema, ...]
-    conclusion: SequentSchema
-    # of an expansion: per premise, the index of the base premise it expands
-    sources: tuple[int, ...] = field(default=(), compare=False)
+_set_atoms_left = SequentSchema.atoms_left.__set__
+_set_slots_left = SequentSchema.slots_left.__set__
+_set_atoms_right = SequentSchema.atoms_right.__set__
+_set_slots_right = SequentSchema.slots_right.__set__
+
+
+class StructuralRule(Value):
+    """A structural rule; ``sources``, of an expansion, gives per premise
+    the index of the base premise it expands, and takes no part in equality
+    or the hash."""
+
+    __slots__ = _fields = ("name", "premises", "conclusion", "sources")
+
+    def __init__(self, name: str, premises: tuple[SequentSchema, ...], conclusion: SequentSchema,
+                 sources: tuple[int, ...] = ()):
+        _set_name(self, name)
+        _set_premises(self, premises)
+        _set_conclusion(self, conclusion)
+        _set_sources(self, sources)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not StructuralRule:
+            return NotImplemented
+        return (self.name, self.premises, self.conclusion) == (other.name, other.premises, other.conclusion)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.premises, self.conclusion))
 
     def schema_atoms(self) -> tuple[str, ...]:
         names: set[str] = set(self.conclusion.atom_names())
@@ -222,6 +254,12 @@ class StructuralRule:
     def schema_key(self) -> tuple:
         """Identity of the rule up to its name."""
         return (self.premises, self.conclusion)
+
+
+_set_name = StructuralRule.name.__set__
+_set_premises = StructuralRule.premises.__set__
+_set_conclusion = StructuralRule.conclusion.__set__
+_set_sources = StructuralRule.sources.__set__
 
 
 def parse_structural_rule(text: str, name: str | None = None) -> StructuralRule:
@@ -287,15 +325,23 @@ CONTRACTION_NAMES = frozenset(CONTRACTION.values())
 COMMON_NAMES = frozenset(COMMON_SIDE)
 
 
-@dataclass(frozen=True)
-class Calculus:
+class Calculus(Value):
     """A super-Belnap calculus: the fixed logical rules plus specific structural rules.
 
     Weakening and Contraction are implicit members of every calculus.
     """
 
-    name: str
-    specific: tuple[StructuralRule, ...]
+    # no __slots__: the cached ``_table`` lives in the instance dict
+    _fields = ("name", "specific")
+
+    def __init__(self, name: str, specific: tuple[StructuralRule, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "specific", specific)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Calculus:
+            return NotImplemented
+        return (self.name, self.specific) == (other.name, other.specific)
 
     def __hash__(self) -> int:
         # Equal calculi share a name, so it alone is a valid hash; a lookup
@@ -351,11 +397,13 @@ def builtin_calculus(name: str) -> Calculus:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class StructuralMatch:
-    rule: str
-    atom_assignment: dict[str, Formula]
-    slot_assignment: dict[str, tuple[Formula, ...]]
+    __slots__ = ("rule", "atom_assignment", "slot_assignment")
+
+    def __init__(self, rule: str, atom_assignment: dict[str, Formula], slot_assignment: dict[str, tuple[Formula, ...]]):
+        self.rule = rule
+        self.atom_assignment = atom_assignment
+        self.slot_assignment = slot_assignment
 
 
 def match_structural(
@@ -515,12 +563,15 @@ def _at_set_walk(s: Sequent, chooser) -> frozenset[Sequent]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RuleClassification:
-    cut_formulas: frozenset[str]
-    side_formulas: frozenset[str]
-    is_generalized_cut: bool
-    introduces_new_variables: bool
+class RuleClassification(Value):
+    __slots__ = _fields = ("cut_formulas", "side_formulas", "is_generalized_cut", "introduces_new_variables")
+
+    def __init__(self, cut_formulas: frozenset[str], side_formulas: frozenset[str], is_generalized_cut: bool,
+                 introduces_new_variables: bool):
+        object.__setattr__(self, "cut_formulas", cut_formulas)
+        object.__setattr__(self, "side_formulas", side_formulas)
+        object.__setattr__(self, "is_generalized_cut", is_generalized_cut)
+        object.__setattr__(self, "introduces_new_variables", introduces_new_variables)
 
 
 def classify(rule: StructuralRule) -> RuleClassification:

@@ -6,7 +6,6 @@ Everything here is immutable and hashable; values are shared freely.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Union
 
@@ -28,21 +27,76 @@ class ResourceCapError(SupercutError):
     """Raised when a resource cap is exceeded: saturation facts or oracle valuations."""
 
 
+class Value:
+    """Base of the package's immutable value classes.
+
+    ``_fields`` names what a value is built from, in constructor order: its
+    repr lists them and its pickle rebuilds the value through the
+    constructor. Assigning or deleting an attribute raises AttributeError,
+    so each ``__init__`` sets its slots through their descriptors or
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        return value_repr(self)
+
+
+def value_repr(x: Value) -> str:
+    """``Type(field=value, ...)`` over x's ``_fields``, built from an
+    explicit stack: a nested Value, alone or in a tuple, is written the same
+    way, however deep the nesting."""
+    out: list[str] = []
+    todo: list = [x]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        pieces: list = [type(x).__qualname__ + "("]
+        for i, name in enumerate(x._fields):
+            pieces.append(", " * (i > 0) + name + "=")
+            value = getattr(x, name)
+            if isinstance(value, Value):
+                pieces.append(value)
+            elif isinstance(value, tuple) and value and all(isinstance(v, Value) for v in value):
+                pieces.append("(")
+                for j, v in enumerate(value):
+                    pieces.extend((", ", v) if j else (v,))
+                pieces.append(",)" if len(value) == 1 else ")")
+            else:
+                pieces.append(repr(value))
+        pieces.append(")")
+        todo.extend(reversed(pieces))
+    return "".join(out)
+
+
 # ---------------------------------------------------------------------------
 # Formulas
 # ---------------------------------------------------------------------------
 
 
-class Formula:
-    """Base class of formula nodes. Subclasses are frozen dataclasses.
+class Formula(Value):
+    """Base class of formula nodes.
 
     Each node stores its rendering and its hash when it is built, from its
     children's, so neither is recomputed per use and neither recurses.
-    Equality stays structural. The stored values are not dataclass fields:
+    Equality stays structural. The stored values are not in ``_fields``:
     they stay out of ``repr`` and out of pickles, which rebuild the node
     through its constructor (a hash of atom names differs per process).
-    The hash is the one the dataclass would generate, the hash of the tuple
-    of field values, so hash-ordered iteration is as it was.
+    The hash is the hash of the tuple of the atom's name, or of the node's
+    children's hashes.
 
     ``_plain`` says that every atom name is an identifier other than ``T``
     and ``F``. Rendering is injective on such formulas (reading identifiers
@@ -70,12 +124,6 @@ class Formula:
             return self._key == other._key
         return _same(self, other)
 
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-    def __repr__(self) -> str:
-        return _dataclass_repr(self, Formula)
-
     def __and__(self, other: "Formula") -> "Formula":
         return And(self, other)
 
@@ -86,42 +134,13 @@ class Formula:
         return Neg(self)
 
 
-def _dataclass_repr(x: object, node: type) -> str:
-    """The repr a dataclass generates for x, ``Type(field=value, ...)``,
-    built from an explicit stack: a value of type ``node``, alone or in a
-    tuple, is written the same way, however deep the nesting."""
-    out: list[str] = []
-    todo: list = [x]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, str):
-            out.append(x)
-            continue
-        pieces: list = [type(x).__qualname__ + "("]
-        for i, fld in enumerate(fields(x)):
-            pieces.append(", " * (i > 0) + fld.name + "=")
-            value = getattr(x, fld.name)
-            if isinstance(value, node):
-                pieces.append(value)
-            elif isinstance(value, tuple) and value and all(isinstance(v, node) for v in value):
-                pieces.append("(")
-                for j, v in enumerate(value):
-                    pieces.extend((", ", v) if j else (v,))
-                pieces.append(",)" if len(value) == 1 else ")")
-            else:
-                pieces.append(repr(value))
-        pieces.append(")")
-        todo.extend(reversed(pieces))
-    return "".join(out)
-
-
 # Longest rendering stored on a compound node. A parent's rendering contains
 # its children's, so storing every one would take memory quadratic in the
 # depth of a chain; past the cap, render() builds the text on each call.
 KEY_CAP = 1024
 
-# Each slot is set through its own descriptor: a frozen dataclass refuses
-# plain assignment, and object.__setattr__ looks the slot up on each call.
+# Each slot is set through its own descriptor: a Value refuses plain
+# assignment, and object.__setattr__ looks the slot up on each call.
 _set_key = Formula._key.__set__
 _set_hash = Formula._hash.__set__
 _set_plain = Formula._plain.__set__
@@ -142,10 +161,8 @@ def _joined(*parts: str | None) -> str | None:
     return key if len(key) <= KEY_CAP else None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
-    __slots__ = ("name",)
-    name: str
+    __slots__ = _fields = ("name",)
 
     def __init__(self, name: str):
         _set_name(self, name)
@@ -157,7 +174,6 @@ class Atom(Formula):
 _set_name = Atom.name.__set__
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Top(Formula):
     __slots__ = ()
 
@@ -167,7 +183,6 @@ class Top(Formula):
         _set_plain(self, True)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Bot(Formula):
     __slots__ = ()
 
@@ -177,10 +192,8 @@ class Bot(Formula):
         _set_plain(self, True)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Formula):
-    __slots__ = ("arg",)
-    arg: Formula
+    __slots__ = _fields = ("arg",)
 
     def __init__(self, arg: Formula):
         _set_arg(self, arg)
@@ -196,14 +209,11 @@ class Neg(Formula):
 _set_arg = Neg.arg.__set__
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _Binary(Formula):
     """A binary connective: its text ``_op`` between operands asked for
     the levels ``_operand_prec``."""
 
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
         _set_left(self, left)
@@ -402,11 +412,13 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolarityReport:
+class PolarityReport(Value):
     """Per-atom (occurs-positively, occurs-negatively) flags."""
 
-    flags: tuple[tuple[str, bool, bool], ...]
+    __slots__ = _fields = ("flags",)
+
+    def __init__(self, flags: tuple[tuple[str, bool, bool], ...]):
+        object.__setattr__(self, "flags", flags)
 
     def positive(self, name: str) -> bool:
         return any(a == name and p for a, p, _ in self.flags)
@@ -421,21 +433,27 @@ class PolarityReport:
         return frozenset(a for a, _, _ in self.flags)
 
 
+def _signed_atoms(f: Formula) -> Iterator[tuple[Atom, bool]]:
+    """Each atom occurrence of f in leaf order, with True when it sits
+    under an even number of negations; an explicit stack, so a deep formula
+    does not recurse."""
+    todo = [(f, True)]
+    while todo:
+        g, sign = todo.pop()
+        if isinstance(g, Atom):
+            yield g, sign
+        elif isinstance(g, Neg):
+            todo.append((g.arg, not sign))
+        elif isinstance(g, _Binary):
+            todo.append((g.right, sign))
+            todo.append((g.left, sign))
+
+
 def polarity(f: Formula) -> PolarityReport:
     """Positive/negative occurrence flags per atom; negation swaps polarity."""
     acc: dict[str, list[bool]] = {}
-
-    def walk(g: Formula, sign: bool) -> None:
-        if isinstance(g, Atom):
-            entry = acc.setdefault(g.name, [False, False])
-            entry[0 if sign else 1] = True
-        elif isinstance(g, Neg):
-            walk(g.arg, not sign)
-        elif isinstance(g, (And, Or)):
-            walk(g.left, sign)
-            walk(g.right, sign)
-
-    walk(f, True)
+    for g, sign in _signed_atoms(f):
+        acc.setdefault(g.name, [False, False])[0 if sign else 1] = True
     flags = tuple(sorted((a, p, n) for a, (p, n) in acc.items()))
     return PolarityReport(flags)
 
@@ -464,20 +482,26 @@ def _sorted_side(forms: Iterable[Formula]) -> tuple[Formula, ...]:
         return tuple(sorted(forms, key=render))
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(Value):
     """A pair of finite multisets of formulas, stored in canonical order.
 
     Multiset equality (order-insensitive, multiplicity-sensitive) coincides
     with structural equality because both sides are sorted at construction.
     """
 
-    left: tuple[Formula, ...]
-    right: tuple[Formula, ...]
+    __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Iterable[Formula] = (), right: Iterable[Formula] = ()):
-        object.__setattr__(self, "left", _sorted_side(left))
-        object.__setattr__(self, "right", _sorted_side(right))
+        _set_lhs(self, _sorted_side(left))
+        _set_rhs(self, _sorted_side(right))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Sequent:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     def is_atomic(self) -> bool:
         """All member formulas are atoms; constants disqualify a sequent."""
@@ -491,8 +515,8 @@ class Sequent:
         is already sorted and is kept as it is."""
         left, right = tuple(left), tuple(right)
         out = object.__new__(Sequent)
-        object.__setattr__(out, "left", _sorted_side(self.left + left) if left else self.left)
-        object.__setattr__(out, "right", _sorted_side(self.right + right) if right else self.right)
+        _set_lhs(out, _sorted_side(self.left + left) if left else self.left)
+        _set_rhs(out, _sorted_side(self.right + right) if right else self.right)
         return out
 
     def remove_one(self, f: Formula, side: str) -> "Sequent":
@@ -501,8 +525,8 @@ class Sequent:
         forms.remove(f)
         # what is left of a sorted side is sorted
         out = object.__new__(Sequent)
-        object.__setattr__(out, "left", tuple(forms) if side == "left" else self.left)
-        object.__setattr__(out, "right", tuple(forms) if side == "right" else self.right)
+        _set_lhs(out, tuple(forms) if side == "left" else self.left)
+        _set_rhs(out, tuple(forms) if side == "right" else self.right)
         return out
 
     def support(self) -> "Sequent":
@@ -522,6 +546,10 @@ class Sequent:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
+
+
+_set_lhs = Sequent.left.__set__
+_set_rhs = Sequent.right.__set__
 
 
 def sequent_key(s: Sequent) -> str:
@@ -562,15 +590,13 @@ def _parse_side(text: str, parsed: dict[str, Formula]) -> list[Formula]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(Value):
     """Finite-support map from atom names to formulas; identity elsewhere."""
 
-    mapping: tuple[tuple[str, Formula], ...]
+    __slots__ = _fields = ("mapping",)
 
     def __init__(self, mapping: dict[str, Formula] | Iterable[tuple[str, Formula]] = ()):
-        items = dict(mapping)
-        object.__setattr__(self, "mapping", tuple(sorted(items.items())))
+        object.__setattr__(self, "mapping", tuple(sorted(dict(mapping).items())))
 
     def as_dict(self) -> dict[str, Formula]:
         return dict(self.mapping)
@@ -671,28 +697,20 @@ def decompose_substitution(
     fresh = fresh or FreshNames()
     bnc: dict[str, Formula] = {}
     sa: dict[str, Formula] = {}
-
-    def freshen(g: Formula, sign: bool, table: dict[tuple[str, bool], str]) -> Formula:
-        if isinstance(g, Atom):
-            key = (g.name, sign)
-            if key not in table:
-                name = fresh.take()
-                table[key] = name
-                sa[name] = g
-            return Atom(table[key])
-        if isinstance(g, (Top, Bot)):
-            return g
-        if isinstance(g, Neg):
-            return Neg(freshen(g.arg, not sign, table))
-        if isinstance(g, And):
-            return And(freshen(g.left, sign, table), freshen(g.right, sign, table))
-        if isinstance(g, Or):
-            return Or(freshen(g.left, sign, table), freshen(g.right, sign, table))
-        raise TypeError(f"not a formula: {g!r}")
-
     for a in sorted(set(relevant_atoms)):
+        image = s(a)
+        signs = (sign for _, sign in _signed_atoms(image))
         table: dict[tuple[str, bool], str] = {}
-        bnc[a] = freshen(s(a), True, table)
+
+        def freshen(g: Atom) -> Formula:
+            # map_atoms asks in leaf order, the order signs come in
+            key = (g.name, next(signs))
+            if key not in table:
+                table[key] = fresh.take()
+                sa[table[key]] = g
+            return Atom(table[key])
+
+        bnc[a] = map_atoms(image, freshen)
     return Substitution(bnc), Substitution(sa)
 
 

@@ -192,7 +192,7 @@ def test_criterion_4_cut_elimination():
         assert res.verdict
         n = normalize(res.proof, gcl, [], s)
         cf = eliminate_cuts(n)
-        rules = [x.rule for _, x in cf.walk()]
+        rules = [x.rule for x in cf.nodes()]
         assert "cut" not in rules
         assert not any(is_elim(r) for r in rules)
         assert check(cf, gcl, []).ok

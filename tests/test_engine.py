@@ -64,7 +64,7 @@ class TestDerives:
         # the structural zone is a single atomic Limited Cut
         structural_rules = [
             n.rule
-            for _, n in res.proof.walk()
+            for n in res.proof.nodes()
             if n.rule not in ("premise",) and not n.rule.startswith(("and", "or", "neg", "top", "bot"))
         ]
         assert structural_rules == ["limited-cut-left"]
@@ -170,7 +170,7 @@ class TestRefutes:
         res = refutes(prems, builtin_calculus("gecq"))
         assert res.verdict
         assert_good_proof(res, prems)
-        assert not any(is_intro(n.rule) for _, n in res.proof.walk())
+        assert not any(is_intro(n.rule) for n in res.proof.nodes())
 
     def test_antitheorem_discriminator(self):
         prems = [ps("|- (p & ~p) | (q & ~q)")]

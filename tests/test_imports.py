@@ -1,10 +1,14 @@
 """Every module of the package uses each name it imports, each private
 module-level function is used somewhere in the package, no function
-recurses that is not on the list of those that still do, and no module
-uses another's private names beyond the list of those that still do."""
+recurses that is not on the list of those that still do, no module
+uses another's private names beyond the list of those that still do, and
+importing the package loads none of the modules kept out of start-up."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -97,7 +101,6 @@ STILL_RECURSIVE = {
     "interpolation": {"_delete_occurrence"},
     "rewrite": {"_cut_atoms"},
     "rules": {"_shape_image", "_set_partitions"},
-    "syntax": {"polarity.walk", "decompose_substitution.freshen"},
 }
 
 
@@ -136,7 +139,6 @@ CROSS_MODULE_PRIVATE = {
     "proofs": [
         "rules._decomposition_candidates",
         "rules._decomposition_candidates",
-        "syntax._dataclass_repr",
         "syntax._parse_sequent",
     ],
     "rewrite": ["proofs._check_matches"],
@@ -173,3 +175,34 @@ def test_private_name_ratchet():
     found = {path.stem: _private_uses(ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))}
     found = {module: uses for module, uses in found.items() if uses}
     assert found == CROSS_MODULE_PRIVATE, "cross-module uses of private names differ from CROSS_MODULE_PRIVATE"
+
+
+# Standard modules that start-up does without: ``dataclasses`` alone pulls
+# in the other four, and importing them all takes most of the time it takes
+# to import the package.
+KEPT_OUT = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level names of the modules that tree imports from outside the package."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_no_module_imports_dataclasses():
+    importers = sorted(p.name for p in PACKAGE.glob("*.py") if "dataclasses" in _imported_modules(ast.parse(p.read_text())))
+    assert not importers, f"modules importing dataclasses: {', '.join(importers)}"
+
+
+def test_cli_import_leaves_out_slow_modules():
+    # -S: without site, which may import some of them itself
+    code = "import sys, supercut.cli; print(' '.join(m for m in %r if m in sys.modules))" % (KEPT_OUT,)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []

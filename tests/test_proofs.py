@@ -1,5 +1,7 @@
 """Proof checking, shape predicates, builders and serialization."""
 
+import time
+
 import pytest
 
 from supercut.engine import derives
@@ -14,6 +16,8 @@ from supercut.proofs import (
     intro,
     intro_derive,
     is_analytic_synthetic,
+    is_axiom,
+    is_elim,
     is_structurally_atomic,
     logical,
     no_elim_after_intro,
@@ -127,7 +131,7 @@ class TestCheck:
 
     def test_subtrees_check_against_their_leaves(self):
         for proof, _ in interderivability_fixtures():
-            for _, node in proof.walk():
+            for node in proof.nodes():
                 leaves = sorted(node.premise_leaves(), key=lambda s: s.render())
                 anon = _strip_indices(node)
                 assert check(anon, GCL, leaves).ok
@@ -399,7 +403,19 @@ class TestPhaseSplit:
         assert res.verdict
         elim, struct, intro = phase_split(res.proof)
         assert elim and struct
-        assert all(len(e) >= len(s) or True for e in elim for s in struct)
+        # above an elimination there are only eliminations, premises and axioms
+        assert all(is_elim(n.rule) or n.rule == "premise" or is_axiom(n.rule) for e in elim for n in e.nodes())
+        # the zones partition the distinct rule nodes
+        rule_nodes = [n for n in res.proof.nodes() if n.rule != "premise" and not is_axiom(n.rule)]
+        assert sorted(map(id, elim + struct + intro)) == sorted(map(id, rule_nodes))
+
+    def test_shared_tower_is_linear(self):
+        # 22 distinct nodes, 2**22 - 1 as a tree
+        tower = _cut_tower(21)
+        start = time.perf_counter()
+        elim, struct, intro = phase_split(tower)
+        assert time.perf_counter() - start < 1
+        assert not elim and not intro and struct == tuple(tower.nodes())
 
     def test_intro_only(self):
         i = logical("and-right-intro", [premise(ps("|- p"), 0), premise(ps("|- q"), 1)], ps("|- p & q"))
@@ -436,7 +452,7 @@ class TestBuilders:
         assert build_intro(ps("|- q & p, r & T"), premise).children[0].conclusion == ps("|- q, r & T")
         for _ in range(40):
             s = random_sequent(rng, ["p", "q"], 2)
-            leaves = [n.conclusion for _, n in build_intro(s, premise).walk() if n.rule == "premise"]
+            leaves = [n.conclusion for n in build_intro(s, premise).nodes() if n.rule == "premise"]
             assert set(leaves) == at_set(s)
 
     def test_intro_derive(self):
@@ -469,11 +485,12 @@ class TestSerialization:
         for _ in range(1999):
             d = structural("contraction-left", [structural("weakening-left", [d], ps("q, q |- p"))], ps("q |- p"))
         d = structural("weakening-left", [d], ps("q, q |- p"))
-        walked = list(d.walk())
-        assert len(walked) == 4001 and walked[-1][0] == (0,) * 4000 and walked[-1][1].rule == "premise"
+        walked = list(d.nodes())
+        # one child per node: the premise is at depth 4,000
+        assert len(walked) == 4001 and all(len(n.children) == 1 for n in walked[:-1]) and walked[-1].rule == "premise"
         copy = proof_from_dict(proof_to_dict(d))
-        assert [(path, n.conclusion, n.rule, n.premise_index) for path, n in copy.walk()] == [
-            (path, n.conclusion, n.rule, n.premise_index) for path, n in walked
+        assert [(len(n.children), n.conclusion, n.rule, n.premise_index) for n in copy.nodes()] == [
+            (len(n.children), n.conclusion, n.rule, n.premise_index) for n in walked
         ]
         assert check(copy, GCL, [ps("|- p")]).ok
         dot = proof_to_dot(d).splitlines()

@@ -57,12 +57,12 @@ class TestExpandStructural:
         assert is_structurally_atomic(out)
         cut_forms = {
             n.conclusion
-            for _, n in out.walk()
+            for n in out.nodes()
             if n.rule == "cut"
         }
         assert out.conclusion == node.conclusion
         # only atomic cuts remain
-        for _, n in out.walk():
+        for n in out.nodes():
             if n.rule == "cut":
                 assert n.conclusion.is_atomic()
 
@@ -73,7 +73,7 @@ class TestExpandStructural:
         assert check(out, GB, [ps("|- r")]).ok
         assert is_structurally_atomic(out)
         assert out.rule == "and-left-intro"
-        assert not any(is_elim(n.rule) for _, n in out.walk())
+        assert not any(is_elim(n.rule) for n in out.nodes())
 
     def test_already_atomic_is_fixpoint(self):
         node = structural("cut", [premise(ps("|- p"), 0), premise(ps("p |- q"), 1)], ps("|- q"))
@@ -414,7 +414,7 @@ class TestEliminateCuts:
         res = derives([], ps("|- p | ~p"), GCL)
         n = normalize(res.proof, GCL, [], ps("|- p | ~p"))
         out = eliminate_cuts(n)
-        rules = {x.rule for _, x in out.walk()}
+        rules = {x.rule for x in out.nodes()}
         assert "cut" not in rules
         assert not any(is_elim(r) for r in rules)
         assert check(out, GCL, []).ok
@@ -424,7 +424,7 @@ class TestEliminateCuts:
         res = derives([], goal, GCL)
         out = eliminate_cuts(normalize(res.proof, GCL, [], goal))
         assert check(out, GCL, []).ok
-        assert all(x.rule != "cut" and not is_elim(x.rule) for _, x in out.walk())
+        assert all(x.rule != "cut" and not is_elim(x.rule) for x in out.nodes())
 
     def test_requires_empty_premises(self):
         res = derives([ps("|- p")], ps("|- p | q"), GCL)
@@ -483,7 +483,7 @@ class TestSimplifyRefutation:
         out = simplify_refutation(final)
         assert check(out, GCL, prems).ok and out.conclusion == Sequent()
         # contraction now sits directly on the premise side
-        for path, node in out.walk():
+        for node in out.nodes():
             if node.rule == "contraction-right":
                 assert node.children[0].rule == "premise"
 
@@ -517,7 +517,7 @@ class TestSimplifyRefutation:
         chain = structural("cut", [premise(ps("|- p"), 1), cut1], ps("p |-"))
         final = structural("cut", [premise(ps("|- p"), 1), chain], Sequent())
         out = simplify_refutation(final)
-        assert all(n.rule != "identity" for _, n in out.walk())
+        assert all(n.rule != "identity" for n in out.nodes())
 
 
 class TestSeparateIdentityCut:
@@ -536,7 +536,7 @@ class TestSeparateIdentityCut:
         out = separate_identity_cut(cq)
         assert check(out, GCL, [ps("q, p |- p")]).ok
         assert out.conclusion == cq.conclusion
-        for _, node in out.walk():
+        for node in out.nodes():
             assert node.rule != "cut"
 
     def test_cut_free_unchanged(self):

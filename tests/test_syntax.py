@@ -6,13 +6,14 @@ import pickle
 import random
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supercut.matrices import B4, builtin, holds
+from supercut.matrices import B4, ETL4, builtin, holds, product_matrix
+from supercut.proofs import Proof
+from supercut.rules import CUT, LIMITED_CUT_LEFT, builtin_calculus, expansion
 from supercut.syntax import (
     KEY_CAP,
     And,
@@ -242,6 +243,71 @@ class TestSubstitution:
         assert apply_subst(sa, bnc("p")) == q and apply_subst(sa, bnc("r")) == q
 
 
+def _polarity_reference(f):
+    """polarity as it was, one call per level: the flags it reports."""
+    acc = {}
+
+    def walk(g, sign):
+        if isinstance(g, Atom):
+            acc.setdefault(g.name, [False, False])[0 if sign else 1] = True
+        elif isinstance(g, Neg):
+            walk(g.arg, not sign)
+        elif isinstance(g, (And, Or)):
+            walk(g.left, sign)
+            walk(g.right, sign)
+
+    walk(f, True)
+    return tuple(sorted((a, p, n) for a, (p, n) in acc.items()))
+
+
+def _decompose_reference(s, relevant_atoms, fresh):
+    """decompose_substitution as it was, one call per level: the mappings
+    of bnc and sa."""
+    bnc, sa = {}, {}
+
+    def freshen(g, sign, table):
+        if isinstance(g, Atom):
+            key = (g.name, sign)
+            if key not in table:
+                name = fresh.take()
+                table[key] = name
+                sa[name] = g
+            return Atom(table[key])
+        if isinstance(g, (Top, Bot)):
+            return g
+        if isinstance(g, Neg):
+            return Neg(freshen(g.arg, not sign, table))
+        return type(g)(freshen(g.left, sign, table), freshen(g.right, sign, table))
+
+    for a in sorted(set(relevant_atoms)):
+        bnc[a] = freshen(s(a), True, {})
+    return Substitution(bnc).mapping, Substitution(sa).mapping
+
+
+class TestPolarityAndDecompositionWalks:
+    def test_match_the_recursive_versions(self):
+        rng = random.Random(18)
+        for _ in range(300):
+            f = random_formula(rng, ["p", "q", "r"], 5)
+            assert polarity(f).flags == _polarity_reference(f)
+            s = Substitution({a: random_formula(rng, ["p", "q", "r"], 4) for a in rng.sample(["p", "q", "r"], 2)})
+            bnc, sa = decompose_substitution(s, {"p", "q", "r"}, FreshNames())
+            assert (bnc.mapping, sa.mapping) == _decompose_reference(s, {"p", "q", "r"}, FreshNames())
+
+    def test_deep_chain(self):
+        # ~(q & ~(p & ~(q & ... ~(p & r)))), 3,000 levels of each connective:
+        # q under odd numbers of negations, p and r under even ones
+        f = r
+        for i in range(3000):
+            f = Neg(And(q if i % 2 else p, f))
+        assert [polarity(f).pair(a) for a in "pqr"] == [(True, False), (False, True), (True, False)]
+        assert is_balanced(f) and not is_balanced(And(q, f))
+        bnc, sa = decompose_substitution(Substitution({"x": f}), {"x"}, FreshNames())
+        # fresh names in leaf order
+        assert sa.mapping == (("_v0", q), ("_v1", p), ("_v2", r))
+        assert apply_subst(sa, bnc("x")) == f
+
+
 class TestTransformers:
     def test_tau(self):
         assert tau(parse_sequent("p, q |- r")) == Or(Neg(And(p, q)), r)
@@ -290,7 +356,7 @@ def _same_reference(f, g):
         return False
     return all(
         _same_reference(a, b) if isinstance(a, Formula) else a == b
-        for a, b in ((getattr(f, x.name), getattr(g, x.name)) for x in fields(f))
+        for a, b in ((getattr(f, x), getattr(g, x)) for x in f._fields)
     )
 
 
@@ -370,7 +436,7 @@ class TestStoredKeyAndHash:
             assert render(Or(f, TOP)) == _render_reference(Or(f, TOP))
 
     def test_stored_values_are_not_fields(self):
-        assert [x.name for x in fields(And)] == ["left", "right"]
+        assert list(And._fields) == ["left", "right"]
         assert repr(And(p, Neg(TOP))) == "And(left=Atom(name='p'), right=Neg(arg=Top()))"
         f = parse_formula("~(p & q) | r")
         assert b"_hash" not in pickle.dumps(f) and b"_key" not in pickle.dumps(f)
@@ -468,3 +534,66 @@ def test_pickles_carry_no_hash_across_hash_seeds(tmp_path):
     # the atoms' hashes differ between the two seeds, so a hash carried in
     # the pickle would be stale
     assert dumped != loaded
+
+
+class TestValueClasses:
+    """The package's value classes without dataclasses: each hashable one
+    hashes the tuple of the fields it compares, reprs and pickles read the
+    fields, and a field cannot be assigned."""
+
+    def _hashable(self):
+        seq = parse_sequent("p, q & ~r |- F, p")
+        leaf = Proof(seq, "premise", (), 0)
+        rule = expansion(LIMITED_CUT_LEFT, (parse_formula("x & y"),))
+        assert rule.sources
+        return {
+            "formulas": list(subformulas(parse_formula("~(p & q) | T & F"))),
+            "sequents": [seq, Sequent()],
+            "proofs": [leaf, Proof(seq, "weakening-left", (leaf, leaf))],
+            "schemas": [s for r in (CUT, rule) for s in r.premises + (r.conclusion,)],
+            "rules": [CUT, rule],
+            "calculi": [builtin_calculus("gcl")],
+            "matrices": [B4, product_matrix(ETL4, B4)],
+        }
+
+    def test_hash_is_the_hash_of_the_compared_fields(self):
+        values = self._hashable()
+        for x in values["sequents"] + values["schemas"] + values["matrices"]:
+            assert hash(x) == hash(tuple(getattr(x, name) for name in x._fields)), x
+        # a proof's children count by their hashes, so no hash recurses
+        for d in values["proofs"]:
+            assert hash(d) == hash((d.conclusion, d.rule, tuple(map(hash, d.children)), d.premise_index))
+        # a formula stores the hash of its name, or of its children's hashes
+        for f in values["formulas"]:
+            fields = tuple(getattr(f, name) for name in f._fields)
+            assert hash(f) == hash(fields if isinstance(f, Atom) else tuple(map(hash, fields))), f
+        for rule in values["rules"]:
+            # sources take no part
+            assert hash(rule) == hash((rule.name, rule.premises, rule.conclusion))
+            assert rule == type(rule)(rule.name, rule.premises, rule.conclusion)
+        for calc in values["calculi"]:
+            assert hash(calc) == hash(calc.name)
+
+    def test_reprs(self):
+        assert repr(parse_sequent("p |- q & r")) == (
+            "Sequent(left=(Atom(name='p'),), right=(And(left=Atom(name='q'), right=Atom(name='r')),))"
+        )
+        assert repr(Sequent()) == "Sequent(left=(), right=())"
+        assert repr(Or(Neg(BOT), Atom("s1"))) == "Or(left=Neg(arg=Bot()), right=Atom(name='s1'))"
+
+    def test_pickles(self):
+        for group in self._hashable().values():
+            for x in group:
+                y = pickle.loads(pickle.dumps(x))
+                assert y == x and hash(y) == hash(x) and type(y) is type(x)
+        m = self._hashable()["matrices"][1]
+        assert pickle.loads(pickle.dumps(m)).factors == m.factors != ()
+
+    def test_fields_are_read_only(self):
+        for group in self._hashable().values():
+            for x in group:
+                for name in x._fields or ("name",):  # Top and Bot have no fields
+                    with pytest.raises(AttributeError):
+                        setattr(x, name, None)
+                    with pytest.raises(AttributeError):
+                        delattr(x, name)

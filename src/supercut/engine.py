@@ -98,11 +98,14 @@ def effective_calculus(calc: R.Calculus, depth_bound: int = 2) -> tuple[R.Calcul
 # ---------------------------------------------------------------------------
 
 
-def _mask(names: Iterable[str], index: dict[str, int]) -> int:
-    m = 0
-    for n in names:
-        m |= 1 << index[n]
-    return m
+def _key(s: Sequent, index: dict[str, int]) -> FactKey:
+    """The fact key of an atomic sequent: a seed member or an At-set leaf."""
+    l = r = 0
+    for a in s.left:
+        l |= 1 << index[a.name]
+    for a in s.right:
+        r |= 1 << index[a.name]
+    return l, r
 
 
 class _Side(NamedTuple):
@@ -393,18 +396,9 @@ class SaturationState:
     """The saturated store: ``facts`` holds the subsumption-minimal facts and
     ``provenance`` every fact ever admitted, each with how it was derived."""
 
-    def __init__(
-        self,
-        universe: tuple[str, ...],
-        facts: dict[FactKey, tuple],
-        calculus: R.Calculus,
-        premises: tuple[Sequent, ...],
-        provenance: dict[FactKey, tuple],
-    ):
+    def __init__(self, universe: tuple[str, ...], facts: dict[FactKey, tuple], provenance: dict[FactKey, tuple]):
         self.universe = universe
         self.facts = facts
-        self.calculus = calculus
-        self.premises = premises
         self.provenance = provenance
 
     @cached_property
@@ -420,7 +414,7 @@ def saturate(
 ) -> SaturationState:
     """Close the seed At-set facts under the calculus rules, keeping the
     subsumption-minimal facts; ``max_facts`` caps the facts admitted."""
-    state = SaturationState(tuple(universe), {}, calc, tuple(premises), {})
+    state = SaturationState(tuple(universe), {}, {})
     facts, provenance, index = state.facts, state.provenance, state.index
     added: list[FactKey] = []
 
@@ -445,11 +439,7 @@ def saturate(
 
     for i, s in enumerate(premises):
         for member in sorted(R.at_set(s), key=sequent_key):
-            sup = member.support()
-            key = (
-                _mask((f.name for f in sup.left if isinstance(f, Atom)), index),
-                _mask((f.name for f in sup.right if isinstance(f, Atom)), index),
-            )
+            key = _key(member, index)
             if not subsumed(key):
                 keep(key, ("seed", i, member))
 
@@ -485,9 +475,7 @@ def _fact_sequent(key: FactKey, universe: Sequence[str]) -> Sequent:
 
 def _covering_fact(state: SaturationState, leaf: Sequent) -> Optional[FactKey]:
     """The smallest kept fact that weakens to the leaf (ties: the least key)."""
-    sup = leaf.support()
-    l = _mask((f.name for f in sup.left if isinstance(f, Atom)), state.index)
-    r = _mask((f.name for f in sup.right if isinstance(f, Atom)), state.index)
+    l, r = _key(leaf, state.index)
     best = None
     for k in state.facts:
         if k[0] & ~l == 0 and k[1] & ~r == 0:
@@ -502,10 +490,12 @@ def _covering_fact(state: SaturationState, leaf: Sequent) -> Optional[FactKey]:
 # ---------------------------------------------------------------------------
 
 
-def reconstruct(state: SaturationState, goal: Sequent, premises: Sequence[Sequent]) -> P.Proof:
+def reconstruct(
+    state: SaturationState, goal: Sequent, premises: Sequence[Sequent], covers: dict[Sequent, FactKey]
+) -> P.Proof:
     """Assemble the three-phase proof: eliminations from the premises,
     atomic structural steps from the saturation provenance, introductions
-    down to the goal."""
+    down to the goal, each At-set leaf weakened from its fact in ``covers``."""
     universe = state.universe
     elim_cache: dict[int, dict[Sequent, P.Proof]] = {}
     replay_cache: dict[FactKey, P.Proof] = {}
@@ -536,9 +526,7 @@ def reconstruct(state: SaturationState, goal: Sequent, premises: Sequence[Sequen
         return proof
 
     def mid(leaf: Sequent) -> P.Proof:
-        key = _covering_fact(state, leaf)
-        assert key is not None, f"no fact covers {leaf.render()}"
-        return P.weaken_to(replay(key), leaf)
+        return P.weaken_to(replay(covers[leaf]), leaf)
 
     return P.build_intro(goal, mid)
 
@@ -585,9 +573,9 @@ def derives(
     if not universe:
         universe = ["a"]  # subformula-property corner: one designated atom
     state = saturate(prems, eff, universe, max_facts=max_facts)
-    leaves = R.at_set(conclusion)
-    verdict = all(_covering_fact(state, leaf) is not None for leaf in leaves)
-    proof = reconstruct(state, conclusion, prems) if verdict else None
+    covers = {leaf: _covering_fact(state, leaf) for leaf in R.at_set(conclusion)}
+    verdict = None not in covers.values()
+    proof = reconstruct(state, conclusion, prems, covers) if verdict else None
     return DeriveResult(verdict, complete, eff, proof, len(state.provenance))
 
 

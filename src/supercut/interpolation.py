@@ -55,10 +55,6 @@ class InterpolationResult(Value):
 CALC_TO_LOGIC = {"gb": "b", "glp": "lp", "gk": "k", "getl": "etl", "gecq": "ecq", "gcl": "cl"}
 
 
-def _base_name(calc: R.Calculus) -> str:
-    return calc.name.split("+")[0]
-
-
 # ---------------------------------------------------------------------------
 # Critical nodes and the separating set
 # ---------------------------------------------------------------------------
@@ -188,7 +184,7 @@ def _interpolate_from_proof(
     """Shared core: prune critical (or separating) nodes; return the pruned
     sequents in ``sequent_key`` order, the first pruned subproof found for
     each, and the proof of the conclusion from them."""
-    keep = frozenset().union(*(atoms_of(s) for s in premises)) if premises else frozenset()
+    keep = frozenset().union(*map(atoms_of, premises))
     certificates: dict[Sequent, Proof] = {}
 
     def stand_in(q: Proof) -> Proof:
@@ -199,6 +195,23 @@ def _interpolate_from_proof(
     rest = _replace_critical_nodes(proof, stand_in, forbid_identity)
     ordered = tuple(sorted(certificates, key=sequent_key))
     return ordered, tuple(map(certificates.__getitem__, ordered)), rest
+
+
+def _interpolate(
+    premises: list[Sequent], conclusion: Sequent, calc: R.Calculus, depth_bound: int, separate: bool
+) -> tuple[tuple[Sequent, ...], tuple[Proof, ...], Proof]:
+    """Derive the conclusion, which decides entailment in an exact calculus,
+    and split the proof at its critical nodes, or with ``separate`` at the
+    separating nodes of Milne's split."""
+    res = E.derives(premises, conclusion, calc, depth_bound=depth_bound)
+    if not res.verdict:
+        raise EntailmentError("the premises do not derive the conclusion in this calculus")
+    assert res.proof is not None
+    if separate:
+        # a separating node lies above no Identity, GCL's one rule that is no generalized cut
+        return _interpolate_from_proof(RW.separate_identity_cut(res.proof), premises, res.calculus, True)
+    _require_generalized_cut(res.calculus)
+    return _interpolate_from_proof(res.proof, premises, res.calculus)
 
 
 def interpolate_sequents(
@@ -215,88 +228,55 @@ def interpolate_sequents(
     if isinstance(calc, str):
         calc = R.builtin_calculus(calc)
     prems = list(premises)
-    res = E.derives(prems, conclusion, calc, depth_bound=depth_bound)
-    if not res.verdict:
-        raise EntailmentError("the premises do not derive the conclusion in this calculus")
-    eff = res.calculus
-    _require_generalized_cut(eff)
-    assert res.proof is not None
-    ordered, certificates, rest = _interpolate_from_proof(res.proof, prems, eff)
-    formula = set_to_formula(ordered)
-    left_logic = CALC_TO_LOGIC[_base_name(eff)]
-    var_ok = all(
-        atoms_of(s) <= (frozenset().union(*(atoms_of(q) for q in prems)) if prems else frozenset())
-        and atoms_of(s) <= atoms_of(conclusion)
-        for s in ordered
-    )
+    ordered, certificates, rest = _interpolate(prems, conclusion, calc, depth_bound, False)
+    left_logic = CALC_TO_LOGIC[calc.name]
+    shared = frozenset().union(*map(atoms_of, prems)) & atoms_of(conclusion)
+    var_ok = all(atoms_of(s) <= shared for s in ordered)
     oracle_left = all(M.holds_sequent(M.builtin(left_logic), prems, s) for s in ordered)
     oracle_right = M.holds_sequent(M.builtin("b"), ordered, conclusion)
-    return InterpolationResult(
-        ordered,
-        formula,
-        left_logic,
-        "b",
-        certificates,
-        rest,
-        var_ok and oracle_left and oracle_right,
-    )
+    return InterpolationResult(ordered, set_to_formula(ordered), left_logic, "b", certificates, rest,
+                               var_ok and oracle_left and oracle_right)
 
 
 def milne_interpolate(phi: Formula, psi: Formula) -> InterpolationResult:
     """Classical-logic interpolation split into a Kleene-valid left half and
     a Logic-of-Paradox-valid right half via the separating set."""
-    if not M.holds(M.builtin("cl"), [phi], psi):
-        raise EntailmentError("phi does not entail psi classically")
-    res = E.derives([rho(phi)], rho(psi), R.builtin_calculus("gcl"))
-    assert res.verdict and res.proof is not None
-    proof = RW.separate_identity_cut(res.proof)
-    ordered, certificates, rest = _interpolate_from_proof(proof, [rho(phi)], res.calculus, forbid_identity=True)
+    ordered, certificates, rest = _interpolate([rho(phi)], rho(psi), R.builtin_calculus("gcl"), 2, True)
     chi = set_to_formula(ordered)
-    var_ok = atoms_of(chi) <= (atoms_of(phi) & atoms_of(psi))
-    ok = var_ok and M.holds(M.builtin("k"), [phi], chi) and M.holds(M.builtin("lp"), [chi], psi)
+    ok = verify_interpolant(phi, chi, psi, "k", "lp")
     return InterpolationResult(ordered, chi, "k", "lp", certificates, rest, ok)
+
+
+# the exact calculus each route derives phi |- psi in
+_ROUTE_CALCULI = {"b": "gb", "k": "gk", "etl": "getl", "ecq": "gb"}
 
 
 def interpolate_formulas(phi: Formula, psi: Formula, logic_name: str) -> InterpolationResult:
     """Dispatch interpolation per logic: proof-theoretic for b/k/etl, dual
-    route for lp, bottom-interpolant for explosive ecq, Milne split for cl."""
+    route for lp, bottom-interpolant for explosive ecq, Milne split for cl.
+    Each route but the bottom-interpolant decides entailment by its
+    derivation."""
     name = logic_name.lower()
-    if name in ("b", "k", "etl"):
-        spec = M.builtin(name)
-        if not M.holds(spec, [phi], psi):
-            raise EntailmentError(f"phi does not entail psi in {name}")
-        calc = {"b": "gb", "k": "gk", "etl": "getl"}[name]
-        return interpolate_sequents([rho(phi)], rho(psi), calc)
-    if name == "lp":
-        if not M.holds(M.builtin("lp"), [phi], psi):
-            raise EntailmentError("phi does not entail psi in lp")
-        dual = interpolate_sequents([rho(Neg(psi))], rho(Neg(phi)), "gk")
-        chi = Neg(dual.interpolant_formula)
-        ok = (
-            atoms_of(chi) <= (atoms_of(phi) & atoms_of(psi))
-            and M.holds(M.builtin("b"), [phi], chi)
-            and M.holds(M.builtin("lp"), [chi], psi)
-        )
-        return InterpolationResult((rho(chi),), chi, "b", "lp", ("oracle",), "oracle", ok)
-    if name == "ecq":
-        if M.holds(M.builtin("ecq"), [phi], None):
-            chi = BOT
-            ok = M.holds(M.builtin("ecq"), [phi], chi) and M.holds(M.builtin("b"), [chi], psi)
-            return InterpolationResult((rho(chi),), chi, "ecq", "b", ("oracle",), "oracle", ok)
-        if not M.holds(M.builtin("ecq"), [phi], psi):
-            raise EntailmentError("phi does not entail psi in ecq")
-        base = interpolate_sequents([rho(phi)], rho(psi), "gb")
-        return InterpolationResult(
-            base.interpolant_sequents,
-            base.interpolant_formula,
-            "ecq",
-            "b",
-            base.left_certificates,
-            base.right_certificate,
-            base.verified,
-        )
-    if name == "cl":
-        return milne_interpolate(phi, psi)
+    if name == "ecq" and M.holds(M.builtin("ecq"), [phi], None):
+        # phi is an ecq antitheorem, which is the left half phi |= F: no factor designates F
+        ok = M.holds(M.builtin("b"), [BOT], psi)
+        return InterpolationResult((rho(BOT),), BOT, "ecq", "b", ("oracle",), "oracle", ok)
+    try:
+        if name in _ROUTE_CALCULI:
+            res = interpolate_sequents([rho(phi)], rho(psi), _ROUTE_CALCULI[name])
+            if name != "ecq":
+                return res
+            return InterpolationResult(res.interpolant_sequents, res.interpolant_formula, "ecq", "b",
+                                       res.left_certificates, res.right_certificate, res.verified)
+        if name == "lp":
+            # phi |= psi in lp iff ~psi |= ~phi in k
+            chi = Neg(interpolate_sequents([rho(Neg(psi))], rho(Neg(phi)), "gk").interpolant_formula)
+            ok = verify_interpolant(phi, chi, psi, "b", "lp")
+            return InterpolationResult((rho(chi),), chi, "b", "lp", ("oracle",), "oracle", ok)
+        if name == "cl":
+            return milne_interpolate(phi, psi)
+    except EntailmentError:
+        raise EntailmentError(f"phi does not entail psi in {name}") from None
     raise InterpolationError(f"interpolation is not supported for logic {logic_name}")
 
 

@@ -106,17 +106,15 @@ ELIM_RULES = frozenset(r.elim for r in ROWS.values())
 
 
 class LogicalMatch(Value):
-    __slots__ = _fields = ("rule", "principal", "branch")
+    __slots__ = _fields = ("rule", "principal")
 
-    def __init__(self, rule: str, principal: Formula, branch: int = 0):
+    def __init__(self, rule: str, principal: Formula):
         _set_match_rule(self, rule)
         _set_principal(self, principal)
-        _set_branch(self, branch)  # for an elimination, the branch its conclusion takes
 
 
 _set_match_rule = LogicalMatch.rule.__set__
 _set_principal = LogicalMatch.principal.__set__
-_set_branch = LogicalMatch.branch.__set__
 
 
 def match_logical(rule: str, premises: Sequence[Sequent], conclusion: Sequent) -> Optional[LogicalMatch]:
@@ -141,9 +139,8 @@ def match_logical(rule: str, premises: Sequence[Sequent], conclusion: Sequent) -
             if tuple(premises) in (tuple(ws), tuple(reversed(ws))):
                 return LogicalMatch(rule, f)
         else:
-            for i, w in enumerate(ws):
-                if w == conclusion:
-                    return LogicalMatch(rule, f, i)
+            if conclusion in ws:
+                return LogicalMatch(rule, f)
     return None
 
 

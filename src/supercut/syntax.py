@@ -567,7 +567,9 @@ def _parse_sequent(text: str, parsed: dict[str, Formula]) -> Sequent:
     surrounding whitespace, which the parser skips."""
     parts = text.split("|-")
     if len(parts) != 2:
-        raise ParseError("sequent must contain exactly one '|-'", text.find("|-"), "'|-'")
+        # the end of a text without '|-', or the second '|-'
+        position = len(text) if len(parts) == 1 else len(parts[0]) + 2 + len(parts[1])
+        raise ParseError("sequent must contain exactly one '|-'", position, "'|-'")
     return Sequent(_parse_side(parts[0], parsed), _parse_side(parts[1], parsed))
 
 
@@ -597,9 +599,6 @@ class Substitution(Value):
 
     def __init__(self, mapping: dict[str, Formula] | Iterable[tuple[str, Formula]] = ()):
         object.__setattr__(self, "mapping", tuple(sorted(dict(mapping).items())))
-
-    def as_dict(self) -> dict[str, Formula]:
-        return dict(self.mapping)
 
     def support(self) -> frozenset[str]:
         return frozenset(a for a, _ in self.mapping)
@@ -678,10 +677,6 @@ class FreshNames:
         name = f"{self._prefix}{self._n}"
         self._n += 1
         return name
-
-    def __iter__(self) -> Iterator[str]:  # pragma: no cover - convenience
-        while True:
-            yield self.take()
 
 
 def decompose_substitution(

@@ -25,6 +25,12 @@ def test_prove_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_sequent_without_turnstile(capsys):
+    assert run(["prove", "--calculus", "gb", "p"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at position 1 " in err
+
+
 def test_semantics(capsys):
     assert run(["semantics", "--logic", "b", "-p", "p", "-p", "~p", "q"]) == 1
     assert run(["semantics", "--logic", "etl", "-p", "p", "-p", "~p | q", "q"]) == 0
@@ -247,6 +253,16 @@ def test_interpolate_command(capsys):
     assert "interpolant:" in out
     assert run(["interpolate", "--logic", "b", "p", "q"]) == 1
     capsys.readouterr()
+
+
+def test_interpolate_past_the_valuation_cap(capsys):
+    # 13 atoms are past the oracle's cap; the derivation refutes the pair
+    # without it, and only verifying an entailed pair needs the oracle
+    phi = " & ".join(f"p{i}" for i in range(12))
+    assert run(["interpolate", "--logic", "b", phi, "q"]) == 1
+    assert capsys.readouterr().err == "no entailment: phi does not entail psi in b\n"
+    assert run(["interpolate", "--logic", "b", phi, "p0 | q"]) == 3
+    assert capsys.readouterr().err.startswith("resource cap exceeded")
 
 
 def test_expand_command(capsys):

@@ -122,6 +122,15 @@ class TestDerives:
         assert set(out) == {k for k in keys if not any(d != k and below(d, k) for d in keys)}
         assert {(1 << 35, 0), (0, 1 << 3)} <= set(out)
 
+    def test_one_cover_lookup_per_leaf(self, monkeypatch):
+        looked_up = []
+        cover = engine._covering_fact
+        monkeypatch.setattr(engine, "_covering_fact", lambda state, leaf: looked_up.append(leaf) or cover(state, leaf))
+        goal = ps("|- (p & q) | r, p & s")
+        res = derives([ps("|- p"), ps("|- q"), ps("|- s")], goal, builtin_calculus("gb"))
+        assert res.verdict and len(at_set(goal)) == 4
+        assert sorted(looked_up, key=Sequent.render) == sorted(at_set(goal), key=Sequent.render)
+
     def test_bounded_calculus_built_once(self, monkeypatch):
         # the pool and the compiled shapes belong to the (calculus, depth
         # bound): a second query does no work proportional to the pool

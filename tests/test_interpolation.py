@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from supercut import engine, matrices
 from supercut.engine import derives
 from supercut.interpolation import (
     EntailmentError,
@@ -167,6 +168,49 @@ class TestInterpolateFormulas:
     def test_entailment_checked_first(self):
         with pytest.raises(EntailmentError):
             interpolate_formulas(pf("p"), pf("q"), "b")
+
+
+class TestVerdictFromDerivation:
+    """Each route decides entailment by its derivation; the oracle only verifies."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        log = []
+        for mod, name in ((matrices, "holds"), (matrices, "holds_sequent"), (engine, "derives")):
+            fn = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name, **k: log.append((_name, a)) or _fn(*a, **k))
+        return log
+
+    @pytest.mark.parametrize("logic, phi, psi", [
+        ("b", "p & q", "p | r"),
+        ("k", "(p & ~p) | q", "q"),
+        ("etl", "p & (~p | q)", "q | r"),
+        ("lp", "p & q", "(q | ~q) & p"),
+        ("cl", "p & q", "p | r"),
+        ("ecq", "p & q", "p | r"),
+    ])
+    def test_no_oracle_call_before_the_derivation(self, calls, logic, phi, psi):
+        r = interpolate_formulas(pf(phi), pf(psi), logic)
+        assert r.verified
+        first = next(i for i, (name, _) in enumerate(calls) if name == "derives")
+        before = calls[:first]
+        if logic == "ecq":
+            # the route is chosen by whether phi is an ecq antitheorem
+            assert [(name, a[0].name, a[2]) for name, a in before] == [("holds", "ecq", None)]
+        else:
+            assert before == []
+        assert any(name != "derives" for name, _ in calls[first:])
+
+    def test_no_entailment_is_decided_by_the_derivation(self, calls):
+        with pytest.raises(EntailmentError, match="in lp$"):
+            interpolate_formulas(pf("p"), pf("q"), "lp")
+        assert [name for name, _ in calls] == ["derives"]
+
+    def test_explosive_ecq_asks_about_phi_once(self, calls):
+        r = interpolate_formulas(pf("p & ~p"), pf("q"), "ecq")
+        assert r.verified and r.interpolant_formula == BOT
+        assert [a[0].name for name, a in calls if name == "holds"].count("ecq") == 1
+        assert all(name == "holds" for name, _ in calls)
 
 
 class TestMilne:

@@ -203,6 +203,25 @@ class TestOracleDifferential:
             goal = Sequent(side(), side())
             assert holds_sequent(spec, prems, goal) == holds(spec, map(tau, prems), tau(goal))
 
+    def test_holds_sequent_against_brute_force_on_tau(self, rng):
+        # the members come from one small pool of formula objects, so the
+        # premises and the goal share them and a side can repeat one
+        verdicts = set()
+        for i in range(140):
+            spec = builtin(LOGIC_NAMES[i % len(LOGIC_NAMES)])
+            atoms = ["p", "q", "r"][: rng.randint(1, 3)]
+            pool = [random_formula(rng, atoms, 2) for _ in range(3)]
+
+            def side():
+                return [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+
+            prems = [Sequent(side(), side()) for _ in range(rng.randint(0, 2))]
+            goal = Sequent(side(), side())
+            want = _brute_force_holds(spec, [tau(s) for s in prems], tau(goal))
+            assert holds_sequent(spec, prems, goal) == want, (spec.name, prems, goal)
+            verdicts.add((spec.name, want))
+        assert {name for name, _ in verdicts} == set(LOGIC_NAMES) and {v for _, v in verdicts} == {False, True}
+
 
 class TestValuationCap:
     def test_cap_raises_before_enumerating(self):

@@ -89,6 +89,13 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_sequent("p |- q |- r")
 
+    def test_turnstile_errors_point_at_the_fault(self):
+        # a missing '|-' is reported at the end, an extra one where it stands
+        for text, position in (("p", 1), ("p & q ", 6), ("p |- q |- r", 7), ("|- |- p |- q", 3)):
+            with pytest.raises(ParseError) as exc:
+                parse_sequent(text)
+            assert exc.value.position == position, text
+
     @given(formulas)
     def test_roundtrip(self, f):
         assert parse_formula(render(f)) == f

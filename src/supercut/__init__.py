@@ -58,7 +58,6 @@ from .rules import (
     SequentSchema,
     StructuralRule,
     at_set,
-    balanced_expansions,
     builtin_calculus,
     classify,
     hilbert_to_structural,

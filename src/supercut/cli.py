@@ -42,19 +42,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int):
-    """An argparse type: an int no smaller than ``low``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
+def _positive_int(text: str) -> int:
+    """An argparse type: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 @lru_cache(maxsize=1)
@@ -66,9 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, search=True, output=True):
         sp.add_argument("--calculus", choices=R.CALCULUS_NAMES, required=True)
-        if search:  # only the search takes bounds
-            sp.add_argument("--depth-bound", type=_int_at_least(0), default=2)
-            sp.add_argument("--max-facts", type=_int_at_least(1), default=200000)
+        if search:  # only the search takes a bound
+            sp.add_argument("--max-facts", type=_positive_int, default=200000)
         if output:  # check prints a verdict, never a proof
             sp.add_argument("--emit-proof", metavar="PATH")
             sp.add_argument("--format", choices=("text", "dot"), default="text")
@@ -105,6 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("psi", metavar="FORMULA")
     sp.add_argument("--emit-proof", metavar="PATH")
     sp.add_argument("--json", action="store_true")
+    sp.set_defaults(format="text")  # the proof file is JSON
 
     sp = sub.add_parser("expand", help="sigma-expand a structural rule")
     sp.add_argument("rule", metavar="RULE", help="rule text or @file")
@@ -182,10 +178,7 @@ def _print_result(res: E.DeriveResult, args) -> int:
             out["proof"] = P.proof_to_dict(res.proof)
         print(json.dumps(out))
     else:
-        tag = "derivable" if res.verdict else (
-            "not derivable" if res.complete else "not derived (bounded search)"
-        )
-        print(tag)
+        print("derivable" if res.verdict else "not derivable")
         if res.proof is not None and args.format == "dot":
             print(P.proof_to_dot(res.proof))
     _emit_proof(res.proof, args)
@@ -219,18 +212,12 @@ def run(argv: Sequence[str]) -> int:
 def _dispatch(args) -> int:
     if args.command == "prove":
         calc = R.builtin_calculus(args.calculus)
-        res = E.derives(
-            _read_sequents(args), parse_sequent(args.goal), calc,
-            depth_bound=args.depth_bound, max_facts=args.max_facts,
-        )
+        res = E.derives(_read_sequents(args), parse_sequent(args.goal), calc, max_facts=args.max_facts)
         return _print_result(res, args)
 
     if args.command == "refute":
         calc = R.builtin_calculus(args.calculus)
-        res = E.refutes(
-            _read_sequents(args), calc,
-            depth_bound=args.depth_bound, max_facts=args.max_facts,
-        )
+        res = E.refutes(_read_sequents(args), calc, max_facts=args.max_facts)
         return _print_result(res, args)
 
     if args.command == "semantics":
@@ -283,6 +270,8 @@ def _dispatch(args) -> int:
     if args.command == "interpolate":
         phi, psi = parse_formula(args.phi), parse_formula(args.psi)
         res = I.interpolate_formulas(phi, psi, args.logic)
+        if args.emit_proof and not isinstance(res.right_certificate, P.Proof):
+            raise SupercutError(f"the {args.logic} route gives no proof to emit")
         if args.json:
             print(
                 json.dumps(
@@ -301,10 +290,7 @@ def _dispatch(args) -> int:
                 print(f"  sequent: {s.render()}")
             print(f"certified: {res.left_logic} entailment ok, {res.right_logic} entailment ok"
                   if res.verified else "verification FAILED")
-        if args.emit_proof and isinstance(res.right_certificate, P.Proof):
-            with open(args.emit_proof, "w") as fh:
-                json.dump(P.proof_to_dict(res.right_certificate), fh, indent=2)
-                fh.write("\n")
+        _emit_proof(res.right_certificate, args)
         return EXIT_YES if res.verified else EXIT_NO
 
     if args.command == "expand":

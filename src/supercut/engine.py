@@ -39,6 +39,19 @@ Saturation under the family is complete for getl:
   expansions of the calculus's rules. By the closure, each is derivable
   by atomic context cuts, which the join finds.
 
+gecq, whose one rule is explosive-cut, reduces to gb and getl. ECQ is
+ETL4 x B4, so S entails c in ECQ iff S has no ETL model or S entails c in
+B. gecq keeps the seed facts, which decide B as in gb, and adds the empty
+fact when getl's join refutes them, in one explosive-cut on phi: the
+conjunction, over the seed facts U the refutation used, of ~L | R for each
+fact L |- R. At(|- phi) is U; each member of At(phi |-) puts one atom of
+each fact of U on the other side, and weakens a member of U. Else, with
+two bits per atom (Dunn, 1976; ETL designates told true and not told
+false), tell each atom true unless it is in the member's right side and
+false unless in its left: each ~L | R is told true, as its fact does not
+weaken to the member, and not told false, by its chosen atom. That is an
+ETL model of U, against the refutation.
+
 Reconstruction replays each fact's provenance, kept for removed facts too,
 and reinserts explicit atomic Weakening/Contraction steps. A context cut
 step is one structural node, named as ``rules.expansion`` names the
@@ -49,12 +62,13 @@ expansion of limited-cut-left, for instance
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import proofs as P
 from . import rules as R
-from .syntax import Atom, Neg, Or, ResourceCapError, Sequent, Value, atoms_of, sequent_key
+from .syntax import And, Atom, Neg, Or, ResourceCapError, Sequent, Value, atoms_of, sequent_key
 
 FactKey = tuple[int, int]
 
@@ -79,10 +93,11 @@ _EXPANSION_SAFE_KEYS = frozenset(r.schema_key() for r in (R.IDENTITY, R.CUT) + R
 def effective_calculus(calc: R.Calculus, depth_bound: int = 2) -> tuple[R.Calculus, bool]:
     """The calculus results and their proofs live in, and whether saturating
     it is complete. A calculus whose rules have the expansion property, or
-    that saturates by the context cut join (getl), is its own; any other
-    (gecq) gains the expansion pools of its rules that lack the property.
+    that saturates by the context cut join (getl and gecq), is its own; any
+    other gains the expansion pools of its rules that lack the property.
     Built once per (calculus, depth bound)."""
-    if _saturates_by_context_cut(calc) or all(r.schema_key() in _EXPANSION_SAFE_KEYS for r in calc.specific):
+    if _saturates_by_context_cut(calc) or _explodes(calc) or all(
+            r.schema_key() in _EXPANSION_SAFE_KEYS for r in calc.specific):
         return calc, True
     pool = {R.canonical_rule(r).schema_key(): r for r in calc.specific}
     for r in calc.specific:
@@ -392,6 +407,41 @@ def _cut_provenance(
     return ("rule", rule, theta, tuple(parents), {g: (key[0], 0), d: (0, key[1])})
 
 
+def _explodes(calc: R.Calculus) -> bool:
+    """Whether the calculus's one rule is explosive-cut (gecq)."""
+    return [r.schema_key() for r in calc.specific] == [R.EXPLOSIVE_CUT.schema_key()]
+
+
+def _explosion(calc: R.Calculus, premises: Sequence[Sequent], state: SaturationState, max_facts: int) -> Optional[tuple]:
+    """The provenance of the empty fact: one explosive-cut step over the
+    seed facts that a getl refutation of the premises uses (see the module
+    docstring), or None without one. No getl fact is kept."""
+    refuted = saturate(premises, R.builtin_calculus("getl"), state.universe, max_facts)
+    if (0, 0) not in refuted.facts:
+        return None
+    seen, todo = set(), [(0, 0)]
+    while todo:
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            if refuted.provenance[key][0] == "rule":
+                todo.extend(refuted.provenance[key][3])
+    facts = sorted(k for k in seen if refuted.provenance[k][0] == "seed")
+    count = math.prod(l.bit_count() + r.bit_count() for l, r in facts)  # transversals
+    if count > R.MAX_EXPANSION_IMAGES:
+        raise ResourceCapError(f"expansion cap {R.MAX_EXPANSION_IMAGES} exceeded: explosive-cut over {count} transversals")
+    theta: dict[str, str] = {}  # phi over x0, x1, ... in leaf order, which expansion keeps
+    conjuncts = []
+    for l, r in facts:
+        xs = [Atom(f"x{len(theta) + k}") for k in range(l.bit_count() + r.bit_count())]
+        theta.update(zip((x.name for x in xs), (state.universe[i] for i in _bits(l) + _bits(r))))
+        conjuncts.append(reduce(Or, [Neg(x) for x in xs[: l.bit_count()]] + xs[l.bit_count():]))
+    rule = R.expansion(calc.specific[0], (reduce(And, conjuncts),))
+    keys = [_key(_instance_sequent(p, theta, {}, state.universe), state.index) for p in rule.premises]
+    parents = tuple(next(f for f in facts if f[0] & ~l == 0 and f[1] & ~r == 0) for l, r in keys)
+    return ("rule", rule, theta, parents, {})
+
+
 class SaturationState:
     """The saturated store: ``facts`` holds the subsumption-minimal facts and
     ``provenance`` every fact ever admitted, each with how it was derived."""
@@ -446,6 +496,11 @@ def saturate(
     def offer_cut(key: FactKey, core: FactKey, picks: dict[tuple[int, int], FactKey]) -> None:
         if not subsumed(key):
             keep(key, _cut_provenance(calc, key, core, picks, state.universe, index))
+
+    if _explodes(calc):
+        if (0, 0) not in facts and (prov := _explosion(calc, premises, state, max_facts)):
+            keep((0, 0), prov)
+        return state
 
     by_cut = _saturates_by_context_cut(calc)
     shapes = () if by_cut else _shapes(calc)
@@ -558,8 +613,9 @@ def derives(
     depth_bound: int = 2,
     max_facts: int = 200000,
 ) -> DeriveResult:
-    """Decide derivability; exact for GB/GLP/GK/GCL/GETL, sound-but-bounded
-    for GECQ, whose depth bound sizes the expansion pool.
+    """Decide derivability; exact for the built-in calculi. A custom
+    calculus that needs an expansion pool is sound but bounded, and the
+    depth bound sizes its pool.
 
     Returns a checked structurally atomic analytic-synthetic proof with the
     subformula property whenever the verdict is positive.

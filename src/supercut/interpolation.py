@@ -13,7 +13,6 @@ from . import rules as R
 from .proofs import Proof
 from .syntax import (
     Atom,
-    BOT,
     Formula,
     Neg,
     Sequent,
@@ -35,8 +34,8 @@ class EntailmentError(InterpolationError):
 
 
 class InterpolationResult(Value):
-    """``left_certificates`` holds one Proof per interpolant sequent, or
-    ("oracle",); ``right_certificate`` is a Proof or "oracle"."""
+    """``left_certificates`` holds one Proof per interpolant sequent and
+    ``right_certificate`` a Proof; the lp route has ("oracle",) and "oracle"."""
 
     __slots__ = _fields = ("interpolant_sequents", "interpolant_formula", "left_logic", "right_logic",
                            "left_certificates", "right_certificate", "verified")
@@ -227,9 +226,11 @@ def interpolate_sequents(
     """
     if isinstance(calc, str):
         calc = R.builtin_calculus(calc)
+    left_logic = CALC_TO_LOGIC.get(calc.name)
+    if left_logic is None:
+        raise InterpolationError(f"no logic to verify the interpolant against for calculus {calc.name}")
     prems = list(premises)
     ordered, certificates, rest = _interpolate(prems, conclusion, calc, depth_bound, False)
-    left_logic = CALC_TO_LOGIC[calc.name]
     shared = frozenset().union(*map(atoms_of, prems)) & atoms_of(conclusion)
     var_ok = all(atoms_of(s) <= shared for s in ordered)
     oracle_left = all(M.holds_sequent(M.builtin(left_logic), prems, s) for s in ordered)
@@ -248,26 +249,17 @@ def milne_interpolate(phi: Formula, psi: Formula) -> InterpolationResult:
 
 
 # the exact calculus each route derives phi |- psi in
-_ROUTE_CALCULI = {"b": "gb", "k": "gk", "etl": "getl", "ecq": "gb"}
+_ROUTE_CALCULI = {"b": "gb", "k": "gk", "etl": "getl", "ecq": "gecq"}
 
 
 def interpolate_formulas(phi: Formula, psi: Formula, logic_name: str) -> InterpolationResult:
-    """Dispatch interpolation per logic: proof-theoretic for b/k/etl, dual
-    route for lp, bottom-interpolant for explosive ecq, Milne split for cl.
-    Each route but the bottom-interpolant decides entailment by its
-    derivation."""
+    """Dispatch interpolation per logic: proof-theoretic for b/k/etl/ecq,
+    dual route for lp, Milne split for cl. Each route decides entailment by
+    its derivation."""
     name = logic_name.lower()
-    if name == "ecq" and M.holds(M.builtin("ecq"), [phi], None):
-        # phi is an ecq antitheorem, which is the left half phi |= F: no factor designates F
-        ok = M.holds(M.builtin("b"), [BOT], psi)
-        return InterpolationResult((rho(BOT),), BOT, "ecq", "b", ("oracle",), "oracle", ok)
     try:
         if name in _ROUTE_CALCULI:
-            res = interpolate_sequents([rho(phi)], rho(psi), _ROUTE_CALCULI[name])
-            if name != "ecq":
-                return res
-            return InterpolationResult(res.interpolant_sequents, res.interpolant_formula, "ecq", "b",
-                                       res.left_certificates, res.right_certificate, res.verified)
+            return interpolate_sequents([rho(phi)], rho(psi), _ROUTE_CALCULI[name])
         if name == "lp":
             # phi |= psi in lp iff ~psi |= ~phi in k
             chi = Neg(interpolate_sequents([rho(Neg(psi))], rho(Neg(phi)), "gk").interpolant_formula)

@@ -355,14 +355,6 @@ def is_analytic_synthetic(p: Proof) -> bool:
     )
 
 
-def no_elim_after_intro(p: Proof) -> bool:
-    """Local variant: no elimination immediately follows an introduction."""
-    for node in p.nodes():
-        if is_elim(node.rule) and any(is_intro(c.rule) for c in node.children):
-            return False
-    return True
-
-
 def has_subformula_property(p: Proof, declared_premises: Iterable[Sequent] = ()) -> bool:
     universe: set[Formula] = set()
     for s in list(declared_premises) + [p.conclusion]:

@@ -682,7 +682,7 @@ def _expansion_named(base: StructuralRule, group: str, name: str) -> Optional[St
 
 
 # ---------------------------------------------------------------------------
-# Balanced non-conflicting expansions
+# Expansion pools, for custom calculi whose rules lack the expansion property
 # ---------------------------------------------------------------------------
 
 
@@ -759,39 +759,11 @@ def _rename_rule(rule: StructuralRule, table: dict[str, str]) -> StructuralRule:
     return StructuralRule(rule.name, tuple(map(ren, rule.premises)), ren(rule.conclusion))
 
 
-def _set_partitions(items: list[str], max_blocks: int):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest, max_blocks):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1 :]
-        if len(part) < max_blocks:
-            yield part + [[first]]
-
-
-def balanced_expansions(rule: StructuralRule, atom_universe: Iterable[str], depth_bound: int) -> frozenset[StructuralRule]:
-    """Balanced non-conflicting sigma-expansions up to a depth bound.
-
-    Images are linear balanced formulas over fresh atoms; renaming the fresh
-    atoms into the universe (collisions included) is realized as schema-atom
-    merging over the expansion pool, and results are deduplicated up to
-    renaming.
-    """
-    max_blocks = max(1, len(set(atom_universe)))
-    out: set[StructuralRule] = set()
-    for r in expansion_pool(rule, depth_bound):
-        for part in _set_partitions(list(r.schema_atoms()), max_blocks):
-            table = {n: block[0] for block in part for n in block}
-            out.add(canonical_rule(_rename_rule(r, table)))
-    return frozenset(out)
-
-
-# Beyond this many combinations of shapes for the schema atoms of one rule,
-# expansion_pool raises ResourceCapError. Depth 2 admits up to two schema
-# atoms (37**2 = 1,369). Depth 3 (2,776 shapes) gives getl 2,122 rules, over
-# which a two-atom query took 3.3 s against 2 ms at depth 2 (CPython 3.11).
+# Beyond this many expansions of one rule, ResourceCapError: the shape
+# combinations of expansion_pool, or the transversals of a gecq refutation
+# step. Depth 2 admits up to two schema atoms (37**2 = 1,369); depth 3
+# (2,776 shapes) gave getl's rules 2,122 expansions, over which a two-atom
+# query took 3.3 s against 2 ms at depth 2 (CPython 3.11).
 MAX_EXPANSION_IMAGES = 2000
 
 

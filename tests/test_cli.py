@@ -247,6 +247,34 @@ def test_getl_verdicts_are_exact(capsys):
     assert capsys.readouterr().out.strip() == "not derivable"
 
 
+def test_gecq_verdicts_are_exact(capsys):
+    miss = ["-p", "|- x0, x1, x2, x3, x4"] + [a for i in range(5) for a in ("-p", f"x{i} |-")]
+    assert run(["refute", "--calculus", "gecq", *miss]) == 0
+    assert capsys.readouterr().out.strip() == "derivable"
+    assert run(["refute", "--calculus", "gecq", *miss[:-2]]) == 1
+    assert capsys.readouterr().out.strip() == "not derivable"
+    assert run(["refute", "--calculus", "gecq", "--json", *miss]) == 0
+    assert json.loads(capsys.readouterr().out)["complete"] is True
+    for command in (["prove", "--calculus", "gecq", "|- p"], ["refute", "--calculus", "gecq"]):
+        assert run([*command, "--depth-bound", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--depth-bound" in err
+
+
+@pytest.mark.parametrize("logic, phi, psi", [("lp", "p & q", "p | r"), ("ecq", "p & ~p", "q")])
+def test_interpolate_emits_a_proof_or_refuses(tmp_path, capsys, logic, phi, psi):
+    # the lp route has no proof of its right half to write
+    path = tmp_path / "proof.json"
+    code = run(["interpolate", "--logic", logic, phi, psi, "--emit-proof", str(path)])
+    out, err = capsys.readouterr()
+    if logic == "lp":
+        assert code == 2 and out == "" and err.count("\n") == 1 and "lp" in err
+        assert not path.exists()
+    else:
+        assert code == 0 and path.exists()
+        assert run(["check", "--calculus", "gb", str(path), "-p", "|-"]) == 0
+
+
 def test_interpolate_command(capsys):
     assert run(["interpolate", "--logic", "cl", "p & q", "p | r"]) == 0
     out = capsys.readouterr().out

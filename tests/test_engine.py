@@ -138,16 +138,20 @@ class TestDerives:
         pool, compile_ = rules.expansion_pool, engine._compile
         monkeypatch.setattr(rules, "expansion_pool", lambda *a: pools.append(a) or pool(*a))
         monkeypatch.setattr(engine, "_compile", lambda r: compiled.append(r) or compile_(r))
-        calc = Calculus("gecq-built-once", builtin_calculus("gecq").specific)
-        first = refutes([ps("|- p"), ps("p |-")], calc)
-        assert first.verdict and len(pools) == 1 and len(compiled) == len(first.calculus.specific) == 26
-        second = refutes([ps("|- p, q"), ps("p |-"), ps("q |-")], calc)
+        calc = Calculus("glp+lc-built-once", GLP_LC.specific)
+        first = derives([ps("|- p"), ps("p |- q")], ps("|- q"), calc)
+        rules_ = len(first.calculus.specific)
+        # a pool each for limited-cut-left and limited-cut-right
+        assert first.verdict and len(pools) == 2 and len(compiled) == rules_ > 3
+        second = derives([ps("|- p, q"), ps("p |-")], ps("|- q"), calc)
         assert second.verdict and second.calculus is first.calculus
-        assert len(pools) == 1 and len(compiled) == 26
-        # getl and the exact calculi build no pool
-        for name in ("getl", "gk"):
-            assert derives([ps("|- p"), ps("p |- q")], ps("|- q"), builtin_calculus(name)).verdict
-        assert len(pools) == 1
+        assert len(pools) == 2 and len(compiled) == rules_
+        # getl, gecq and the other built-in calculi build no pool
+        for name in CALCULUS_NAMES:
+            fresh = Calculus(f"{name}-built-once", builtin_calculus(name).specific)
+            res = refutes([ps("|- p"), ps("p |-")], fresh)
+            assert res.complete and res.calculus is fresh and res.verdict == (name not in ("gb", "glp"))
+        assert len(pools) == 2
 
     def test_proofs_check_in_the_base_calculus(self, rng):
         # a proof's expansion steps are named base[images], so it checks in
@@ -164,7 +168,7 @@ class TestDerives:
             assert_checks(prems, random_sequent(rng, atoms, rng.randint(0, 1)), CALCULUS_NAMES[i % len(CALCULUS_NAMES)])
         pooled = 0
         for _ in range(120):
-            # refutations of atomic sets, some of which take gecq's pool
+            # refutations of atomic sets, some by an explosive-cut on a compound formula
             prems = []
             for _ in range(rng.randint(3, 5)):
                 left = rng.sample(["p", "q", "r"], rng.randint(0, 1))
@@ -232,13 +236,13 @@ class TestOracleAgreement:
                     assert_good_proof(res, prems)
 
     def test_bounded_soundness_sampled(self, rng):
+        # getl and gecq, bounded searches once, are exact
         for _ in range(40):
             prems = [random_sequent(rng, ["p", "q"], 2) for _ in range(rng.randint(1, 2))]
             goal = random_sequent(rng, ["p", "q"], 2)
             for calc_name, logic in (("getl", "etl"), ("gecq", "ecq")):
                 res = derives(prems, goal, builtin_calculus(calc_name))
-                if res.verdict:
-                    assert holds_sequent(builtin(logic), prems, goal)
+                assert res.verdict == holds_sequent(builtin(logic), prems, goal) and res.complete
 
     def test_cut_admissibility_theorem_level(self, rng):
         for _ in range(80):
@@ -271,6 +275,70 @@ class TestOracleAgreement:
             if want and not res.verdict:
                 # the bounded search may miss; it must say so
                 assert not res.complete
+
+
+class TestExplosion:
+    """gecq keeps its seed facts and refutes them by getl's join, in one
+    explosive-cut step."""
+
+    def test_oracle_differential(self, rng):
+        # random premises of depth 2, 30% of them with an empty goal, and
+        # atomic fact sets, half of them with an empty goal, whose facts
+        # may hold an atom on both sides
+        gecq, ecq = builtin_calculus("gecq"), builtin("ecq")
+        positives = refuted = 0
+        for i in range(1200):
+            atoms = ["p", "q", "r", "s", "t"][: rng.randint(2, 5)]
+            if i % 2 == 0:
+                prems = [random_sequent(rng, atoms, 2) for _ in range(rng.randint(1, 4))]
+                goal = Sequent() if rng.random() < 0.3 else random_sequent(rng, atoms, rng.randint(0, 1))
+            else:
+                prems = []
+                for _ in range(rng.randint(3, 7)):
+                    left = rng.sample(atoms, rng.randint(0, 2))
+                    prems.append(Sequent(map(Atom, left), map(Atom, rng.sample(atoms, rng.randint(0 if left else 1, 2)))))
+                goal = Sequent() if rng.random() < 0.5 else random_sequent(rng, atoms, 0)
+            res = derives(prems, goal, gecq)
+            want = holds_sequent(ecq, prems, goal)
+            assert res.verdict == want and res.complete, ([s.render() for s in prems], goal.render())
+            if res.verdict and res.proof.rule != "premise":
+                positives += 1
+                refuted += any(n.rule.startswith("explosive-cut") for n in res.proof.nodes())
+                assert check(res.proof, gecq, prems).ok
+                assert is_structurally_atomic(res.proof) and is_analytic_synthetic(res.proof)
+        assert 400 < positives and 50 < refuted < positives
+
+    def test_former_miss(self):
+        prems = [ps("|- x0, x1, x2, x3, x4")] + [ps(f"x{i} |-") for i in range(5)]
+        res = refutes(prems, builtin_calculus("gecq"))
+        assert res.verdict and res.complete
+        assert_good_proof(res, prems)
+
+    def test_step_over_the_facts_the_refutation_used(self):
+        # q twice on one side of a transversal: q |- p and p, q |- both give
+        # q to the right, where a sum of bits, not their union, would read
+        # an atom that is not there; |- r and r |- t take no part
+        prems = [ps("q |- p"), ps("|- q"), ps("p, q |-"), ps("|- r"), ps("r |- t")]
+        res = refutes(prems, builtin_calculus("gecq"))
+        assert res.verdict
+        assert_good_proof(res, prems)
+        (step,) = [n for n in res.proof.nodes() if n.rule.startswith("explosive-cut")]
+        assert step.rule == "explosive-cut[x0 & (~x1 | x2) & (~x3 | ~x4)]"
+        assert len(step.children) == 3 + 1 * 2 * 2  # U, then the transversals
+        assert ps("q |- q, q") in {c.conclusion for c in step.children}
+
+    def test_refutation_chain(self):
+        # |- p0, p_i |- p_{i+1}, p_n |-: 2**n transversals
+        for n, within in ((2, True), (10, True), (11, False)):
+            prems = [ps("|- p0")] + [ps(f"p{i} |- p{i + 1}") for i in range(n)] + [ps(f"p{n} |-")]
+            if not within:
+                with pytest.raises(ResourceCapError):
+                    refutes(prems, builtin_calculus("gecq"))
+                continue
+            res = refutes(prems, builtin_calculus("gecq"))
+            assert res.verdict and check(res.proof, builtin_calculus("gecq"), prems).ok
+            (step,) = [n for n in res.proof.nodes() if n.rule.startswith("explosive-cut")]
+            assert len(step.children) == n + 2 + 2 ** n
 
 
 # The three getl entailments the depth-2 expansion pool missed.
@@ -467,7 +535,10 @@ def _reference_facts(premises, calc, universe):
     return facts
 
 
-DIFFERENTIAL_CALCULI = [effective_calculus(builtin_calculus(n))[0] for n in CALCULUS_NAMES]
+# gecq saturates by getl's join; in its place, the generic join runs over
+# explosive-cut's depth-2 expansion pool, 26 rules of up to six premises
+EXPLOSIVE_POOL = Calculus("gecq+exp2", tuple(sorted(rules.expansion_pool(rules.EXPLOSIVE_CUT, 2), key=lambda r: r.name)))
+DIFFERENTIAL_CALCULI = [EXPLOSIVE_POOL if n == "gecq" else builtin_calculus(n) for n in CALCULUS_NAMES]
 DIFFERENTIAL_CALCULI += [effective_calculus(GLP_LC)[0], HILBERT]
 
 

@@ -92,15 +92,14 @@ def test_no_unused_private_functions():
 
 # Functions that still call themselves, by module and qualified name. Most
 # recurse once per nesting level of a formula or proof (ROADMAP item 5);
-# engine's _join.rec and rules' _shape_image and _set_partitions are
-# bounded by the size of a rule. A function made
-# iterative leaves this list, and a new self-recursive function fails the
-# test below.
+# engine's _join.rec and rules' _shape_image are bounded by the size of a
+# rule. A function made iterative leaves this list, and a new
+# self-recursive function fails the test below.
 STILL_RECURSIVE = {
     "engine": {"_join.rec", "reconstruct.replay"},
     "interpolation": {"_delete_occurrence"},
     "rewrite": {"_cut_atoms"},
-    "rules": {"_shape_image", "_set_partitions"},
+    "rules": {"_shape_image"},
 }
 
 

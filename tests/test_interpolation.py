@@ -18,7 +18,7 @@ from supercut.interpolation import (
 )
 from supercut.matrices import builtin, holds, holds_sequent
 from supercut.proofs import check, has_subformula_property, premise, logical, structural
-from supercut.rules import builtin_calculus
+from supercut.rules import CUT, Calculus, builtin_calculus
 from supercut.syntax import (
     And,
     Atom,
@@ -153,9 +153,14 @@ class TestInterpolateFormulas:
         assert r.verified and (r.left_logic, r.right_logic) == ("b", "lp")
         assert atoms_of(r.interpolant_formula) == frozenset()
 
-    def test_ecq_bottom(self):
-        r = interpolate_formulas(pf("p & ~p & q"), pf("r"), "ecq")
-        assert r.verified and r.interpolant_formula == BOT
+    def test_ecq_explosive_through_a_refutation(self):
+        phi = pf("p & ~p & q")
+        r = interpolate_formulas(phi, pf("r"), "ecq")
+        assert r.verified and (r.left_logic, r.right_logic) == ("ecq", "b")
+        assert r.interpolant_sequents == (Sequent(),) and atoms_of(r.interpolant_formula) == frozenset()
+        (cert,) = r.left_certificates
+        assert check(cert, builtin_calculus("gecq"), [rho(phi)]).ok
+        assert check(r.right_certificate, builtin_calculus("gb"), [Sequent()]).ok
 
     def test_ecq_nonexplosive_falls_back(self):
         r = interpolate_formulas(pf("p & q"), pf("p | r"), "ecq")
@@ -194,11 +199,7 @@ class TestVerdictFromDerivation:
         assert r.verified
         first = next(i for i, (name, _) in enumerate(calls) if name == "derives")
         before = calls[:first]
-        if logic == "ecq":
-            # the route is chosen by whether phi is an ecq antitheorem
-            assert [(name, a[0].name, a[2]) for name, a in before] == [("holds", "ecq", None)]
-        else:
-            assert before == []
+        assert before == []
         assert any(name != "derives" for name, _ in calls[first:])
 
     def test_no_entailment_is_decided_by_the_derivation(self, calls):
@@ -206,11 +207,18 @@ class TestVerdictFromDerivation:
             interpolate_formulas(pf("p"), pf("q"), "lp")
         assert [name for name, _ in calls] == ["derives"]
 
-    def test_explosive_ecq_asks_about_phi_once(self, calls):
-        r = interpolate_formulas(pf("p & ~p"), pf("q"), "ecq")
-        assert r.verified and r.interpolant_formula == BOT
-        assert [a[0].name for name, a in calls if name == "holds"].count("ecq") == 1
-        assert all(name == "holds" for name, _ in calls)
+    def test_explosive_ecq_certificate_checks_in_gecq(self, calls):
+        phi = pf("p & ~p")
+        r = interpolate_formulas(phi, pf("q"), "ecq")
+        assert r.verified and calls[0][0] == "derives"
+        (cert,) = r.left_certificates
+        assert check(cert, builtin_calculus("gecq"), [rho(phi)]).ok
+        assert any(n.rule.startswith("explosive-cut") for n in cert.nodes())
+
+    def test_custom_calculus_is_refused_before_deriving(self, calls):
+        with pytest.raises(InterpolationError, match="mine"):
+            interpolate_sequents([ps("|- p & q")], ps("|- p"), Calculus("mine", (CUT,)))
+        assert calls == []
 
 
 class TestMilne:

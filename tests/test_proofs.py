@@ -20,7 +20,6 @@ from supercut.proofs import (
     is_elim,
     is_structurally_atomic,
     logical,
-    no_elim_after_intro,
     phase_split,
     premise,
     proof_from_dict,
@@ -373,17 +372,8 @@ class TestPredicates:
         i2 = logical("and-right-intro", [premise(ps("|- p"), 0), premise(ps("|- q"), 1)], ps("|- p & q"))
         e2 = logical("and-right-elim", [i2], ps("|- p"))
         assert not is_analytic_synthetic(e2)
-        assert not no_elim_after_intro(e2)
         only_structural = structural("cut", [premise(ps("|- p"), 0), premise(ps("p |-"), 1)], Sequent())
         assert is_analytic_synthetic(only_structural)
-
-    def test_local_equals_global_on_atomic_proofs(self, rng):
-        # build assorted structurally atomic proofs through the engine
-        for _ in range(25):
-            s = random_sequent(rng, ["p", "q"], 2)
-            res = derives([s], s, builtin_calculus("gk"))
-            if res.proof is not None and is_structurally_atomic(res.proof):
-                assert is_analytic_synthetic(res.proof) == no_elim_after_intro(res.proof)
 
     def test_subformula_property(self):
         prems = [ps("p |- q")]

@@ -22,7 +22,6 @@ from supercut.rules import (
     SequentSchema,
     StructuralRule,
     at_set,
-    balanced_expansions,
     builtin_calculus,
     canonical_rule,
     classify,
@@ -389,31 +388,38 @@ class TestSigmaExpand:
         assert rule.render() == "|- p ; |- q ; p, q, G |- D => G |- D"
 
 
+def _canonical_keys(rules) -> set:
+    return {canonical_rule(r).schema_key() for r in rules}
+
+
 class TestBalancedExpansions:
+    """The expansion pool, which custom calculi saturate over."""
+
     def test_depth_zero_is_the_rule_itself(self):
-        out = balanced_expansions(LIMITED_CUT_LEFT, ["p", "q"], 0)
-        assert out == {canonical_rule(LIMITED_CUT_LEFT)}
+        out = R.expansion_pool(LIMITED_CUT_LEFT, 0)
+        assert _canonical_keys(out) == _canonical_keys([LIMITED_CUT_LEFT]) and len(out) == 1
 
     def test_depth_one_contains_golden_expansions(self):
-        out = balanced_expansions(LIMITED_CUT_LEFT, ["p", "q", "r", "s"], 1)
-        wanted = canonical_rule(parse_structural_rule("|- x0 ; |- x1 ; x0, x1, G |- D => G |- D"))
-        assert wanted.schema_key() in {r.schema_key() for r in out}
-        out2 = balanced_expansions(EXPLOSIVE_CUT, ["p", "q"], 1)
-        wanted2 = canonical_rule(parse_structural_rule("|- x0, x1 ; x0 |- ; x1 |- => |-"))
-        assert wanted2.schema_key() in {r.schema_key() for r in out2}
+        out = R.expansion_pool(LIMITED_CUT_LEFT, 1)
+        wanted = parse_structural_rule("|- x0 ; |- x1 ; x0, x1, G |- D => G |- D")
+        assert _canonical_keys([wanted]) <= _canonical_keys(out)
+        out2 = R.expansion_pool(EXPLOSIVE_CUT, 1)
+        wanted2 = parse_structural_rule("|- x0, x1 ; x0 |- ; x1 |- => |-")
+        assert _canonical_keys([wanted2]) <= _canonical_keys(out2)
 
     def test_expansions_remain_generalized_cuts(self):
         for base in (LIMITED_CUT_LEFT, EXPLOSIVE_CUT, CUT):
             assert classify(base).is_generalized_cut
-            for r in balanced_expansions(base, ["p", "q"], 1):
+            for r in R.expansion_pool(base, 1):
                 assert classify(r).is_generalized_cut, r.render()
 
     def test_expansions_semantically_valid(self, rng):
-        # every expansion of a rule valid in its logic stays valid there
+        # every expansion of a rule valid in its logic stays valid there,
+        # also where its schema atoms take the same atom
         pairs = [(LIMITED_CUT_LEFT, "etl"), (EXPLOSIVE_CUT, "ecq"), (CUT, "k")]
         for base, logic in pairs:
             spec = builtin(logic)
-            for rule in sorted(balanced_expansions(base, ["p", "q"], 1), key=lambda r: r.name):
+            for rule in sorted(R.expansion_pool(base, 1), key=lambda r: r.name):
                 subst = {a: Atom(rng.choice(["p", "q"])) for a in rule.schema_atoms()}
                 ctx_l = [Atom(rng.choice(["p", "q"]))] if rng.random() < 0.5 else []
                 ctx_r = [Atom(rng.choice(["p", "q"]))] if rng.random() < 0.5 else []
@@ -551,12 +557,15 @@ class TestCanonicalRule:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("calc", [builtin_calculus("getl"), builtin_calculus("gecq"), GLP_LC], ids=lambda c: c.name)
-    def test_effective_calculus_matches_reference_pool(self, calc):
+    def test_effective_calculus_matches_reference_pool(self, calc, monkeypatch):
+        pools = []
+        pool = R.expansion_pool
+        monkeypatch.setattr(R, "expansion_pool", lambda *a: pools.append(a) or pool(*a))
         for depth in (0, 1, 2):
             eff, exact = effective_calculus(calc, depth)
-            if calc.name == "getl":
-                # the context cut join saturates getl itself: no pool
-                assert (eff, exact) == (calc, True)
+            if calc.name in ("getl", "gecq"):
+                # the context cut join saturates getl and gecq themselves: no pool
+                assert (eff, exact) == (calc, True) and not pools
                 continue
             assert not exact and eff.name == f"{calc.name}+exp{depth}"
             keys = [canonical_rule(r).schema_key() for r in eff.specific]
@@ -564,8 +573,6 @@ class TestCanonicalRule:
             assert [r.name for r in eff.specific] == sorted(r.name for r in eff.specific)
             # each member's name resolves to it in the calculus itself
             assert all(calc.rule(r.name) == r for r in eff.specific)
-        # the pool no longer holds a renamed copy of explosive-cut
-        assert len(effective_calculus(builtin_calculus("gecq"), 2)[0].specific) == 26
 
 
 class TestExpansionCap:
@@ -583,14 +590,17 @@ class TestExpansionCap:
             R.expansion_pool(HILBERT.specific[0], 2)  # 37**3 combinations
         assert R.expansion_pool(parse_structural_rule("=> |-", "empty"), 10**6)
 
-    def test_cli_depth_three_exits_three(self, capsys):
+    def test_cli_refutation_past_the_cap_exits_three(self, capsys):
+        # the chain |- p0, p_i |- p_{i+1}, p12 |- : a gecq refutation step
+        # over its 14 facts would take 2**12 transversals
+        chain = ["-p", "|- p0"] + [a for i in range(12) for a in ("-p", f"p{i} |- p{i + 1}")] + ["-p", "p12 |-"]
         start = time.perf_counter()
-        assert run(["prove", "--calculus", "gecq", "--depth-bound", "3", "-p", "|- p", "-p", "p |- q", "|- q"]) == 3
+        assert run(["refute", "--calculus", "gecq", *chain]) == 3
         assert time.perf_counter() - start < 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "expansion cap" in err
-        # getl builds no pool, so its depth bound sizes nothing
-        assert run(["prove", "--calculus", "getl", "--depth-bound", "3", "-p", "|- p", "-p", "p |- q", "|- q"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "expansion cap" in err
+        # two links fewer, 2**10 transversals, stay under the cap
+        assert run(["refute", "--calculus", "gecq", *chain[:-6], "-p", "p10 |-"]) == 0
         capsys.readouterr()
 
 

@@ -16,7 +16,7 @@ from .syntax import (
     Top,
     Value,
     _parse_sequent,
-    formula_key,
+    multiset_minus,
     subformulas,
 )
 
@@ -32,9 +32,12 @@ class Proof(Value):
 
     Equality compares the fields and the hash is taken over them. None of
     equality, hash and repr recurses, so a proof of any depth has them.
+    A node stores its hash once computed, outside ``_fields``: out of
+    repr and pickles.
     """
 
-    __slots__ = _fields = ("conclusion", "rule", "children", "premise_index")
+    __slots__ = ("conclusion", "rule", "children", "premise_index", "_hash")
+    _fields = ("conclusion", "rule", "children", "premise_index")
 
     def __init__(
         self, conclusion: Sequent, rule: str, children: tuple[Proof, ...] = (), premise_index: Optional[int] = None
@@ -43,6 +46,7 @@ class Proof(Value):
         _set_rule(self, rule)
         _set_children(self, children)
         _set_premise_index(self, premise_index)
+        _set_hash(self, None)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -69,7 +73,16 @@ class Proof(Value):
         return True
 
     def __hash__(self) -> int:
-        return rebuild(self, lambda node, kids: hash((node.conclusion, node.rule, kids, node.premise_index)))
+        todo = [self]  # children before parents, down to the nodes hashed before
+        while self._hash is None:
+            node = todo[-1]
+            pending = [c for c in node.children if c._hash is None]
+            todo += pending
+            if not pending:
+                todo.pop()
+                kids = tuple(c._hash for c in node.children)
+                _set_hash(node, hash((node.conclusion, node.rule, kids, node.premise_index)))
+        return self._hash
 
     def nodes(self) -> Iterator["Proof"]:
         """Each distinct node once, in pre-order of the proof read as a
@@ -96,6 +109,7 @@ _set_conclusion = Proof.conclusion.__set__
 _set_rule = Proof.rule.__set__
 _set_children = Proof.children.__set__
 _set_premise_index = Proof.premise_index.__set__
+_set_hash = Proof._hash.__set__
 
 
 T = TypeVar("T")
@@ -203,7 +217,7 @@ def common_formula(node: Proof) -> tuple[Formula, str]:
     more, fewer = node.conclusion, node.children[0].conclusion
     if node.rule in R.CONTRACTION_NAMES:
         more, fewer = fewer, more
-    return _multiset_diff(getattr(more, side), getattr(fewer, side))[0], side
+    return multiset_minus(getattr(more, side), getattr(fewer, side))[0], side
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +392,7 @@ def phase_split(p: Proof) -> tuple[tuple[Proof, ...], tuple[Proof, ...], tuple[P
     introduction zones, each in ``Proof.nodes()`` order.
 
     Requires a structurally atomic analytic-synthetic proof; the tripartite
-    branch shape is asserted once per node and zone below it.
+    branch shape is asserted.
     """
     if not (is_structurally_atomic(p) and is_analytic_synthetic(p)):
         raise SupercutError("phase_split requires a structurally atomic analytic-synthetic proof")
@@ -387,19 +401,12 @@ def phase_split(p: Proof) -> tuple[tuple[Proof, ...], tuple[Proof, ...], tuple[P
         z = _zone(node.rule)
         if z >= 0:
             zones[z].append(node)
-    # from the root upward: zones must not increase toward the leaves
-    seen: set[tuple[int, int]] = set()
-    todo = [(p, 2)]
-    while todo:
-        node, below = todo.pop()
-        if (id(node), below) in seen:
-            continue
-        seen.add((id(node), below))
-        z = _zone(node.rule)
-        if z >= 0:
-            assert z <= below, "branch violates elim/structural/intro ordering"
-            below = z
-        todo.extend((c, below) for c in node.children)
+    # zones must not increase toward the leaves: no node above an
+    # elimination is in a later zone, nor one above a structural step
+    for zone in (0, 1):
+        under = nodes_under(p, lambda n, zone=zone: _zone(n.rule) == zone)
+        assert not any(below and _zone(node.rule) > zone for node, below in under), (
+            "branch violates elim/structural/intro ordering")
     return tuple(zones[0]), tuple(zones[1]), tuple(zones[2])
 
 
@@ -410,35 +417,21 @@ def phase_split(p: Proof) -> tuple[tuple[Proof, ...], tuple[Proof, ...], tuple[P
 
 def weaken_to(p: Proof, target: Sequent) -> Proof:
     """Chain of weakenings from p.conclusion up to the target multiset."""
-    cur = p
-    left_missing = _multiset_diff(target.left, cur.conclusion.left)
-    right_missing = _multiset_diff(target.right, cur.conclusion.right)
-    assert _multiset_diff(cur.conclusion.left, target.left) == []
-    assert _multiset_diff(cur.conclusion.right, target.right) == []
-    for f in left_missing:
-        cur = structural("weakening-left", [cur], cur.conclusion.add(left=[f]))
-    for f in right_missing:
-        cur = structural("weakening-right", [cur], cur.conclusion.add(right=[f]))
-    return cur
+    for side in ("left", "right"):
+        missing = multiset_minus(getattr(target, side), getattr(p.conclusion, side))
+        assert missing is not None, (p.conclusion.render(), target.render())
+        for f in missing:
+            p = structural(R.WEAKENING[side], [p], p.conclusion.add(**{side: [f]}))
+    return p
 
 
 def contract_to(p: Proof, target: Sequent) -> Proof:
     """Chain of contractions from p.conclusion down to the target multiset."""
-    cur = p
-    for f in _multiset_diff(cur.conclusion.left, target.left):
-        cur = structural("contraction-left", [cur], cur.conclusion.remove_one(f, "left"))
-    for f in _multiset_diff(cur.conclusion.right, target.right):
-        cur = structural("contraction-right", [cur], cur.conclusion.remove_one(f, "right"))
-    assert cur.conclusion == target, (cur.conclusion.render(), target.render())
-    return cur
-
-
-def _multiset_diff(a: Sequence[Formula], b: Sequence[Formula]) -> list[Formula]:
-    out = list(a)
-    for f in b:
-        if f in out:
-            out.remove(f)
-    return sorted(out, key=formula_key)
+    for side in ("left", "right"):
+        for f in multiset_minus(getattr(p.conclusion, side), getattr(target, side)) or ():
+            p = structural(R.CONTRACTION[side], [p], p.conclusion.remove_one(f, side))
+    assert p.conclusion == target, (p.conclusion.render(), target.render())
+    return p
 
 
 def elim_targets(base: Proof) -> dict[Sequent, Proof]:
@@ -578,10 +571,14 @@ def proof_from_dict(d: dict) -> Proof:
     """Inverse of proof_to_dict; raises ParseError on a malformed node.
 
     Nodes are checked parent first and their sequents parsed children
-    first, so the first fault in that order is the one reported.
+    first, so the first fault in that order is the one reported. Equal
+    subtrees read as one shared node, and equal sequent texts as one
+    sequent, so a pass over the proof's distinct nodes does each once.
     """
     _check_node(d)
     parsed: dict[str, Formula] = {}  # formula texts of this proof, each parsed once
+    sequents: dict[str, Sequent] = {}  # by text
+    made: dict[tuple, Proof] = {}  # by sequent text, rule, premise index and the children's ids
     on_path = {id(d)}
     stack: list = [(d, iter(d.get("children", ())), [])]
     while True:
@@ -596,7 +593,14 @@ def proof_from_dict(d: dict) -> Proof:
             continue
         stack.pop()
         on_path.discard(id(node))
-        proof = Proof(_parse_sequent(node["sequent"], parsed), node["rule"], tuple(kids), node.get("premise_index"))
+        text, rule, index = node["sequent"], node["rule"], node.get("premise_index")
+        key = (text, rule, index, *map(id, kids))
+        proof = made.get(key)
+        if proof is None:
+            s = sequents.get(text)
+            if s is None:
+                s = sequents[text] = _parse_sequent(text, parsed)
+            proof = made[key] = Proof(s, rule, tuple(kids), index)
         if not stack:
             return proof
         stack[-1][2].append(proof)

@@ -273,21 +273,14 @@ def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple
     supply: Table = {}
     slots_sorted = sorted(rule.slot_names())
 
-    def instantiate(schema: R.SequentSchema, bc: dict[str, Sequent]) -> Sequent:
-        # the expansion's schema atoms are the fresh atoms of its images
-        left = [back[a] for a in schema.atoms_left]
-        right = [back[a] for a in schema.atoms_right]
-        for s in schema.slots_left + schema.slots_right:
-            left.extend(bc[s].left)
-            right.extend(bc[s].right)
-        return Sequent(left, right)
-
     for combo in itertools.product(*(slot_branches[s] for s in slots_sorted)):
         bc = dict(zip(slots_sorted, combo))
-        member = instantiate(step.conclusion, bc)
+        # the expansion's schema atoms are the fresh atoms of its images
+        member = step.conclusion.instance(back.__getitem__, bc.__getitem__)
         if member in supply:
             continue
-        children = [tables[j][instantiate(schema, bc)] for j, schema in zip(step.sources, step.premises)]
+        children = [tables[j][schema.instance(back.__getitem__, bc.__getitem__)]
+                    for j, schema in zip(step.sources, step.premises)]
         supply[member] = P.structural(step.name, children, member)
     return supply
 

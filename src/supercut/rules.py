@@ -5,7 +5,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
-from collections import Counter
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -24,6 +23,7 @@ from .syntax import (
     Top,
     Value,
     map_atoms,
+    multiset_minus,
     parse_formula,
     render,
     sequent_key,
@@ -191,6 +191,15 @@ class SequentSchema(Value):
 
     def slot_names(self) -> frozenset[str]:
         return frozenset(self.slots_left) | frozenset(self.slots_right)
+
+    def instance(self, atom: Callable[[str], Formula], slot: Callable[[str], Sequent]) -> Sequent:
+        """The sequent taking each schema atom a to atom(a) and each slot s to the members of slot(s)."""
+        left, right = [atom(a) for a in self.atoms_left], [atom(a) for a in self.atoms_right]
+        for s in self.slots_left + self.slots_right:
+            members = slot(s)
+            left += members.left
+            right += members.right
+        return Sequent(left, right)
 
     def render(self) -> str:
         lhs = ", ".join(list(self.atoms_left) + list(self.slots_left))
@@ -414,16 +423,16 @@ def match_structural(
     Distinct schema atoms may collide on the same formula. In atomic mode
     schema atoms take atoms and slots take atom multisets only.
 
-    The sides go in ``_match_plan`` order, depth first from an explicit
-    stack, branching only on a side with several unbound names: over the
-    first one's values in ``formula_key`` order, or over the splits among
-    its slots. That finds the match a search in rule order finds first.
+    The rule's ``_match_program`` runs depth first from an explicit stack,
+    branching only on a side with several unbound names: over the first
+    one's values in ``formula_key`` order, or over the splits among its
+    slots. That finds the match a search in rule order finds first.
     """
     if len(premises) != len(rule.premises):
         return None
-    givens = tuple(premises) + (conclusion,)
-    plan = _match_plan(rule)
-    # iterators over the states to try: (plan step, atom and slot assignments)
+    givens = (*premises, conclusion)
+    program = _match_program(rule)
+    # iterators over the states to try: (program step, atom and slot assignments)
     stack: list[Iterator[tuple[int, dict, dict]]] = [iter([(0, {}, {})])]
     while stack:
         state = next(stack[-1], None)
@@ -431,34 +440,25 @@ def match_structural(
             stack.pop()
             continue
         i, atom_asn, slot_asn = state
-        while i < len(plan):
-            g, side, atoms, slots = plan[i]
-            taken: dict[Formula, int] = {}  # what the bound names take
-            for f in [atom_asn[a] for a in atoms if a in atom_asn] + [f for s in slots for f in slot_asn.get(s, ())]:
-                taken[f] = taken.get(f, 0) + 1
-            rest = []  # the rest of the side, in order
-            for f in getattr(givens[g], side):
-                if taken.get(f):
-                    taken[f] -= 1
-                else:
-                    rest.append(f)
-            if any(taken.values()) or atomic_only and not all(isinstance(f, Atom) for f in rest):
+        while i < len(program):
+            g, side, atoms, slots, op, name, copies = program[i]
+            images = [atom_asn[a] for a in atoms] + [f for s in slots for f in slot_asn[s]]
+            rest = multiset_minus(getattr(givens[g], side), images)
+            if rest is None or atomic_only and not all(isinstance(f, Atom) for f in rest):
                 break
-            free_atoms = [a for a in dict.fromkeys(atoms) if a not in atom_asn]
-            free_slots = [s for s in slots if s not in slot_asn]
-            if free_atoms and (len(free_atoms) > 1 or free_slots):
-                a, copies = free_atoms[0], atoms.count(free_atoms[0])
-                stack.append(iter([(i, {**atom_asn, a: f}, dict(slot_asn)) for f, n in Counter(rest).items() if n >= copies]))
+            if op == "branch":  # one state per value the sorted rest holds ``copies`` times
+                stack.append(iter([(i + 1, {**atom_asn, name: f}, dict(slot_asn)) for j, f in enumerate(rest)
+                                   if (j == 0 or rest[j - 1] != f) and rest[j:j + copies].count(f) == copies]))
                 break
-            if len(free_slots) > 1:
-                stack.append(_split_states(i + 1, atom_asn, slot_asn, free_slots, rest))
+            if op == "split":
+                stack.append(_split_states(i + 1, atom_asn, slot_asn, name, rest))
                 break
-            if free_atoms:  # one atom, perhaps repeated, takes all that is left
-                if not rest or rest[:1] * atoms.count(free_atoms[0]) != rest:
+            if op == "atom":
+                if len(rest) != copies or rest.count(rest[0]) != copies:
                     break
-                atom_asn[free_atoms[0]] = rest[0]
-            elif free_slots:
-                slot_asn[free_slots[0]] = tuple(rest)
+                atom_asn[name] = rest[0]
+            elif op == "slot":
+                slot_asn[name] = tuple(rest)
             elif rest:
                 break
             i += 1
@@ -468,11 +468,17 @@ def match_structural(
 
 
 @lru_cache(maxsize=4096)
-def _match_plan(rule: StructuralRule) -> tuple[tuple[int, str, tuple[str, ...], tuple[str, ...]], ...]:
-    """The rule's schema sides as (index among the premises and then the
-    conclusion, side, schema atoms, slots) in matching order: next the
-    first side left with at most one name no side before it binds, else
-    the first side left."""
+def _match_program(rule: StructuralRule) -> tuple[tuple[int, str, tuple, tuple, str, object, int], ...]:
+    """The steps ``match_structural`` runs for rule, one or more per schema
+    side: (index among the premises and then the conclusion, side, the
+    side's schema atoms bound before the step, one per copy, its slots bound
+    before, operation, what it binds, that name's copies on the side). The
+    operation is a "branch" on the side's first free atom, after which the
+    side comes again, a "split" of the rest among several free slots, an
+    "atom" or "slot" that takes the rest, or an "empty" rest. The next
+    side is the first one left with at most one name that no side before it
+    binds, else the first one left.
+    """
     sides = [(i, side, getattr(s, "atoms_" + side), getattr(s, "slots_" + side))
              for i, s in enumerate(rule.premises + (rule.conclusion,)) for side in ("left", "right")]
     names = [set(atoms) | set(slots) for _, _, atoms, slots in sides]
@@ -482,20 +488,35 @@ def _match_plan(rule: StructuralRule) -> tuple[tuple[int, str, tuple[str, ...], 
         for name in n:
             sides_of.setdefault(name, []).append(j)
     ready = [j for j, n in enumerate(unbound) if n <= 1]  # a heap
-    order: dict[int, None] = {}
+    order: set[int] = set()
+    program = []
+    bound: set[str] = set()
     while len(order) < len(sides):
         j = heapq.heappop(ready) if ready else next(j for j in range(len(sides)) if j not in order)
-        if j not in order:
-            order[j] = None
-            for k in (k for name in names[j] for k in sides_of.pop(name, ())):
-                unbound[k] -= 1
-                if unbound[k] == 1:
-                    heapq.heappush(ready, k)
-    return tuple(sides[j] for j in order)
+        if j in order:
+            continue
+        order.add(j)
+        for k in (k for name in names[j] for k in sides_of.pop(name, ())):
+            unbound[k] -= 1
+            if unbound[k] == 1:
+                heapq.heappush(ready, k)
+        g, side, atoms, slots = sides[j]
+        free_atoms = [a for a in dict.fromkeys(atoms) if a not in bound]
+        free_slots = tuple(s for s in slots if s not in bound)
+        # branch on each free atom but the last, or on each while a free slot takes the rest
+        ops = [("branch", a) for a in free_atoms[:len(free_atoms) - (not free_slots)]]
+        ops.append(("split", free_slots) if len(free_slots) > 1 else ("slot", free_slots[0]) if free_slots
+                   else ("atom", free_atoms[-1]) if free_atoms else ("empty", None))
+        for op, name in ops:
+            program.append((g, side, tuple(a for a in atoms if a in bound), tuple(s for s in slots if s in bound),
+                            op, name, atoms.count(name)))
+            bound.add(name)  # a branch's atom is bound in the side's next step
+        bound.update(atoms, slots)
+    return tuple(program)
 
 
-def _split_states(i: int, atom_asn: dict, slot_asn: dict, slots: list[str], pool: list[Formula]):
-    """The states at plan step i that share the pool out among the slots,
+def _split_states(i: int, atom_asn: dict, slot_asn: dict, slots: tuple[str, ...], pool: Sequence[Formula]):
+    """The states at program step i that share the pool out among the slots,
     in lexicographic order of the choice of a slot per formula."""
     for choice in itertools.product(range(len(slots)), repeat=len(pool)):
         split = {s: tuple(f for f, c in zip(pool, choice) if c == k) for k, s in enumerate(slots)}
@@ -607,11 +628,8 @@ def sigma_expand_tagged(
     """Sigma expansion keeping, per expanded premise, the source premise index."""
     g = ground or {}
 
-    def subst_seq(schema: SequentSchema) -> Sequent:
-        return Sequent(
-            (sigma(g.get(a, a)) for a in schema.atoms_left),
-            (sigma(g.get(a, a)) for a in schema.atoms_right),
-        )
+    def subst_seq(schema: SequentSchema) -> Sequent:  # slots pass through
+        return schema.instance(lambda a: sigma(g.get(a, a)), lambda s: Sequent())
 
     tagged_premises: list[tuple[int, SequentSchema]] = []
     seen: set[SequentSchema] = set()

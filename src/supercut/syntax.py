@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 
 class SupercutError(Exception):
@@ -19,6 +19,7 @@ class ParseError(SupercutError):
 
     def __init__(self, message: str, position: int, expected: str):
         super().__init__(f"{message} at position {position} (expected {expected})")
+        self.message = message
         self.position = position
         self.expected = expected
 
@@ -472,6 +473,31 @@ def is_balanced(f: Formula) -> bool:
 _stored_key = attrgetter("_key")
 
 
+def multiset_minus(forms: Sequence[Formula], taken: Sequence[Formula]) -> Optional[Sequence[Formula]]:
+    """forms less taken as multisets, in forms' order; None when taken is
+    not part of forms. Linear in the width of forms: up to seven members of
+    taken go by ``list.remove``, which is fastest for so few, and more are
+    counted in one pass."""
+    if len(taken) < 8:
+        rest = list(forms)
+        try:
+            for f in taken:
+                rest.remove(f)
+        except ValueError:
+            return None
+        return rest
+    count: dict[Formula, int] = {}
+    for f in taken:
+        count[f] = count.get(f, 0) + 1
+    rest = []
+    for f in forms:
+        if count.get(f):
+            count[f] -= 1
+        else:
+            rest.append(f)
+    return rest if len(rest) + len(taken) == len(forms) else None
+
+
 def _sorted_side(forms: Iterable[Formula]) -> tuple[Formula, ...]:
     forms = tuple(forms)
     if len(forms) < 2:
@@ -570,19 +596,25 @@ def _parse_sequent(text: str, parsed: dict[str, Formula]) -> Sequent:
         # the end of a text without '|-', or the second '|-'
         position = len(text) if len(parts) == 1 else len(parts[0]) + 2 + len(parts[1])
         raise ParseError("sequent must contain exactly one '|-'", position, "'|-'")
-    return Sequent(_parse_side(parts[0], parsed), _parse_side(parts[1], parsed))
+    return Sequent(_parse_side(parts[0], 0, parsed), _parse_side(parts[1], len(parts[0]) + 2, parsed))
 
 
-def _parse_side(text: str, parsed: dict[str, Formula]) -> list[Formula]:
-    text = text.strip()
-    if not text:
+def _parse_side(text: str, offset: int, parsed: dict[str, Formula]) -> list[Formula]:
+    """The formulas of a side that starts at ``offset`` in the sequent's
+    text, where a parse error's position points."""
+    if not text.strip():
         return []
     out = []
-    for chunk in text.split(","):
+    chunks = text.split(",")
+    for chunk in chunks:
         key = chunk.strip()
         f = parsed.get(key)
         if f is None:
-            f = parsed[key] = parse_formula(chunk)
+            try:
+                f = parsed[key] = parse_formula(chunk)
+            except ParseError as e:
+                start = offset + len(",".join(chunks[:len(out)] + [""]))  # where chunk starts
+                raise ParseError(e.message, start + e.position, e.expected) from None
         out.append(f)
     return out
 

@@ -31,6 +31,12 @@ def test_sequent_without_turnstile(capsys):
     assert err.count("\n") == 1 and "at position 1 " in err
 
 
+def test_member_error_points_into_the_sequent(capsys):
+    assert run(["prove", "--calculus", "gk", "p |- p, "]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at position 8 " in err
+
+
 def test_semantics(capsys):
     assert run(["semantics", "--logic", "b", "-p", "p", "-p", "~p", "q"]) == 1
     assert run(["semantics", "--logic", "etl", "-p", "p", "-p", "~p | q", "q"]) == 0

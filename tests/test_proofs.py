@@ -1,5 +1,7 @@
 """Proof checking, shape predicates, builders and serialization."""
 
+import pickle
+import random
 import time
 
 import pytest
@@ -36,7 +38,7 @@ from supercut.rewrite import (
     normalize,
 )
 from supercut.rules import ROWS, at_set, builtin_calculus
-from supercut.syntax import And, Atom, Or, Sequent, SupercutError, parse_formula as pf, parse_sequent as ps
+from supercut.syntax import And, Atom, Formula, Or, Sequent, SupercutError, parse_formula as pf, parse_sequent as ps
 
 from conftest import random_sequent, wide_context_cut
 
@@ -172,6 +174,28 @@ class TestWideSteps:
         proof, premises = wide_context_cut(2000, rng)
         assert check(proof, builtin_calculus("getl"), premises).ok
 
+    @pytest.mark.parametrize("read_apart", [False, True])
+    def test_work_grows_linearly_with_width(self, monkeypatch, read_apart):
+        # formula comparisons and hashes while checking the step; with its
+        # premises read apart, no premise shares a formula object with another
+        getl = builtin_calculus("getl")
+        work = {}
+        for width in (200, 400):
+            proof, premises = wide_context_cut(width, random.Random(width))
+            if read_apart:
+                premises = [ps(s.render()) for s in premises]
+                leaves = tuple(premise(premises[c.premise_index], c.premise_index) for c in proof.children)
+                proof = Proof(proof.conclusion, proof.rule, leaves)
+            getl.rule(proof.rule)  # the expansion, built before counting
+            calls = []
+            with monkeypatch.context() as m:
+                for name in ("__eq__", "__hash__"):
+                    method = getattr(Formula, name)
+                    m.setattr(Formula, name, lambda *a, method=method: calls.append(1) or method(*a))
+                assert check(proof, getl, premises).ok
+            work[width] = len(calls)
+        assert work[400] <= 2.2 * work[200] and work[400] <= 20 * 400
+
 
 class TestSharing:
     def test_passes_visit_each_distinct_node_once(self, monkeypatch):
@@ -187,6 +211,42 @@ class TestSharing:
         assert is_structurally_atomic(tower) and is_analytic_synthetic(tower)
         out = normalize(tower, GCL, [], ps("p |- p"))
         assert check(out, GCL, []).ok and out.size() == 2**61 - 1
+
+    def test_equal_subtrees_read_as_one_node(self, monkeypatch):
+        blob = proof_to_dict(_cut_tower(3))
+        assert blob["children"][0] == blob["children"][1] and blob["children"][0] is not blob["children"][1]
+        tower = proof_from_dict(blob)
+        assert tower.children[0] is tower.children[1] and tower.conclusion is tower.children[0].conclusion
+        assert len(list(tower.nodes())) == 4 and tower.size() == 15
+        assert proof_to_dict(tower) == blob
+        calls = []
+        match = rules.match_structural
+        monkeypatch.setattr(rules, "match_structural", lambda *a, **k: calls.append(1) or match(*a, **k))
+        assert check(tower, GCL, []).ok
+        assert len(calls) == 4
+        # premise leaves that differ only in their index stay apart
+        cut = proof_from_dict(proof_to_dict(structural("cut", [premise(ps("p |- p"), 0), premise(ps("p |- p"), 1)], ps("p |- p"))))
+        assert cut.children[0] is not cut.children[1] and cut.children[0].conclusion is cut.children[1].conclusion
+
+    def test_hash_is_stored_once(self):
+        def chain(levels: int) -> Proof:
+            d = premise(ps("q |- p"))
+            for i in range(levels):
+                d = structural("contraction-left" if i % 2 else "weakening-left", [d], ps("q, q |- p" if i % 2 == 0 else "q |- p"))
+            return d
+
+        d, e = chain(3000), chain(3000)
+        assert d is not e and d == e and hash(d) == hash(e)
+        nodes = list(chain(3000).nodes())
+        t0 = time.perf_counter()
+        hashes = [hash(node) for node in reversed(nodes)]  # the premise first
+        assert time.perf_counter() - t0 < 0.1
+        assert hashes[-1] == hash(d) and len(set(hashes)) == 3001
+        # the stored hash is in neither repr nor pickle
+        w = structural("weakening-left", [premise(ps("|- p"), 0)], ps("q |- p"))
+        hash(w)
+        assert "_hash" not in repr(w) and "_hash" not in str(pickle.dumps(w))
+        assert pickle.loads(pickle.dumps(w)) == w and hash(pickle.loads(pickle.dumps(w))) == hash(w)
 
     def test_rebuild_keeps_sharing(self):
         tower = _cut_tower(60)

@@ -202,6 +202,30 @@ class TestMatchStructural:
                 assert (got and (got.atom_assignment, got.slot_assignment)) == (
                     want and (want.atom_assignment, want.slot_assignment)), rule.name
 
+    def test_reference_on_steps_read_apart(self, rng):
+        # each sequent parsed from its own text: no formula of one is
+        # another's object, so the bound images are found by equality
+        found = 0
+        for _ in range(2000):
+            rule, premises, conclusion = _random_step(rng)
+            premises, conclusion = [ps(s.render()) for s in premises], ps(conclusion.render())
+            for atomic_only in (False, True):
+                want = _reference_match(rule, premises, conclusion, atomic_only)
+                got = match_structural(rule, premises, conclusion, atomic_only)
+                assert (got and (got.atom_assignment, got.slot_assignment)) == (
+                    want and (want.atom_assignment, want.slot_assignment)), rule.render()
+                found += got is not None
+        assert 1000 < found < 3000
+
+    def test_program_built_once_per_rule(self):
+        R._match_program.cache_clear()
+        for i in range(100):
+            a, b = Atom(f"a{i}"), Atom(f"b{i}")
+            assert match_structural(CUT, [Sequent([a], [b]), Sequent([b], [a])], Sequent([a], [a])) is not None
+            assert match_structural(WEAKENING_LEFT, [Sequent([], [b])], Sequent([a], [b])) is not None
+            assert match_structural(R.CONTRACTION_RIGHT, [Sequent([], [a, b])], Sequent([], [a])) is None
+        assert R._match_program.cache_info().misses == 3
+
 
 def _reference_match(rule, premises, conclusion, atomic_only=False):
     """The backtracking search match_structural replaced, kept as the

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supercut.matrices import B4, ETL4, builtin, holds, product_matrix
-from supercut.proofs import Proof
+from supercut.proofs import Proof, proof_from_dict
 from supercut.rules import CUT, LIMITED_CUT_LEFT, builtin_calculus, expansion
 from supercut.syntax import (
     KEY_CAP,
@@ -94,6 +94,17 @@ class TestParser:
         for text, position in (("p", 1), ("p & q ", 6), ("p |- q |- r", 7), ("|- |- p |- q", 3)):
             with pytest.raises(ParseError) as exc:
                 parse_sequent(text)
+            assert exc.value.position == position, text
+
+    def test_member_errors_point_into_the_whole_text(self):
+        # a faulty member is reported where it stands in the sequent's text,
+        # not in its own chunk
+        for text, position in (("p,,q |- p", 2), ("p |- p, ", 8), ("p, q |- r & ", 12), ("  p & |- q", 6)):
+            with pytest.raises(ParseError) as exc:
+                parse_sequent(text)
+            assert exc.value.position == position, text
+            with pytest.raises(ParseError) as exc:
+                proof_from_dict({"sequent": text, "rule": "premise"})
             assert exc.value.position == position, text
 
     @given(formulas)

@@ -14,7 +14,6 @@ from .proofs import Proof
 from .syntax import (
     Atom,
     Formula,
-    Neg,
     Sequent,
     SupercutError,
     Value,
@@ -34,14 +33,15 @@ class EntailmentError(InterpolationError):
 
 
 class InterpolationResult(Value):
-    """``left_certificates`` holds one Proof per interpolant sequent and
-    ``right_certificate`` a Proof; the lp route has ("oracle",) and "oracle"."""
+    """``left_certificates`` holds one Proof per interpolant sequent, from
+    the premises, and ``right_certificate`` the Proof of the conclusion from
+    the interpolant sequents."""
 
     __slots__ = _fields = ("interpolant_sequents", "interpolant_formula", "left_logic", "right_logic",
                            "left_certificates", "right_certificate", "verified")
 
     def __init__(self, interpolant_sequents: tuple[Sequent, ...], interpolant_formula: Formula, left_logic: str,
-                 right_logic: str, left_certificates: tuple, right_certificate: object, verified: bool):
+                 right_logic: str, left_certificates: tuple[Proof, ...], right_certificate: Proof, verified: bool):
         object.__setattr__(self, "interpolant_sequents", interpolant_sequents)
         object.__setattr__(self, "interpolant_formula", interpolant_formula)
         object.__setattr__(self, "left_logic", left_logic)
@@ -51,19 +51,16 @@ class InterpolationResult(Value):
         object.__setattr__(self, "verified", verified)
 
 
-CALC_TO_LOGIC = {"gb": "b", "glp": "lp", "gk": "k", "getl": "etl", "gecq": "ecq", "gcl": "cl"}
-
-
 # ---------------------------------------------------------------------------
 # Critical nodes and the separating set
 # ---------------------------------------------------------------------------
 
 
-def _replace_critical_nodes(p: Proof, replace: Callable[[Proof], Proof], forbid_identity: bool = False) -> Proof:
-    """p with each critical (or separating) node q replaced by
-    ``replace(q)``: a node whose subproof has no introductions (nor Identity,
-    for the Milne variant) and reaches a premise leaf, and whose path to the
-    root is introductions only.
+def _replace_critical_nodes(p: Proof, replace: Callable[[Proof], Proof]) -> Proof:
+    """p with each critical node q replaced by ``replace(q)``: a node whose
+    subproof has no introductions nor Identity and reaches a premise leaf,
+    and whose path to the root is introductions only. In a proof with
+    Identity these are the separating nodes of Milne's split.
 
     One fold: each node maps to (its rebuilt proof, its subproof is clean,
     it reaches a premise), and an introduction replaces its critical
@@ -73,8 +70,7 @@ def _replace_critical_nodes(p: Proof, replace: Callable[[Proof], Proof], forbid_
     def step(node: Proof, kids: tuple[tuple[Proof, bool, bool], ...]) -> tuple[Proof, bool, bool]:
         reaches = node.rule == "premise" or any(r for _, _, r in kids)
         if not P.is_intro(node.rule):
-            clean = all(c for _, c, _ in kids) and not (forbid_identity and node.rule == "identity")
-            return node, clean, reaches
+            return node, node.rule != "identity" and all(c for _, c, _ in kids), reaches
         return P.with_children(node, [replace(q) if c and r else q for q, c, r in kids]), False, reaches
 
     out, clean, reaches = P.rebuild(p, step)
@@ -155,8 +151,8 @@ def _prune_subproof(sub: Proof, keep_atoms: frozenset[str], calc: R.Calculus) ->
         out = _delete_occurrence(out, side, a, calc)
 
 
-def _require_generalized_cut(calc: R.Calculus) -> None:
-    bad = [r.name for r in calc.specific if not R.classify(r).is_generalized_cut]
+def _require_generalized_cut(rules: Iterable[R.StructuralRule]) -> None:
+    bad = [r.name for r in rules if not R.classify(r).is_generalized_cut]
     if bad:
         raise InterpolationError(f"calculus contains non-generalized-cut rules: {', '.join(bad)}")
 
@@ -164,7 +160,7 @@ def _require_generalized_cut(calc: R.Calculus) -> None:
 def prune_foreign_atoms(p: Proof, premise_atoms: Iterable[str], calc: R.Calculus) -> Proof:
     """Delete ancestor trees of critical-node atoms outside the premises,
     restoring contexts with weakenings below each pruned node."""
-    _require_generalized_cut(calc)
+    _require_generalized_cut(calc.specific)
     keep = frozenset(premise_atoms)
     return _replace_critical_nodes(p, lambda q: P.weaken_to(_prune_subproof(q, keep, calc), q.conclusion))
 
@@ -174,102 +170,93 @@ def prune_foreign_atoms(p: Proof, premise_atoms: Iterable[str], calc: R.Calculus
 # ---------------------------------------------------------------------------
 
 
-def _interpolate_from_proof(
-    proof: Proof,
-    premises: Sequence[Sequent],
-    eff_calc: R.Calculus,
-    forbid_identity: bool = False,
+# calculus -> (left logic, right logic): the logics the interpolant is
+# verified in, the premises entailing it and it entailing the conclusion;
+# the proofs of each half live in the logic's own calculus, "g" + its name
+SPLIT_LOGICS = {"gb": ("b", "b"), "gk": ("k", "b"), "getl": ("etl", "b"), "gecq": ("ecq", "b"),
+                "glp": ("b", "lp"), "gcl": ("k", "lp")}
+
+
+def _split(
+    proof: Proof, premises: Sequence[Sequent], calc: R.Calculus
 ) -> tuple[tuple[Sequent, ...], tuple[Proof, ...], Proof]:
-    """Shared core: prune critical (or separating) nodes; return the pruned
-    sequents in ``sequent_key`` order, the first pruned subproof found for
-    each, and the proof of the conclusion from them."""
+    """Prune the critical (or separating) nodes; return the pruned sequents
+    in ``sequent_key`` order, the first pruned subproof found for each, and
+    the proof of the conclusion from them. A critical node that weakens
+    ``|-`` prunes to it, and ``|-`` weakens to the conclusion itself, so it
+    is then the one sequent."""
     keep = frozenset().union(*map(atoms_of, premises))
     certificates: dict[Sequent, Proof] = {}
 
     def stand_in(q: Proof) -> Proof:
-        pruned = _prune_subproof(q, keep, eff_calc)
+        base = q
+        while base.rule in R.WEAKENING_NAMES:
+            base = base.children[0]
+        pruned = base if base.conclusion.is_empty() else _prune_subproof(q, keep, calc)
         certificates.setdefault(pruned.conclusion, pruned)
         return P.weaken_to(P.premise(pruned.conclusion), q.conclusion)
 
-    rest = _replace_critical_nodes(proof, stand_in, forbid_identity)
+    rest = _replace_critical_nodes(proof, stand_in)
+    empty = Sequent()
+    if empty in certificates:
+        return (empty,), (certificates[empty],), P.weaken_to(P.premise(empty), proof.conclusion)
     ordered = tuple(sorted(certificates, key=sequent_key))
     return ordered, tuple(map(certificates.__getitem__, ordered)), rest
 
 
-def _interpolate(
-    premises: list[Sequent], conclusion: Sequent, calc: R.Calculus, depth_bound: int, separate: bool
-) -> tuple[tuple[Sequent, ...], tuple[Proof, ...], Proof]:
-    """Derive the conclusion, which decides entailment in an exact calculus,
-    and split the proof at its critical nodes, or with ``separate`` at the
-    separating nodes of Milne's split."""
-    res = E.derives(premises, conclusion, calc, depth_bound=depth_bound)
-    if not res.verdict:
-        raise EntailmentError("the premises do not derive the conclusion in this calculus")
-    assert res.proof is not None
-    if separate:
-        # a separating node lies above no Identity, GCL's one rule that is no generalized cut
-        return _interpolate_from_proof(RW.separate_identity_cut(res.proof), premises, res.calculus, True)
-    _require_generalized_cut(res.calculus)
-    return _interpolate_from_proof(res.proof, premises, res.calculus)
-
-
 def interpolate_sequents(
-    premises: Iterable[Sequent],
-    conclusion: Sequent,
-    calc: Union[str, R.Calculus],
-    depth_bound: int = 2,
+    premises: Iterable[Sequent], conclusion: Sequent, calc: Union[str, R.Calculus]
 ) -> InterpolationResult:
-    """Interpolate S |- c through the critical nodes of a normalized proof.
+    """Interpolate S |- c: derive it, which decides entailment in an exact
+    calculus, split the proof at its critical nodes, and verify the
+    interpolant sequents in the calculus' two ``SPLIT_LOGICS``.
 
-    The calculus' specific rules must all be generalized cut rules; the
-    result carries checkable proof certificates for both directions.
+    In a calculus with Identity the split is Milne's, at the separating
+    nodes of ``separate_identity_cut``'s proof, above which lies no
+    Identity; every other specific rule must be a generalized cut rule.
+    Each interpolant sequent carries a proof from S in the left logic's
+    calculus, and c a proof from them in the right logic's.
     """
     if isinstance(calc, str):
         calc = R.builtin_calculus(calc)
-    left_logic = CALC_TO_LOGIC.get(calc.name)
-    if left_logic is None:
+    if calc.name not in SPLIT_LOGICS:
         raise InterpolationError(f"no logic to verify the interpolant against for calculus {calc.name}")
+    left, right = SPLIT_LOGICS[calc.name]
     prems = list(premises)
-    ordered, certificates, rest = _interpolate(prems, conclusion, calc, depth_bound, False)
+    res = E.derives(prems, conclusion, calc)
+    if not res.verdict:
+        raise EntailmentError("the premises do not derive the conclusion in this calculus")
+    assert res.proof is not None
+    proof, rules = res.proof, list(res.calculus.specific)
+    if R.IDENTITY in rules:
+        # a separating node lies above no Identity, the one rule here that is no generalized cut
+        proof = RW.separate_identity_cut(proof)
+        rules.remove(R.IDENTITY)
+    _require_generalized_cut(rules)
+    ordered, certificates, rest = _split(proof, prems, res.calculus)
     shared = frozenset().union(*map(atoms_of, prems)) & atoms_of(conclusion)
-    var_ok = all(atoms_of(s) <= shared for s in ordered)
-    oracle_left = all(M.holds_sequent(M.builtin(left_logic), prems, s) for s in ordered)
-    oracle_right = M.holds_sequent(M.builtin("b"), ordered, conclusion)
-    return InterpolationResult(ordered, set_to_formula(ordered), left_logic, "b", certificates, rest,
-                               var_ok and oracle_left and oracle_right)
+    verified = (all(atoms_of(s) <= shared for s in ordered)
+                and all(M.holds_sequent(M.builtin(left), prems, s) for s in ordered)
+                and M.holds_sequent(M.builtin(right), ordered, conclusion))
+    return InterpolationResult(ordered, set_to_formula(ordered), left, right, certificates, rest, verified)
+
+
+def interpolate_formulas(phi: Formula, psi: Formula, logic_name: str) -> InterpolationResult:
+    """Interpolate phi |= psi by ``interpolate_sequents`` on rho(phi) |-
+    rho(psi) in the logic's calculus, whose derivation decides entailment."""
+    name = logic_name.lower()
+    if "g" + name not in SPLIT_LOGICS:
+        raise InterpolationError(f"interpolation is not supported for logic {logic_name}")
+    try:
+        return interpolate_sequents([rho(phi)], rho(psi), "g" + name)
+    except EntailmentError:
+        raise EntailmentError(f"phi does not entail psi in {name}") from None
 
 
 def milne_interpolate(phi: Formula, psi: Formula) -> InterpolationResult:
     """Classical-logic interpolation split into a Kleene-valid left half and
     a Logic-of-Paradox-valid right half via the separating set."""
-    ordered, certificates, rest = _interpolate([rho(phi)], rho(psi), R.builtin_calculus("gcl"), 2, True)
-    chi = set_to_formula(ordered)
-    ok = verify_interpolant(phi, chi, psi, "k", "lp")
-    return InterpolationResult(ordered, chi, "k", "lp", certificates, rest, ok)
-
-
-# the exact calculus each route derives phi |- psi in
-_ROUTE_CALCULI = {"b": "gb", "k": "gk", "etl": "getl", "ecq": "gecq"}
-
-
-def interpolate_formulas(phi: Formula, psi: Formula, logic_name: str) -> InterpolationResult:
-    """Dispatch interpolation per logic: proof-theoretic for b/k/etl/ecq,
-    dual route for lp, Milne split for cl. Each route decides entailment by
-    its derivation."""
-    name = logic_name.lower()
-    try:
-        if name in _ROUTE_CALCULI:
-            return interpolate_sequents([rho(phi)], rho(psi), _ROUTE_CALCULI[name])
-        if name == "lp":
-            # phi |= psi in lp iff ~psi |= ~phi in k
-            chi = Neg(interpolate_sequents([rho(Neg(psi))], rho(Neg(phi)), "gk").interpolant_formula)
-            ok = verify_interpolant(phi, chi, psi, "b", "lp")
-            return InterpolationResult((rho(chi),), chi, "b", "lp", ("oracle",), "oracle", ok)
-        if name == "cl":
-            return milne_interpolate(phi, psi)
-    except EntailmentError:
-        raise EntailmentError(f"phi does not entail psi in {name}") from None
-    raise InterpolationError(f"interpolation is not supported for logic {logic_name}")
+    return interpolate_formulas(phi, psi, "cl")
 
 
 def verify_interpolant(

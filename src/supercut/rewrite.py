@@ -490,7 +490,7 @@ def _assert_contraction_then_cut(p: Proof) -> None:
 
 
 def separate_identity_cut(p: Proof) -> Proof:
-    """Rewrite a normalized GCL proof so no branch contains both Identity and
+    """Rewrite a normalized GLP or GCL proof so no branch contains both Identity and
     Cut, by one fold: a Cut one of whose rewritten children is an Identity
     under Weakenings and Contractions becomes a weakening of the other child
     when it cuts the Identity's atom, and of the Identity otherwise."""

@@ -267,18 +267,16 @@ def test_gecq_verdicts_are_exact(capsys):
         assert err.count("\n") == 1 and "--depth-bound" in err
 
 
-@pytest.mark.parametrize("logic, phi, psi", [("lp", "p & q", "p | r"), ("ecq", "p & ~p", "q")])
-def test_interpolate_emits_a_proof_or_refuses(tmp_path, capsys, logic, phi, psi):
-    # the lp route has no proof of its right half to write
+@pytest.mark.parametrize("logic, phi, psi, calculus, sequent", [
+    ("lp", "p & q", "p | r", "glp", "|- p"),
+    ("ecq", "p & ~p", "q", "gb", "|-"),
+])
+def test_interpolate_emits_the_right_half(tmp_path, capsys, logic, phi, psi, calculus, sequent):
+    # the proof of psi from the interpolant sequent, in the right logic's calculus
     path = tmp_path / "proof.json"
-    code = run(["interpolate", "--logic", logic, phi, psi, "--emit-proof", str(path)])
-    out, err = capsys.readouterr()
-    if logic == "lp":
-        assert code == 2 and out == "" and err.count("\n") == 1 and "lp" in err
-        assert not path.exists()
-    else:
-        assert code == 0 and path.exists()
-        assert run(["check", "--calculus", "gb", str(path), "-p", "|-"]) == 0
+    assert run(["interpolate", "--logic", logic, phi, psi, "--emit-proof", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sequents"] == [sequent]
+    assert run(["check", "--calculus", calculus, "-p", sequent, str(path)]) == 0
 
 
 def test_interpolate_command(capsys):

@@ -107,18 +107,15 @@ class TestInterpolateSequents:
 
     def test_certificates_check(self, rng):
         pairs = [(pf("p & q"), pf("p | r")), (pf("p & q"), pf("(q | r) & (p | s)"))]
-        pairs += _entailed_pairs(rng, "b", 30)
-        for phi, psi in pairs:
-            prems = [rho(phi)]
-            r = interpolate_sequents(prems, rho(psi), "gb")
-            # one certificate per interpolant sequent, in the same order
-            assert len(r.left_certificates) == len(r.interpolant_sequents)
-            for cert, seq in zip(r.left_certificates, r.interpolant_sequents):
-                assert cert.conclusion == seq
-                assert check(cert, builtin_calculus("gb"), prems).ok
-            assert check(
-                r.right_certificate, builtin_calculus("gb"), list(r.interpolant_sequents)
-            ).ok
+        queries = [("gb", [rho(phi)], rho(psi)) for phi, psi in pairs + _entailed_pairs(rng, "b", 30)]
+        # the identity calculi split at the separating nodes
+        queries += [("glp", [ps("p |- q")], ps("p |- q, r | ~r")), ("gcl", [ps("|- p | q"), ps("p |- r")], ps("|- q, r"))]
+        for calc in ("glp", "gcl"):
+            queries += [(calc, prems, c) for prems, c in _entailed_sequent_queries(rng, calc, 20)]
+        for calc, prems, conclusion in queries:
+            r = interpolate_sequents(prems, conclusion, calc)
+            assert r.verified
+            _assert_certificates_check(r, prems, conclusion)
 
     def test_entailment_failure(self):
         with pytest.raises(EntailmentError):
@@ -148,19 +145,25 @@ class TestInterpolateFormulas:
         (cert,) = r.left_certificates
         assert check(cert, builtin_calculus("getl"), [rho(phi)]).ok
 
-    def test_lp_duality_route(self):
+    def test_lp_route_splits_a_glp_proof(self):
         r = interpolate_formulas(pf("p"), pf("q | ~q"), "lp")
         assert r.verified and (r.left_logic, r.right_logic) == ("b", "lp")
         assert atoms_of(r.interpolant_formula) == frozenset()
+        _assert_certificates_check(r, [rho(pf("p"))], rho(pf("q | ~q")))
+        r = interpolate_formulas(pf("p & q"), pf("p | r"), "lp")
+        assert r.interpolant_sequents == (ps("|- p"),)
 
     def test_ecq_explosive_through_a_refutation(self):
         phi = pf("p & ~p & q")
-        r = interpolate_formulas(phi, pf("r"), "ecq")
-        assert r.verified and (r.left_logic, r.right_logic) == ("ecq", "b")
-        assert r.interpolant_sequents == (Sequent(),) and atoms_of(r.interpolant_formula) == frozenset()
-        (cert,) = r.left_certificates
-        assert check(cert, builtin_calculus("gecq"), [rho(phi)]).ok
-        assert check(r.right_certificate, builtin_calculus("gb"), [Sequent()]).ok
+        # with (p & q) | r the critical nodes |- p, r and |- q, r weaken the
+        # one |- of the explosive cut, which alone weakens to the conclusion
+        for psi in (pf("r"), pf("(p & q) | r")):
+            r = interpolate_formulas(phi, psi, "ecq")
+            assert r.verified and (r.left_logic, r.right_logic) == ("ecq", "b")
+            assert r.interpolant_sequents == (Sequent(),) and atoms_of(r.interpolant_formula) == frozenset()
+            (cert,) = r.left_certificates
+            assert check(cert, builtin_calculus("gecq"), [rho(phi)]).ok
+            assert check(r.right_certificate, builtin_calculus("gb"), [Sequent()]).ok
 
     def test_ecq_nonexplosive_falls_back(self):
         r = interpolate_formulas(pf("p & q"), pf("p | r"), "ecq")
@@ -252,23 +255,54 @@ class TestMilne:
             assert r.verified, (render(phi), render(psi), render(r.interpolant_formula))
             done += 1
 
-    def test_certificates_split_between_gk_and_glp(self, rng):
+    @pytest.mark.parametrize("logic, left, right", [("cl", "gk", "glp"), ("lp", "gb", "glp")])
+    def test_certificates_split_at_the_separating_nodes(self, rng, logic, left, right):
         pairs = [(pf("p & q"), pf("p | r")), (pf("p & q"), pf("(q | r) & (p | s)"))]
-        pairs += _entailed_pairs(rng, "cl", 30)
+        pairs += _entailed_pairs(rng, logic, 30)
         for phi, psi in pairs:
-            r = milne_interpolate(phi, psi)
-            # left halves: proofs from the premise in the cut fragment, one
-            # per interpolant sequent, in the same order
-            assert len(r.left_certificates) == len(r.interpolant_sequents)
-            for cert, seq in zip(r.left_certificates, r.interpolant_sequents):
-                assert cert.conclusion == seq
-                assert check(cert, builtin_calculus("gk"), [rho(phi)]).ok
-            # right half: proof of the conclusion from the interpolant
-            # sequents in the identity fragment
-            assert r.right_certificate.conclusion == rho(psi)
-            assert check(
-                r.right_certificate, builtin_calculus("glp"), list(r.interpolant_sequents)
-            ).ok
+            r = interpolate_formulas(phi, psi, logic)
+            # left halves without Identity, the right half without Cut
+            assert ("g" + r.left_logic, "g" + r.right_logic) == (left, right)
+            _assert_certificates_check(r, [rho(phi)], rho(psi))
+
+
+class TestEveryRoute:
+    @pytest.mark.parametrize("logic", ["b", "k", "lp", "etl", "ecq", "cl"])
+    def test_verified_agrees_with_the_formula_verifier(self, rng, logic):
+        # the sequent-form verdict equals the formula form: each built-in
+        # designated set is a filter
+        for phi, psi in _entailed_pairs(rng, logic, 15):
+            r = interpolate_formulas(phi, psi, logic)
+            assert r.verified == verify_interpolant(phi, r.interpolant_formula, psi, r.left_logic, r.right_logic)
+            assert r.verified
+            _assert_certificates_check(r, [rho(phi)], rho(psi))
+
+
+def _assert_certificates_check(r, premises, conclusion) -> None:
+    """Each left certificate proves its interpolant sequent from the premises
+    in the left logic's calculus; the right one proves the conclusion from
+    the interpolant sequents in the right logic's."""
+    assert len(r.left_certificates) == len(r.interpolant_sequents)
+    for cert, seq in zip(r.left_certificates, r.interpolant_sequents):
+        assert cert.conclusion == seq
+        assert check(cert, builtin_calculus("g" + r.left_logic), premises).ok
+    assert r.right_certificate.conclusion == conclusion
+    assert check(r.right_certificate, builtin_calculus("g" + r.right_logic), list(r.interpolant_sequents)).ok
+
+
+def _entailed_sequent_queries(rng, calc: str, count: int) -> list:
+    """``count`` random one-premise sequent queries over three atoms, with
+    no constants, whose premise entails the conclusion in the calculus' logic."""
+    spec, out = builtin(calc[1:]), []
+
+    def side():
+        return [random_formula(rng, ["p", "q", "r"], 2, constants=False) for _ in range(rng.randint(0, 2))]
+
+    while len(out) < count:
+        prem, conclusion = Sequent(side(), side()), Sequent(side(), side())
+        if holds_sequent(spec, [prem], conclusion):
+            out.append(([prem], conclusion))
+    return out
 
 
 def _entailed_pairs(rng, logic: str, count: int) -> list:

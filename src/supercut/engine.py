@@ -57,6 +57,18 @@ and reinserts explicit atomic Weakening/Contraction steps. A context cut
 step is one structural node, named as ``rules.expansion`` names the
 expansion of limited-cut-left, for instance
 ``limited-cut-left[~x0 | x1 | x2 | x3]`` for MC({x0}, {x1, x2, x3}).
+
+Interpolation splits the proofs ``derives`` builds on two facts:
+
+- No Identity lies above a Cut. A Cut with an Identity premise concludes
+  its other premise's fact or a weakening of it, which a kept fact
+  subsumes, so the join never admits it. The critical nodes of a glp or
+  gcl proof therefore are Milne's separating nodes.
+- Every kept fact other than an Identity x |- x holds atoms of the
+  premises only, as Identity is the one built-in rule whose conclusion
+  has an atom that no premise binds. An atom foreign to the premises
+  reaches a critical node only through the weakenings of the leaf it
+  covers.
 """
 
 from __future__ import annotations

@@ -8,11 +8,9 @@ from typing import Callable, Iterable, Sequence, Union
 from . import engine as E
 from . import matrices as M
 from . import proofs as P
-from . import rewrite as RW
 from . import rules as R
 from .proofs import Proof
 from .syntax import (
-    Atom,
     Formula,
     Sequent,
     SupercutError,
@@ -97,72 +95,41 @@ def critical_nodes(p: Proof) -> frozenset[Sequent]:
 # ---------------------------------------------------------------------------
 
 
-def _delete_occurrence(node: Proof, side: str, atom: str, calc: R.Calculus) -> Proof:
-    """Remove one occurrence of the atom from the node's conclusion together
-    with its ancestor occurrences; weakenings bottom the recursion out.
-    ``calc`` is the calculus the proof lives in."""
-    target = Atom(atom)
-    rule = node.rule
-    assert target in getattr(node.conclusion, side), (node.conclusion.render(), side, atom)
-    reduced = node.conclusion.remove_one(target, side)
+def _prune_subproof(q: Proof, keep: frozenset[str]) -> Proof:
+    """q's base, the node above the weakenings that end q, weakened to q's
+    conclusion less its members foreign to ``keep``; a base that concludes
+    ``|-`` stands for itself, as it weakens to anything.
 
-    def delete(child: Proof) -> Proof:
-        return _delete_occurrence(child, side, atom, calc)
-
-    if rule in R.COMMON_NAMES:
-        if P.common_formula(node) == (target, side):
-            # a weakening's occurrence goes with it; a contraction's two
-            # copies go from its child
-            return node.children[0] if rule in R.WEAKENING_NAMES else delete(delete(node.children[0]))
-        return Proof(reduced, rule, (delete(node.children[0]),))
-    if rule in R.AXIOM_RULES:
-        return Proof(reduced, rule)
-    if rule == "premise" or rule == "identity":
-        raise InterpolationError(f"cannot prune {atom} through a {rule} node")
-    if P.is_logical(rule):
-        return Proof(reduced, rule, tuple(delete(c) for c in node.children))
-    # specific structural rule: the occurrence lives in a context slot
-    schema = calc.rule(rule)
-    m = R.match_structural(schema, [c.conclusion for c in node.children], node.conclusion)
-    assert m is not None, rule
-    slots = schema.conclusion.slots_left if side == "left" else schema.conclusion.slots_right
-    slot = next((s for s in slots if target in m.slot_assignment.get(s, ())), None)
-    if slot is None:
-        raise InterpolationError(
-            f"atom {atom} instantiates a schema position of {rule}; cannot prune"
-        )
-    kids = []
-    for child_schema, child in zip(schema.premises, node.children):
-        if slot in child_schema.slots_left or slot in child_schema.slots_right:
-            kids.append(delete(child))
-        else:
-            kids.append(child)
-    return Proof(reduced, rule, tuple(kids))
-
-
-def _prune_subproof(sub: Proof, keep_atoms: frozenset[str], calc: R.Calculus) -> Proof:
-    out = sub
-    while True:
-        foreign = sorted(atoms_of(out.conclusion) - keep_atoms)
-        if not foreign:
-            return out
-        a = foreign[0]
-        side = "left" if Atom(a) in out.conclusion.left else "right"
-        out = _delete_occurrence(out, side, a, calc)
-
-
-def _require_generalized_cut(rules: Iterable[R.StructuralRule]) -> None:
-    bad = [r.name for r in rules if not R.classify(r).is_generalized_cut]
-    if bad:
-        raise InterpolationError(f"calculus contains non-generalized-cut rules: {', '.join(bad)}")
+    In a proof from ``derives`` this prunes every foreign atom: the base
+    holds the atoms of the premises only (see ``engine``), so its
+    weakenings bring in the rest. An atom foreign to ``keep`` above the
+    weakenings is refused, not pruned through the rules above.
+    """
+    base = q
+    while base.rule in R.WEAKENING_NAMES:
+        base = base.children[0]
+    if base.conclusion.is_empty():
+        return base
+    foreign = atoms_of(base.conclusion) - keep
+    if foreign:
+        raise InterpolationError(f"cannot prune {', '.join(sorted(foreign))}: a {base.rule} step, not a "
+                                 f"weakening, carries it into {q.conclusion.render()}")
+    s = q.conclusion
+    return P.weaken_to(base, Sequent([f for f in s.left if atoms_of(f) <= keep],
+                                     [f for f in s.right if atoms_of(f) <= keep]))
 
 
 def prune_foreign_atoms(p: Proof, premise_atoms: Iterable[str], calc: R.Calculus) -> Proof:
-    """Delete ancestor trees of critical-node atoms outside the premises,
-    restoring contexts with weakenings below each pruned node."""
-    _require_generalized_cut(calc.specific)
+    """Delete the atoms outside the premises from each critical node by
+    dropping the weakenings that add them, restoring the node's conclusion
+    with weakenings below it. A foreign atom that a rule's context carries
+    into a critical node raises ``InterpolationError``: ``derives`` builds
+    no such proof, though a hand-normalized one may be."""
+    bad = [r.name for r in calc.specific if not R.classify(r).is_generalized_cut]
+    if bad:
+        raise InterpolationError(f"calculus contains non-generalized-cut rules: {', '.join(bad)}")
     keep = frozenset(premise_atoms)
-    return _replace_critical_nodes(p, lambda q: P.weaken_to(_prune_subproof(q, keep, calc), q.conclusion))
+    return _replace_critical_nodes(p, lambda q: P.weaken_to(_prune_subproof(q, keep), q.conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +144,20 @@ SPLIT_LOGICS = {"gb": ("b", "b"), "gk": ("k", "b"), "getl": ("etl", "b"), "gecq"
                 "glp": ("b", "lp"), "gcl": ("k", "lp")}
 
 
-def _split(
-    proof: Proof, premises: Sequence[Sequent], calc: R.Calculus
-) -> tuple[tuple[Sequent, ...], tuple[Proof, ...], Proof]:
-    """Prune the critical (or separating) nodes; return the pruned sequents
-    in ``sequent_key`` order, the first pruned subproof found for each, and
-    the proof of the conclusion from them. A critical node that weakens
-    ``|-`` prunes to it, and ``|-`` weakens to the conclusion itself, so it
-    is then the one sequent."""
+def _split(proof: Proof, premises: Sequence[Sequent]) -> tuple[tuple[Sequent, ...], tuple[Proof, ...], Proof]:
+    """Split a proof from ``derives`` at its critical nodes, which in glp and
+    gcl are Milne's separating nodes, as no Identity lies above a Cut there
+    (see ``engine``). Prune each node and contract it to its support; return
+    the pruned sequents in ``sequent_key`` order, the first pruned subproof
+    found for each, and the proof of the conclusion from them. A critical
+    node that weakens ``|-`` prunes to it, and ``|-`` weakens to the
+    conclusion itself, so it is then the one sequent."""
     keep = frozenset().union(*map(atoms_of, premises))
     certificates: dict[Sequent, Proof] = {}
 
     def stand_in(q: Proof) -> Proof:
-        base = q
-        while base.rule in R.WEAKENING_NAMES:
-            base = base.children[0]
-        pruned = base if base.conclusion.is_empty() else _prune_subproof(q, keep, calc)
+        sub = _prune_subproof(q, keep)
+        pruned = P.contract_to(sub, sub.conclusion.support())  # a premise may repeat members
         certificates.setdefault(pruned.conclusion, pruned)
         return P.weaken_to(P.premise(pruned.conclusion), q.conclusion)
 
@@ -208,12 +173,9 @@ def interpolate_sequents(
     premises: Iterable[Sequent], conclusion: Sequent, calc: Union[str, R.Calculus]
 ) -> InterpolationResult:
     """Interpolate S |- c: derive it, which decides entailment in an exact
-    calculus, split the proof at its critical nodes, and verify the
-    interpolant sequents in the calculus' two ``SPLIT_LOGICS``.
+    calculus, split the proof at its critical nodes (``_split``), and verify
+    the interpolant sequents in the calculus' two ``SPLIT_LOGICS``.
 
-    In a calculus with Identity the split is Milne's, at the separating
-    nodes of ``separate_identity_cut``'s proof, above which lies no
-    Identity; every other specific rule must be a generalized cut rule.
     Each interpolant sequent carries a proof from S in the left logic's
     calculus, and c a proof from them in the right logic's.
     """
@@ -227,13 +189,7 @@ def interpolate_sequents(
     if not res.verdict:
         raise EntailmentError("the premises do not derive the conclusion in this calculus")
     assert res.proof is not None
-    proof, rules = res.proof, list(res.calculus.specific)
-    if R.IDENTITY in rules:
-        # a separating node lies above no Identity, the one rule here that is no generalized cut
-        proof = RW.separate_identity_cut(proof)
-        rules.remove(R.IDENTITY)
-    _require_generalized_cut(rules)
-    ordered, certificates, rest = _split(proof, prems, res.calculus)
+    ordered, certificates, rest = _split(res.proof, prems)
     shared = frozenset().union(*map(atoms_of, prems)) & atoms_of(conclusion)
     verified = (all(atoms_of(s) <= shared for s in ordered)
                 and all(M.holds_sequent(M.builtin(left), prems, s) for s in ordered)

@@ -176,14 +176,6 @@ def logical(rule: str, children: Sequence[Proof], conclusion: Sequent) -> Proof:
     return Proof(conclusion, rule, tuple(children))
 
 
-def intro(row: R.Decomposition, goal: Sequent, f: Formula, prove: Callable[[Sequent], Proof]) -> Proof:
-    """The introduction of f on ``row.side`` concluding goal: goal is split
-    on f once, and ``prove`` builds the child of each branch, in branch
-    order, from the branch's sequent, which the child must conclude."""
-    targets = row.split(goal, f)
-    return _introduced(row, goal, targets, [prove(t) for t in targets])
-
-
 def _introduced(row: R.Decomposition, goal: Sequent, targets: list[Sequent], kids: list[Proof]) -> Proof:
     """The introduction concluding goal whose children conclude ``targets``,
     the split of goal by row, in branch order."""

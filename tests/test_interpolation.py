@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from supercut import engine, matrices
+from supercut import engine, interpolation, matrices
 from supercut.engine import derives
 from supercut.interpolation import (
     EntailmentError,
@@ -17,8 +17,9 @@ from supercut.interpolation import (
     verify_interpolant,
 )
 from supercut.matrices import builtin, holds, holds_sequent
-from supercut.proofs import check, has_subformula_property, premise, logical, structural
-from supercut.rules import CUT, Calculus, builtin_calculus
+from supercut.proofs import check, has_subformula_property, premise, logical, structural, weaken_to
+from supercut.rewrite import separate_identity_cut
+from supercut.rules import CUT, IDENTITY, Calculus, builtin_calculus
 from supercut.syntax import (
     And,
     Atom,
@@ -34,7 +35,7 @@ from supercut.syntax import (
     rho,
 )
 
-from conftest import random_formula, semantic_classes
+from conftest import random_formula, random_sequent, semantic_classes
 
 
 class TestCriticalNodes:
@@ -84,6 +85,59 @@ class TestPruneForeignAtoms:
         res = derives([], ps("|- p | ~p"), builtin_calculus("gcl"))
         with pytest.raises(InterpolationError):
             prune_foreign_atoms(res.proof, {"p"}, builtin_calculus("gcl"))
+
+    def test_atom_carried_through_a_context_is_refused(self):
+        # |- p, q weakened by r and cut with q |- s: r reaches the critical
+        # node |- p, r, s through the cut's context, not a weakening below it
+        prems = [ps("|- p, q"), ps("q |- s")]
+        weakened = weaken_to(premise(prems[0], 0), ps("|- p, q, r"))
+        proof = structural("cut", [weakened, premise(prems[1], 1)], ps("|- p, r, s"))
+        gk = builtin_calculus("gk")
+        assert check(proof, gk, prems).ok and critical_nodes(proof) == {proof.conclusion}
+        with pytest.raises(InterpolationError, match="cannot prune r") as err:
+            prune_foreign_atoms(proof, {"p", "q", "s"}, gk)
+        assert "\n" not in str(err.value)
+
+
+class TestDerivedProofInvariants:
+    """The two facts about proofs from ``derives`` that the split relies on
+    (see ``engine``): no Identity lies above a Cut, so separation returns a
+    glp or gcl proof unchanged, and a kept fact other than an Identity holds
+    premise atoms only, so pruning a critical node never refuses an atom."""
+
+    def derived(self, prems, goal, calc) -> bool:
+        res = derives(prems, goal, builtin_calculus(calc))
+        if not res.verdict:
+            return False
+        if IDENTITY in res.calculus.specific:
+            assert separate_identity_cut(res.proof) == res.proof
+        keep = frozenset().union(*map(atoms_of, prems))
+        # raises InterpolationError at a node whose base holds a foreign atom
+        interpolation._replace_critical_nodes(res.proof, lambda q: interpolation._prune_subproof(q, keep))
+        universe = sorted(keep | atoms_of(goal)) or ["a"]
+        seed = sum(1 << i for i, a in enumerate(universe) if a in keep)
+        for l, r in engine.saturate(prems, res.calculus, universe).provenance:
+            assert (l | r) & ~seed == 0 or (l == r and l.bit_count() == 1), (calc, l, r)
+        return True
+
+    @pytest.mark.parametrize("calc", ["gb", "glp", "gk", "gcl", "getl", "gecq"])
+    def test_random_premises(self, rng, calc):
+        found = 0
+        while found < 40:
+            prems = [random_sequent(rng, ["p", "q", "r"], 2) for _ in range(rng.randint(1, 3))]
+            found += self.derived(prems, random_sequent(rng, ["p", "q", "r", "s"], 2), calc)
+
+    @pytest.mark.parametrize("calc", ["gk", "gcl", "getl"])
+    def test_chains(self, calc):
+        for n in (2, 4, 6):
+            prems = [ps("|- p0")] + [ps(f"|- ~p{i} | p{i + 1}") for i in range(n)]
+            for goal in (f"|- p{n}", f"|- p{n} | r", f"r |- p{n} & (p0 | s)", f"|- p{n} & (s | ~s)"):
+                assert self.derived(prems, ps(goal), calc) == (calc == "gcl" or "~s" not in goal)
+
+    def test_identity_and_cut_in_one_gcl_proof(self):
+        prems, goal = [ps("|- p | q"), ps("p |- r")], ps("|- (q | r) & (s | ~s)")
+        assert {"cut", "identity"} <= {n.rule for n in derives(prems, goal, builtin_calculus("gcl")).proof.nodes()}
+        assert self.derived(prems, goal, "gcl")
 
 
 class TestInterpolateSequents:
@@ -176,6 +230,18 @@ class TestInterpolateFormulas:
     def test_entailment_checked_first(self):
         with pytest.raises(EntailmentError):
             interpolate_formulas(pf("p"), pf("q"), "b")
+
+    def test_interpolant_sequents_repeat_no_member(self, rng):
+        # each critical node contracts to its support: |- p, p was one sequent
+        assert interpolate_formulas(pf("p"), pf("~~(p | p)"), "b").interpolant_sequents == (ps("|- p"),)
+        r = interpolate_formulas(pf("p & r"), pf("s & r | p & r | p"), "b")
+        assert r.interpolant_sequents == (ps("|- p"), ps("|- p, r"))
+        # without constants, where repeated members are common
+        for logic in ("b", "k", "lp", "etl", "ecq", "cl"):
+            for phi, psi in _entailed_pairs(rng, logic, 15, constants=False):
+                r = interpolate_formulas(phi, psi, logic)
+                assert r.verified and all(s == s.support() for s in r.interpolant_sequents)
+                _assert_certificates_check(r, [rho(phi)], rho(psi))
 
 
 class TestVerdictFromDerivation:
@@ -305,12 +371,12 @@ def _entailed_sequent_queries(rng, calc: str, count: int) -> list:
     return out
 
 
-def _entailed_pairs(rng, logic: str, count: int) -> list:
+def _entailed_pairs(rng, logic: str, count: int, constants: bool = True) -> list:
     """``count`` random depth-3 pairs over four atoms, the first entailing
     the second in the logic."""
     spec, out = builtin(logic), []
     while len(out) < count:
-        phi, psi = (random_formula(rng, ["p", "q", "r", "s"], 3) for _ in range(2))
+        phi, psi = (random_formula(rng, ["p", "q", "r", "s"], 3, constants) for _ in range(2))
         if holds(spec, [phi], psi):
             out.append((phi, psi))
     return out

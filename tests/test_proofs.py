@@ -15,7 +15,6 @@ from supercut.proofs import (
     elim,
     elim_targets,
     has_subformula_property,
-    intro,
     intro_derive,
     is_analytic_synthetic,
     is_axiom,
@@ -328,7 +327,7 @@ class TestConstruction:
         # make_analytic_synthetic is the same fold over a structurally
         # atomic proof, and re-matches nothing either
         row, f = ROWS[And, "right"], pf("p & q")
-        detour = elim(row, intro(row, ps("r |- p & q"), f, premise), f, 1)
+        detour = elim(row, build_intro(ps("r |- p & q"), premise), f, 1)
         assert make_analytic_synthetic(detour) == premise(ps("r |- q"))
         assert calls == []
         monkeypatch.undo()
@@ -371,11 +370,10 @@ class TestConstruction:
         assert 0 < len(calls) <= len(logical_nodes)
 
     def test_intro_guards_each_child(self):
-        row = ROWS[And, "right"]
-        goal, f = ps("r |- p & q"), pf("p & q")
-        assert intro(row, goal, f, premise).children == (premise(ps("r |- p")), premise(ps("r |- q")))
+        goal, kids = ps("r |- p & q"), [premise(ps("r |- p")), premise(ps("r |- q"))]
+        assert build_intro(goal, premise) == logical("and-right-intro", kids, goal)
         with pytest.raises(AssertionError):
-            intro(row, goal, f, lambda t: premise(t.add(left=[Atom("s")])))
+            build_intro(goal, lambda t: premise(t.add(left=[Atom("s")])))
 
     def test_elim_takes_its_branch(self):
         row = ROWS[Or, "left"]

@@ -98,8 +98,8 @@ class Matrix(Value):
     def __hash__(self) -> int:
         return hash(self._compared())
 
-    def __reduce__(self):
-        return Matrix, self._compared() + (self.factors,)
+    def _args(self) -> tuple:
+        return self._compared() + (self.factors,)
 
     def meet_of(self, a: str, b: str) -> str:
         return self._meet[a, b]

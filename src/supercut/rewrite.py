@@ -4,21 +4,17 @@ enforcement, cut elimination and refutation reshaping."""
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import proofs as P
 from . import rules as R
 from .proofs import Proof
 from .syntax import (
-    And,
     Atom,
-    Bot,
     Formula,
-    Neg,
     Sequent,
     Substitution,
     SupercutError,
-    Top,
     apply_subst,
     atoms_of,
     map_atoms,
@@ -61,8 +57,9 @@ def _node_is_atomic(node: Proof) -> bool:
 
 Matches = dict[int, R.StructuralMatch]
 Table = dict[Sequent, Proof]
-# the rules whose steps on a compound formula take their tables from At-sets
-_PRINCIPAL_RULES = R.COMMON_NAMES | {"identity", "cut"}
+# the rules whose steps on a compound formula take their tables from At-sets:
+# their expansions have several conclusions
+_PRINCIPAL_RULES = R.COMMON_NAMES | {"identity"}
 
 
 def expand_structural(
@@ -143,6 +140,11 @@ def _at_leaves(
     compound = not all(isinstance(v, Atom) for v in m.atom_assignment.values())
     if trace is not None:
         trace.record("expand-principal" if compound else "atomize-context", node.conclusion.render(), node.rule)
+    if compound and node.rule == "cut":
+        # a Cut against an Identity concludes what its other child concludes
+        for i, kid in enumerate(node.children):
+            if kid.rule == "identity":
+                return kids[1 - i]
     if compound and node.rule in _PRINCIPAL_RULES:
         return _principal_table(node, m, kids)
     return _sandwich(node, calc, m, kids)
@@ -157,32 +159,18 @@ def _join(s: Sequent, t: Sequent) -> Sequent:
 
 
 def _principal_table(node: Proof, m: R.StructuralMatch, tables: tuple[Table, ...]) -> Table:
-    """The At-leaf table of a Weakening, Contraction, Identity or Cut on a
+    """The At-leaf table of a Weakening, Contraction or Identity on a
     compound formula f, from At-sets and atomic steps: At(G, f |- D) is the
     joins of a member of At(G |- D) with one of At(f |-), and likewise on
     the right. Members go in ``sequent_key`` order; the first entry for a
-    key wins. A Cut against an Identity concludes what its other child
-    concludes, and takes that child's table."""
+    key wins."""
     table: Table = {}
+    (f,) = m.atom_assignment.values()
     if node.rule == "identity":
-        (f,) = m.atom_assignment.values()
         for s in _members(Sequent([f], [f])):
             shared = next(a for a in s.left if a in s.right)
             table[s] = P.weaken_to(P.structural("identity", [], Sequent([shared], [shared])), s)
         return table
-    if node.rule == "cut":
-        for i, kid in enumerate(node.children):
-            if kid.rule == "identity":
-                return tables[1 - i]
-        f = m.atom_assignment["x"]
-        t1, t2 = tables
-        for x in _members(node.children[0].conclusion.remove_one(f, "right")):
-            for y in _members(node.children[1].conclusion.remove_one(f, "left")):
-                goal = _join(x, y)
-                if goal not in table:
-                    table[goal] = _cut_atoms(f, x, lambda n, x=x: t1[_join(x, n)], y, lambda n, y=y: t2[_join(y, n)])
-        return table
-    (f,) = m.atom_assignment.values()
     side = R.COMMON_SIDE[node.rule]
     (child,) = tables
     parts = _members(Sequent(**{side: [f]}))
@@ -198,41 +186,6 @@ def _principal_table(node: Proof, m: R.StructuralMatch, tables: tuple[Table, ...
             else:
                 table[s] = P.contract_to(child[_join(s, part)], s)
     return table
-
-
-def _cut_atoms(
-    f: Formula, x: Sequent, right: Callable[[Sequent], Proof], y: Sequent, left: Callable[[Sequent], Proof]
-) -> Proof:
-    """A proof of ``_join(x, y)`` by cuts on the atoms of f, where
-    ``right(n)`` proves ``_join(x, n)`` for each n in At(|- f) and
-    ``left(n)`` proves ``_join(y, n)`` for each n in At(f |-).
-
-    An atom is cut once; a constant leaves the side it does not close,
-    weakened; a negation swaps the sides. Of a conjunction g & h, g is cut
-    once for each member of At(h |-), then h against those proofs, and the
-    doubled x contracted; a disjunction is the dual.
-    """
-    goal = _join(x, y)
-    if isinstance(f, Atom):
-        return P.structural("cut", [right(Sequent((), [f])), left(Sequent([f], ()))], goal)
-    if isinstance(f, Top):
-        return P.weaken_to(left(Sequent()), goal)
-    if isinstance(f, Bot):
-        return P.weaken_to(right(Sequent()), goal)
-    if isinstance(f, Neg):
-        return _cut_atoms(f.arg, y, left, x, right)
-    g, h = f.left, f.right
-    if isinstance(f, And):
-        cut_g = {
-            n: _cut_atoms(g, x, right, _join(y, n), lambda k, n=n: left(_join(k, n)))
-            for n in _members(Sequent([h], ()))
-        }
-        return P.contract_to(_cut_atoms(h, x, right, goal, cut_g.__getitem__), goal)
-    cut_g = {
-        n: _cut_atoms(g, _join(x, n), lambda k, n=n: right(_join(k, n)), y, left)
-        for n in _members(Sequent((), [h]))
-    }
-    return P.contract_to(_cut_atoms(h, goal, cut_g.__getitem__, y, left), goal)
 
 
 def _slot_side(rule: R.StructuralRule, slot: str) -> str:

@@ -32,10 +32,12 @@ class Value:
     """Base of the package's immutable value classes.
 
     ``_fields`` names what a value is built from, in constructor order: its
-    repr lists them and its pickle rebuilds the value through the
-    constructor. Assigning or deleting an attribute raises AttributeError,
-    so each ``__init__`` sets its slots through their descriptors or
-    ``object.__setattr__``.
+    repr lists them, and ``_args`` reads them for the constructor. Assigning
+    or deleting an attribute raises AttributeError, so each ``__init__``
+    sets its slots through their descriptors or ``object.__setattr__``.
+
+    A pickle or deep copy holds the value as ``flatten`` gives it, and
+    ``unflatten`` rebuilds it, so neither recurses on a deep value.
     """
 
     __slots__ = ()
@@ -47,11 +49,55 @@ class Value:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _args(self) -> tuple:
+        """The constructor's arguments that rebuild the value."""
+        return tuple(getattr(self, name) for name in self._fields)
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        return unflatten, (flatten(self),)
 
     def __repr__(self) -> str:
         return value_repr(self)
+
+
+def flatten(root: Value) -> list[tuple]:
+    """root as a post-order table, built from an explicit stack: each entry
+    is ``(None, leaf)``, or ``(type, indices)`` for a value or tuple built
+    from the entries at those indices. An object met twice has one entry,
+    so shared parts stay shared. A leaf is anything else, and pickles on
+    its own; every object indexed is a stored field, kept alive by root."""
+    table: list[tuple] = []
+    index: dict[int, int] = {}
+    todo: list = [(root, None)]
+    while todo:
+        x, parts = todo.pop()
+        if id(x) in index:
+            continue
+        if parts is None:
+            parts = x._args() if isinstance(x, Value) else tuple(x) if type(x) is tuple else None
+            if parts is not None:
+                todo.append((x, parts))
+                todo.extend((y, None) for y in reversed(parts))
+                continue
+            entry: tuple = (None, x)
+        else:
+            entry = (type(x), tuple(index[id(y)] for y in parts))
+        index[id(x)] = len(table)
+        table.append(entry)
+    return table
+
+
+def unflatten(table: list[tuple]) -> Value:
+    """The value ``flatten`` made the table from, each value rebuilt through
+    its constructor."""
+    built: list = []
+    for kind, arg in table:
+        if kind is None:
+            built.append(arg)
+        else:
+            args = [built[i] for i in arg]
+            built.append(tuple(args) if kind is tuple else kind(*args))
+    return built[-1]
 
 
 def value_repr(x: Value) -> str:

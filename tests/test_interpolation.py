@@ -19,7 +19,7 @@ from supercut.interpolation import (
 from supercut.matrices import builtin, holds, holds_sequent
 from supercut.proofs import check, has_subformula_property, premise, logical, structural, weaken_to
 from supercut.rewrite import separate_identity_cut
-from supercut.rules import CUT, IDENTITY, Calculus, builtin_calculus
+from supercut.rules import CUT, IDENTITY, WEAKENING_NAMES, Calculus, builtin_calculus
 from supercut.syntax import (
     And,
     Atom,
@@ -73,7 +73,12 @@ class TestPruneForeignAtoms:
         out = prune_foreign_atoms(proof, {"p"}, res.calculus)
         assert check(out, res.calculus, prems).ok
         assert out.conclusion == proof.conclusion
-        assert ps("|- p") in critical_nodes(out) or True  # pruned node re-weakened below
+        # the critical node |- p, r is the pruned node |- p, weakened back
+        assert critical_nodes(out) == {ps("|- p, r")}
+        node = next(n for n in out.nodes() if n.conclusion == ps("|- p, r"))
+        while node.rule in WEAKENING_NAMES:
+            node = node.children[0]
+        assert node.conclusion == ps("|- p")
 
     def test_no_foreign_atoms_unchanged(self):
         prems = [ps("|- p")]

@@ -3,6 +3,7 @@
 import pickle
 import random
 import time
+from copy import deepcopy
 
 import pytest
 
@@ -246,6 +247,18 @@ class TestSharing:
         hash(w)
         assert "_hash" not in repr(w) and "_hash" not in str(pickle.dumps(w))
         assert pickle.loads(pickle.dumps(w)) == w and hash(pickle.loads(pickle.dumps(w))) == hash(w)
+
+    def test_deep_chain_pickles_and_deep_copies(self):
+        # 3,001 levels: premise, then alternating weakening and contraction
+        d = premise(ps("q |- p"), 0)
+        for i in range(3000):
+            d = structural("contraction-left" if i % 2 else "weakening-left", [d], ps("q, q |- p" if i % 2 == 0 else "q |- p"))
+        for e in (pickle.loads(pickle.dumps(d)), deepcopy(d)):
+            assert e == d and e is not d and hash(e) == hash(d) and check(e, GCL, [ps("q |- p")]).ok
+        # a shared subproof stays shared
+        tower = _cut_tower(60)
+        for out in (pickle.loads(pickle.dumps(tower)), deepcopy(tower)):
+            assert out == tower and out.children[0] is out.children[1]
 
     def test_rebuild_keeps_sharing(self):
         tower = _cut_tower(60)

@@ -55,16 +55,42 @@ class TestExpandStructural:
         out = expand_structural(node, GK)
         assert check(out, GK, prems).ok
         assert is_structurally_atomic(out)
-        cut_forms = {
-            n.conclusion
-            for n in out.nodes()
-            if n.rule == "cut"
-        }
         assert out.conclusion == node.conclusion
-        # only atomic cuts remain
-        for n in out.nodes():
-            if n.rule == "cut":
-                assert n.conclusion.is_atomic()
+        # one atomic instance of the cut's expansion on x0 & x1
+        assert [n.rule for n in out.nodes() if is_structural(n.rule)] == ["cut[x0 & x1]"]
+
+    @pytest.mark.parametrize("text, name", [
+        ("p & q", "cut[x0 & x1]"),
+        ("p | ~q", "cut[x0 | ~x1]"),
+        ("~(p & p)", "cut[~(x0 & x1)]"),
+        ("(p | ~q) & r", "cut[(x0 | ~x1) & x2]"),
+        ("T", "cut[T]"),
+        ("F & p", "cut[F & x0]"),
+    ])
+    def test_compound_cut_becomes_expansion_steps(self, text, name):
+        # a Cut on a compound formula comes out of normalize as atomic
+        # instances of its expansion, named by the formula's linear form,
+        # which the checker resolves to a rule of the calculus
+        f = pf(text)
+        prems = [Sequent([Atom("s")], [f]), Sequent([f, Atom("s")], [Atom("t")])]
+        node = structural("cut", [premise(prems[0], 0), premise(prems[1], 1)], ps("s, s |- t"))
+        for calc in (GK, GCL):
+            out = normalize(node, calc, prems, node.conclusion)
+            steps = [n for n in out.nodes() if is_structural(n.rule)]
+            assert steps and {n.rule for n in steps} == {name}
+            assert all(n.conclusion.is_atomic() for n in steps)
+            assert calc.rule(name) is not None and check(out, calc, prems).ok
+
+    def test_cut_on_a_deep_negation_chain(self):
+        # the expansion's one step on ~~...~x0 is built without recursion
+        f = Atom("p")
+        for _ in range(3000):
+            f = Neg(f)
+        prems = [Sequent([], [f]), Sequent([f], [Atom("q")])]
+        node = structural("cut", [premise(prems[0], 0), premise(prems[1], 1)], ps("|- q"))
+        out = normalize(node, GCL, prems, node.conclusion)
+        assert [n.rule for n in out.nodes() if is_structural(n.rule)] == ["cut[" + "~" * 3000 + "x0]"]
+        assert check(out, GCL, prems).ok
 
     def test_weakening_by_conjunction(self):
         base = premise(ps("|- r"), 0)

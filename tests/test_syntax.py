@@ -510,6 +510,13 @@ class TestDeepFormulas:
             f = Neg(f)
         assert repr(f) == "Neg(arg=" * 2000 + "Atom(name='p')" + ")" * 2000
 
+    def test_pickle_and_deepcopy_of_a_deep_chain(self):
+        f = p
+        for _ in range(3000):
+            f = Neg(f)
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert g == f and g is not f and hash(g) == hash(f) and render(g) == render(f)
+
     def test_differ_at_the_bottom(self):
         f, g = Atom("p"), Atom("r")
         for _ in range(self.DEPTH):

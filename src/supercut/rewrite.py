@@ -18,6 +18,7 @@ from .syntax import (
     apply_subst,
     atoms_of,
     map_atoms,
+    multiset_minus,
     sequent_key,
 )
 
@@ -63,19 +64,22 @@ _PRINCIPAL_RULES = R.COMMON_NAMES | {"identity"}
 
 
 def expand_structural(
-    p: Proof, calc: R.Calculus, trace: Optional[RewriteTrace] = None, matches: Optional[Matches] = None
+    p: Proof, calc: Optional[R.Calculus], trace: Optional[RewriteTrace] = None, matches: Optional[Matches] = None
 ) -> Proof:
     """The three-phase form of p: eliminations from the premises, atomic
     structural steps, introductions down to the conclusion.
 
     A fold maps each node to its At-leaf table, and the root's table
-    supplies the leaves of one introduction tree.
+    supplies the leaves of one introduction tree. ``calc`` may be None when
+    every structural node of p is atomic.
 
     ``matches`` maps the id of structural nodes of p to their matches (as
     ``proofs._check_matches`` returns them); every other structural node
     that needs its match is matched here. The dict is extended in place.
     """
-    return _three_phase(p, calc, trace, {} if matches is None else matches)
+    matches = {} if matches is None else matches
+    tables = P.rebuild(p, lambda node, kids: _at_leaves(node, kids, calc, trace, matches))
+    return P.build_intro(p.conclusion, tables.__getitem__)
 
 
 def make_analytic_synthetic(p: Proof) -> Proof:
@@ -84,15 +88,7 @@ def make_analytic_synthetic(p: Proof) -> Proof:
     calculus is consulted."""
     if not P.is_structurally_atomic(p):
         raise RewriteError("make_analytic_synthetic requires a structurally atomic proof")
-    return _three_phase(p, None, None, {})
-
-
-def _three_phase(p: Proof, calc: Optional[R.Calculus], trace: Optional[RewriteTrace], matches: Matches) -> Proof:
-    """Each node of p folded into its At-leaf table; the root's table
-    supplies the leaves of one introduction tree for p's conclusion.
-    ``calc`` may be None when every structural node of p is atomic."""
-    tables = P.rebuild(p, lambda node, kids: _at_leaves(node, kids, calc, trace, matches))
-    return P.build_intro(p.conclusion, tables.__getitem__)
+    return expand_structural(p, None)
 
 
 def _structural_match(node: Proof, calc: R.Calculus, matches: Matches) -> R.StructuralMatch:
@@ -356,7 +352,9 @@ _REFUTATION_RULES = frozenset({"identity", "cut"}) | R.COMMON_NAMES
 def simplify_refutation(p: Proof) -> Proof:
     """Reshape an atomic Identity/Cut/Weakening/Contraction refutation into
     contractions followed by cuts, per branch, by one fold: see
-    ``_reshape``."""
+    ``_reshape``. A ``cut[...]`` step, which ``normalize`` makes of a Cut on
+    a compound formula, raises RewriteError: it contracts the context its
+    premises share below its cuts, so it has no such shape."""
     if not p.conclusion.is_empty():
         raise RewriteError("simplify_refutation expects a proof of the empty sequent")
     if not P.is_structurally_atomic(p):
@@ -444,24 +442,33 @@ def _assert_contraction_then_cut(p: Proof) -> None:
 
 def separate_identity_cut(p: Proof) -> Proof:
     """Rewrite a normalized GLP or GCL proof so no branch contains both Identity and
-    Cut, by one fold: a Cut one of whose rewritten children is an Identity
-    under Weakenings and Contractions becomes a weakening of the other child
-    when it cuts the Identity's atom, and of the Identity otherwise."""
+    Cut, by one fold: a Cut step, atomic or a ``cut[...]`` step of a Cut on a
+    compound formula, with rewritten children that are Identities under
+    Weakenings and Contractions becomes a weakening of the first of those
+    Identities that fits in its conclusion, or else of the first child that
+    does. An atomic Cut always has one that fits. A ``cut[...]`` step whose
+    Identities feed atoms it consumes, while its other children keep atoms
+    it consumes, has none and raises RewriteError."""
     if not (P.is_structurally_atomic(p) and P.is_analytic_synthetic(p)):
         raise RewriteError("separate_identity_cut requires a normalized proof")
     out = P.rebuild(p, _separate)
-    _assert_separated(out)
+    if any(below and node.rule == "identity" for node, below in P.nodes_under(out, _is_cut)):
+        raise RewriteError("identity above a cut survived separation")
     return out
 
 
+def _is_cut(node: Proof) -> bool:
+    return node.rule.partition("[")[0] == "cut"
+
+
 def _separate(node: Proof, kids: tuple[Proof, ...]) -> Proof:
-    if node.rule == "cut":
-        for i, kid in enumerate(kids):
-            atom = _identity_chain_atom(kid)
-            if atom is not None:
-                if _cut_atom(node) == atom:
-                    return P.weaken_to(kids[1 - i], node.conclusion)
-                return P.weaken_to(P.structural("identity", [], Sequent([atom], [atom])), node.conclusion)
+    atoms = [a for a in map(_identity_chain_atom, kids) if a is not None] if _is_cut(node) else []
+    if atoms:
+        for fit in [P.structural("identity", [], Sequent([a], [a])) for a in atoms] + list(kids):
+            if all(multiset_minus(getattr(node.conclusion, side), getattr(fit.conclusion, side)) is not None
+                   for side in ("left", "right")):
+                return P.weaken_to(fit, node.conclusion)
+        raise RewriteError(f"no weakening separates the identity on {atoms[0].name} from {node.rule}")
     return P.with_children(node, kids)
 
 
@@ -474,8 +481,3 @@ def _identity_chain_atom(node: Proof) -> Optional[Atom]:
         return node.conclusion.left[0]  # type: ignore[return-value]
     return None
 
-
-def _assert_separated(p: Proof) -> None:
-    for node, below in P.nodes_under(p, lambda n: n.rule == "cut"):
-        if below and node.rule == "identity":
-            raise RewriteError("identity above a cut survived separation")

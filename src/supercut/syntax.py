@@ -64,8 +64,9 @@ def flatten(root: Value) -> list[tuple]:
     """root as a post-order table, built from an explicit stack: each entry
     is ``(None, leaf)``, or ``(type, indices)`` for a value or tuple built
     from the entries at those indices. An object met twice has one entry,
-    so shared parts stay shared. A leaf is anything else, and pickles on
-    its own; every object indexed is a stored field, kept alive by root."""
+    so parts shared within root stay shared; values pickled apart are
+    copied apart. A leaf is anything else, and pickles on its own; every
+    object indexed is a stored field, kept alive by root."""
     table: list[tuple] = []
     index: dict[int, int] = {}
     todo: list = [(root, None)]
@@ -76,14 +77,10 @@ def flatten(root: Value) -> list[tuple]:
         if parts is None:
             parts = x._args() if isinstance(x, Value) else tuple(x) if type(x) is tuple else None
             if parts is not None:
-                todo.append((x, parts))
-                todo.extend((y, None) for y in reversed(parts))
+                todo += [(x, parts)] + [(y, None) for y in reversed(parts)]
                 continue
-            entry: tuple = (None, x)
-        else:
-            entry = (type(x), tuple(index[id(y)] for y in parts))
         index[id(x)] = len(table)
-        table.append(entry)
+        table.append((None, x) if parts is None else (type(x), tuple(index[id(y)] for y in parts)))
     return table
 
 

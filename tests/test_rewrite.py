@@ -18,6 +18,7 @@ from supercut.proofs import (
     is_structural,
     is_structurally_atomic,
     logical,
+    nodes_under,
     premise,
     structural,
 )
@@ -546,6 +547,38 @@ class TestSimplifyRefutation:
         assert all(n.rule != "identity" for n in out.nodes())
 
 
+    def test_compound_cut_step_refused(self):
+        # normalize makes the Cut on p & q one cut[x0 & x1] step, which
+        # contracts its premises' shared context below its cuts
+        prems = [ps("|- p"), ps("|- q"), ps("p, q |-")]
+        pq = logical("and-right-intro", [premise(prems[0], 0), premise(prems[1], 1)], ps("|- p & q"))
+        npq = logical("and-left-intro", [premise(prems[2], 2)], ps("p & q |-"))
+        out = normalize(structural("cut", [pq, npq], Sequent()), GCL, prems, Sequent())
+        assert out.rule == "cut[x0 & x1]"
+        with pytest.raises(RewriteError, match=r"cut\[x0 & x1\]"):
+            simplify_refutation(out)
+
+
+def _separated_compound_cut(left: Proof, conclusion: Sequent) -> Proof:
+    """separate_identity_cut of the normalized Cut on q & r between left
+    and the premise q & r |- s, checked by ``_assert_separated``."""
+    prems = [ps("q & r |- s")]
+    cut = structural("cut", [left, premise(prems[0], 0)], conclusion)
+    norm = normalize(cut, GCL, prems, conclusion)
+    assert any(n.rule == "cut[x0 & x1]" for n in norm.nodes())
+    out = separate_identity_cut(norm)
+    _assert_separated(out, prems, conclusion)
+    return out
+
+
+def _assert_separated(p: Proof, prems: list, conclusion: Sequent) -> None:
+    """p proves conclusion from prems, and no Identity sits above a Cut
+    step, atomic or cut[...]."""
+    assert p.conclusion == conclusion and check(p, GCL, prems).ok
+    is_cut = lambda n: n.rule.partition("[")[0] == "cut"
+    assert not any(below and n.rule == "identity" for n, below in nodes_under(p, is_cut))
+
+
 class TestSeparateIdentityCut:
     def test_shared_proof(self):
         tower, _, prems = _weakened_cut_tower(40)
@@ -592,3 +625,46 @@ class TestSeparateIdentityCut:
 
             for rules in branch_rules(out, frozenset()):
                 assert not ({"identity", "cut"} <= rules)
+
+    def test_compound_cut_identity_on_a_context_atom(self):
+        # p |- p weakened by q & r: each cut[x0 & x1] child is that Identity
+        ident = structural("identity", [], ps("p |- p"))
+        left = structural("weakening-right", [ident], ps("p |- p, q & r"))
+        out = _separated_compound_cut(left, ps("p |- p, s"))
+        assert out == structural("weakening-right", [ident], ps("p |- p, s"))
+
+    def test_compound_cut_identity_on_a_consumed_atom(self):
+        # q, r |- q & r from Identities: the cut consumes both Identity
+        # atoms, and the premise's child fits in the conclusion
+        iq = structural("weakening-left", [structural("identity", [], ps("q |- q"))], ps("q, r |- q"))
+        ir = structural("weakening-left", [structural("identity", [], ps("r |- r"))], ps("q, r |- r"))
+        left = logical("and-right-intro", [iq, ir], ps("q, r |- q & r"))
+        out = _separated_compound_cut(left, ps("q, r |- s"))
+        assert {n.rule for n in out.nodes()} == {"and-left-elim", "premise"}
+
+    def test_compound_cut_with_no_fitting_child_raises(self):
+        # the Identity feeds q, consumed, while the other children keep r
+        iq = structural("weakening-left", [structural("identity", [], ps("q |- q"))], ps("q, t |- q"))
+        tr = structural("weakening-left", [premise(ps("t |- r"), 1)], ps("q, t |- r"))
+        left = logical("and-right-intro", [iq, tr], ps("q, t |- q & r"))
+        prems = [ps("q & r |- s"), ps("t |- r")]
+        cut = structural("cut", [left, premise(prems[0], 0)], ps("q, t |- s"))
+        norm = normalize(cut, GCL, prems, cut.conclusion)
+        with pytest.raises(RewriteError, match=r"identity on q from cut\[x0 & x1\]"):
+            separate_identity_cut(norm)
+
+    def test_padded_normalized_proofs(self, rng):
+        compound = 0
+        for _ in range(60):
+            prems = [random_sequent(rng, ["p", "q"], 2) for _ in range(rng.randint(0, 2))]
+            goal = random_sequent(rng, ["p", "q"], 2)
+            res = derives(prems, goal, GCL)
+            if not res.verdict:
+                continue
+            proof = res.proof
+            for _ in range(rng.randint(1, 3)):
+                proof = _pad(proof, prems, GCL, rng)
+            norm = normalize(proof, GCL, prems, goal)
+            compound += any(n.rule.startswith("cut[") for n in norm.nodes())
+            _assert_separated(separate_identity_cut(norm), prems, goal)
+        assert compound

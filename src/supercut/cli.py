@@ -302,8 +302,12 @@ def _dispatch(args) -> int:
             part = part.strip()
             if not part:
                 continue
-            name, _, image = part.partition("=")
-            mapping[name.strip()] = parse_formula(image)
+            name, _, image = (t.strip() for t in part.partition("="))
+            if not name:
+                raise ParseError("SIGMA entry without an atom", args.sigma.find(part), "'atom = formula'")
+            if name in mapping:
+                raise ParseError(f"SIGMA gives {name} a second image", args.sigma.find(part), "one image per atom")
+            mapping[name] = parse_formula(image)
         out = sorted(R.sigma_expand(rule, Substitution(mapping)), key=lambda r: r.render())
         if args.json:
             print(json.dumps([r.render() for r in out]))

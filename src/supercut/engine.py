@@ -80,7 +80,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import proofs as P
 from . import rules as R
-from .syntax import And, Atom, Neg, Or, ResourceCapError, Sequent, Value, atoms_of, sequent_key
+from .syntax import And, Atom, Formula, Neg, Or, ResourceCapError, Sequent, Value, atoms_of, sequent_key
 
 FactKey = tuple[int, int]
 
@@ -395,21 +395,28 @@ def _context_cut_join(snapshot: list[FactKey], delta: set[FactKey], first: bool,
                 offer(key, core, {needs[k]: f for k, f in zip(order, chosen)})
 
 
+def _clause(fact: FactKey, theta: dict[str, str], universe: Sequence[str]) -> Formula:
+    """~L | R for the fact L |- R: the disjunction of ~x<i> for the atoms of
+    L and x<i> for those of R, numbered on from theta's atoms in leaf order,
+    as ``rules.expansion`` numbers them. Each new x<i> is bound in theta to
+    its atom of the fact."""
+    left, right = _bits(fact[0]), _bits(fact[1])
+    xs = [Atom(f"x{len(theta) + k}") for k in range(len(left) + len(right))]
+    theta.update(zip((x.name for x in xs), (universe[i] for i in left + right)))
+    return reduce(Or, [Neg(x) for x in xs[: len(left)]] + xs[len(left):])
+
+
 def _cut_provenance(
     calc: R.Calculus, key: FactKey, core: FactKey, picks: dict[tuple[int, int], FactKey],
     universe: Sequence[str], index: dict[str, int],
 ) -> tuple:
     """The ``("rule", rule, theta, parents, slots)`` record of a context cut
     step, as ``_provenance`` gives for a compiled rule: MC(A, B) is the
-    calculus's limited-cut-left expanded by the disjunction of ~x<i> for
-    the atoms of A and x<i> for those of B, with the core first."""
-    left, right = _bits(core[0]), _bits(core[1])
-    atoms = [Atom(f"x{i}") for i in range(len(left) + len(right))]
+    calculus's limited-cut-left expanded by the core's clause, with the core
+    first."""
+    theta: dict[str, str] = {}
     base = next(r for r in calc.specific if r.schema_key() == R.LIMITED_CUT_LEFT.schema_key())
-    rule = R.expansion(base, (reduce(Or, [Neg(a) for a in atoms[: len(left)]] + atoms[len(left):]),))
-    # the atoms of A are interchangeable, as are those of B: any bijection side by side will do
-    schema = rule.premises[0]
-    theta = {x: universe[i] for x, i in zip(schema.atoms_left + schema.atoms_right, left + right)}
+    rule = R.expansion(base, (_clause(core, theta, universe),))
     parents = [core]
     for p in rule.premises[1:]:
         # G |- D, a for an atom a of A; b, G |- D for an atom b of B
@@ -442,13 +449,8 @@ def _explosion(calc: R.Calculus, premises: Sequence[Sequent], state: SaturationS
     count = math.prod(l.bit_count() + r.bit_count() for l, r in facts)  # transversals
     if count > R.MAX_EXPANSION_IMAGES:
         raise ResourceCapError(f"expansion cap {R.MAX_EXPANSION_IMAGES} exceeded: explosive-cut over {count} transversals")
-    theta: dict[str, str] = {}  # phi over x0, x1, ... in leaf order, which expansion keeps
-    conjuncts = []
-    for l, r in facts:
-        xs = [Atom(f"x{len(theta) + k}") for k in range(l.bit_count() + r.bit_count())]
-        theta.update(zip((x.name for x in xs), (state.universe[i] for i in _bits(l) + _bits(r))))
-        conjuncts.append(reduce(Or, [Neg(x) for x in xs[: l.bit_count()]] + xs[l.bit_count():]))
-    rule = R.expansion(calc.specific[0], (reduce(And, conjuncts),))
+    theta: dict[str, str] = {}
+    rule = R.expansion(calc.specific[0], (reduce(And, [_clause(f, theta, state.universe) for f in facts]),))
     keys = [_key(_instance_sequent(p, theta, {}, state.universe), state.index) for p in rule.premises]
     parents = tuple(next(f for f in facts if f[0] & ~l == 0 and f[1] & ~r == 0) for l, r in keys)
     return ("rule", rule, theta, parents, {})
@@ -598,19 +600,9 @@ def reconstruct(
     return P.build_intro(goal, mid)
 
 
-def _instance_sequent(
-    schema: R.SequentSchema,
-    theta: dict[str, str],
-    slots: dict[str, tuple[int, int]],
-    universe: Sequence[str],
-) -> Sequent:
-    left = [Atom(theta[a]) for a in schema.atoms_left]
-    right = [Atom(theta[a]) for a in schema.atoms_right]
-    for s in schema.slots_left + schema.slots_right:
-        sl, sr = slots.get(s, (0, 0))
-        left.extend(Atom(a) for i, a in enumerate(universe) if sl >> i & 1)
-        right.extend(Atom(a) for i, a in enumerate(universe) if sr >> i & 1)
-    return Sequent(left, right)
+def _instance_sequent(schema: R.SequentSchema, theta: dict[str, str], slots: dict[str, tuple[int, int]],
+                      universe: Sequence[str]) -> Sequent:
+    return schema.instance(lambda a: Atom(theta[a]), lambda s: _fact_sequent(slots.get(s, (0, 0)), universe))
 
 
 # ---------------------------------------------------------------------------
@@ -622,18 +614,16 @@ def derives(
     premises: Iterable[Sequent],
     conclusion: Sequent,
     calc: R.Calculus,
-    depth_bound: int = 2,
     max_facts: int = 200000,
 ) -> DeriveResult:
     """Decide derivability; exact for the built-in calculi. A custom
-    calculus that needs an expansion pool is sound but bounded, and the
-    depth bound sizes its pool.
+    calculus that needs an expansion pool is sound but bounded.
 
     Returns a checked structurally atomic analytic-synthetic proof with the
     subformula property whenever the verdict is positive.
     """
     prems = list(premises)
-    eff, complete = effective_calculus(calc, depth_bound)
+    eff, complete = effective_calculus(calc)
     if conclusion in prems:
         proof = P.premise(conclusion, prems.index(conclusion))
         return DeriveResult(True, complete, eff, proof, 0)
@@ -650,8 +640,7 @@ def derives(
 def refutes(
     premises: Iterable[Sequent],
     calc: R.Calculus,
-    depth_bound: int = 2,
     max_facts: int = 200000,
 ) -> DeriveResult:
     """Derivability of the empty sequent; refutation proofs have no introductions."""
-    return derives(premises, Sequent(), calc, depth_bound=depth_bound, max_facts=max_facts)
+    return derives(premises, Sequent(), calc, max_facts=max_facts)

@@ -165,8 +165,8 @@ _SATOM_RE = re.compile(r"[a-z][A-Za-z0-9_']*")
 class SequentSchema(Value):
     """One schematic sequent: schema-atom and context-slot names per side.
 
-    Schema atoms instantiate to single formulas (atoms in atomic mode);
-    slots instantiate to finite multisets. Slots are distinct per side.
+    Schema atoms instantiate to single formulas; slots instantiate to
+    finite multisets. Slots are distinct per side.
     """
 
     __slots__ = _fields = ("atoms_left", "slots_left", "atoms_right", "slots_right")
@@ -412,16 +412,11 @@ class StructuralMatch:
         self.slot_assignment = slot_assignment
 
 
-def match_structural(
-    rule: StructuralRule,
-    premises: Sequence[Sequent],
-    conclusion: Sequent,
-    atomic_only: bool = False,
-) -> Optional[StructuralMatch]:
+def match_structural(rule: StructuralRule, premises: Sequence[Sequent],
+                     conclusion: Sequent) -> Optional[StructuralMatch]:
     """Find schema-atom and slot instantiations making the step an instance.
 
-    Distinct schema atoms may collide on the same formula. In atomic mode
-    schema atoms take atoms and slots take atom multisets only.
+    Distinct schema atoms may collide on the same formula.
 
     The rule's ``_match_program`` runs depth first from an explicit stack,
     branching only on a side with several unbound names: over the first
@@ -444,7 +439,7 @@ def match_structural(
             g, side, atoms, slots, op, name, copies = program[i]
             images = [atom_asn[a] for a in atoms] + [f for s in slots for f in slot_asn[s]]
             rest = multiset_minus(getattr(givens[g], side), images)
-            if rest is None or atomic_only and not all(isinstance(f, Atom) for f in rest):
+            if rest is None:
                 break
             if op == "branch":  # one state per value the sorted rest holds ``copies`` times
                 stack.append(iter([(i + 1, {**atom_asn, name: f}, dict(slot_asn)) for j, f in enumerate(rest)
@@ -616,55 +611,34 @@ def classify(rule: StructuralRule) -> RuleClassification:
 # ---------------------------------------------------------------------------
 
 
-def _sequent_to_schema(s: Sequent, slots_left: tuple[str, ...], slots_right: tuple[str, ...]) -> SequentSchema:
-    return SequentSchema([f.name for f in s.left], slots_left, [f.name for f in s.right], slots_right)
+def sigma_expand(rule: StructuralRule, sigma: Substitution) -> frozenset[StructuralRule]:
+    """All sigma-expansions of a structural rule, one per member of the
+    At-set of its conclusion's image; slots pass through unchanged. Each
+    member of the premises' At-sets is an expanded premise, the first time
+    it occurs, and ``sources`` gives the base premise it came from."""
 
+    def members(schema: SequentSchema) -> list[SequentSchema]:
+        image = schema.instance(sigma, lambda s: Sequent())
+        return [SequentSchema([f.name for f in m.left], schema.slots_left, [f.name for f in m.right],
+                              schema.slots_right) for m in sorted(at_set(image), key=sequent_key)]
 
-def sigma_expand_tagged(
-    rule: StructuralRule,
-    sigma: Substitution,
-    ground: dict[str, str] | None = None,
-) -> list[tuple[tuple[tuple[int, SequentSchema], ...], SequentSchema]]:
-    """Sigma expansion keeping, per expanded premise, the source premise index."""
-    g = ground or {}
-
-    def subst_seq(schema: SequentSchema) -> Sequent:  # slots pass through
-        return schema.instance(lambda a: sigma(g.get(a, a)), lambda s: Sequent())
-
-    tagged_premises: list[tuple[int, SequentSchema]] = []
-    seen: set[SequentSchema] = set()
+    sources: dict[SequentSchema, int] = {}
     for i, p in enumerate(rule.premises):
-        for member in sorted(at_set(subst_seq(p)), key=sequent_key):
-            schema = _sequent_to_schema(member, p.slots_left, p.slots_right)
-            if schema not in seen:
-                seen.add(schema)
-                tagged_premises.append((i, schema))
+        for schema in members(p):
+            sources.setdefault(schema, i)
+    premises = tuple(sources)
     out = []
-    for member in sorted(at_set(subst_seq(rule.conclusion)), key=sequent_key):
-        concl = _sequent_to_schema(member, rule.conclusion.slots_left, rule.conclusion.slots_right)
-        out.append((tuple(tagged_premises), concl))
-    return out
-
-
-def sigma_expand(
-    rule: StructuralRule,
-    sigma: Substitution,
-    ground: dict[str, str] | None = None,
-) -> frozenset[StructuralRule]:
-    """All sigma-expansions of a structural rule; slots pass through unchanged."""
-    out = []
-    for tagged, concl in sigma_expand_tagged(rule, sigma, ground):
-        premises = tuple(schema for _, schema in tagged)
-        r = StructuralRule("", premises, concl)
-        out.append(StructuralRule(r.render(), premises, concl))
+    for concl in members(rule.conclusion):
+        r = StructuralRule("", premises, concl, tuple(sources.values()))
+        out.append(StructuralRule(r.render(), premises, concl, r.sources))
     return frozenset(out)
 
 
 @lru_cache(maxsize=4096)
 def expansion(base: StructuralRule, images: tuple[Formula, ...]) -> Optional[StructuralRule]:
-    """The sigma-expansion of ``base`` taking its schema atoms, in
-    ``schema_atoms()`` order, to ``images``; None when the count is wrong or
-    the expansion has no single conclusion.
+    """The ``sigma_expand`` of ``base`` taking its schema atoms, in
+    ``schema_atoms()`` order, to ``images``, when it is one rule; None when
+    the count is wrong or the expansion has no single conclusion.
 
     Each atom occurrence of the images, in leaf order, is first renamed to
     the next of x0, x1, ..., the schema atoms of the expansion. It is named
@@ -676,14 +650,14 @@ def expansion(base: StructuralRule, images: tuple[Formula, ...]) -> Optional[Str
         return None
     leaves = itertools.count()
     linear = [map_atoms(f, lambda a: Atom(f"x{next(leaves)}")) for f in images]
-    expanded = sigma_expand_tagged(base, Substitution(dict(zip(names, linear))))
+    expanded = sigma_expand(base, Substitution(dict(zip(names, linear))))
     if len(expanded) != 1:
         return None
-    ((tagged, concl),) = expanded
+    (e,) = expanded
     name = base.name
     if not all(isinstance(f, Atom) for f in linear):
         name += "[" + ", ".join(map(render, linear)) + "]"
-    return StructuralRule(name, tuple(s for _, s in tagged), concl, tuple(i for i, _ in tagged))
+    return StructuralRule(name, e.premises, e.conclusion, e.sources)
 
 
 def _expansion_named(base: StructuralRule, group: str, name: str) -> Optional[StructuralRule]:
@@ -704,21 +678,19 @@ def _expansion_named(base: StructuralRule, group: str, name: str) -> Optional[St
 # ---------------------------------------------------------------------------
 
 
-def _linear_shapes(depth: int) -> list:
-    """Formula shapes of connective-depth <= depth; leaves are placeholders.
-
-    A shape is a nested tuple: "x" (leaf), ("~", s), ("&", s, t), ("|", s, t).
-    """
-    levels: list[list] = [["x"]]
+def _linear_shapes(depth: int) -> list[Formula]:
+    """The formulas of connective-depth <= depth over ~, & and |, each leaf
+    the atom x: ``expansion`` gives every leaf a fresh atom of its own."""
+    levels: list[list[Formula]] = [[Atom("x")]]
     for _ in range(depth):
         prev = [s for lvl in levels for s in lvl]
         last = set(levels[-1])
-        new = [("~", s) for s in levels[-1]]
+        new: list[Formula] = [Neg(s) for s in levels[-1]]
         for a in prev:
             for b in prev:
                 if a in last or b in last:
-                    new.append(("&", a, b))
-                    new.append(("|", a, b))
+                    new.append(And(a, b))
+                    new.append(Or(a, b))
         levels.append(new)
     return [s for lvl in levels for s in lvl]
 
@@ -733,17 +705,6 @@ def _shape_count(depth: int) -> int:
         level += 2 * (total * total - below * below)
         below, total = total, total + level
     return total
-
-
-@lru_cache(maxsize=None)
-def _shape_image(shape) -> Formula:
-    """The shape's formula, each leaf the atom x: ``expansion`` gives every
-    leaf a fresh atom of its own."""
-    if shape == "x":
-        return Atom("x")
-    if shape[0] == "~":
-        return Neg(_shape_image(shape[1]))
-    return (And if shape[0] == "&" else Or)(_shape_image(shape[1]), _shape_image(shape[2]))
 
 
 def canonical_rule(rule: StructuralRule) -> StructuralRule:
@@ -778,10 +739,12 @@ def _rename_rule(rule: StructuralRule, table: dict[str, str]) -> StructuralRule:
 
 
 # Beyond this many expansions of one rule, ResourceCapError: the shape
-# combinations of expansion_pool, or the transversals of a gecq refutation
-# step. Depth 2 admits up to two schema atoms (37**2 = 1,369); depth 3
-# (2,776 shapes) gave getl's rules 2,122 expansions, over which a two-atom
-# query took 3.3 s against 2 ms at depth 2 (CPython 3.11).
+# combinations of a custom calculus's expansion_pool, or the transversals
+# of a gecq refutation step. Depth 2 admits up to two schema atoms
+# (37**2 = 1,369 combinations: 0.55 s to pool a two-atom rule), depth 3
+# (2,776 shapes) none. A gecq step over 1,024 transversals takes 0.14 s to
+# build and 0.24 s to check, and each doubling at least doubles both
+# (CPython 3.11).
 MAX_EXPANSION_IMAGES = 2000
 
 
@@ -803,7 +766,7 @@ def expansion_pool(rule: StructuralRule, depth_bound: int) -> frozenset[Structur
         )
     pool: dict[tuple, StructuralRule] = {}  # shapes such as x and ~~x expand alike
     for combo in itertools.product(_linear_shapes(depth_bound) if schema_atoms else (), repeat=len(schema_atoms)):
-        e = expansion(rule, tuple(map(_shape_image, combo)))
+        e = expansion(rule, combo)
         if e is not None:
             pool.setdefault(canonical_rule(e).schema_key(), e)
     return frozenset(pool.values())

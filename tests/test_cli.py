@@ -303,6 +303,18 @@ def test_expand_command(capsys):
     assert out == "|- p ; |- q ; p, q, G |- D => G |- D"
 
 
+def test_expand_refuses_a_second_image(capsys):
+    assert run(["expand", "|- x ; x, G |- D => G |- D", "x = p & q ; x = q"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and "second image" in err
+
+
+def test_expand_refuses_an_entry_without_an_atom(capsys):
+    assert run(["expand", "|- x ; x, G |- D => G |- D", " = p"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and "without an atom" in err
+
+
 def test_structuralize_command(capsys):
     assert run(["structuralize", "-p", "p & ~p", "q | ~q"]) == 0
     assert capsys.readouterr().out.strip() == "p |- ; |- p => q |- q"

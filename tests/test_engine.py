@@ -436,6 +436,21 @@ class TestContextCut:
         (step,) = {n.rule for n in res.proof.nodes() if n.rule != "premise"}
         assert step == "limited-cut-left[~x0 | " + " | ".join(f"x{i}" for i in range(1, n)) + "]"
 
+    def test_core_of_twelve_atoms_binds_in_leaf_order(self):
+        # the core p0..p5 |- q0..q5 refuted by |- p_i and q_i |-: x<i> is the
+        # core's i-th atom in leaf order, though x10 sorts before x2
+        atoms = [Atom(f"p{i}") for i in range(6)] + [Atom(f"q{i}") for i in range(6)]
+        prems = [Sequent(atoms[:6], atoms[6:])] + [Sequent([], [a]) for a in atoms[:6]]
+        prems += [Sequent([a], []) for a in atoms[6:]]
+        getl = builtin_calculus("getl")
+        res = refutes(prems, getl)
+        assert res.verdict and res.complete
+        assert check(res.proof, res.calculus, prems).ok
+        (step,) = [n for n in res.proof.nodes() if n.rule != "premise"]
+        theta = {f"x{i}": a for i, a in enumerate(atoms)}
+        want = [p.instance(theta.get, lambda s: Sequent()) for p in getl.rule(step.rule).premises]
+        assert [c.conclusion for c in step.children] == want
+
 
 def _reference_context_cut_facts(premises, universe):
     """Every fact of the closure under the context cut, firing it on the

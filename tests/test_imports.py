@@ -92,12 +92,11 @@ def test_no_unused_private_functions():
 
 # Functions that still call themselves, by module and qualified name. Most
 # recurse once per nesting level of a formula or proof (ROADMAP item 11);
-# engine's _join.rec and rules' _shape_image are bounded by the size of a
-# rule. A function made iterative leaves this list, and a new
-# self-recursive function fails the test below.
+# engine's _join.rec is bounded by the size of a rule. A function made
+# iterative leaves this list, and a new self-recursive function fails the
+# test below.
 STILL_RECURSIVE = {
     "engine": {"_join.rec", "reconstruct.replay"},
-    "rules": {"_shape_image"},
 }
 
 

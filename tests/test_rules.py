@@ -41,11 +41,13 @@ from supercut.syntax import (
     Substitution,
     SupercutError,
     formula_key,
+    map_atoms,
     parse_formula as pf,
     parse_sequent as ps,
+    render,
 )
 
-from conftest import GLP_LC, HILBERT, random_sequent
+from conftest import GLP_LC, HILBERT, random_formula, random_sequent
 
 B = builtin("b")
 
@@ -151,10 +153,10 @@ class TestMatchStructural:
         assert m is not None and m.atom_assignment["x"] == Atom("p")
 
     def test_identity_general_vs_atomic(self):
-        concl = ps("p & q |- p & q")
-        assert match_structural(IDENTITY, [], concl) is not None
-        assert match_structural(IDENTITY, [], concl, atomic_only=True) is None
-        assert match_structural(IDENTITY, [], ps("p |- p"), atomic_only=True) is not None
+        # schema atoms take compound formulas as well as atoms
+        assert match_structural(IDENTITY, [], ps("p & q |- p & q")).atom_assignment == {"x": pf("p & q")}
+        assert match_structural(IDENTITY, [], ps("p |- p")).atom_assignment == {"x": Atom("p")}
+        assert match_structural(IDENTITY, [], ps("p & q |- q & p")) is None
 
     def test_contraction_needs_duplicate(self):
         rule = parse_structural_rule("x, x, G |- D => x, G |- D", "contraction-left")
@@ -173,19 +175,17 @@ class TestMatchStructural:
         assert m.slot_assignment["G'"] == (Atom("c"),)
 
     def test_matches_reference_search(self, rng):
-        # the same verdict and the same first match as the search in rule
-        # order, atomic mode included
+        # the same verdict and the same first match as the search in rule order
         found = 0
         for _ in range(5000):
             rule, premises, conclusion = _random_step(rng)
-            for atomic_only in (False, True):
-                want = _reference_match(rule, premises, conclusion, atomic_only)
-                got = match_structural(rule, premises, conclusion, atomic_only)
-                assert (got is None) == (want is None), rule.render()
-                if got is not None:
-                    found += 1
-                    assert (got.atom_assignment, got.slot_assignment) == (want.atom_assignment, want.slot_assignment)
-        assert 3000 < found < 7000  # matches in both modes, and misses
+            want = _reference_match(rule, premises, conclusion)
+            got = match_structural(rule, premises, conclusion)
+            assert (got is None) == (want is None), rule.render()
+            if got is not None:
+                found += 1
+                assert (got.atom_assignment, got.slot_assignment) == (want.atom_assignment, want.slot_assignment)
+        assert 3000 < found < 4800  # matches, and misses
 
     def test_reference_on_calculus_rules(self):
         steps = [
@@ -196,11 +196,10 @@ class TestMatchStructural:
             (WEAKENING_LEFT, [ps("|- q")], ps("p, p |- q")),
         ]
         for rule, premises, conclusion in steps:
-            for atomic_only in (False, True):
-                want = _reference_match(rule, premises, conclusion, atomic_only)
-                got = match_structural(rule, premises, conclusion, atomic_only)
-                assert (got and (got.atom_assignment, got.slot_assignment)) == (
-                    want and (want.atom_assignment, want.slot_assignment)), rule.name
+            want = _reference_match(rule, premises, conclusion)
+            got = match_structural(rule, premises, conclusion)
+            assert (got and (got.atom_assignment, got.slot_assignment)) == (
+                want and (want.atom_assignment, want.slot_assignment)), rule.name
 
     def test_reference_on_steps_read_apart(self, rng):
         # each sequent parsed from its own text: no formula of one is
@@ -209,13 +208,12 @@ class TestMatchStructural:
         for _ in range(2000):
             rule, premises, conclusion = _random_step(rng)
             premises, conclusion = [ps(s.render()) for s in premises], ps(conclusion.render())
-            for atomic_only in (False, True):
-                want = _reference_match(rule, premises, conclusion, atomic_only)
-                got = match_structural(rule, premises, conclusion, atomic_only)
-                assert (got and (got.atom_assignment, got.slot_assignment)) == (
-                    want and (want.atom_assignment, want.slot_assignment)), rule.render()
-                found += got is not None
-        assert 1000 < found < 3000
+            want = _reference_match(rule, premises, conclusion)
+            got = match_structural(rule, premises, conclusion)
+            assert (got and (got.atom_assignment, got.slot_assignment)) == (
+                want and (want.atom_assignment, want.slot_assignment)), rule.render()
+            found += got is not None
+        assert 1000 < found < 1900
 
     def test_program_built_once_per_rule(self):
         R._match_program.cache_clear()
@@ -227,7 +225,7 @@ class TestMatchStructural:
         assert R._match_program.cache_info().misses == 3
 
 
-def _reference_match(rule, premises, conclusion, atomic_only=False):
+def _reference_match(rule, premises, conclusion):
     """The backtracking search match_structural replaced, kept as the
     reference: the sides in rule order, the schema atoms of a side in name
     order, each unbound one tried on the side's values in formula_key
@@ -249,8 +247,6 @@ def _reference_match(rule, premises, conclusion, atomic_only=False):
     def solve_side(atoms, slots, given, k):
         if not atoms:
             pool = sorted(given, key=formula_key)
-            if atomic_only and any(not isinstance(f, Atom) for f in pool):
-                return False
             free = [s for s in slots if s not in slot_asn]
             for s in slots:
                 for f in slot_asn.get(s, ()):
@@ -278,8 +274,6 @@ def _reference_match(rule, premises, conclusion, atomic_only=False):
             given.remove(atom_asn[name])
             return solve_side(rest, slots, given, k)
         for f in sorted(dict.fromkeys(given), key=formula_key):
-            if atomic_only and not isinstance(f, Atom):
-                continue
             atom_asn[name] = f
             left = list(given)
             left.remove(f)
@@ -405,11 +399,29 @@ class TestSigmaExpand:
         assert rule.render() == "|- p, q ; p |- ; q |- => |-"
 
     def test_with_ground(self):
-        out = sigma_expand(
-            LIMITED_CUT_LEFT, Substitution({"p": pf("p & q")}), ground={"x": "p"}
-        )
-        (rule,) = out
+        grounded = R._rename_rule(LIMITED_CUT_LEFT, {"x": "p"})
+        (rule,) = sigma_expand(grounded, Substitution({"p": pf("p & q")}))
         assert rule.render() == "|- p ; |- q ; p, q, G |- D => G |- D"
+        assert rule.sources == (0, 0, 1)
+
+    def test_expanded_premises_are_at_set_members_of_their_sources(self, rng):
+        # each expanded premise, with its slots, is a member of the At-set of
+        # the sigma-image of the base premise it names as its source
+        rules = [CUT, LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT, EXPLOSIVE_CUT, *HILBERT.specific]
+        rules += [_random_rule(rng, rng.sample(["x", "y", "z"], rng.randint(1, 3))) for _ in range(40)]
+        checked = 0
+        for rule in rules:
+            for _ in range(5):
+                sigma = Substitution({a: random_formula(rng, ["p", "q", "r"], 2) for a in rule.schema_atoms()})
+                for e in sigma_expand(rule, sigma):
+                    assert len(e.sources) == len(e.premises), e.render()
+                    for p, i in zip(e.premises, e.sources):
+                        base = rule.premises[i]
+                        assert (p.slots_left, p.slots_right) == (base.slots_left, base.slots_right)
+                        members = at_set(base.instance(sigma, lambda s: Sequent()))
+                        assert Sequent(map(Atom, p.atoms_left), map(Atom, p.atoms_right)) in members, e.render()
+                        checked += 1
+        assert checked > 200
 
 
 def _canonical_keys(rules) -> set:
@@ -482,16 +494,11 @@ def _canonical_by_permutation(rule: StructuralRule) -> StructuralRule:
 
 def _image(shape, fresh):
     """A shape's formula, its leaves drawn from the iterator of fresh names."""
-    if shape == "x":
-        return Atom(next(fresh))
-    if shape[0] == "~":
-        return Neg(_image(shape[1], fresh))
-    left, right = _image(shape[1], fresh), _image(shape[2], fresh)
-    return And(left, right) if shape[0] == "&" else Or(left, right)
+    return map_atoms(shape, lambda a: Atom(next(fresh)))
 
 
 def _leaves(shape) -> int:
-    return 1 if shape == "x" else sum(map(_leaves, shape[1:]))
+    return render(shape).count("x")
 
 
 def _raw_expansions(rule: StructuralRule, combos):

@@ -305,6 +305,9 @@ def _dispatch(args) -> int:
             name, _, image = (t.strip() for t in part.partition("="))
             if not name:
                 raise ParseError("SIGMA entry without an atom", args.sigma.find(part), "'atom = formula'")
+            if name not in rule.schema_atoms():
+                raise ParseError(f"SIGMA names {name}, not a schema atom of the rule", args.sigma.find(part),
+                                 "one of " + " ".join(rule.schema_atoms()))
             if name in mapping:
                 raise ParseError(f"SIGMA gives {name} a second image", args.sigma.find(part), "one image per atom")
             mapping[name] = parse_formula(image)

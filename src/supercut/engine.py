@@ -80,7 +80,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import proofs as P
 from . import rules as R
-from .syntax import And, Atom, Formula, Neg, Or, ResourceCapError, Sequent, Value, atoms_of, sequent_key
+from .syntax import And, Atom, Formula, Neg, Or, ResourceCapError, Sequent, Value, atoms_of, fold, sequent_key
 
 FactKey = tuple[int, int]
 
@@ -438,14 +438,9 @@ def _explosion(calc: R.Calculus, premises: Sequence[Sequent], state: SaturationS
     refuted = saturate(premises, R.builtin_calculus("getl"), state.universe, max_facts)
     if (0, 0) not in refuted.facts:
         return None
-    seen, todo = set(), [(0, 0)]
-    while todo:
-        key = todo.pop()
-        if key not in seen:
-            seen.add(key)
-            if refuted.provenance[key][0] == "rule":
-                todo.extend(refuted.provenance[key][3])
-    facts = sorted(k for k in seen if refuted.provenance[k][0] == "seed")
+    used: dict[FactKey, None] = {}
+    fold((0, 0), refuted.parents, lambda k, _: None, lambda k: k, used)
+    facts = sorted(k for k in used if refuted.provenance[k][0] == "seed")
     count = math.prod(l.bit_count() + r.bit_count() for l, r in facts)  # transversals
     if count > R.MAX_EXPANSION_IMAGES:
         raise ResourceCapError(f"expansion cap {R.MAX_EXPANSION_IMAGES} exceeded: explosive-cut over {count} transversals")
@@ -468,6 +463,11 @@ class SaturationState:
     @cached_property
     def index(self) -> dict[str, int]:
         return {a: i for i, a in enumerate(self.universe)}
+
+    def parents(self, key: FactKey) -> tuple[FactKey, ...]:
+        """The facts the provenance of key derives it from."""
+        prov = self.provenance[key]
+        return prov[3] if prov[0] == "rule" else ()
 
 
 def saturate(
@@ -567,35 +567,28 @@ def reconstruct(
     down to the goal, each At-set leaf weakened from its fact in ``covers``."""
     universe = state.universe
     elim_cache: dict[int, dict[Sequent, P.Proof]] = {}
-    replay_cache: dict[FactKey, P.Proof] = {}
+    replayed: dict[FactKey, P.Proof] = {}  # shared by every leaf
 
     def elim_for(i: int) -> dict[Sequent, P.Proof]:
         if i not in elim_cache:
             elim_cache[i] = P.elim_targets(P.premise(premises[i], i))
         return elim_cache[i]
 
-    def replay(key: FactKey) -> P.Proof:
-        if key in replay_cache:
-            return replay_cache[key]
+    def replay(key: FactKey, kids: tuple[P.Proof, ...]) -> P.Proof:
+        """key's proof from those of its provenance parents."""
         prov = state.provenance[key]
         target = _fact_sequent(key, universe)
         if prov[0] == "seed":
             _, i, member = prov
-            proof = P.contract_to(elim_for(i)[member], target)
-        else:
-            _, rule, theta, parents, slots = prov
-            children = []
-            for j, schema in enumerate(rule.premises):
-                inst = _instance_sequent(schema, theta, slots, universe)
-                children.append(P.weaken_to(replay(parents[j]), inst))
-            concl = _instance_sequent(rule.conclusion, theta, slots, universe)
-            node = P.structural(rule.name, children, concl)
-            proof = P.contract_to(node, target)
-        replay_cache[key] = proof
-        return proof
+            return P.contract_to(elim_for(i)[member], target)
+        _, rule, theta, _, slots = prov
+        children = [P.weaken_to(kid, _instance_sequent(schema, theta, slots, universe))
+                    for kid, schema in zip(kids, rule.premises)]
+        concl = _instance_sequent(rule.conclusion, theta, slots, universe)
+        return P.contract_to(P.structural(rule.name, children, concl), target)
 
     def mid(leaf: Sequent) -> P.Proof:
-        return P.weaken_to(replay(covers[leaf]), leaf)
+        return P.weaken_to(fold(covers[leaf], state.parents, replay, lambda k: k, replayed), leaf)
 
     return P.build_intro(goal, mid)
 
@@ -619,8 +612,8 @@ def derives(
     """Decide derivability; exact for the built-in calculi. A custom
     calculus that needs an expansion pool is sound but bounded.
 
-    Returns a checked structurally atomic analytic-synthetic proof with the
-    subformula property whenever the verdict is positive.
+    Returns a structurally atomic analytic-synthetic proof with the
+    subformula property, which ``check`` accepts, whenever the verdict is positive.
     """
     prems = list(premises)
     eff, complete = effective_calculus(calc)

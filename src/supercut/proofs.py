@@ -16,6 +16,7 @@ from .syntax import (
     Top,
     Value,
     _parse_sequent,
+    fold,
     multiset_minus,
     subformulas,
 )
@@ -73,15 +74,8 @@ class Proof(Value):
         return True
 
     def __hash__(self) -> int:
-        todo = [self]  # children before parents, down to the nodes hashed before
-        while self._hash is None:
-            node = todo[-1]
-            pending = [c for c in node.children if c._hash is None]
-            todo += pending
-            if not pending:
-                todo.pop()
-                kids = tuple(c._hash for c in node.children)
-                _set_hash(node, hash((node.conclusion, node.rule, kids, node.premise_index)))
+        if self._hash is None:  # children first, down to the nodes hashed before
+            fold(self, lambda node: node.children if node._hash is None else (), _hashed)
         return self._hash
 
     def nodes(self) -> Iterator["Proof"]:
@@ -112,30 +106,22 @@ _set_premise_index = Proof.premise_index.__set__
 _set_hash = Proof._hash.__set__
 
 
+def _hashed(node: Proof, kids: tuple[int, ...]) -> int:
+    """node's hash, taken over its fields with its children's hashes."""
+    if node._hash is None:
+        _set_hash(node, hash((node.conclusion, node.rule, kids, node.premise_index)))
+    return node._hash
+
+
 T = TypeVar("T")
+_children = operator.attrgetter("children")
 
 
 def rebuild(p: Proof, step: Callable[[Proof, tuple[T, ...]], T]) -> T:
-    """Post-order map over the distinct nodes of p: ``step(node, new_kids)``
-    gets the results for node's children and returns node's result.
-
-    Each distinct node is stepped once, children left to right before their
-    parent, so a shared subproof maps to one shared result.
-    """
-    done: dict[int, T] = {}
-    todo = [p]
-    while todo:
-        node = todo[-1]
-        if id(node) in done:
-            todo.pop()
-            continue
-        pending = [c for c in node.children if id(c) not in done]
-        if pending:
-            todo.extend(reversed(pending))
-            continue
-        todo.pop()
-        done[id(node)] = step(node, tuple(done[id(c)] for c in node.children))
-    return done[id(p)]
+    """``syntax.fold`` over the distinct nodes of p and their children:
+    ``step(node, new_kids)`` gets the results for node's children and
+    returns node's result, so a shared subproof maps to one shared result."""
+    return fold(p, _children, step)
 
 
 def is_logical(rule: str) -> bool:

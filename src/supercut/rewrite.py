@@ -58,9 +58,9 @@ def _node_is_atomic(node: Proof) -> bool:
 
 Matches = dict[int, R.StructuralMatch]
 Table = dict[Sequent, Proof]
-# the rules whose steps on a compound formula take their tables from At-sets:
-# their expansions have several conclusions
-_PRINCIPAL_RULES = R.COMMON_NAMES | {"identity"}
+# Weakening, Contraction and Identity by schema, as a calculus may name them otherwise: on a
+# compound formula their expansions have several conclusions, so their tables come from At-sets
+_PRINCIPAL = {r.schema_key(): r for r in R.COMMON_RULES + (R.IDENTITY,)}
 
 
 def expand_structural(
@@ -136,14 +136,15 @@ def _at_leaves(
     compound = not all(isinstance(v, Atom) for v in m.atom_assignment.values())
     if trace is not None:
         trace.record("expand-principal" if compound else "atomize-context", node.conclusion.render(), node.rule)
-    if compound and node.rule == "cut":
+    key = m.rule.schema_key()
+    if compound and key == R.CUT.schema_key():
         # a Cut against an Identity concludes what its other child concludes
         for i, kid in enumerate(node.children):
-            if kid.rule == "identity":
+            if (r := calc.rule(kid.rule)) is not None and r.schema_key() == R.IDENTITY.schema_key():
                 return kids[1 - i]
-    if compound and node.rule in _PRINCIPAL_RULES:
+    if compound and key in _PRINCIPAL:
         return _principal_table(node, m, kids)
-    return _sandwich(node, calc, m, kids)
+    return _sandwich(node, m, kids)
 
 
 def _members(s: Sequent) -> list[Sequent]:
@@ -162,12 +163,13 @@ def _principal_table(node: Proof, m: R.StructuralMatch, tables: tuple[Table, ...
     key wins."""
     table: Table = {}
     (f,) = m.atom_assignment.values()
-    if node.rule == "identity":
+    base = _PRINCIPAL[m.rule.schema_key()]
+    if base is R.IDENTITY:
         for s in _members(Sequent([f], [f])):
             shared = next(a for a in s.left if a in s.right)
-            table[s] = P.weaken_to(P.structural("identity", [], Sequent([shared], [shared])), s)
+            table[s] = P.weaken_to(P.structural(m.rule.name, [], Sequent([shared], [shared])), s)
         return table
-    side = R.COMMON_SIDE[node.rule]
+    side = R.COMMON_SIDE[base.name]
     (child,) = tables
     parts = _members(Sequent(**{side: [f]}))
     for rest in _members(node.conclusion.remove_one(f, side)):
@@ -177,7 +179,7 @@ def _principal_table(node: Proof, m: R.StructuralMatch, tables: tuple[Table, ...
                 continue
             if s in child:
                 table[s] = child[s]
-            elif node.rule in R.WEAKENING_NAMES:
+            elif base.name in R.WEAKENING_NAMES:
                 table[s] = P.weaken_to(child[rest], s)
             else:
                 table[s] = P.contract_to(child[_join(s, part)], s)
@@ -193,7 +195,7 @@ def _slot_side(rule: R.StructuralRule, slot: str) -> str:
     raise AssertionError(slot)
 
 
-def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple[Table, ...]) -> Table:
+def _sandwich(node: Proof, m: R.StructuralMatch, tables: tuple[Table, ...]) -> Table:
     """The At-leaf table of a structural step: atomic instances of its
     expansion, each child taken from the table of the step's premise it
     comes from.
@@ -203,7 +205,7 @@ def _sandwich(node: Proof, calc: R.Calculus, m: R.StructuralMatch, tables: tuple
     writes the images it names the step by; every fresh atom is mapped back
     to its atom in the instances.
     """
-    rule = calc.rule(node.rule)
+    rule = m.rule
     back: dict[str, Atom] = {}
 
     def fresh(a: Atom) -> Atom:

@@ -406,7 +406,7 @@ def builtin_calculus(name: str) -> Calculus:
 class StructuralMatch:
     __slots__ = ("rule", "atom_assignment", "slot_assignment")
 
-    def __init__(self, rule: str, atom_assignment: dict[str, Formula], slot_assignment: dict[str, tuple[Formula, ...]]):
+    def __init__(self, rule: StructuralRule, atom_assignment: dict[str, Formula], slot_assignment: dict[str, tuple[Formula, ...]]):
         self.rule = rule
         self.atom_assignment = atom_assignment
         self.slot_assignment = slot_assignment
@@ -458,7 +458,7 @@ def match_structural(rule: StructuralRule, premises: Sequence[Sequent],
                 break
             i += 1
         else:
-            return StructuralMatch(rule.name, atom_asn, slot_asn)
+            return StructuralMatch(rule, atom_asn, slot_asn)
     return None
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 
 class SupercutError(Exception):
@@ -60,27 +60,46 @@ class Value:
         return value_repr(self)
 
 
-def flatten(root: Value) -> list[tuple]:
-    """root as a post-order table, built from an explicit stack: each entry
-    is ``(None, leaf)``, or ``(type, indices)`` for a value or tuple built
-    from the entries at those indices. An object met twice has one entry,
-    so parts shared within root stay shared; values pickled apart are
-    copied apart. A leaf is anything else, and pickles on its own; every
-    object indexed is a stored field, kept alive by root."""
-    table: list[tuple] = []
-    index: dict[int, int] = {}
+T = TypeVar("T")
+
+
+def fold(root: object, parts: Callable[[Any], Sequence], step: Callable[[Any, tuple], T],
+         key: Callable[[Any], Hashable] = id, done: Optional[dict] = None) -> T:
+    """Post-order fold over the DAG under root, from an explicit stack:
+    ``step(node, results)`` gets the results of ``parts(node)`` and returns
+    node's. Each distinct node, as ``key`` tells them apart, is stepped
+    once, its parts left to right before it. ``done`` maps the keys of the
+    nodes stepped so far to their results; a fold skips those nodes and
+    adds the ones it steps. Returns root's result."""
+    done = {} if done is None else done
     todo: list = [(root, None)]
     while todo:
-        x, parts = todo.pop()
-        if id(x) in index:
-            continue
-        if parts is None:
-            parts = x._args() if isinstance(x, Value) else tuple(x) if type(x) is tuple else None
-            if parts is not None:
-                todo += [(x, parts)] + [(y, None) for y in reversed(parts)]
-                continue
-        index[id(x)] = len(table)
-        table.append((None, x) if parts is None else (type(x), tuple(index[id(y)] for y in parts)))
+        node, kids = todo.pop()
+        if kids is not None:
+            done[key(node)] = step(node, tuple([done[key(kid)] for kid in kids]))
+        elif key(node) not in done:
+            kids = parts(node)
+            if kids:
+                todo += [(node, kids)] + [(kid, None) for kid in reversed(kids)]
+            else:
+                done[key(node)] = step(node, ())
+    return done[key(root)]
+
+
+def flatten(root: Value) -> list[tuple]:
+    """root as a post-order table, by ``fold``: each entry is ``(None,
+    leaf)``, or ``(type, indices)`` for a value or tuple built from the
+    entries at those indices. An object met twice has one entry, so parts
+    shared within root stay shared; values pickled apart are copied apart.
+    A leaf is anything else, and pickles on its own; every object indexed
+    is a stored field, kept alive by root."""
+    table: list[tuple] = []
+
+    def step(x: object, indices: tuple[int, ...]) -> int:
+        table.append((type(x), indices) if isinstance(x, Value) or type(x) is tuple else (None, x))
+        return len(table) - 1
+
+    fold(root, lambda x: x._args() if isinstance(x, Value) else x if type(x) is tuple else (), step)
     return table
 
 
@@ -436,19 +455,13 @@ def atoms_of(x: Union[Formula, "Sequent"]) -> frozenset[str]:
 
 def subformulas(f: Formula) -> frozenset[Formula]:
     """Reflexive-transitive subterm closure of a formula."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in out:
-            continue
-        out.add(g)
-        if isinstance(g, Neg):
-            stack.append(g.arg)
-        elif isinstance(g, (And, Or)):
-            stack.append(g.left)
-            stack.append(g.right)
-    return frozenset(out)
+    done: dict[Formula, None] = {}
+    fold(f, _operands, lambda g, _: None, lambda g: g, done)
+    return frozenset(done)
+
+
+def _operands(g: Formula) -> tuple[Formula, ...]:
+    return (g.arg,) if isinstance(g, Neg) else (g.left, g.right) if isinstance(g, _Binary) else ()
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,29 @@ def test_normalize_command(tmp_path, capsys):
     assert check(normalized, builtin_calculus("gcl"), []).ok
 
 
+def test_check_json(tmp_path, capsys):
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps({"sequent": "p & q |- p & q", "rule": "identity"}))
+    assert run(["check", "--calculus", "gcl", "--json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "path": [], "reason": None}
+    assert run(["check", "--calculus", "gb", "--json", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "path": [], "reason": "rule not in calculus: identity"}
+
+
+def test_normalize_dot_and_trace_lines(tmp_path, capsys):
+    path = tmp_path / "id.json"
+    path.write_text(json.dumps({"sequent": "p & q |- p & q", "rule": "identity"}))
+    assert run(["normalize", "--calculus", "gcl", "--trace", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert proof_from_dict(json.loads(out)).conclusion == ps("p & q |- p & q")
+    assert err.splitlines() == ["# expand-principal p & q |- p & q identity"]
+    assert run(["normalize", "--calculus", "gcl", "--format", "dot", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("digraph proof {") and not err
+    assert '  n3 [label="p |- p\\n[identity]"];' in out.splitlines()
+    assert '  n1 -> n0 [label="and-left-intro"];' in out.splitlines()
+
+
 # premise 0 renders after premise 1, so premises declared in rendering
 # order would not match the indices
 REPEATED_ATOM_CUT = {
@@ -303,6 +326,13 @@ def test_expand_command(capsys):
     assert out == "|- p ; |- q ; p, q, G |- D => G |- D"
 
 
+def test_expand_from_a_file_and_as_json(tmp_path, capsys):
+    path = tmp_path / "rule.txt"
+    path.write_text("|- x ; x, G |- D => G |- D\n")
+    assert run(["expand", "--json", f"@{path}", "x = p | q"]) == 0
+    assert json.loads(capsys.readouterr().out) == ["|- p, q ; p, G |- D ; q, G |- D => G |- D"]
+
+
 def test_expand_refuses_a_second_image(capsys):
     assert run(["expand", "|- x ; x, G |- D => G |- D", "x = p & q ; x = q"]) == 2
     out, err = capsys.readouterr()
@@ -315,11 +345,21 @@ def test_expand_refuses_an_entry_without_an_atom(capsys):
     assert not out and err.count("\n") == 1 and "without an atom" in err
 
 
+@pytest.mark.parametrize("sigma", ["G = p", "z = p", "p q = r", "x = p ; G = q"])
+def test_expand_refuses_an_entry_naming_no_schema_atom(capsys, sigma):
+    # a slot, an atom the rule lacks, two names
+    assert run(["expand", "|- x ; x, G |- D => G |- D", sigma]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and "not a schema atom" in err
+
+
 def test_structuralize_command(capsys):
     assert run(["structuralize", "-p", "p & ~p", "q | ~q"]) == 0
     assert capsys.readouterr().out.strip() == "p |- ; |- p => q |- q"
     assert run(["structuralize", "-p", "p", "-p", "~p"]) == 0
     assert capsys.readouterr().out.strip() == "|- p ; p |- => |-"
+    assert run(["structuralize", "--json", "-p", "p & ~p", "q | ~q"]) == 0
+    assert json.loads(capsys.readouterr().out) == ["p |- ; |- p => q |- q"]
 
 
 def test_resource_cap_exit_code(capsys):

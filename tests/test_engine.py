@@ -1,7 +1,10 @@
 """The saturation engine: verdicts against the oracle, proof shapes, caps."""
 
 import functools
+import hashlib
 import itertools
+import json
+import random
 import time
 
 import pytest
@@ -11,6 +14,7 @@ from supercut.engine import DeriveResult, ResourceCapError, derives, effective_c
 from supercut.matrices import builtin, holds, holds_sequent
 from supercut.proofs import (
     check,
+    proof_to_dict,
     has_subformula_property,
     is_analytic_synthetic,
     is_intro,
@@ -615,3 +619,46 @@ class TestJoinDifferential:
         assert set(state.facts) == {(0, 1), (0, 2), (0, 4)}
         self.assert_same([ps("|- s")], HILBERT, ["p", "s", "t"])
         self.assert_same([ps("|- s, t"), ps("p |-")], HILBERT, ["p", "s", "t"])
+
+
+# Per calculus: the first 16 hex digits of the SHA-256 of the proofs that
+# GOLDEN_QUERIES derive, one line of sorted-key proof_to_dict JSON each
+# ("-" when not derivable), and how many are derivable.
+GOLDEN_DIGESTS = {
+    "gb": ("5956211e7599ca37", 24),
+    "glp": ("038e64706081291a", 23),
+    "gk": ("68eca81a9ef5f086", 26),
+    "getl": ("a00d5a98196a26cf", 29),
+    "gecq": ("e64b379d2152bc72", 28),
+    "gcl": ("1b7f581280b2e4a8", 25),
+}
+
+
+def golden_queries(name):
+    """40 seeded queries of 1-3 depth-2 premises over three atoms, each
+    fourth a refutation, then implication chains of 3 and 6 links to a goal
+    and to a refutation."""
+    rng = random.Random(f"golden-{name}")
+    out = []
+    for i in range(40):
+        prems = [random_sequent(rng, ["p", "q", "r"], 2) for _ in range(rng.randint(1, 3))]
+        goal = Sequent() if i % 4 == 0 else random_sequent(rng, ["p", "q", "r"], 2)
+        out.append((prems, goal))
+    for n in (3, 6):
+        out.append(([ps("|- p0")] + [ps(f"|- ~p{i} | p{i + 1}") for i in range(n)], ps(f"|- p{n}")))
+        out.append(([ps("|- p0")] + [ps(f"p{i} |- p{i + 1}") for i in range(n)] + [ps(f"p{n} |-")], Sequent()))
+    return out
+
+
+@pytest.mark.parametrize("name", CALCULUS_NAMES)
+def test_derived_proofs_are_unchanged(name):
+    # a change to saturation or reconstruction that changes any derived
+    # proof, its rule names, node order or sharing read as a tree, shows here
+    calc = builtin_calculus(name)
+    h = hashlib.sha256()
+    positives = 0
+    for prems, goal in golden_queries(name):
+        res = derives(prems, goal, calc)
+        positives += res.verdict
+        h.update((json.dumps(proof_to_dict(res.proof), sort_keys=True) if res.verdict else "-").encode() + b"\n")
+    assert (h.hexdigest()[:16], positives) == GOLDEN_DIGESTS[name]

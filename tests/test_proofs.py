@@ -119,6 +119,18 @@ class TestCheck:
         assert check(Proof(ps("F, g |- d"), "bot-left"), GB, []).ok
         assert not check(Proof(ps("g |- d"), "top-right"), GB, []).ok
 
+    @pytest.mark.parametrize("proof, reason", [
+        (Proof(ps("|- p"), "premise", (premise(ps("|- p"), 0),), 0), "premise node with children"),
+        (Proof(ps("|- T"), "top-right", (premise(ps("|- p"), 0),)), "axiom with children"),
+        (Proof(ps("F |-"), "bot-left", (premise(ps("|- p"), 0),)), "axiom with children"),
+        (Proof(ps("p |-"), "bot-left"), "no bottom on the left"),
+        (structural("weakening-left", [premise(ps("|- p"), 0)] * 2, ps("q |- p")),
+         "arity: weakening-left expects 1 premises"),
+    ], ids=["premise", "top-right", "bot-left", "no-bottom", "structural-arity"])
+    def test_fault_reasons(self, proof, reason):
+        res = check(proof, GB, [ps("|- p")])
+        assert (res.ok, res.path, res.reason) == (False, (), reason)
+
     def test_leftmost_innermost_error(self):
         bad_leaf = Proof(ps("|- q"), "top-right")
         node = structural("weakening-left", [bad_leaf], ps("p |- q"))

@@ -20,6 +20,7 @@ from supercut.proofs import (
     logical,
     nodes_under,
     premise,
+    rebuild,
     structural,
 )
 from supercut.rewrite import (
@@ -36,7 +37,17 @@ from supercut.rewrite import (
     separate_identity_cut,
     simplify_refutation,
 )
-from supercut.rules import CALCULUS_NAMES, CONTRACTION, DECOMPOSITION, WEAKENING, builtin_calculus
+from supercut.rules import (
+    CALCULUS_NAMES,
+    CONTRACTION,
+    CUT,
+    DECOMPOSITION,
+    IDENTITY,
+    WEAKENING,
+    Calculus,
+    builtin_calculus,
+    parse_structural_rule,
+)
 from supercut.syntax import Atom, Bot, Neg, Sequent, Top, parse_formula as pf, parse_sequent as ps
 
 from conftest import HILBERT, random_formula, random_sequent
@@ -222,6 +233,24 @@ class TestEnforceSubformula:
         out = enforce_subformula(res.proof, [], ps("|- T | F"))
         assert check(out, GB, []).ok and out.conclusion == ps("|- T | F")
 
+    def test_constant_only_rebuild_from_a_premise(self):
+        # no atom resides in |- F or |-, so the cut atom p cannot be renamed
+        prems = [ps("|- F")]
+        empty = logical("bot-right-elim", [premise(prems[0], 0)], ps("|-"))
+        cut = structural("cut", [structural("weakening-right", [empty], ps("|- p")),
+                                 structural("weakening-left", [empty], ps("p |-"))], ps("|-"))
+        out = normalize(cut, GK, prems, ps("|-"))
+        assert out == Proof(ps("|-"), "bot-right-elim", (premise(prems[0], 0),))
+
+    def test_constant_only_rebuild_by_an_axiom(self):
+        # enforce_subformula on its own: normalize's introduction tree would
+        # close |- T by the axiom before any step with p
+        cut = structural("cut", [Proof(ps("|- T, p"), "top-right"), Proof(ps("p |- T"), "top-right")], ps("|- T, T"))
+        proof = structural("contraction-right", [cut], ps("|- T"))
+        assert check(proof, GK, []).ok
+        assert enforce_subformula(proof, [], ps("|- T")) == Proof(ps("|- T"), "top-right")
+        assert normalize(proof, GK, [], ps("|- T")) == Proof(ps("|- T"), "top-right")
+
 
 def _pad(proof: Proof, prems: list, calc, rng) -> Proof:
     """proof wrapped in one structural detour on a compound formula that
@@ -264,6 +293,17 @@ def _pad(proof: Proof, prems: list, calc, rng) -> Proof:
         for f in getattr(c, side):
             padded = structural(f"contraction-{side}", [padded], padded.conclusion.remove_one(f, side))
     return padded
+
+
+def _renamed(p: Proof, names: dict) -> Proof:
+    """p with the rule name of each step, or its part before a ``[``,
+    renamed by names."""
+
+    def step(node: Proof, kids: tuple) -> Proof:
+        head, bracket, rest = node.rule.partition("[")
+        return Proof(node.conclusion, names.get(head, head) + bracket + rest, kids, node.premise_index)
+
+    return rebuild(p, step)
 
 
 class TestNormalize:
@@ -318,6 +358,30 @@ class TestNormalize:
             padded = structural("cut", [res.proof, ident] if side == "right" else [ident, res.proof], goal)
             assert normalize(padded, res.calculus, prems, goal) == normalize(res.proof, res.calculus, prems, goal)
             done += 1
+
+    def test_rules_are_told_apart_by_schema(self, rng):
+        # gcl with its Identity and Cut renamed normalizes padded proofs as
+        # gcl does, up to the names of the steps; an Identity on a compound
+        # formula, among others, used to reach the expansion route by its name
+        renamed = Calculus("gcl-renamed", tuple(parse_structural_rule(r.render(), name)
+                                                for r, name in ((IDENTITY, "id"), (CUT, "kut"))))
+        there, back = {"identity": "id", "cut": "kut"}, {"id": "identity", "kut": "cut"}
+        done = compound_identities = 0
+        while done < 12:
+            prems = [random_sequent(rng, ["p", "q"], 2) for _ in range(rng.randint(0, 2))]
+            goal = random_sequent(rng, ["p", "q"], 2)
+            res = derives(prems, goal, GCL)
+            if not res.verdict:
+                continue
+            proof = res.proof
+            for _ in range(rng.randint(1, 3)):
+                proof = _pad(proof, prems, GCL, rng)
+            compound_identities += any(n.rule == "identity" and not n.conclusion.is_atomic() for n in proof.nodes())
+            n = normalize(_renamed(proof, there), renamed, prems, goal)
+            assert check(n, renamed, prems).ok
+            assert _renamed(n, back) == normalize(proof, GCL, prems, goal)
+            done += 1
+        assert compound_identities
 
     def test_closing_decomposition_comes_first(self):
         # pad-22 of the benchmark's proofs corpus: an or-left introduction

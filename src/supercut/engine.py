@@ -55,7 +55,7 @@ ETL model of U, against the refutation.
 Reconstruction replays each fact's provenance, kept for removed facts too,
 and reinserts explicit atomic Weakening/Contraction steps. A context cut
 step is one structural node, named as ``rules.expansion`` names the
-expansion of limited-cut-left, for instance
+expansion of the calculus's limited-cut-left, for instance
 ``limited-cut-left[~x0 | x1 | x2 | x3]`` for MC({x0}, {x1, x2, x3}).
 
 Interpolation splits the proofs ``derives`` builds on two facts:
@@ -96,26 +96,21 @@ class DeriveResult(Value):
         object.__setattr__(self, "fact_count", fact_count)
 
 
-# Rule shapes known to satisfy the expansion property, making saturation
-# over plain atomic instances complete.
-_EXPANSION_SAFE_KEYS = frozenset(r.schema_key() for r in (R.IDENTITY, R.CUT) + R.COMMON_RULES)
-
-
 @lru_cache(maxsize=64)
 def effective_calculus(calc: R.Calculus, depth_bound: int = 2) -> tuple[R.Calculus, bool]:
     """The calculus results and their proofs live in, and whether saturating
-    it is complete. A calculus whose rules have the expansion property, or
-    that saturates by the context cut join (getl and gecq), is its own; any
-    other gains the expansion pools of its rules that lack the property.
-    Built once per (calculus, depth bound)."""
-    if _saturates_by_context_cut(calc) or _explodes(calc) or all(
-            r.schema_key() in _EXPANSION_SAFE_KEYS for r in calc.specific):
+    it is complete. A calculus whose rules have the expansion property
+    (Identity, Cut and the common rules, by ``rules.builtin_of``), or that
+    saturates by the context cut join (getl and gecq), is its own; any other
+    gains the expansion pools of its other rules. Built once per calculus
+    and depth bound."""
+    lacking = [r for r in calc.specific if R.builtin_of(r) not in (R.IDENTITY, R.CUT) + R.COMMON_RULES]
+    if not lacking or _context_cut_base(calc) is not None or _explodes(calc):
         return calc, True
-    pool = {R.canonical_rule(r).schema_key(): r for r in calc.specific}
-    for r in calc.specific:
-        if r.schema_key() not in _EXPANSION_SAFE_KEYS:
-            for e in R.expansion_pool(r, depth_bound):
-                pool.setdefault(R.canonical_rule(e).schema_key(), e)
+    pool = {r.schema_key(): r for r in calc.specific}
+    for r in lacking:
+        for e in R.expansion_pool(r, depth_bound):
+            pool.setdefault(e.schema_key(), e)
     specific = tuple(sorted(pool.values(), key=lambda r: r.name))
     return R.Calculus(f"{calc.name}+exp{depth_bound}", specific), False
 
@@ -326,18 +321,15 @@ def _provenance(shape: _Shape, theta: list[int], chosen: list[FactKey], universe
     return ("rule", shape.rule, {n: universe[v] for n, v in zip(shape.names, theta)}, tuple(parents), slots)
 
 
-# The rules of getl. Their expansions are the context cuts, which one join
-# closes: see the module docstring.
-_CONTEXT_CUT_KEYS = frozenset({R.LIMITED_CUT_LEFT.schema_key(), R.LIMITED_CUT_RIGHT.schema_key()})
-
-
 @lru_cache(maxsize=64)
-def _saturates_by_context_cut(calc: R.Calculus) -> bool:
-    """Whether saturation closes the calculus under the context cut join:
-    its rules are limited-cut-left, which names the steps, and perhaps
-    limited-cut-right. Computed once per calculus."""
-    keys = {r.schema_key() for r in calc.specific}
-    return R.LIMITED_CUT_LEFT.schema_key() in keys and keys <= _CONTEXT_CUT_KEYS
+def _context_cut_base(calc: R.Calculus) -> Optional[R.StructuralRule]:
+    """The calculus's limited-cut-left, which names the context cut steps,
+    when saturation closes the calculus under the context cut join: its
+    rules are limited-cut-left and perhaps limited-cut-right. Else None."""
+    builtins = [R.builtin_of(r) for r in calc.specific]
+    if R.LIMITED_CUT_LEFT in builtins and all(b in (R.LIMITED_CUT_LEFT, R.LIMITED_CUT_RIGHT) for b in builtins):
+        return calc.specific[builtins.index(R.LIMITED_CUT_LEFT)]
+    return None
 
 
 def _context_cut_join(snapshot: list[FactKey], delta: set[FactKey], first: bool, subsumed, offer, cap: int) -> None:
@@ -407,15 +399,14 @@ def _clause(fact: FactKey, theta: dict[str, str], universe: Sequence[str]) -> Fo
 
 
 def _cut_provenance(
-    calc: R.Calculus, key: FactKey, core: FactKey, picks: dict[tuple[int, int], FactKey],
+    base: R.StructuralRule, key: FactKey, core: FactKey, picks: dict[tuple[int, int], FactKey],
     universe: Sequence[str], index: dict[str, int],
 ) -> tuple:
     """The ``("rule", rule, theta, parents, slots)`` record of a context cut
-    step, as ``_provenance`` gives for a compiled rule: MC(A, B) is the
-    calculus's limited-cut-left expanded by the core's clause, with the core
-    first."""
+    step, as ``_provenance`` gives for a compiled rule: MC(A, B) is base,
+    the calculus's limited-cut-left, expanded by the core's clause, with the
+    core first."""
     theta: dict[str, str] = {}
-    base = next(r for r in calc.specific if r.schema_key() == R.LIMITED_CUT_LEFT.schema_key())
     rule = R.expansion(base, (_clause(core, theta, universe),))
     parents = [core]
     for p in rule.premises[1:]:
@@ -428,7 +419,7 @@ def _cut_provenance(
 
 def _explodes(calc: R.Calculus) -> bool:
     """Whether the calculus's one rule is explosive-cut (gecq)."""
-    return [r.schema_key() for r in calc.specific] == [R.EXPLOSIVE_CUT.schema_key()]
+    return [R.builtin_of(r) for r in calc.specific] == [R.EXPLOSIVE_CUT]
 
 
 def _explosion(calc: R.Calculus, premises: Sequence[Sequent], state: SaturationState, max_facts: int) -> Optional[tuple]:
@@ -509,22 +500,22 @@ def saturate(
 
     def offer_cut(key: FactKey, core: FactKey, picks: dict[tuple[int, int], FactKey]) -> None:
         if not subsumed(key):
-            keep(key, _cut_provenance(calc, key, core, picks, state.universe, index))
+            keep(key, _cut_provenance(cut_base, key, core, picks, state.universe, index))
 
     if _explodes(calc):
         if (0, 0) not in facts and (prov := _explosion(calc, premises, state, max_facts)):
             keep((0, 0), prov)
         return state
 
-    by_cut = _saturates_by_context_cut(calc)
-    shapes = () if by_cut else _shapes(calc)
+    cut_base = _context_cut_base(calc)
+    shapes = () if cut_base is not None else _shapes(calc)
     umask = (1 << len(universe)) - 1
     delta: set[FactKey] = set()
     first = True
     while first or delta:
         snapshot = list(facts)
         added.clear()
-        if by_cut:
+        if cut_base is not None:
             _context_cut_join(snapshot, delta, first, subsumed, offer_cut, max_facts)
         for shape in shapes:
             cands = [[f for f in snapshot if p.admits(f)] for p in shape.premises]

@@ -54,11 +54,11 @@ class InterpolationResult(Value):
 # ---------------------------------------------------------------------------
 
 
-def _replace_critical_nodes(p: Proof, replace: Callable[[Proof], Proof]) -> Proof:
+def _replace_critical_nodes(p: Proof, replace: Callable[[Proof], Proof], calc: R.Calculus) -> Proof:
     """p with each critical node q replaced by ``replace(q)``: a node whose
-    subproof has no introductions nor Identity and reaches a premise leaf,
-    and whose path to the root is introductions only. In a proof with
-    Identity these are the separating nodes of Milne's split.
+    subproof has no introductions nor Identity, read in ``calc``, and
+    reaches a premise leaf, and whose path to the root is introductions
+    only. In a proof with Identity these are Milne's separating nodes.
 
     One fold: each node maps to (its rebuilt proof, its subproof is clean,
     it reaches a premise), and an introduction replaces its critical
@@ -68,16 +68,17 @@ def _replace_critical_nodes(p: Proof, replace: Callable[[Proof], Proof]) -> Proo
     def step(node: Proof, kids: tuple[tuple[Proof, bool, bool], ...]) -> tuple[Proof, bool, bool]:
         reaches = node.rule == "premise" or any(r for _, _, r in kids)
         if not P.is_intro(node.rule):
-            return node, node.rule != "identity" and all(c for _, c, _ in kids), reaches
+            identity = not node.children and R.builtin_of(calc.rule(node.rule)) is R.IDENTITY  # Identity is nullary
+            return node, all(c for _, c, _ in kids) and not identity, reaches
         return P.with_children(node, [replace(q) if c and r else q for q, c, r in kids]), False, reaches
 
     out, clean, reaches = P.rebuild(p, step)
     return replace(out) if clean and reaches else out
 
 
-def critical_nodes(p: Proof) -> frozenset[Sequent]:
+def critical_nodes(p: Proof, calc: R.Calculus = R.BUILTIN_NAMES) -> frozenset[Sequent]:
     """Sequents at nodes with only eliminations/structural steps above and
-    only introductions below; requires a normalized proof."""
+    only introductions below, p read in ``calc``; requires a normalized proof."""
     if not (P.is_structurally_atomic(p) and P.is_analytic_synthetic(p)):
         raise InterpolationError("critical_nodes requires a normalized proof")
     found: set[Sequent] = set()
@@ -86,7 +87,7 @@ def critical_nodes(p: Proof) -> frozenset[Sequent]:
         found.add(q.conclusion)
         return q
 
-    _replace_critical_nodes(p, note)
+    _replace_critical_nodes(p, note, calc)
     return frozenset(found)
 
 
@@ -106,7 +107,7 @@ def _prune_subproof(q: Proof, keep: frozenset[str]) -> Proof:
     weakenings is refused, not pruned through the rules above.
     """
     base = q
-    while base.rule in R.WEAKENING_NAMES:
+    while base.rule in R.WEAKENING.values():
         base = base.children[0]
     if base.conclusion.is_empty():
         return base
@@ -129,7 +130,7 @@ def prune_foreign_atoms(p: Proof, premise_atoms: Iterable[str], calc: R.Calculus
     if bad:
         raise InterpolationError(f"calculus contains non-generalized-cut rules: {', '.join(bad)}")
     keep = frozenset(premise_atoms)
-    return _replace_critical_nodes(p, lambda q: P.weaken_to(_prune_subproof(q, keep), q.conclusion))
+    return _replace_critical_nodes(p, lambda q: P.weaken_to(_prune_subproof(q, keep), q.conclusion), calc)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +145,15 @@ SPLIT_LOGICS = {"gb": ("b", "b"), "gk": ("k", "b"), "getl": ("etl", "b"), "gecq"
                 "glp": ("b", "lp"), "gcl": ("k", "lp")}
 
 
-def _split(proof: Proof, premises: Sequence[Sequent]) -> tuple[tuple[Sequent, ...], tuple[Proof, ...], Proof]:
-    """Split a proof from ``derives`` at its critical nodes, which in glp and
-    gcl are Milne's separating nodes, as no Identity lies above a Cut there
-    (see ``engine``). Prune each node and contract it to its support; return
-    the pruned sequents in ``sequent_key`` order, the first pruned subproof
-    found for each, and the proof of the conclusion from them. A critical
-    node that weakens ``|-`` prunes to it, and ``|-`` weakens to the
-    conclusion itself, so it is then the one sequent."""
+def _split(proof: Proof, premises: Sequence[Sequent],
+           calc: R.Calculus) -> tuple[tuple[Sequent, ...], tuple[Proof, ...], Proof]:
+    """Split a proof from ``derives`` in ``calc`` at its critical nodes,
+    which in glp and gcl are Milne's separating nodes, as no Identity lies
+    above a Cut there (see ``engine``). Prune each node and contract it to
+    its support; return the pruned sequents in ``sequent_key`` order, the
+    first pruned subproof found for each, and the proof of the conclusion
+    from them. A critical node that weakens ``|-`` prunes to it, and ``|-``
+    weakens to the conclusion itself, so it is then the one sequent."""
     keep = frozenset().union(*map(atoms_of, premises))
     certificates: dict[Sequent, Proof] = {}
 
@@ -161,7 +163,7 @@ def _split(proof: Proof, premises: Sequence[Sequent]) -> tuple[tuple[Sequent, ..
         certificates.setdefault(pruned.conclusion, pruned)
         return P.weaken_to(P.premise(pruned.conclusion), q.conclusion)
 
-    rest = _replace_critical_nodes(proof, stand_in)
+    rest = _replace_critical_nodes(proof, stand_in, calc)
     empty = Sequent()
     if empty in certificates:
         return (empty,), (certificates[empty],), P.weaken_to(P.premise(empty), proof.conclusion)
@@ -189,7 +191,7 @@ def interpolate_sequents(
     if not res.verdict:
         raise EntailmentError("the premises do not derive the conclusion in this calculus")
     assert res.proof is not None
-    ordered, certificates, rest = _split(res.proof, prems)
+    ordered, certificates, rest = _split(res.proof, prems, res.calculus)
     shared = frozenset().union(*map(atoms_of, prems)) & atoms_of(conclusion)
     verified = (all(atoms_of(s) <= shared for s in ordered)
                 and all(M.holds_sequent(M.builtin(left), prems, s) for s in ordered)

@@ -193,7 +193,7 @@ def common_formula(node: Proof) -> tuple[Formula, str]:
     copies of, and the side it is on."""
     side = R.COMMON_SIDE[node.rule]
     more, fewer = node.conclusion, node.children[0].conclusion
-    if node.rule in R.CONTRACTION_NAMES:
+    if node.rule in R.CONTRACTION.values():
         more, fewer = fewer, more
     return multiset_minus(getattr(more, side), getattr(fewer, side))[0], side
 

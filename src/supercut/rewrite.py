@@ -58,9 +58,6 @@ def _node_is_atomic(node: Proof) -> bool:
 
 Matches = dict[int, R.StructuralMatch]
 Table = dict[Sequent, Proof]
-# Weakening, Contraction and Identity by schema, as a calculus may name them otherwise: on a
-# compound formula their expansions have several conclusions, so their tables come from At-sets
-_PRINCIPAL = {r.schema_key(): r for r in R.COMMON_RULES + (R.IDENTITY,)}
 
 
 def expand_structural(
@@ -136,14 +133,15 @@ def _at_leaves(
     compound = not all(isinstance(v, Atom) for v in m.atom_assignment.values())
     if trace is not None:
         trace.record("expand-principal" if compound else "atomize-context", node.conclusion.render(), node.rule)
-    key = m.rule.schema_key()
-    if compound and key == R.CUT.schema_key():
+    base = R.builtin_of(m.rule)  # known by schema, as a calculus may name it otherwise
+    if compound and base is R.CUT:
         # a Cut against an Identity concludes what its other child concludes
         for i, kid in enumerate(node.children):
-            if (r := calc.rule(kid.rule)) is not None and r.schema_key() == R.IDENTITY.schema_key():
+            if R.builtin_of(calc.rule(kid.rule)) is R.IDENTITY:
                 return kids[1 - i]
-    if compound and key in _PRINCIPAL:
-        return _principal_table(node, m, kids)
+    if compound and (base is R.IDENTITY or base in R.COMMON_RULES):
+        # their expansions have several conclusions: tables from At-sets
+        return _principal_table(node, m, base, kids)
     return _sandwich(node, m, kids)
 
 
@@ -155,15 +153,13 @@ def _join(s: Sequent, t: Sequent) -> Sequent:
     return s.add(t.left, t.right)
 
 
-def _principal_table(node: Proof, m: R.StructuralMatch, tables: tuple[Table, ...]) -> Table:
-    """The At-leaf table of a Weakening, Contraction or Identity on a
-    compound formula f, from At-sets and atomic steps: At(G, f |- D) is the
-    joins of a member of At(G |- D) with one of At(f |-), and likewise on
-    the right. Members go in ``sequent_key`` order; the first entry for a
-    key wins."""
+def _principal_table(node: Proof, m: R.StructuralMatch, base: R.StructuralRule, tables: tuple[Table, ...]) -> Table:
+    """The At-leaf table of a Weakening, Contraction or Identity (``base``) on
+    a compound formula f, from At-sets and atomic steps: At(G, f |- D) is the
+    joins of a member of At(G |- D) with one of At(f |-), and likewise on the
+    right. Members go in ``sequent_key`` order; the first entry for a key wins."""
     table: Table = {}
     (f,) = m.atom_assignment.values()
-    base = _PRINCIPAL[m.rule.schema_key()]
     if base is R.IDENTITY:
         for s in _members(Sequent([f], [f])):
             shared = next(a for a in s.left if a in s.right)
@@ -179,7 +175,7 @@ def _principal_table(node: Proof, m: R.StructuralMatch, tables: tuple[Table, ...
                 continue
             if s in child:
                 table[s] = child[s]
-            elif base.name in R.WEAKENING_NAMES:
+            elif base in (R.WEAKENING_LEFT, R.WEAKENING_RIGHT):
                 table[s] = P.weaken_to(child[rest], s)
             else:
                 table[s] = P.contract_to(child[_join(s, part)], s)
@@ -262,20 +258,15 @@ def enforce_subformula(
         return P.rebuild(
             p, lambda node, kids: Proof(apply_subst(ren, node.conclusion), node.rule, kids, node.premise_index)
         )
-    # constant-only corner: rebuild from scratch
-    leaves = R.at_set(conclusion)
-    if not leaves:
-        return P.build_intro(conclusion, _no_supply)
-    assert leaves == frozenset((Sequent(),)), leaves
-    for i, s in enumerate(premises):
-        if Sequent() in R.at_set(s):
-            chain = P.elim_targets(P.premise(s, i))[Sequent()]
-            return P.build_intro(conclusion, lambda leaf: P.weaken_to(chain, leaf))
-    raise RewriteError("conclusion requires the empty sequent but no premise yields it")
+    # constant-only corner: no atom to rename to, so rebuild from scratch;
+    # every leaf is |-, weakened from the first premise's chain to |-
+    def supply(leaf: Sequent) -> Proof:
+        for i, s in enumerate(premises):
+            if Sequent() in R.at_set(s):
+                return P.weaken_to(P.elim_targets(P.premise(s, i))[Sequent()], leaf)
+        raise RewriteError("conclusion requires the empty sequent but no premise yields it")
 
-
-def _no_supply(leaf: Sequent) -> Proof:
-    raise RewriteError(f"unexpected atomic goal {leaf.render()} in constant-only rebuild")
+    return P.build_intro(conclusion, supply)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +329,7 @@ def eliminate_cuts(p: Proof) -> Proof:
         if not shared:
             raise RewriteError(f"atomic goal {leaf.render()} is not classically valid")
         a = Atom(shared[0])
-        ident = P.structural("identity", [], Sequent([a], [a]))
+        ident = P.structural(R.IDENTITY.name, [], Sequent([a], [a]))
         return P.weaken_to(ident, leaf)
 
     return P.build_intro(p.conclusion, supply)
@@ -348,29 +339,34 @@ def eliminate_cuts(p: Proof) -> Proof:
 # Refutation reshaping
 # ---------------------------------------------------------------------------
 
-_REFUTATION_RULES = frozenset({"identity", "cut"}) | R.COMMON_NAMES
 
-
-def simplify_refutation(p: Proof) -> Proof:
-    """Reshape an atomic Identity/Cut/Weakening/Contraction refutation into
-    contractions followed by cuts, per branch, by one fold: see
-    ``_reshape``. A ``cut[...]`` step, which ``normalize`` makes of a Cut on
-    a compound formula, raises RewriteError: it contracts the context its
-    premises share below its cuts, so it has no such shape."""
+def simplify_refutation(p: Proof, calc: R.Calculus = R.BUILTIN_NAMES) -> Proof:
+    """Reshape an atomic refutation in ``calc`` into contractions followed
+    by cuts, per branch, by one fold: see ``_reshape``. Past Weakening and
+    Contraction, each step is an Identity or one of ``rules.CUTS`` (they stay
+    cuts as their contexts shrink) by the rule its name names in ``calc`` up
+    to renaming; any other, such as a ``cut[...]`` step, raises RewriteError."""
     if not p.conclusion.is_empty():
         raise RewriteError("simplify_refutation expects a proof of the empty sequent")
     if not P.is_structurally_atomic(p):
         raise RewriteError("simplify_refutation expects a structurally atomic proof")
     for node in p.nodes():
-        if node.rule != "premise" and node.rule not in _REFUTATION_RULES:
-            raise RewriteError(f"unexpected rule in refutation: {node.rule}")
-        if node.rule == "premise" and not node.conclusion.is_atomic():
-            raise RewriteError("refutation premises must be atomic")
+        if node.rule == "premise":
+            if not node.conclusion.is_atomic():
+                raise RewriteError("refutation premises must be atomic")
+        elif node.rule not in R.COMMON_SIDE:
+            arity, base = len(node.children), R.builtin_of(calc.rule(node.rule))
+            if not (arity == 0 and base is R.IDENTITY or arity == 2 and base in R.CUTS):
+                raise RewriteError(f"unexpected rule in refutation: {node.rule}")
     out = P.rebuild(p, _reshape)
-    if any(node.rule == "identity" for node in out.nodes()):
+    if any(_is_identity(node) for node in out.nodes()):
         raise RewriteError("identity node not consumed by a cut")
     _assert_contraction_then_cut(out)
     return out
+
+
+def _is_identity(node: Proof) -> bool:
+    return not node.children and P.is_structural(node.rule)
 
 
 def _cut_atom(node: Proof) -> Atom:
@@ -381,26 +377,27 @@ def _cut_atom(node: Proof) -> Atom:
 
 def _reshape(node: Proof, kids: tuple[Proof, ...]) -> Proof:
     """node's result: a Weakening-free proof of part of node's conclusion,
-    built from its children's results.
+    built from its children's results. A step with two children is a Cut,
+    a structural step with none an Identity.
 
     A Weakening gives way to its child. A Cut gives way to a child that
     lost an occurrence of the cut atom on the side the cut consumes, the
     first such child, or else to the partner of an Identity. A Contraction
     whose child still holds both copies goes above the cuts under it.
     """
-    if node.rule in R.WEAKENING_NAMES:
+    if node.rule in R.WEAKENING.values():
         return kids[0]
-    if node.rule == "cut":
+    if len(node.children) == 2:
         x = _cut_atom(node)
         for kid, child, side in zip(kids, node.children, ("right", "left")):
             if getattr(kid.conclusion, side).count(x) < getattr(child.conclusion, side).count(x):
                 return kid
         for i, kid in enumerate(kids):
-            if kid.rule == "identity":
+            if _is_identity(kid):
                 return kids[1 - i]
         conclusion = _join(kids[0].conclusion.remove_one(x, "right"), kids[1].conclusion.remove_one(x, "left"))
         return P.with_children(node, kids, conclusion)
-    if node.rule in R.CONTRACTION_NAMES:
+    if node.rule in R.CONTRACTION.values():
         y, side = P.common_formula(node)
         (kid,) = kids
         if getattr(kid.conclusion, side).count(y) < 2:
@@ -413,7 +410,7 @@ def _contract_above_cuts(node: Proof, kid: Proof, y: Formula, side: str) -> Proo
     """node's contraction of y applied to kid, above the cuts under it: at
     each cut it goes into the first child that holds both copies."""
     spine: list[tuple[Proof, int]] = []
-    while kid.rule == "cut":
+    while len(kid.children) == 2:
         i = next((i for i, c in enumerate(kid.children) if getattr(c.conclusion, side).count(y) >= 2), None)
         if i is None:
             raise RefutationShapeError(
@@ -432,8 +429,8 @@ def _contract_above_cuts(node: Proof, kid: Proof, y: Formula, side: str) -> Proo
 
 def _assert_contraction_then_cut(p: Proof) -> None:
     # branch order leaf-to-root must be contractions first, cuts second
-    for node, below in P.nodes_under(p, lambda n: n.rule in R.CONTRACTION_NAMES):
-        if below and node.rule == "cut":
+    for node, below in P.nodes_under(p, lambda n: n.rule in R.CONTRACTION.values()):
+        if below and len(node.children) == 2:
             raise RefutationShapeError("cut above a contraction survived reshaping")
 
 
@@ -442,44 +439,39 @@ def _assert_contraction_then_cut(p: Proof) -> None:
 # ---------------------------------------------------------------------------
 
 
-def separate_identity_cut(p: Proof) -> Proof:
-    """Rewrite a normalized GLP or GCL proof so no branch contains both Identity and
-    Cut, by one fold: a Cut step, atomic or a ``cut[...]`` step of a Cut on a
-    compound formula, with rewritten children that are Identities under
-    Weakenings and Contractions becomes a weakening of the first of those
-    Identities that fits in its conclusion, or else of the first child that
-    does. An atomic Cut always has one that fits. A ``cut[...]`` step whose
-    Identities feed atoms it consumes, while its other children keep atoms
-    it consumes, has none and raises RewriteError."""
+def separate_identity_cut(p: Proof, calc: R.Calculus) -> Proof:
+    """Rewrite a normalized proof in ``calc`` so no branch contains both
+    Identity and Cut, by one fold: a Cut step, atomic or a ``cut[...]`` step
+    of a Cut on a compound formula, with rewritten children that are
+    Identities under Weakenings and Contractions becomes a weakening of the
+    first of those Identities that fits in its conclusion, or else of the
+    first child that does. An atomic Cut always has one that fits. A
+    ``cut[...]`` step whose Identities feed atoms it consumes, while its
+    other children keep atoms it consumes, has none and raises RewriteError.
+    A step's rule is the one its name, brackets cut off, names in ``calc``."""
     if not (P.is_structurally_atomic(p) and P.is_analytic_synthetic(p)):
         raise RewriteError("separate_identity_cut requires a normalized proof")
-    out = P.rebuild(p, _separate)
-    if any(below and node.rule == "identity" for node, below in P.nodes_under(out, _is_cut)):
-        raise RewriteError("identity above a cut survived separation")
-    return out
 
+    def rule_is(node: Proof, builtin: R.StructuralRule) -> bool:
+        return R.builtin_of(calc.rule(node.rule.partition("[")[0])) is builtin
 
-def _is_cut(node: Proof) -> bool:
-    return node.rule.partition("[")[0] == "cut"
+    def identity_under(node: Proof) -> Optional[Proof]:
+        """The Identity step when node is one under weakenings and contractions only."""
+        while node.rule in R.COMMON_SIDE:
+            node = node.children[0]
+        return node if rule_is(node, R.IDENTITY) else None
 
-
-def _separate(node: Proof, kids: tuple[Proof, ...]) -> Proof:
-    atoms = [a for a in map(_identity_chain_atom, kids) if a is not None] if _is_cut(node) else []
-    if atoms:
-        for fit in [P.structural("identity", [], Sequent([a], [a])) for a in atoms] + list(kids):
+    def separate(node: Proof, kids: tuple[Proof, ...]) -> Proof:
+        idents = [i for i in map(identity_under, kids) if i is not None] if rule_is(node, R.CUT) else []
+        if not idents:
+            return P.with_children(node, kids)
+        for fit in idents + list(kids):
             if all(multiset_minus(getattr(node.conclusion, side), getattr(fit.conclusion, side)) is not None
                    for side in ("left", "right")):
                 return P.weaken_to(fit, node.conclusion)
-        raise RewriteError(f"no weakening separates the identity on {atoms[0].name} from {node.rule}")
-    return P.with_children(node, kids)
+        raise RewriteError(f"no weakening separates the identity on {idents[0].conclusion.left[0].name} from {node.rule}")
 
-
-def _identity_chain_atom(node: Proof) -> Optional[Atom]:
-    """The identity atom when the subtree is Identity under weakenings and
-    contractions only."""
-    while node.rule in R.COMMON_NAMES:
-        node = node.children[0]
-    if node.rule == "identity":
-        return node.conclusion.left[0]  # type: ignore[return-value]
-    return None
-
+    out = P.rebuild(p, separate)
+    if any(below and rule_is(node, R.IDENTITY) for node, below in P.nodes_under(out, lambda n: rule_is(n, R.CUT))):
+        raise RewriteError("identity above a cut survived separation")
+    return out

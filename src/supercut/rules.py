@@ -224,7 +224,8 @@ class StructuralRule(Value):
     the index of the base premise it expands, and takes no part in equality
     or the hash."""
 
-    __slots__ = _fields = ("name", "premises", "conclusion", "sources")
+    __slots__ = ("name", "premises", "conclusion", "sources", "_key")
+    _fields = ("name", "premises", "conclusion", "sources")
 
     def __init__(self, name: str, premises: tuple[SequentSchema, ...], conclusion: SequentSchema,
                  sources: tuple[int, ...] = ()):
@@ -232,6 +233,7 @@ class StructuralRule(Value):
         _set_premises(self, premises)
         _set_conclusion(self, conclusion)
         _set_sources(self, sources)
+        _set_key(self, None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not StructuralRule:
@@ -258,14 +260,54 @@ class StructuralRule(Value):
         return f"{body} => {self.conclusion.render()}" if body else f"=> {self.conclusion.render()}"
 
     def schema_key(self) -> tuple:
-        """Identity of the rule up to its name."""
-        return (self.premises, self.conclusion)
+        """Identity of the rule up to its name and those of its schema atoms
+        and slots: ``canonical_rule``, its slots renamed alike; stored once made."""
+        if self._key is None:
+            r = _rename_rule(canonical_rule(self), {}, _canonical_names(self, "slots", "S"))
+            _set_key(self, (r.premises, r.conclusion))
+        return self._key
 
 
 _set_name = StructuralRule.name.__set__
 _set_premises = StructuralRule.premises.__set__
 _set_conclusion = StructuralRule.conclusion.__set__
 _set_sources = StructuralRule.sources.__set__
+_set_key = StructuralRule._key.__set__
+
+
+def canonical_rule(rule: StructuralRule) -> StructuralRule:
+    """Rename schema atoms to x0, x1, ... by ordered partition refinement.
+
+    The atoms start as one cell in name order; each side, in render order
+    (every premise's left then right, then the conclusion's), splits every
+    cell by how often each atom occurs on that side, highest count first,
+    which is a stable sort by the vector of counts. Atoms that end in one
+    cell occur equally often on every side, so any order among them gives
+    the same rule. With at most ten atoms, whose new names have equal
+    width, the result is the renaming with the least rendering.
+    """
+    r = _rename_rule(rule, _canonical_names(rule, "atoms", "x"), {})
+    return StructuralRule(r.render(), r.premises, r.conclusion)
+
+
+def _canonical_names(rule: StructuralRule, kind: str, prefix: str) -> dict[str, str]:
+    """The rule's schema atoms ("atoms") or slots ("slots") renamed prefix
+    + 0, 1, ... in ``canonical_rule``'s order, which holds for slots too."""
+    sides = [getattr(s, f"{kind}_{side}") for s in rule.premises + (rule.conclusion,) for side in ("left", "right")]
+    order = sorted({a for side in sides for a in side}, key=lambda a: ([-side.count(a) for side in sides], a))
+    return {a: f"{prefix}{i}" for i, a in enumerate(order)}
+
+
+def _rename_rule(rule: StructuralRule, atoms: dict[str, str], slots: dict[str, str]) -> StructuralRule:
+    def ren(schema: SequentSchema) -> SequentSchema:
+        return SequentSchema(
+            [atoms.get(a, a) for a in schema.atoms_left],
+            [slots.get(s, s) for s in schema.slots_left],
+            [atoms.get(a, a) for a in schema.atoms_right],
+            [slots.get(s, s) for s in schema.slots_right],
+        )
+
+    return StructuralRule(rule.name, tuple(map(ren, rule.premises)), ren(rule.conclusion))
 
 
 def parse_structural_rule(text: str, name: str | None = None) -> StructuralRule:
@@ -321,26 +363,37 @@ CUT = parse_structural_rule("G |- D, x ; x, G' |- D' => G, G' |- D, D'", "cut")
 LIMITED_CUT_LEFT = parse_structural_rule("|- x ; x, G |- D => G |- D", "limited-cut-left")
 LIMITED_CUT_RIGHT = parse_structural_rule("G |- D, x ; x |- => G |- D", "limited-cut-right")
 EXPLOSIVE_CUT = parse_structural_rule("|- x ; x |- => |-", "explosive-cut")
+CUTS = (CUT, LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT, EXPLOSIVE_CUT)
+
+# The built-in rules by schema_key, so known whatever they and their parts are named
+_BUILTIN = {r.schema_key(): r for r in COMMON_RULES + (IDENTITY,) + CUTS}
+
+
+def builtin_of(rule: Optional[StructuralRule]) -> Optional[StructuralRule]:
+    """The built-in rule that ``rule`` is up to renaming, or None, as for no rule."""
+    return None if rule is None else _BUILTIN.get(rule.schema_key())
+
 
 # side -> name of the common rule acting on one formula of that side
 WEAKENING = {"left": WEAKENING_LEFT.name, "right": WEAKENING_RIGHT.name}
 CONTRACTION = {"left": CONTRACTION_LEFT.name, "right": CONTRACTION_RIGHT.name}
 COMMON_SIDE = {name: side for table in (WEAKENING, CONTRACTION) for side, name in table.items()}
-WEAKENING_NAMES = frozenset(WEAKENING.values())
-CONTRACTION_NAMES = frozenset(CONTRACTION.values())
-COMMON_NAMES = frozenset(COMMON_SIDE)
 
 
 class Calculus(Value):
     """A super-Belnap calculus: the fixed logical rules plus specific structural rules.
 
-    Weakening and Contraction are implicit members of every calculus.
+    Weakening and Contraction are implicit members of every calculus. A
+    proof step names its rule, so a rule's name is no other step's name.
     """
 
     # no __slots__: the cached ``_table`` lives in the instance dict
     _fields = ("name", "specific")
 
     def __init__(self, name: str, specific: tuple[StructuralRule, ...]):
+        names = [r.name for r in COMMON_RULES + specific] + ["premise", *LOGICAL, *AXIOM_RULES]
+        if len(set(names)) < len(names):
+            raise SupercutError(f"calculus {name}: the rule name {max(names, key=names.count)} is taken")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "specific", specific)
 
@@ -378,7 +431,8 @@ class Calculus(Value):
             found = table[head]
         return found
 
-
+# Identity and the cuts by their own names: the calculus a pass reads step names in by default
+BUILTIN_NAMES = Calculus("builtin-names", (IDENTITY,) + CUTS)
 _CALCULI = {
     "gb": (),
     "glp": (IDENTITY,),
@@ -707,37 +761,6 @@ def _shape_count(depth: int) -> int:
     return total
 
 
-def canonical_rule(rule: StructuralRule) -> StructuralRule:
-    """Rename schema atoms to x0, x1, ... by ordered partition refinement.
-
-    The atoms start as one cell in name order; each side, in render order
-    (every premise's left then right, then the conclusion's), splits every
-    cell by how often each atom occurs on that side, highest count first,
-    which is a stable sort by the vector of counts. Atoms that end in one
-    cell occur equally often on every side, so any order among them gives
-    the same rule. With at most ten atoms, whose new names have equal
-    width, the result is the renaming with the least rendering.
-    """
-    sides = [side for s in rule.premises + (rule.conclusion,) for side in (s.atoms_left, s.atoms_right)]
-    order = sorted({a for side in sides for a in side}, key=lambda a: ([-side.count(a) for side in sides], a))
-    r = _rename_rule(rule, {a: f"x{i}" for i, a in enumerate(order)})
-    return StructuralRule(r.render(), r.premises, r.conclusion)
-
-
-def _rename_rule(rule: StructuralRule, table: dict[str, str]) -> StructuralRule:
-    def ren(schema: SequentSchema) -> SequentSchema:
-        if not schema.atoms_left and not schema.atoms_right:
-            return schema
-        return SequentSchema(
-            [table.get(a, a) for a in schema.atoms_left],
-            schema.slots_left,
-            [table.get(a, a) for a in schema.atoms_right],
-            schema.slots_right,
-        )
-
-    return StructuralRule(rule.name, tuple(map(ren, rule.premises)), ren(rule.conclusion))
-
-
 # Beyond this many expansions of one rule, ResourceCapError: the shape
 # combinations of a custom calculus's expansion_pool, or the transversals
 # of a gecq refutation step. Depth 2 admits up to two schema atoms
@@ -768,7 +791,7 @@ def expansion_pool(rule: StructuralRule, depth_bound: int) -> frozenset[Structur
     for combo in itertools.product(_linear_shapes(depth_bound) if schema_atoms else (), repeat=len(schema_atoms)):
         e = expansion(rule, combo)
         if e is not None:
-            pool.setdefault(canonical_rule(e).schema_key(), e)
+            pool.setdefault(e.schema_key(), e)
     return frozenset(pool.values())
 
 

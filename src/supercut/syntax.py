@@ -187,15 +187,6 @@ class Formula(Value):
             return self._key == other._key
         return _same(self, other)
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Neg(self)
-
 
 # Longest rendering stored on a compound node. A parent's rendering contains
 # its children's, so storing every one would take memory quadratic in the

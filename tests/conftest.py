@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
 from supercut.matrices import Matrix, eval_formula
 from supercut.proofs import Proof
-from supercut.rules import IDENTITY, LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT, Calculus, expansion, hilbert_to_structural
+from supercut.rules import (
+    IDENTITY,
+    LIMITED_CUT_LEFT,
+    LIMITED_CUT_RIGHT,
+    Calculus,
+    expansion,
+    hilbert_to_structural,
+    parse_structural_rule,
+)
 from supercut.syntax import And, Atom, BOT, Formula, Neg, Or, Sequent, TOP, parse_formula
 
 GLP_LC = Calculus("glp+lc", (IDENTITY, LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT))
@@ -19,6 +28,22 @@ HILBERT = Calculus("hilbert", tuple(sorted(
     hilbert_to_structural([parse_formula("~p | q")], parse_formula("r"))
     | hilbert_to_structural([parse_formula("p & ~q")], parse_formula("q | r")),
     key=lambda r: r.name)))
+
+
+# new names for the built-in rules, their schema atom and their slots
+RENAMED_RULES = {"identity": "id", "cut": "kut", "limited-cut-left": "lc-left", "limited-cut-right": "lc-right",
+                 "explosive-cut": "ecut"}
+_RENAMED_PARTS = {"x": "y", "G": "H", "D": "E", "G'": "H2", "D'": "E2"}
+
+
+def renamed(calc: Calculus) -> Calculus:
+    """calc with each rule, its schema atom and its slots renamed: the
+    built-in rules are then known by their schemas alone."""
+    def rule(r):
+        text = re.sub(r"[A-Za-z][A-Za-z0-9_']*", lambda m: _RENAMED_PARTS[m.group()], r.render())
+        return parse_structural_rule(text, RENAMED_RULES[r.name])
+
+    return Calculus(calc.name + "-renamed", tuple(map(rule, calc.specific)))
 
 
 def random_formula(rng: random.Random, atoms: list[str], depth: int, constants: bool = True) -> Formula:

@@ -29,7 +29,7 @@ from supercut.rules import (
 )
 from supercut.syntax import Atom, Sequent, atoms_of, parse_formula as pf, parse_sequent as ps, tau
 
-from conftest import GLP_LC, HILBERT, random_sequent
+from conftest import GLP_LC, HILBERT, random_sequent, renamed
 
 
 def _minimal_facts(facts):
@@ -179,6 +179,27 @@ class TestDerives:
                 prems.append(Sequent(map(Atom, left), map(Atom, rng.sample(["p", "q", "r"], rng.randint(0 if left else 1, 2)))))
             pooled += assert_checks(prems, Sequent(), "gecq")
         assert pooled >= 3
+
+
+class TestRenamedBuiltins:
+    """A built-in calculus with its rules, their schema atoms and their
+    slots renamed is known by its schemas: it saturates as the built-in
+    does, with no expansion pool."""
+
+    @pytest.mark.parametrize("name", ["gk", "glp", "gcl", "getl", "gecq"])
+    def test_same_verdicts_and_facts(self, name):
+        calc = builtin_calculus(name)
+        other = renamed(calc)
+        assert effective_calculus(other) == (other, True)
+        rng = random.Random(f"renamed-{name}")
+        for _ in range(150):
+            prems = [random_sequent(rng, ["p", "q", "r"], 1) for _ in range(rng.randint(0, 3))]
+            goal = Sequent() if rng.random() < 0.2 else random_sequent(rng, ["p", "q", "r"], 1)
+            want, got = derives(prems, goal, calc), derives(prems, goal, other)
+            assert (got.verdict, got.complete, got.fact_count) == (want.verdict, want.complete, want.fact_count)
+            assert got.calculus is other
+            if got.verdict:
+                assert check(got.proof, other, prems).ok
 
 
 class TestRefutes:

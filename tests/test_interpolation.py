@@ -19,7 +19,7 @@ from supercut.interpolation import (
 from supercut.matrices import builtin, holds, holds_sequent
 from supercut.proofs import check, has_subformula_property, premise, logical, structural, weaken_to
 from supercut.rewrite import separate_identity_cut
-from supercut.rules import CUT, IDENTITY, WEAKENING_NAMES, Calculus, builtin_calculus
+from supercut.rules import CUT, IDENTITY, WEAKENING, Calculus, builtin_calculus
 from supercut.syntax import (
     And,
     Atom,
@@ -35,7 +35,7 @@ from supercut.syntax import (
     rho,
 )
 
-from conftest import random_formula, random_sequent, semantic_classes
+from conftest import random_formula, random_sequent, renamed, semantic_classes
 
 
 class TestCriticalNodes:
@@ -54,6 +54,18 @@ class TestCriticalNodes:
     def test_engine_proof(self):
         res = derives([ps("|- p"), ps("|- ~p | q")], ps("|- q"), builtin_calculus("getl"))
         assert critical_nodes(res.proof) == {ps("|- q")}
+
+    def test_identity_known_by_its_rule(self):
+        # id is Identity in gcl renamed, so the cut it feeds is no critical
+        # node; read in the built-in names, id is no Identity
+        calc = renamed(builtin_calculus("gcl"))
+        prems = [ps("q |- r")]
+        ident = structural("weakening-right", [structural("id", [], ps("p |- p"))], ps("p |- p, q"))
+        proof = logical("or-right-intro", [structural("kut", [ident, premise(prems[0], 0)], ps("p |- p, r"))],
+                        ps("p |- p | r"))
+        assert check(proof, calc, prems).ok
+        assert critical_nodes(proof, calc) == frozenset()
+        assert critical_nodes(proof) == {ps("p |- p, r")}
 
     def test_requires_normal_form(self):
         i = logical(
@@ -76,7 +88,7 @@ class TestPruneForeignAtoms:
         # the critical node |- p, r is the pruned node |- p, weakened back
         assert critical_nodes(out) == {ps("|- p, r")}
         node = next(n for n in out.nodes() if n.conclusion == ps("|- p, r"))
-        while node.rule in WEAKENING_NAMES:
+        while node.rule in WEAKENING.values():
             node = node.children[0]
         assert node.conclusion == ps("|- p")
 
@@ -115,10 +127,10 @@ class TestDerivedProofInvariants:
         if not res.verdict:
             return False
         if IDENTITY in res.calculus.specific:
-            assert separate_identity_cut(res.proof) == res.proof
+            assert separate_identity_cut(res.proof, res.calculus) == res.proof
         keep = frozenset().union(*map(atoms_of, prems))
         # raises InterpolationError at a node whose base holds a foreign atom
-        interpolation._replace_critical_nodes(res.proof, lambda q: interpolation._prune_subproof(q, keep))
+        interpolation._replace_critical_nodes(res.proof, lambda q: interpolation._prune_subproof(q, keep), res.calculus)
         universe = sorted(keep | atoms_of(goal)) or ["a"]
         seed = sum(1 << i for i, a in enumerate(universe) if a in keep)
         for l, r in engine.saturate(prems, res.calculus, universe).provenance:

@@ -1,11 +1,12 @@
 """Proof rewriting passes: expansion, reordering, subformula enforcement,
 cut elimination, refutation reshaping, identity/cut separation."""
 
+import random
 import time
 
 import pytest
 
-from supercut.engine import derives, effective_calculus
+from supercut.engine import derives, effective_calculus, refutes
 from supercut.proofs import (
     Proof,
     build_intro,
@@ -50,7 +51,7 @@ from supercut.rules import (
 )
 from supercut.syntax import Atom, Bot, Neg, Sequent, Top, parse_formula as pf, parse_sequent as ps
 
-from conftest import HILBERT, random_formula, random_sequent
+from conftest import HILBERT, RENAMED_RULES, random_formula, random_sequent, renamed
 
 GB = builtin_calculus("gb")
 GLP = builtin_calculus("glp")
@@ -630,7 +631,7 @@ def _separated_compound_cut(left: Proof, conclusion: Sequent) -> Proof:
     cut = structural("cut", [left, premise(prems[0], 0)], conclusion)
     norm = normalize(cut, GCL, prems, conclusion)
     assert any(n.rule == "cut[x0 & x1]" for n in norm.nodes())
-    out = separate_identity_cut(norm)
+    out = separate_identity_cut(norm, GCL)
     _assert_separated(out, prems, conclusion)
     return out
 
@@ -647,7 +648,7 @@ class TestSeparateIdentityCut:
     def test_shared_proof(self):
         tower, _, prems = _weakened_cut_tower(40)
         start = time.perf_counter()
-        out = separate_identity_cut(tower)
+        out = separate_identity_cut(tower, GCL)
         assert time.perf_counter() - start < 1
         assert out == tower and check(out, GCL, prems).ok
 
@@ -656,7 +657,7 @@ class TestSeparateIdentityCut:
         w = structural("weakening-right", [ident], ps("p |- p, q"))
         other = premise(ps("q, p |- p"), 0)
         cq = structural("cut", [w, other], ps("p, p |- p, p"))
-        out = separate_identity_cut(cq)
+        out = separate_identity_cut(cq, GCL)
         assert check(out, GCL, [ps("q, p |- p")]).ok
         assert out.conclusion == cq.conclusion
         for node in out.nodes():
@@ -664,11 +665,11 @@ class TestSeparateIdentityCut:
 
     def test_cut_free_unchanged(self):
         node = structural("identity", [], ps("p |- p"))
-        assert separate_identity_cut(node) == node
+        assert separate_identity_cut(node, GCL) == node
 
     def test_identity_free_unchanged(self):
         node = structural("cut", [premise(ps("|- p"), 0), premise(ps("p |- q"), 1)], ps("|- q"))
-        assert separate_identity_cut(node) == node
+        assert separate_identity_cut(node, GCL) == node
 
     def test_no_branch_with_both(self, rng):
         for _ in range(20):
@@ -677,7 +678,7 @@ class TestSeparateIdentityCut:
             res = derives(prems, goal, GCL)
             if res.proof is None or res.proof.rule == "premise":
                 continue
-            out = separate_identity_cut(res.proof)
+            out = separate_identity_cut(res.proof, GCL)
             assert check(out, GCL, prems).ok
 
             def branch_rules(node, acc):
@@ -715,7 +716,7 @@ class TestSeparateIdentityCut:
         cut = structural("cut", [left, premise(prems[0], 0)], ps("q, t |- s"))
         norm = normalize(cut, GCL, prems, cut.conclusion)
         with pytest.raises(RewriteError, match=r"identity on q from cut\[x0 & x1\]"):
-            separate_identity_cut(norm)
+            separate_identity_cut(norm, GCL)
 
     def test_padded_normalized_proofs(self, rng):
         compound = 0
@@ -730,5 +731,101 @@ class TestSeparateIdentityCut:
                 proof = _pad(proof, prems, GCL, rng)
             norm = normalize(proof, GCL, prems, goal)
             compound += any(n.rule.startswith("cut[") for n in norm.nodes())
-            _assert_separated(separate_identity_cut(norm), prems, goal)
+            _assert_separated(separate_identity_cut(norm, GCL), prems, goal)
         assert compound
+
+
+def _refutations(calc, seed: str, count: int):
+    """The first ``count`` refutable sets of non-empty atomic sequents over
+    p, q and r, drawn from the seed, each with its refutation in calc."""
+    rng = random.Random(seed)
+    atoms = [Atom(a) for a in "pqr"]
+    out = []
+    while len(out) < count:
+        prems = []
+        while len(prems) < rng.randint(3, 5):
+            s = Sequent(rng.sample(atoms, rng.randint(0, 2)), rng.sample(atoms, rng.randint(0, 2)))
+            if not s.is_empty():
+                prems.append(s)
+        res = refutes(prems, calc)
+        if res.verdict:
+            out.append((prems, res.proof))
+    return out
+
+
+class TestRulesKnownBySchema:
+    """Identity and Cut renamed, with their schema atoms and slots: the
+    passes know them by their schemas, not by their names."""
+
+    def test_identity_on_another_atom_normalizes(self):
+        calc = Calculus("glp-y", (parse_structural_rule("=> y |- y", "identity"),))
+        goal = ps("p & q |- p & q")
+        out = normalize(structural("identity", [], goal), calc, [], goal)
+        assert check(out, calc, []).ok and is_structurally_atomic(out)
+
+    def test_separate_renamed_identity_and_cut(self):
+        calc = renamed(GCL)
+        ident = structural("id", [], ps("p |- p"))
+        prems = [ps("q |- r")]
+        kut = structural("kut", [structural("weakening-right", [ident], ps("p |- p, q")), premise(prems[0], 0)],
+                         ps("p |- p, r"))
+        assert check(kut, calc, prems).ok
+        out = separate_identity_cut(kut, calc)
+        assert out == structural("weakening-right", [ident], ps("p |- p, r"))
+        assert check(out, calc, prems).ok
+
+    def test_simplify_renamed_refutations(self):
+        calc = renamed(GCL)
+        back = {new: old for old, new in RENAMED_RULES.items()}
+        reshaped = 0
+        for (prems, want), (_, got) in zip(_refutations(GCL, "gcl", 40), _refutations(calc, "gcl", 40)):
+            try:
+                expected = simplify_refutation(want, GCL)
+            except RefutationShapeError:
+                with pytest.raises(RefutationShapeError):
+                    simplify_refutation(got, calc)
+                continue
+            out = simplify_refutation(got, calc)
+            assert check(out, calc, prems).ok
+            assert rebuild(out, lambda n, kids: Proof(n.conclusion, back.get(n.rule, n.rule), kids,
+                                                       n.premise_index)) == expected
+            reshaped += any(n.rule == "kut" for n in out.nodes())
+        assert reshaped >= 30
+        # as test_identity_fed_cut_dropped, renamed
+        kut = lambda kids, s: structural("kut", kids, ps(s))
+        chain = kut([premise(ps("|- p"), 1), kut([structural("id", [], ps("p |- p")), premise(ps("p, p |-"), 0)],
+                                                  "p, p |-")], "p |-")
+        out = simplify_refutation(kut([premise(ps("|- p"), 1), chain], "|-"), calc)
+        assert check(out, calc, [ps("p, p |-"), ps("|- p")]).ok and all(n.rule != "id" for n in out.nodes())
+        # read in the built-in names, kut and id are no rules
+        with pytest.raises(RewriteError, match="unexpected rule in refutation: kut"):
+            simplify_refutation(kut([premise(ps("|- p"), 1), chain], "|-"))
+
+    def test_cut_shaped_step_of_another_rule_refused(self):
+        # r is no cut: its first premise needs two formulas on the right, so
+        # reshaping it as a Cut, dropping the weakened q, leaves no r step
+        r = parse_structural_rule("|- x, y ; x |- => |- y", "r")
+        calc = Calculus("c", (CUT, r))
+        prems = [ps("|- p"), ps("p |-"), ps("q |-")]
+        weak = structural("weakening-right", [premise(prems[0], 0)], ps("|- p, q"))
+        refutation = structural("cut", [structural("r", [weak, premise(prems[1], 1)], ps("|- q")),
+                                        premise(prems[2], 2)], ps("|-"))
+        assert check(refutation, calc, prems).ok
+        with pytest.raises(RewriteError, match="unexpected rule in refutation: r"):
+            simplify_refutation(refutation, calc)
+
+    def test_limited_cut_refutations_reshape(self):
+        # a limited-cut-left step on an atom is a Cut; a context cut on a
+        # compound clause is not, and is refused
+        getl = builtin_calculus("getl")
+        reshaped = refused = 0
+        for prems, proof in _refutations(getl, "getl", 60):
+            if any("[" in n.rule for n in proof.nodes()):
+                with pytest.raises(RewriteError, match=r"limited-cut-left\["):
+                    simplify_refutation(proof, getl)
+                refused += 1
+                continue
+            out = simplify_refutation(proof, getl)
+            assert check(out, getl, prems).ok
+            reshaped += any(n.rule == "limited-cut-left" for n in proof.nodes())
+        assert reshaped >= 10 and refused >= 10

@@ -66,6 +66,18 @@ class TestCalculi:
         with pytest.raises(SupercutError):
             builtin_calculus("gnope")
 
+    def test_duplicate_rule_names_rejected(self):
+        # a step names its rule: an axiom named weakening-left would stand in
+        # for the Weakening of that name when a proof is checked
+        with pytest.raises(SupercutError, match="rule name weakening-left is taken"):
+            R.Calculus("x", (parse_structural_rule("=> x |- x", "weakening-left"),))
+        with pytest.raises(SupercutError, match="rule name r is taken"):
+            R.Calculus("x", (parse_structural_rule(IDENTITY.render(), "r"), parse_structural_rule(CUT.render(), "r")))
+        # nor the name of a step that is no structural rule
+        for taken in ("premise", "and-left-intro", "top-right"):
+            with pytest.raises(SupercutError, match=f"rule name {taken} is taken"):
+                R.Calculus("x", (parse_structural_rule("=> x |- x", taken),))
+
     def test_common_rules_always_available(self):
         gb = builtin_calculus("gb")
         for name in ("weakening-left", "weakening-right", "contraction-left", "contraction-right"):
@@ -78,7 +90,7 @@ class TestCalculi:
         (expanded,) = sigma_expand(LIMITED_CUT_RIGHT, Substitution({"x": pf("p & ~q & ~r")}))
         mc = R.expansion(LIMITED_CUT_LEFT, (pf("~p | q | r"),))
         assert mc.name == "limited-cut-left[~x0 | x1 | x2]"
-        renamed = R._rename_rule(mc, {"x0": "p", "x1": "q", "x2": "r"})
+        renamed = R._rename_rule(mc, {"x0": "p", "x1": "q", "x2": "r"}, {})
         assert set(renamed.premises) == set(expanded.premises) and renamed.conclusion == expanded.conclusion
         assert mc.premises[0] == SequentSchema(["x0"], (), ["x1", "x2"], ())  # the core comes first
         assert mc.sources == (0, 1, 1, 1)
@@ -399,7 +411,7 @@ class TestSigmaExpand:
         assert rule.render() == "|- p, q ; p |- ; q |- => |-"
 
     def test_with_ground(self):
-        grounded = R._rename_rule(LIMITED_CUT_LEFT, {"x": "p"})
+        grounded = R._rename_rule(LIMITED_CUT_LEFT, {"x": "p"}, {})
         (rule,) = sigma_expand(grounded, Substitution({"p": pf("p & q")}))
         assert rule.render() == "|- p ; |- q ; p, q, G |- D => G |- D"
         assert rule.sources == (0, 0, 1)
@@ -484,7 +496,7 @@ def _canonical_by_permutation(rule: StructuralRule) -> StructuralRule:
     names = rule.schema_atoms()
     best = None
     for perm in itertools.permutations(range(len(names))):
-        r = R._rename_rule(rule, {n: f"x{i}" for n, i in zip(names, perm)})
+        r = R._rename_rule(rule, {n: f"x{i}" for n, i in zip(names, perm)}, {})
         if best is None or r.render() < best.render():
             best = r
     if best is None:
@@ -576,9 +588,29 @@ class TestCanonicalRule:
             names = rng.sample(_ATOM_NAMES, rng.randint(0, 14))
             rule = _random_rule(rng, names, max_side=5)
             canon = canonical_rule(rule)
-            renamed = R._rename_rule(rule, dict(zip(names, rng.sample(_ATOM_NAMES, len(names)))))
+            renamed = R._rename_rule(rule, dict(zip(names, rng.sample(_ATOM_NAMES, len(names)))), {})
             assert canonical_rule(renamed) == canon, rule.render()
             assert canonical_rule(canon) == canon
+
+    def test_schema_key_invariant_under_renaming(self, rng):
+        slots = ["G", "G'", "D", "D'"]
+        for _ in range(300):
+            names = rng.sample(_ATOM_NAMES, rng.randint(0, 6))
+            rule = _random_rule(rng, names)
+            atoms = dict(zip(names, rng.sample(_ATOM_NAMES, len(names))))
+            other = R._rename_rule(rule, atoms, dict(zip(slots, rng.sample(["H", "K", "E", "F"], 4))))
+            assert other.schema_key() == rule.schema_key() == canonical_rule(rule).schema_key(), rule.render()
+
+    def test_builtin_of(self):
+        builtins = R.COMMON_RULES + (IDENTITY, CUT, LIMITED_CUT_LEFT, LIMITED_CUT_RIGHT, EXPLOSIVE_CUT)
+        for rule in builtins:
+            assert R.builtin_of(rule) is rule
+            atoms = {a: a + "1" for a in rule.schema_atoms()}
+            slots = {s: "K" + s.replace("'", "2") for s in rule.slot_names()}
+            assert R.builtin_of(R._rename_rule(rule, atoms, slots)) is rule
+        # a premise order of its own is another rule
+        assert R.builtin_of(StructuralRule("c", CUT.premises[::-1], CUT.conclusion)) is None
+        assert R.builtin_of(parse_structural_rule("x, G |- D => G |- D, x")) is None
 
     def test_renames_once(self, monkeypatch):
         calls = []

@@ -198,7 +198,7 @@ def run(argv: Sequence[str]) -> int:
     except RecursionError:
         print("resource cap exceeded: input nested too deeply", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ParseError, json.JSONDecodeError, OSError) as exc:
+    except (ParseError, json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except I.EntailmentError as exc:

@@ -88,13 +88,6 @@ FactKey = tuple[int, int]
 class DeriveResult(Value):
     __slots__ = _fields = ("verdict", "complete", "calculus", "proof", "fact_count")
 
-    def __init__(self, verdict: bool, complete: bool, calculus: R.Calculus, proof: Optional[P.Proof], fact_count: int):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "calculus", calculus)
-        object.__setattr__(self, "proof", proof)
-        object.__setattr__(self, "fact_count", fact_count)
-
 
 @lru_cache(maxsize=64)
 def effective_calculus(calc: R.Calculus, depth_bound: int = 2) -> tuple[R.Calculus, bool]:

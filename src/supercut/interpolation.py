@@ -38,16 +38,6 @@ class InterpolationResult(Value):
     __slots__ = _fields = ("interpolant_sequents", "interpolant_formula", "left_logic", "right_logic",
                            "left_certificates", "right_certificate", "verified")
 
-    def __init__(self, interpolant_sequents: tuple[Sequent, ...], interpolant_formula: Formula, left_logic: str,
-                 right_logic: str, left_certificates: tuple[Proof, ...], right_certificate: Proof, verified: bool):
-        object.__setattr__(self, "interpolant_sequents", interpolant_sequents)
-        object.__setattr__(self, "interpolant_formula", interpolant_formula)
-        object.__setattr__(self, "left_logic", left_logic)
-        object.__setattr__(self, "right_logic", right_logic)
-        object.__setattr__(self, "left_certificates", left_certificates)
-        object.__setattr__(self, "right_certificate", right_certificate)
-        object.__setattr__(self, "verified", verified)
-
 
 # ---------------------------------------------------------------------------
 # Critical nodes and the separating set
@@ -143,6 +133,9 @@ def prune_foreign_atoms(p: Proof, premise_atoms: Iterable[str], calc: R.Calculus
 # the proofs of each half live in the logic's own calculus, "g" + its name
 SPLIT_LOGICS = {"gb": ("b", "b"), "gk": ("k", "b"), "getl": ("etl", "b"), "gecq": ("ecq", "b"),
                 "glp": ("b", "lp"), "gcl": ("k", "lp")}
+# the same by the built-in calculus's rules, so a calculus is known by its
+# rules up to renaming (``rules.builtin_of``), whatever it and they are named
+_SPLIT_BY_RULES = {frozenset(R.builtin_calculus(name).specific): logics for name, logics in SPLIT_LOGICS.items()}
 
 
 def _split(proof: Proof, premises: Sequence[Sequent],
@@ -176,16 +169,18 @@ def interpolate_sequents(
 ) -> InterpolationResult:
     """Interpolate S |- c: derive it, which decides entailment in an exact
     calculus, split the proof at its critical nodes (``_split``), and verify
-    the interpolant sequents in the calculus' two ``SPLIT_LOGICS``.
+    the interpolant sequents in the two ``SPLIT_LOGICS`` of the built-in
+    calculus whose rules the calculus' are up to renaming.
 
     Each interpolant sequent carries a proof from S in the left logic's
     calculus, and c a proof from them in the right logic's.
     """
     if isinstance(calc, str):
         calc = R.builtin_calculus(calc)
-    if calc.name not in SPLIT_LOGICS:
+    logics = _SPLIT_BY_RULES.get(frozenset(map(R.builtin_of, calc.specific)).difference(R.COMMON_RULES))
+    if logics is None:
         raise InterpolationError(f"no logic to verify the interpolant against for calculus {calc.name}")
-    left, right = SPLIT_LOGICS[calc.name]
+    left, right = logics
     prems = list(premises)
     res = E.derives(prems, conclusion, calc)
     if not res.verdict:

@@ -45,10 +45,12 @@ class Matrix(Value):
     ``factors`` holds the factors of a product matrix, flattened; () for any
     other matrix. ``holds`` decides a product through its factors. The
     lookup tables are derived from the rows once, at construction. Neither
-    takes part in equality, hashing or repr. ``_ops`` holds the operations
-    over carrier indices for bit-sliced evaluation: the meet and join
-    tables, the neg table, and the top and bottom indices. Matrices with
-    equal ``_ops`` differ only in ``_designated_at``, the designated indices.
+    is a field, so neither takes part in equality, hashing or repr; a
+    pickle passes ``factors`` as the constructor's last argument. ``_ops``
+    holds the operations over carrier indices for bit-sliced evaluation:
+    the meet and join tables, the neg table, and the top and bottom
+    indices. Matrices with equal ``_ops`` differ only in
+    ``_designated_at``, the designated indices.
     """
 
     _fields = ("name", "carrier", "meet", "join", "neg", "top", "bot", "designated")
@@ -87,19 +89,8 @@ class Matrix(Value):
         for slot, value in zip(self.__slots__, values):
             object.__setattr__(self, slot, value)
 
-    def _compared(self) -> tuple:
-        return (self.name, self.carrier, self.meet, self.join, self.neg, self.top, self.bot, self.designated)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Matrix:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
     def _args(self) -> tuple:
-        return self._compared() + (self.factors,)
+        return super()._args() + (self.factors,)
 
     def meet_of(self, a: str, b: str) -> str:
         return self._meet[a, b]
@@ -274,8 +265,7 @@ class LogicSpec(Value):
     def __init__(self, name: str, matrices: tuple[Matrix, ...]):
         if not matrices:
             raise MatrixError("intersection must be nonempty")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "matrices", matrices)
+        super().__init__(name, matrices)
 
 
 def single(m: Matrix, name: str | None = None) -> LogicSpec:

@@ -207,9 +207,7 @@ class CheckResult(Value):
     __slots__ = _fields = ("ok", "path", "reason")
 
     def __init__(self, ok: bool, path: Optional[Path] = None, reason: Optional[str] = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "reason", reason)
+        super().__init__(ok, path, reason)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -425,7 +423,7 @@ def elim_targets(base: Proof) -> dict[Sequent, Proof]:
         p = todo.pop()
         if R.axiom_side(p.conclusion):
             continue
-        cands = R._decomposition_candidates(p.conclusion)
+        cands = R.decomposition_candidates(p.conclusion)
         if not cands:
             out.setdefault(p.conclusion, p)
             continue
@@ -465,7 +463,7 @@ def build_intro(goal: Sequent, supply: Callable[[Sequent], Proof]) -> Proof:
         side = R.axiom_side(goal)
         if side:
             proof = axiom(goal, side)
-        elif cands := R._decomposition_candidates(goal):
+        elif cands := R.decomposition_candidates(goal):
             side, f = next((c for c in cands if _closes(*c)), cands[0])
             row = R.ROWS[type(f), side]
             targets = row.split(goal, f)

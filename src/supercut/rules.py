@@ -57,14 +57,6 @@ class Decomposition(Value):
 
     __slots__ = _fields = ("connective", "side", "branches", "intro", "elim")
 
-    def __init__(self, connective: type, side: str, branches: tuple[tuple[tuple[str, str], ...], ...], intro: str,
-                 elim: str):
-        object.__setattr__(self, "connective", connective)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "intro", intro)
-        object.__setattr__(self, "elim", elim)
-
     def branch(self, s: Sequent, f: Formula, i: int) -> Sequent:
         """s with one occurrence of f taken off its side and branch i's components added."""
         return _extend(s.remove_one(f, self.side), f, self.branches[i])
@@ -107,14 +99,6 @@ ELIM_RULES = frozenset(r.elim for r in ROWS.values())
 
 class LogicalMatch(Value):
     __slots__ = _fields = ("rule", "principal")
-
-    def __init__(self, rule: str, principal: Formula):
-        _set_match_rule(self, rule)
-        _set_principal(self, principal)
-
-
-_set_match_rule = LogicalMatch.rule.__set__
-_set_principal = LogicalMatch.principal.__set__
 
 
 def match_logical(rule: str, premises: Sequence[Sequent], conclusion: Sequent) -> Optional[LogicalMatch]:
@@ -172,19 +156,8 @@ class SequentSchema(Value):
     __slots__ = _fields = ("atoms_left", "slots_left", "atoms_right", "slots_right")
 
     def __init__(self, atoms_left=(), slots_left=(), atoms_right=(), slots_right=()):
-        _set_atoms_left(self, tuple(sorted(atoms_left)))
-        _set_slots_left(self, tuple(sorted(set(slots_left))))
-        _set_atoms_right(self, tuple(sorted(atoms_right)))
-        _set_slots_right(self, tuple(sorted(set(slots_right))))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SequentSchema:
-            return NotImplemented
-        return (self.atoms_left, self.slots_left, self.atoms_right, self.slots_right) == (
-            other.atoms_left, other.slots_left, other.atoms_right, other.slots_right)
-
-    def __hash__(self) -> int:
-        return hash((self.atoms_left, self.slots_left, self.atoms_right, self.slots_right))
+        super().__init__(tuple(sorted(atoms_left)), tuple(sorted(set(slots_left))), tuple(sorted(atoms_right)),
+                         tuple(sorted(set(slots_right))))
 
     def atom_names(self) -> frozenset[str]:
         return frozenset(self.atoms_left) | frozenset(self.atoms_right)
@@ -213,12 +186,6 @@ class SequentSchema(Value):
         return "|-"
 
 
-_set_atoms_left = SequentSchema.atoms_left.__set__
-_set_slots_left = SequentSchema.slots_left.__set__
-_set_atoms_right = SequentSchema.atoms_right.__set__
-_set_slots_right = SequentSchema.slots_right.__set__
-
-
 class StructuralRule(Value):
     """A structural rule; ``sources``, of an expansion, gives per premise
     the index of the base premise it expands, and takes no part in equality
@@ -226,22 +193,12 @@ class StructuralRule(Value):
 
     __slots__ = ("name", "premises", "conclusion", "sources", "_key")
     _fields = ("name", "premises", "conclusion", "sources")
+    _compared = ("name", "premises", "conclusion")
 
     def __init__(self, name: str, premises: tuple[SequentSchema, ...], conclusion: SequentSchema,
                  sources: tuple[int, ...] = ()):
-        _set_name(self, name)
-        _set_premises(self, premises)
-        _set_conclusion(self, conclusion)
-        _set_sources(self, sources)
+        super().__init__(name, premises, conclusion, sources)
         _set_key(self, None)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not StructuralRule:
-            return NotImplemented
-        return (self.name, self.premises, self.conclusion) == (other.name, other.premises, other.conclusion)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.premises, self.conclusion))
 
     def schema_atoms(self) -> tuple[str, ...]:
         names: set[str] = set(self.conclusion.atom_names())
@@ -268,10 +225,6 @@ class StructuralRule(Value):
         return self._key
 
 
-_set_name = StructuralRule.name.__set__
-_set_premises = StructuralRule.premises.__set__
-_set_conclusion = StructuralRule.conclusion.__set__
-_set_sources = StructuralRule.sources.__set__
 _set_key = StructuralRule._key.__set__
 
 
@@ -394,13 +347,7 @@ class Calculus(Value):
         names = [r.name for r in COMMON_RULES + specific] + ["premise", *LOGICAL, *AXIOM_RULES]
         if len(set(names)) < len(names):
             raise SupercutError(f"calculus {name}: the rule name {max(names, key=names.count)} is taken")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "specific", specific)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Calculus:
-            return NotImplemented
-        return (self.name, self.specific) == (other.name, other.specific)
+        super().__init__(name, specific)
 
     def __hash__(self) -> int:
         # Equal calculi share a name, so it alone is a valid hash; a lookup
@@ -577,7 +524,9 @@ def _split_states(i: int, atom_asn: dict, slot_asn: dict, slots: tuple[str, ...]
 # ---------------------------------------------------------------------------
 
 
-def _decomposition_candidates(s: Sequent) -> list[tuple[str, Formula]]:
+def decomposition_candidates(s: Sequent) -> list[tuple[str, Formula]]:
+    """Each member of s that is no atom, with its side: the left side's
+    first, each side in its order."""
     out = [("left", f) for f in s.left if not isinstance(f, Atom)]
     out += [("right", f) for f in s.right if not isinstance(f, Atom)]
     return out
@@ -632,13 +581,6 @@ def _at_set_walk(s: Sequent, chooser) -> frozenset[Sequent]:
 
 class RuleClassification(Value):
     __slots__ = _fields = ("cut_formulas", "side_formulas", "is_generalized_cut", "introduces_new_variables")
-
-    def __init__(self, cut_formulas: frozenset[str], side_formulas: frozenset[str], is_generalized_cut: bool,
-                 introduces_new_variables: bool):
-        object.__setattr__(self, "cut_formulas", cut_formulas)
-        object.__setattr__(self, "side_formulas", side_formulas)
-        object.__setattr__(self, "is_generalized_cut", is_generalized_cut)
-        object.__setattr__(self, "introduces_new_variables", introduces_new_variables)
 
 
 def classify(rule: StructuralRule) -> RuleClassification:

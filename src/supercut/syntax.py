@@ -31,10 +31,13 @@ class ResourceCapError(SupercutError):
 class Value:
     """Base of the package's immutable value classes.
 
-    ``_fields`` names what a value is built from, in constructor order: its
-    repr lists them, and ``_args`` reads them for the constructor. Assigning
-    or deleting an attribute raises AttributeError, so each ``__init__``
-    sets its slots through their descriptors or ``object.__setattr__``.
+    ``_fields`` names what a value is built from, in constructor order: the
+    constructor sets them from its arguments, its repr lists them, and
+    ``_args`` reads them back for the constructor. Equality and the hash go
+    by ``_compared``, all the fields unless a class declares fewer, which
+    are read by one C-level getter. Assigning or deleting an attribute
+    raises AttributeError, so a class's own ``__init__`` sets what it adds
+    through ``Value.__init__`` or the slots' descriptors.
 
     A pickle or deep copy holds the value as ``flatten`` gives it, and
     ``unflatten`` rebuilds it, so neither recurses on a deep value.
@@ -42,6 +45,29 @@ class Value:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "_compared" not in cls.__dict__:
+            cls._compared = cls._fields
+        if cls._compared:
+            cls._compared_values = attrgetter(*cls._compared)
+
+    def __init__(self, *args: object) -> None:
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} arguments, not {len(args)}")
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        get = self._compared_values
+        return self is other or get(self) == get(other)
+
+    def __hash__(self) -> int:
+        return hash(self._compared_values(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -465,9 +491,6 @@ class PolarityReport(Value):
 
     __slots__ = _fields = ("flags",)
 
-    def __init__(self, flags: tuple[tuple[str, bool, bool], ...]):
-        object.__setattr__(self, "flags", flags)
-
     def positive(self, name: str) -> bool:
         return any(a == name and p for a, p, _ in self.flags)
 
@@ -677,7 +700,7 @@ class Substitution(Value):
     __slots__ = _fields = ("mapping",)
 
     def __init__(self, mapping: dict[str, Formula] | Iterable[tuple[str, Formula]] = ()):
-        object.__setattr__(self, "mapping", tuple(sorted(dict(mapping).items())))
+        super().__init__(tuple(sorted(dict(mapping).items())))
 
     def support(self) -> frozenset[str]:
         return frozenset(a for a, _ in self.mapping)

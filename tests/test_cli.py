@@ -406,6 +406,24 @@ def test_malformed_proof_json_is_a_usage_error(tmp_path, capsys, blob, command):
     assert err.count("\n") == 1 and "malformed proof node" in err
 
 
+@pytest.mark.parametrize("command", ["prove", "check", "normalize", "expand"])
+def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
+    # a byte no UTF-8 text holds, in a premises file, a proof JSON, an @FILE rule
+    path = tmp_path / "bad.txt"
+    if command == "prove":
+        path.write_bytes(b"|- p\n|- \xff\n")
+        argv = ["prove", "--calculus", "gk", "--premises-file", str(path), "|- p"]
+    elif command == "expand":
+        path.write_bytes(b"|- x ; x, G |- D => G |- D\xff\n")
+        argv = ["expand", f"@{path}", "x = p & q"]
+    else:
+        path.write_bytes(b'{"sequent": "|- p\xff", "rule": "premise"}')
+        argv = [command, "--calculus", "gk", str(path)]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and "can't decode" in err
+
+
 def test_format_json_is_rejected(capsys):
     assert run(["prove", "--calculus", "gk", "--format", "json", "|- p | ~p"]) == 2
     err = capsys.readouterr().err

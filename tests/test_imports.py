@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, each private
 module-level function is used somewhere in the package, no function
 recurses that is not on the list of those that still do, no module
-uses another's private names beyond the list of those that still do, and
-importing the package loads none of the modules kept out of start-up."""
+uses another's private names beyond the list of those that still do, no
+module sets slots by hand more often than the list says, and importing
+the package loads none of the modules kept out of start-up."""
 
 import ast
 import os
@@ -132,11 +133,7 @@ def test_recursion_ratchet():
 # per use. A private name that another module needs is a candidate for a
 # public helper; the list only shrinks, and a new use fails the test below.
 CROSS_MODULE_PRIVATE = {
-    "proofs": [
-        "rules._decomposition_candidates",
-        "rules._decomposition_candidates",
-        "syntax._parse_sequent",
-    ],
+    "proofs": ["syntax._parse_sequent"],
     "rewrite": ["proofs._check_matches"],
 }
 
@@ -171,6 +168,33 @@ def test_private_name_ratchet():
     found = {path.stem: _private_uses(ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))}
     found = {module: uses for module, uses in found.items() if uses}
     assert found == CROSS_MODULE_PRIVATE, "cross-module uses of private names differ from CROSS_MODULE_PRIVATE"
+
+
+# Slot setters outside ``syntax.Value``, by module: each call of
+# ``object.__setattr__`` and each slot descriptor's ``__set__`` taken.
+# ``Value.__init__`` sets a class's fields from its arguments; a class sets
+# slots by hand only where that keeps a hot constructor fast (formulas,
+# sequents, proofs) or for slots that are no fields. The counts only shrink,
+# and a new setter fails the test below.
+SLOT_SETTERS = {"matrices": 1, "proofs": 5, "rules": 1, "syntax": 9}
+
+
+def _slot_setters(tree: ast.Module) -> int:
+    in_value = {id(sub) for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Value"
+                for sub in ast.walk(node)}
+    return sum(
+        1
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and id(node) not in in_value
+        and (node.attr == "__set__"
+             or node.attr == "__setattr__" and isinstance(node.value, ast.Name) and node.value.id == "object")
+    )
+
+
+def test_slot_setter_ratchet():
+    found = {path.stem: _slot_setters(ast.parse(path.read_text())) for path in MODULES}
+    assert {module: n for module, n in found.items() if n} == SLOT_SETTERS, "slot setters differ from SLOT_SETTERS"
 
 
 # Standard modules that start-up does without: ``dataclasses`` alone pulls

@@ -19,7 +19,7 @@ from supercut.interpolation import (
 from supercut.matrices import builtin, holds, holds_sequent
 from supercut.proofs import check, has_subformula_property, premise, logical, structural, weaken_to
 from supercut.rewrite import separate_identity_cut
-from supercut.rules import CUT, IDENTITY, WEAKENING, Calculus, builtin_calculus
+from supercut.rules import CUT, IDENTITY, LIMITED_CUT_LEFT, WEAKENING, Calculus, builtin_calculus
 from supercut.syntax import (
     And,
     Atom,
@@ -302,9 +302,28 @@ class TestVerdictFromDerivation:
         assert any(n.rule.startswith("explosive-cut") for n in cert.nodes())
 
     def test_custom_calculus_is_refused_before_deriving(self, calls):
+        # Cut with Limited Cut: the rules of no built-in calculus
         with pytest.raises(InterpolationError, match="mine"):
-            interpolate_sequents([ps("|- p & q")], ps("|- p"), Calculus("mine", (CUT,)))
+            interpolate_sequents([ps("|- p & q")], ps("|- p"), Calculus("mine", (CUT, LIMITED_CUT_LEFT)))
         assert calls == []
+
+
+class TestLogicsByRules:
+    """A calculus is verified in the logics of the built-in calculus whose
+    rules its rules are up to renaming, not by its name."""
+
+    @pytest.mark.parametrize("name", ["gk", "glp", "gcl", "getl", "gecq"])
+    def test_renamed_calculi_interpolate_as_the_builtins(self, rng, name):
+        calc = renamed(builtin_calculus(name))
+        for prems, conclusion in _entailed_sequent_queries(rng, name, 10):
+            mine, theirs = (interpolate_sequents(prems, conclusion, c) for c in (calc, name))
+            assert mine.verified and (mine.left_logic, mine.right_logic) == (theirs.left_logic, theirs.right_logic)
+            assert mine.interpolant_sequents == theirs.interpolant_sequents
+
+    def test_a_misnamed_calculus_goes_by_its_rules(self):
+        # Identity alone, named gk: glp's rules, so verified in b and lp
+        r = interpolate_sequents([ps("p |-")], ps("q |- q"), Calculus("gk", (IDENTITY,)))
+        assert r.verified and (r.left_logic, r.right_logic) == ("b", "lp")
 
 
 class TestMilne:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supercut.matrices import B4, ETL4, builtin, holds, product_matrix
-from supercut.proofs import Proof, proof_from_dict
+from supercut.proofs import CheckResult, Proof, proof_from_dict
 from supercut.rules import CUT, LIMITED_CUT_LEFT, builtin_calculus, expansion
 from supercut.syntax import (
     KEY_CAP,
@@ -29,6 +29,7 @@ from supercut.syntax import (
     Substitution,
     TOP,
     Top,
+    Value,
     apply_subst,
     atoms_of,
     decompose_substitution,
@@ -562,9 +563,9 @@ def test_pickles_carry_no_hash_across_hash_seeds(tmp_path):
 
 
 class TestValueClasses:
-    """The package's value classes without dataclasses: each hashable one
-    hashes the tuple of the fields it compares, reprs and pickles read the
-    fields, and a field cannot be assigned."""
+    """The package's value classes without dataclasses: each compares and
+    hashes by value, over the fields it compares, reprs and pickles read
+    the fields, and a field cannot be assigned."""
 
     def _hashable(self):
         seq = parse_sequent("p, q & ~r |- F, p")
@@ -598,6 +599,65 @@ class TestValueClasses:
             assert rule == type(rule)(rule.name, rule.premises, rule.conclusion)
         for calc in values["calculi"]:
             assert hash(calc) == hash(calc.name)
+
+    @staticmethod
+    def _builders():
+        """One builder per value class of the package: each call builds a
+        new value, equal to what the last call built."""
+        from supercut.engine import DeriveResult, derives
+        from supercut.interpolation import InterpolationResult, interpolate_sequents
+        from supercut.matrices import LogicSpec, Matrix, single
+        from supercut.rules import (DECOMPOSITION, Calculus, Decomposition, LogicalMatch, RuleClassification,
+                                    SequentSchema, StructuralRule, classify, match_logical, parse_structural_rule)
+        from supercut.syntax import PolarityReport
+
+        def rule():
+            return parse_structural_rule(CUT.render(), "cut")
+
+        return {
+            Atom: lambda: Atom("p"),
+            Top: Top,
+            Bot: Bot,
+            Neg: lambda: parse_formula("~p"),
+            And: lambda: parse_formula("p & ~q"),
+            Or: lambda: parse_formula("p | q & r"),
+            PolarityReport: lambda: polarity(parse_formula("p & ~(q | ~p)")),
+            Sequent: lambda: parse_sequent("p, q & r |- ~p"),
+            Substitution: lambda: Substitution({"p": Atom("q"), "r": parse_formula("p & q")}),
+            Matrix: lambda: product_matrix(ETL4, B4),
+            LogicSpec: lambda: single(B4),
+            Proof: lambda: Proof(parse_sequent("p |- p, q"), "weakening-right",
+                                 (Proof(parse_sequent("p |- p"), "identity"),)),
+            CheckResult: lambda: CheckResult(False, (0, 1), "not an instance"),
+            Decomposition: lambda: Decomposition(And, "left", DECOMPOSITION[And, "left"], "and-left-intro",
+                                                 "and-left-elim"),
+            LogicalMatch: lambda: match_logical("and-left-intro", [parse_sequent("p, q |-")],
+                                                parse_sequent("p & q |-")),
+            SequentSchema: lambda: rule().premises[1],
+            StructuralRule: rule,
+            Calculus: lambda: builtin_calculus("gcl"),
+            RuleClassification: lambda: classify(rule()),
+            DeriveResult: lambda: derives([parse_sequent("|- p")], parse_sequent("|- p | q"), builtin_calculus("gk")),
+            InterpolationResult: lambda: interpolate_sequents([parse_sequent("|- p & q")], parse_sequent("|- p | r"),
+                                                              "gb"),
+        }
+
+    def test_every_value_class_compares_by_value(self):
+        def leaves(cls):
+            subs = cls.__subclasses__()
+            return {c for sub in subs for c in leaves(sub)} if subs else {cls}
+
+        builders = self._builders()
+        assert leaves(Value) == set(builders)  # a builder for each value class
+        for cls, build in builders.items():
+            x, y = build(), build()
+            assert type(x) is cls and x is not y, cls
+            assert x == y and hash(x) == hash(y), cls
+            z = pickle.loads(pickle.dumps(x))
+            assert z == x and hash(z) == hash(x), cls
+        # a compared field set apart sets the values apart
+        assert Substitution({"p": Atom("q")}) != Substitution({"p": Atom("r")})
+        assert CheckResult(True) != CheckResult(False) and CheckResult(True) == CheckResult(True)
 
     def test_reprs(self):
         assert repr(parse_sequent("p |- q & r")) == (

@@ -305,9 +305,10 @@ def _dispatch(args) -> int:
             name, _, image = (t.strip() for t in part.partition("="))
             if not name:
                 raise ParseError("SIGMA entry without an atom", args.sigma.find(part), "'atom = formula'")
-            if name not in rule.schema_atoms():
+            atoms = rule.schema_atoms()
+            if name not in atoms:
                 raise ParseError(f"SIGMA names {name}, not a schema atom of the rule", args.sigma.find(part),
-                                 "one of " + " ".join(rule.schema_atoms()))
+                                 "one of " + " ".join(atoms) if atoms else "no entry: the rule has no schema atoms")
             if name in mapping:
                 raise ParseError(f"SIGMA gives {name} a second image", args.sigma.find(part), "one image per atom")
             mapping[name] = parse_formula(image)

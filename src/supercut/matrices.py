@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional
 from .syntax import (
     And,
     Atom,
+    BOT,
     Bot,
     Formula,
     Neg,
@@ -26,9 +27,12 @@ from .syntax import (
     ResourceCapError,
     Sequent,
     SupercutError,
+    TOP,
     Top,
     Value,
     atoms_of,
+    fold,
+    operands,
 )
 
 
@@ -388,7 +392,7 @@ class _Values:
 
     A value is a tuple with one int per carrier index: bit i of slot v is set
     when the formula takes element v under valuation i. Each distinct
-    subformula is evaluated once, in an explicit post-order pass. ``of``
+    subformula is evaluated once, by ``syntax.fold``. ``of``
     evaluates a query's items: formulas, or sequents read as their ``tau``.
     """
 
@@ -397,18 +401,18 @@ class _Values:
         self.n = n
         self.count = n ** len(atom_tuple)
         self.full = (1 << self.count) - 1
-        self.position = {a: j for j, a in enumerate(atom_tuple)}
-        self.memo: dict[Formula, tuple[int, ...]] = {}
         self.sequents = sequents
-        # the values of the query's items, by id: the query keeps every
-        # item alive, and ids skip hashing a sequent
-        self.items: dict[int, tuple[int, ...]] = {}
+        # the values of the query's items and of their subformulas, by id,
+        # the leaves' set up front: the query keeps them all alive (its
+        # atoms are atom_tuple), and ids skip hashing a sequent
+        self.memo = {id(TOP): self.constant(ops[3]), id(BOT): self.constant(ops[4])}
+        self.memo.update((id(Atom(a)), _atom_slices(n, j, self.count)) for j, a in enumerate(atom_tuple))
 
     def of(self, item) -> tuple[int, ...]:
         """The value of a query item: a formula, or a sequent read as its tau."""
-        out = self.items.get(id(item))
+        out = self.memo.get(id(item))
         if out is None:
-            out = self.items[id(item)] = self.sequent(item) if self.sequents else self.formula(item)
+            out = self.memo[id(item)] = self.sequent(item) if self.sequents else self.formula(item)
         return out
 
     def designation(self, m: Matrix, item) -> int:
@@ -425,36 +429,14 @@ class _Values:
         return tuple(slots)
 
     def formula(self, f: Formula) -> tuple[int, ...]:
-        memo = self.memo
-        meet, join, neg, top, bot = self.ops
-        done: list[tuple[int, ...]] = []
-        todo: list[tuple[Formula, bool]] = [(f, False)]
-        while todo:
-            g, operands_done = todo.pop()
-            if operands_done:
-                if isinstance(g, Neg):
-                    out = _apply(neg, done.pop())
-                else:
-                    right = done.pop()
-                    out = _combine(meet if isinstance(g, And) else join, done.pop(), right)
-                memo[g] = out
-            else:
-                # a formula popped before g is finished or is an ancestor
-                # of g, so an earlier occurrence of g is in memo
-                out = memo.get(g)
-                if out is None:
-                    if isinstance(g, Atom):
-                        out = memo[g] = _atom_slices(self.n, self.position[g.name], self.count)
-                    elif isinstance(g, (Top, Bot)):
-                        out = memo[g] = self.constant(top if isinstance(g, Top) else bot)
-                    elif isinstance(g, (Neg, And, Or)):
-                        todo.append((g, True))
-                        todo.extend([(g.arg, False)] if isinstance(g, Neg) else [(g.right, False), (g.left, False)])
-                        continue
-                    else:
-                        raise TypeError(f"not a formula: {g!r}")
-            done.append(out)
-        return done[0]
+        meet, join, neg = self.ops[:3]
+
+        def step(g: Formula, kids: tuple) -> tuple[int, ...]:
+            if not kids:
+                raise TypeError(f"not a formula: {g!r}")
+            return _apply(neg, *kids) if isinstance(g, Neg) else _combine(meet if isinstance(g, And) else join, *kids)
+
+        return fold(f, operands, step, id, self.memo)
 
     def sequent(self, s: Sequent) -> tuple[int, ...]:
         """The value of ``tau(s)``, from the values of s's members: the

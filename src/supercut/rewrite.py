@@ -345,7 +345,8 @@ def simplify_refutation(p: Proof, calc: R.Calculus = R.BUILTIN_NAMES) -> Proof:
     by cuts, per branch, by one fold: see ``_reshape``. Past Weakening and
     Contraction, each step is an Identity or one of ``rules.CUTS`` (they stay
     cuts as their contexts shrink) by the rule its name names in ``calc`` up
-    to renaming; any other, such as a ``cut[...]`` step, raises RewriteError."""
+    to renaming, a cut's two premises in either order; any other, such as a
+    ``cut[...]`` step that cuts a compound clause, raises RewriteError."""
     if not p.conclusion.is_empty():
         raise RewriteError("simplify_refutation expects a proof of the empty sequent")
     if not P.is_structurally_atomic(p):
@@ -355,8 +356,8 @@ def simplify_refutation(p: Proof, calc: R.Calculus = R.BUILTIN_NAMES) -> Proof:
             if not node.conclusion.is_atomic():
                 raise RewriteError("refutation premises must be atomic")
         elif node.rule not in R.COMMON_SIDE:
-            arity, base = len(node.children), R.builtin_of(calc.rule(node.rule))
-            if not (arity == 0 and base is R.IDENTITY or arity == 2 and base in R.CUTS):
+            arity, rule = len(node.children), calc.rule(node.rule)
+            if not (arity == 0 and R.builtin_of(rule) is R.IDENTITY or arity == 2 and _is_cut(rule)):
                 raise RewriteError(f"unexpected rule in refutation: {node.rule}")
     out = P.rebuild(p, _reshape)
     if any(_is_identity(node) for node in out.nodes()):
@@ -365,14 +366,24 @@ def simplify_refutation(p: Proof, calc: R.Calculus = R.BUILTIN_NAMES) -> Proof:
     return out
 
 
+def _is_cut(rule: Optional[R.StructuralRule]) -> bool:
+    """rule is one of ``rules.CUTS`` up to renaming, its two premises in either order."""
+    return rule is not None and any(R.builtin_of(R.StructuralRule(rule.name, order, rule.conclusion)) in R.CUTS
+                                    for order in (rule.premises, rule.premises[::-1]))
+
+
 def _is_identity(node: Proof) -> bool:
     return not node.children and P.is_structural(node.rule)
 
 
-def _cut_atom(node: Proof) -> Atom:
-    m = R.match_structural(R.CUT, [c.conclusion for c in node.children], node.conclusion)
-    assert m is not None
-    return m.atom_assignment["x"]
+def _cut_atom(node: Proof) -> tuple[Atom, tuple[str, str]]:
+    """The atom a cut step cuts and its side in each child: right, left, or the reverse for swapped premises."""
+    kids = [c.conclusion for c in node.children]
+    for order, sides in ((kids, ("right", "left")), (kids[::-1], ("left", "right"))):
+        m = R.match_structural(R.CUT, order, node.conclusion)
+        if m is not None:
+            return m.atom_assignment["x"], sides
+    raise AssertionError(node.rule)
 
 
 def _reshape(node: Proof, kids: tuple[Proof, ...]) -> Proof:
@@ -388,14 +399,14 @@ def _reshape(node: Proof, kids: tuple[Proof, ...]) -> Proof:
     if node.rule in R.WEAKENING.values():
         return kids[0]
     if len(node.children) == 2:
-        x = _cut_atom(node)
-        for kid, child, side in zip(kids, node.children, ("right", "left")):
+        x, sides = _cut_atom(node)
+        for kid, child, side in zip(kids, node.children, sides):
             if getattr(kid.conclusion, side).count(x) < getattr(child.conclusion, side).count(x):
                 return kid
         for i, kid in enumerate(kids):
             if _is_identity(kid):
                 return kids[1 - i]
-        conclusion = _join(kids[0].conclusion.remove_one(x, "right"), kids[1].conclusion.remove_one(x, "left"))
+        conclusion = _join(*(kid.conclusion.remove_one(x, side) for kid, side in zip(kids, sides)))
         return P.with_children(node, kids, conclusion)
     if node.rule in R.CONTRACTION.values():
         y, side = P.common_formula(node)

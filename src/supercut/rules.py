@@ -292,6 +292,8 @@ def _parse_schema(text: str) -> SequentSchema:
             if not tok:
                 continue
             if _SLOT_RE.fullmatch(tok):
+                if tok in slots:
+                    raise ParseError(f"slot {tok} repeated on one side", 0, "distinct slots per side")
                 slots.append(tok)
             elif _SATOM_RE.fullmatch(tok):
                 atoms.append(tok)

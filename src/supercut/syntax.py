@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 from operator import attrgetter
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from weakref import WeakValueDictionary
 
 
 class SupercutError(Exception):
@@ -106,7 +107,9 @@ def fold(root: object, parts: Callable[[Any], Sequence], step: Callable[[Any, tu
         elif key(node) not in done:
             kids = parts(node)
             if kids:
-                todo += [(node, kids)] + [(kid, None) for kid in reversed(kids)]
+                todo.append((node, kids))
+                for kid in reversed(kids):
+                    todo.append((kid, None))
             else:
                 done[key(node)] = step(node, ())
     return done[key(root)]
@@ -177,42 +180,32 @@ def value_repr(x: Value) -> str:
 
 
 class Formula(Value):
-    """Base class of formula nodes.
+    """Base class of formula nodes, hash-consed: a constructor returns the
+    one live node for its arguments, so equal formulas are one object, and
+    equality and the hash are identity's.
 
-    Each node stores its rendering and its hash when it is built, from its
-    children's, so neither is recomputed per use and neither recurses.
-    Equality stays structural. The stored values are not in ``_fields``:
-    they stay out of ``repr`` and out of pickles, which rebuild the node
-    through its constructor (a hash of atom names differs per process).
-    The hash is the hash of the tuple of the atom's name, or of the node's
-    children's hashes.
-
-    ``_plain`` says that every atom name is an identifier other than ``T``
-    and ``F``. Rendering is injective on such formulas (reading identifiers
-    as atoms parses the rendering back), so two of them with the same type
-    and rendering are equal.
+    Each node stores its rendering when it is built, from its children's,
+    so it is not recomputed per use and does not recurse. The rendering is
+    not in ``_fields``, so it stays out of ``repr`` and out of pickles,
+    which rebuild the node through its constructor: the live node.
     """
 
-    __slots__ = ("_key", "_hash", "_plain")
+    __slots__ = ("_key", "__weakref__")
     # precedence of the node's rendering: 0 = or-level, 1 = and-level,
     # 2 = neg/atom-level; an operand rendered below the level its position
     # asks for is parenthesised
     _prec = 2
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __hash__(self) -> int:
-        return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        if self._plain and other._plain and self._key is not None and other._key is not None:
-            return self._key == other._key
-        return _same(self, other)
-
+# The live nodes, one per distinct formula: an atom's by its name, a
+# constant's by its class, a compound node's by its class and its
+# children's ids. A node holds its children, so the ids in its key stay
+# theirs while it lives; the table holds the nodes weakly, and a node
+# dropped everywhere else leaves it.
+_NODES: WeakValueDictionary = WeakValueDictionary()
 
 # Longest rendering stored on a compound node. A parent's rendering contains
 # its children's, so storing every one would take memory quadratic in the
@@ -222,8 +215,6 @@ KEY_CAP = 1024
 # Each slot is set through its own descriptor: a Value refuses plain
 # assignment, and object.__setattr__ looks the slot up on each call.
 _set_key = Formula._key.__set__
-_set_hash = Formula._hash.__set__
-_set_plain = Formula._plain.__set__
 
 
 def _operand(g: Formula, prec: int) -> str | None:
@@ -244,42 +235,54 @@ def _joined(*parts: str | None) -> str | None:
 class Atom(Formula):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        _set_name(self, name)
-        _set_key(self, name)
-        _set_hash(self, hash((name,)))
-        _set_plain(self, name.isidentifier() and name not in ("T", "F"))
+    def __new__(cls, name: str) -> Atom:
+        node = _NODES.get(name)
+        if node is None:
+            node = object.__new__(cls)
+            _set_name(node, name)
+            _set_key(node, name)
+            _NODES[name] = node
+        return node
 
 
 _set_name = Atom.name.__set__
 
 
+def _constant(cls: type, text: str) -> Formula:
+    node = _NODES.get(cls)
+    if node is None:
+        node = object.__new__(cls)
+        _set_key(node, text)
+        _NODES[cls] = node
+    return node
+
+
 class Top(Formula):
     __slots__ = ()
 
-    def __init__(self):
-        _set_key(self, "T")
-        _set_hash(self, hash(()))
-        _set_plain(self, True)
+    def __new__(cls) -> Top:
+        return _constant(cls, "T")
 
 
 class Bot(Formula):
     __slots__ = ()
 
-    def __init__(self):
-        _set_key(self, "F")
-        _set_hash(self, hash(()))
-        _set_plain(self, True)
+    def __new__(cls) -> Bot:
+        return _constant(cls, "F")
 
 
 class Neg(Formula):
     __slots__ = _fields = ("arg",)
 
-    def __init__(self, arg: Formula):
-        _set_arg(self, arg)
-        _set_key(self, _joined("~", _operand(arg, 2)))
-        _set_hash(self, hash((arg._hash,)))
-        _set_plain(self, arg._plain)
+    def __new__(cls, arg: Formula) -> Neg:
+        key = (cls, id(arg))
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set_arg(node, arg)
+            _set_key(node, _joined("~", _operand(arg, 2)))
+            _NODES[key] = node
+        return node
 
     def _layout(self) -> tuple:
         """The rendering as literal text and (operand, level asked of it)."""
@@ -295,13 +298,17 @@ class _Binary(Formula):
 
     __slots__ = _fields = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        _set_left(self, left)
-        _set_right(self, right)
-        lp, rp = self._operand_prec
-        _set_key(self, _joined(_operand(left, lp), self._op, _operand(right, rp)))
-        _set_hash(self, hash((left._hash, right._hash)))
-        _set_plain(self, left._plain and right._plain)
+    def __new__(cls, left: Formula, right: Formula) -> _Binary:
+        key = (cls, id(left), id(right))
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set_left(node, left)
+            _set_right(node, right)
+            lp, rp = cls._operand_prec
+            _set_key(node, _joined(_operand(left, lp), cls._op, _operand(right, rp)))
+            _NODES[key] = node
+        return node
 
     def _layout(self) -> tuple:
         lp, rp = self._operand_prec
@@ -328,27 +335,6 @@ class Or(_Binary):
 
 TOP = Top()
 BOT = Bot()
-
-
-def _same(f: Formula, g: Formula) -> bool:
-    """Structural equality, one pair of nodes at a time; pairs that differ
-    in type or stored hash differ, identical objects are equal unseen."""
-    todo = [(f, g)]
-    while todo:
-        f, g = todo.pop()
-        if f is g:
-            continue
-        if type(f) is not type(g) or f._hash != g._hash:
-            return False
-        if isinstance(f, Atom):
-            if f.name != g.name:
-                return False
-        elif isinstance(f, Neg):
-            todo.append((f.arg, g.arg))
-        elif isinstance(f, _Binary):
-            todo.append((f.right, g.right))
-            todo.append((f.left, g.left))
-    return True
 
 
 def render(f: Formula) -> str:
@@ -473,11 +459,12 @@ def atoms_of(x: Union[Formula, "Sequent"]) -> frozenset[str]:
 def subformulas(f: Formula) -> frozenset[Formula]:
     """Reflexive-transitive subterm closure of a formula."""
     done: dict[Formula, None] = {}
-    fold(f, _operands, lambda g, _: None, lambda g: g, done)
+    fold(f, operands, lambda g, _: None, lambda g: g, done)
     return frozenset(done)
 
 
-def _operands(g: Formula) -> tuple[Formula, ...]:
+def operands(g: Formula) -> tuple[Formula, ...]:
+    """g's children, left to right."""
     return (g.arg,) if isinstance(g, Neg) else (g.left, g.right) if isinstance(g, _Binary) else ()
 
 

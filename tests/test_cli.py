@@ -353,6 +353,18 @@ def test_expand_refuses_an_entry_naming_no_schema_atom(capsys, sigma):
     assert not out and err.count("\n") == 1 and "not a schema atom" in err
 
 
+def test_expand_refuses_a_slot_repeated_on_one_side(capsys):
+    assert run(["expand", "G, G |- D => G, x |- D", "x = p & q"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and "slot G repeated on one side" in err
+
+
+def test_expand_on_a_rule_without_schema_atoms(capsys):
+    assert run(["expand", "G |- D => G |- D", "x = p"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and "the rule has no schema atoms" in err
+
+
 def test_structuralize_command(capsys):
     assert run(["structuralize", "-p", "p & ~p", "q | ~q"]) == 0
     assert capsys.readouterr().out.strip() == "p |- ; |- p => q |- q"

@@ -815,12 +815,15 @@ class TestRulesKnownBySchema:
             simplify_refutation(refutation, calc)
 
     def test_limited_cut_refutations_reshape(self):
-        # a limited-cut-left step on an atom is a Cut; a context cut on a
-        # compound clause is not, and is refused
+        # a limited-cut-left step on an atom is a Cut, and so is its context
+        # cut on a negated atom, limited-cut-left[~x0], which is
+        # limited-cut-right with its premises swapped; a context cut on a
+        # clause of two or more atoms, a step of three or more premises, is
+        # not, and is refused
         getl = builtin_calculus("getl")
-        reshaped = refused = 0
+        reshaped = swapped = refused = 0
         for prems, proof in _refutations(getl, "getl", 60):
-            if any("[" in n.rule for n in proof.nodes()):
+            if any(len(n.children) > 2 for n in proof.nodes()):
                 with pytest.raises(RewriteError, match=r"limited-cut-left\["):
                     simplify_refutation(proof, getl)
                 refused += 1
@@ -828,4 +831,5 @@ class TestRulesKnownBySchema:
             out = simplify_refutation(proof, getl)
             assert check(out, getl, prems).ok
             reshaped += any(n.rule == "limited-cut-left" for n in proof.nodes())
-        assert reshaped >= 10 and refused >= 10
+            swapped += any(n.rule == "limited-cut-left[~x0]" for n in out.nodes())
+        assert reshaped >= 10 and swapped >= 10 and refused >= 10

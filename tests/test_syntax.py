@@ -1,16 +1,19 @@
 """Formula/sequent syntax, polarity, substitutions, and the transformers."""
 
 import copy
+import gc
 import os
 import pickle
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supercut import syntax
 from supercut.matrices import B4, ETL4, builtin, holds, product_matrix
 from supercut.proofs import CheckResult, Proof, proof_from_dict
 from supercut.rules import CUT, LIMITED_CUT_LEFT, builtin_calculus, expansion
@@ -396,7 +399,7 @@ class TestStoredKeyAndHash:
     def test_equality_and_hash_agree_with_the_reference(self):
         corpus = self._corpus()
         rng = random.Random(7)
-        pairs = [(f, g) for f, g in corpus]  # equal, distinct objects
+        pairs = [(f, g) for f, g in corpus]  # equal, built apart
         pool = [f for pair in corpus for f in pair]
         pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(2000)]
         pairs += [(Neg(f), Neg(g)) for f, g in corpus[:50]] + [(And(f, g), Or(f, g)) for f, g in corpus[:50]]
@@ -411,25 +414,26 @@ class TestStoredKeyAndHash:
             (And(Atom("p & q"), r), And(And(p, q), r)),  # same type and rendering
             (Neg(Atom("T")), Neg(TOP)),
         ]
-        assert sum(f == g and f is not g for f, g in pairs) > 500
         for f, g in pairs:
             same = _same_reference(f, g)
-            assert (f == g) is same and (g == f) is same and (f != g) is not same
+            assert (f == g) is same and (g == f) is same and (f != g) is not same and (f is g) is same
             if same:
                 assert hash(f) == hash(g)
         assert Atom("T") not in {TOP, BOT} and And(p, q) not in {Atom("p & q"), Or(p, q)}
 
     def test_equal_renderings_under_a_hash_collision(self):
         # atom names that are not identifiers make renderings ambiguous;
-        # equality must still tell such formulas apart when hashes collide
+        # such formulas stay distinct nodes, whatever they render as, and
+        # no hash can be set on a node
         for f, g in [
             (And(Atom("p & q"), r), And(And(p, q), r)),
             (Neg(Atom("T")), Neg(TOP)),
             (Or(Atom("p | q"), r), Or(Or(p, q), r)),
         ]:
             assert render(f) == render(g)
-            object.__setattr__(g, "_hash", hash(f))
-            assert f != g and g != f
+            assert f is not g and f != g and g != f
+            with pytest.raises(AttributeError):
+                object.__setattr__(g, "_hash", hash(f))
 
     def test_sides_sorted_by_the_reference_rendering(self):
         forms = [f for pair in self._corpus(60) for f in pair]
@@ -462,6 +466,36 @@ class TestStoredKeyAndHash:
         assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
 
 
+class TestHashConsing:
+    """One node per distinct formula, held weakly by ``syntax._NODES``."""
+
+    def test_constructors_return_the_live_node(self):
+        assert Atom("p") is Atom("p") is p and Top() is TOP and Bot() is BOT
+        assert And(p, Neg(q)) is And(Atom("p"), Neg(Atom("q"))) is not Or(p, Neg(q))
+
+    def test_equal_parses_are_one_node(self):
+        for f, g in TestStoredKeyAndHash()._corpus():
+            text = render(f)
+            assert parse_formula(text) is parse_formula(text) is f is g
+
+    def test_pickle_and_copy_return_the_node(self):
+        f = parse_formula("~(p & q) | T & long_name")
+        assert pickle.loads(pickle.dumps(f)) is f and copy.deepcopy(f) is f and copy.copy(f) is f
+        s = parse_sequent("p & q |- ~r")
+        assert copy.deepcopy(s).left[0] is s.left[0]
+
+    def test_the_table_drops_a_formula_dropped_everywhere_else(self):
+        gc.collect()
+        before = len(syntax._NODES)
+        f = parse_formula("dropped_a & ~dropped_b | dropped_a")
+        assert len(syntax._NODES) == before + 5  # two atoms, ~, & and |
+        refs = [weakref.ref(g) for g in subformulas(f)]
+        del f
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(syntax._NODES) == before and "dropped_a" not in syntax._NODES
+
+
 class TestDeepFormulas:
     DEPTH = 10_000
 
@@ -480,7 +514,7 @@ class TestDeepFormulas:
 
     def test_no_recursion_error(self):
         for (f, text, atoms), (copy_, _, _) in zip(self._chains(), self._chains()):
-            assert f is not copy_
+            assert f is copy_
             assert hash(f) == hash(copy_) and f == copy_ and not f != copy_
             assert f != Neg(copy_) and f != Or(q, copy_)
             assert render(f) == text
@@ -516,7 +550,7 @@ class TestDeepFormulas:
         for _ in range(3000):
             f = Neg(f)
         for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
-            assert g == f and g is not f and hash(g) == hash(f) and render(g) == render(f)
+            assert g is f
 
     def test_differ_at_the_bottom(self):
         f, g = Atom("p"), Atom("r")
@@ -532,15 +566,13 @@ text = "~(p & q) | r & long_name"
 if sys.argv[1] == "dump":
     with open(sys.argv[2], "wb") as fh:
         pickle.dump((parse_formula(text), parse_sequent(text + ", q |- p")), fh)
-    print(hash(parse_formula(text)))
 else:
     with open(sys.argv[2], "rb") as fh:
         f, s = pickle.load(fh)
     fresh_f, fresh_s = parse_formula(text), parse_sequent(text + ", q |- p")
-    assert f == fresh_f and hash(f) == hash(fresh_f) and f in {fresh_f}
+    assert f is fresh_f and hash(f) == hash(fresh_f) and f in {fresh_f}
     assert s == fresh_s and hash(s) == hash(fresh_s) and s in {fresh_s}
     assert fresh_f in set(s.left)
-    print(hash(fresh_f))
 """
 
 
@@ -554,12 +586,12 @@ def test_pickles_carry_no_hash_across_hash_seeds(tmp_path):
             [sys.executable, "-c", _PICKLE_CHILD, mode, str(blob)], env=env, capture_output=True, text=True
         )
         assert out.returncode == 0, out.stderr
-        return int(out.stdout)
 
-    dumped, loaded = child(1, "dump"), child(2, "load")
     # the atoms' hashes differ between the two seeds, so a hash carried in
-    # the pickle would be stale
-    assert dumped != loaded
+    # the pickle would be stale; the loading child checks that the pickled
+    # formula is its own live node
+    child(1, "dump")
+    child(2, "load")
 
 
 class TestValueClasses:
@@ -589,10 +621,9 @@ class TestValueClasses:
         # a proof's children count by their hashes, so no hash recurses
         for d in values["proofs"]:
             assert hash(d) == hash((d.conclusion, d.rule, tuple(map(hash, d.children)), d.premise_index))
-        # a formula stores the hash of its name, or of its children's hashes
+        # a formula is the one node for its fields, and hashes by identity
         for f in values["formulas"]:
-            fields = tuple(getattr(f, name) for name in f._fields)
-            assert hash(f) == hash(fields if isinstance(f, Atom) else tuple(map(hash, fields))), f
+            assert hash(f) == object.__hash__(f), f
         for rule in values["rules"]:
             # sources take no part
             assert hash(rule) == hash((rule.name, rule.premises, rule.conclusion))
@@ -651,7 +682,8 @@ class TestValueClasses:
         assert leaves(Value) == set(builders)  # a builder for each value class
         for cls, build in builders.items():
             x, y = build(), build()
-            assert type(x) is cls and x is not y, cls
+            # a formula's two builds are one node
+            assert type(x) is cls and (x is y) is issubclass(cls, Formula), cls
             assert x == y and hash(x) == hash(y), cls
             z = pickle.loads(pickle.dumps(x))
             assert z == x and hash(z) == hash(x), cls

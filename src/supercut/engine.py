@@ -311,7 +311,7 @@ def _provenance(shape: _Shape, theta: list[int], chosen: list[FactKey], universe
                 rest &= ~(1 << theta[x])
             old = slots.get(side.slot, (0, 0))
             slots[side.slot] = (old[0] | rest, old[1]) if s == 0 else (old[0], old[1] | rest)
-    return ("rule", shape.rule, {n: universe[v] for n, v in zip(shape.names, theta)}, tuple(parents), slots)
+    return ("rule", shape.rule, {n: Atom(universe[v]) for n, v in zip(shape.names, theta)}, tuple(parents), slots)
 
 
 @lru_cache(maxsize=64)
@@ -380,15 +380,10 @@ def _context_cut_join(snapshot: list[FactKey], delta: set[FactKey], first: bool,
                 offer(key, core, {needs[k]: f for k, f in zip(order, chosen)})
 
 
-def _clause(fact: FactKey, theta: dict[str, str], universe: Sequence[str]) -> Formula:
-    """~L | R for the fact L |- R: the disjunction of ~x<i> for the atoms of
-    L and x<i> for those of R, numbered on from theta's atoms in leaf order,
-    as ``rules.expansion`` numbers them. Each new x<i> is bound in theta to
-    its atom of the fact."""
-    left, right = _bits(fact[0]), _bits(fact[1])
-    xs = [Atom(f"x{len(theta) + k}") for k in range(len(left) + len(right))]
-    theta.update(zip((x.name for x in xs), (universe[i] for i in left + right)))
-    return reduce(Or, [Neg(x) for x in xs[: len(left)]] + xs[len(left):])
+def _clause(fact: FactKey, universe: Sequence[str]) -> Formula:
+    """~L | R for the fact L |- R: the disjunction of ~a for the atoms a of
+    L and of the atoms of R."""
+    return reduce(Or, [Neg(Atom(universe[i])) for i in _bits(fact[0])] + [Atom(universe[i]) for i in _bits(fact[1])])
 
 
 def _cut_provenance(
@@ -399,12 +394,11 @@ def _cut_provenance(
     step, as ``_provenance`` gives for a compiled rule: MC(A, B) is base,
     the calculus's limited-cut-left, expanded by the core's clause, with the
     core first."""
-    theta: dict[str, str] = {}
-    rule = R.expansion(base, (_clause(core, theta, universe),))
+    rule, theta = R.expansion(base, (_clause(core, universe),))
     parents = [core]
     for p in rule.premises[1:]:
         # G |- D, a for an atom a of A; b, G |- D for an atom b of B
-        need = (index[theta[p.atoms_right[0]]], 1) if p.atoms_right else (index[theta[p.atoms_left[0]]], 0)
+        need = (index[theta[p.atoms_right[0]].name], 1) if p.atoms_right else (index[theta[p.atoms_left[0]].name], 0)
         parents.append(picks[need])
     (g,), (d,) = rule.conclusion.slots_left, rule.conclusion.slots_right
     return ("rule", rule, theta, tuple(parents), {g: (key[0], 0), d: (0, key[1])})
@@ -428,8 +422,7 @@ def _explosion(calc: R.Calculus, premises: Sequence[Sequent], state: SaturationS
     count = math.prod(l.bit_count() + r.bit_count() for l, r in facts)  # transversals
     if count > R.MAX_EXPANSION_IMAGES:
         raise ResourceCapError(f"expansion cap {R.MAX_EXPANSION_IMAGES} exceeded: explosive-cut over {count} transversals")
-    theta: dict[str, str] = {}
-    rule = R.expansion(calc.specific[0], (reduce(And, [_clause(f, theta, state.universe) for f in facts]),))
+    rule, theta = R.expansion(calc.specific[0], (reduce(And, [_clause(f, state.universe) for f in facts]),))
     keys = [_key(_instance_sequent(p, theta, {}, state.universe), state.index) for p in rule.premises]
     parents = tuple(next(f for f in facts if f[0] & ~l == 0 and f[1] & ~r == 0) for l, r in keys)
     return ("rule", rule, theta, parents, {})
@@ -577,9 +570,9 @@ def reconstruct(
     return P.build_intro(goal, mid)
 
 
-def _instance_sequent(schema: R.SequentSchema, theta: dict[str, str], slots: dict[str, tuple[int, int]],
+def _instance_sequent(schema: R.SequentSchema, theta: dict[str, Atom], slots: dict[str, tuple[int, int]],
                       universe: Sequence[str]) -> Sequent:
-    return schema.instance(lambda a: Atom(theta[a]), lambda s: _fact_sequent(slots.get(s, (0, 0)), universe))
+    return schema.instance(theta.__getitem__, lambda s: _fact_sequent(slots.get(s, (0, 0)), universe))
 
 
 # ---------------------------------------------------------------------------

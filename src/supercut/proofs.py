@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -31,10 +30,10 @@ class Proof(Value):
     logical rule id, or a structural rule name. Instantiations are not
     stored; the checker re-infers them.
 
-    Equality compares the fields and the hash is taken over them. None of
-    equality, hash and repr recurses, so a proof of any depth has them.
-    A node stores its hash once computed, outside ``_fields``: out of
-    repr and pickles.
+    Equality is one fold over both proofs' distinct nodes, and the hash is
+    taken over the fields. Neither recurses, nor does repr, so a proof of
+    any depth has them. A node stores its hash once computed, outside
+    ``_fields``: out of repr and pickles.
     """
 
     __slots__ = ("conclusion", "rule", "children", "premise_index", "_hash")
@@ -54,24 +53,12 @@ class Proof(Value):
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        compared = set()  # pairs of shared subproofs met before
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if (
-                a.rule != b.rule
-                or a.premise_index != b.premise_index
-                or len(a.children) != len(b.children)
-                or a.conclusion != b.conclusion
-            ):
-                return False
-            for x, y in zip(a.children, b.children):
-                if x is not y and (id(x), id(y)) not in compared:
-                    if y.__class__ is not x.__class__:
-                        return False
-                    compared.add((id(x), id(y)))
-                    todo.append((x, y))
-        return True
+        ids: dict[tuple, int] = {}  # one id per distinct node of either proof
+
+        def node_id(node: Proof, kids: tuple[int, ...]) -> int:
+            return ids.setdefault((node.conclusion, node.rule, kids, node.premise_index), len(ids))
+
+        return rebuild(self, node_id) == rebuild(other, node_id)
 
     def __hash__(self) -> int:
         if self._hash is None:  # children first, down to the nodes hashed before
@@ -81,14 +68,7 @@ class Proof(Value):
     def nodes(self) -> Iterator["Proof"]:
         """Each distinct node once, in pre-order of the proof read as a
         tree; a subproof shared by several parents is not walked again."""
-        seen: set[int] = set()
-        todo = [self]
-        while todo:
-            node = todo.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                yield node
-                todo.extend(reversed(node.children))
+        return (node for node, _ in nodes_under(self, lambda node: False))
 
     def premise_leaves(self) -> frozenset[Sequent]:
         return frozenset(n.conclusion for n in self.nodes() if n.rule == "premise")
@@ -312,15 +292,14 @@ def _fault(
 # ---------------------------------------------------------------------------
 
 
+def is_atomic_step(node: Proof) -> bool:
+    """node's conclusion and its children's are atomic sequents."""
+    return node.conclusion.is_atomic() and all(c.conclusion.is_atomic() for c in node.children)
+
+
 def is_structurally_atomic(p: Proof) -> bool:
     """Premises and conclusions of all structural nodes are atomic sequents."""
-    for node in p.nodes():
-        if is_structural(node.rule) and node.rule != "premise":
-            if not node.conclusion.is_atomic():
-                return False
-            if any(not c.conclusion.is_atomic() for c in node.children):
-                return False
-    return True
+    return all(is_atomic_step(node) for node in p.nodes() if is_structural(node.rule))
 
 
 def nodes_under(p: Proof, marks: Callable[[Proof], bool]) -> Iterator[tuple[Proof, bool]]:
@@ -583,30 +562,21 @@ def proof_from_dict(d: dict) -> Proof:
 
 
 def proof_to_dot(p: Proof) -> str:
-    """Graphviz DOT of the proof read as a tree, nodes numbered in pre-order."""
+    """Graphviz DOT of the proof's distinct nodes, numbered in
+    ``Proof.nodes()`` order, with an edge from each child of a node to it."""
     lines = ["digraph proof {", "  node [shape=box, fontname=monospace];"]
-
-    ids = itertools.count()
-
-    def enter(node: Proof) -> int:
-        nid = next(ids)
+    ids: dict[int, int] = {}
+    for nid, node in enumerate(p.nodes()):
+        ids[id(node)] = nid
         label = node.conclusion.render().replace('"', '\\"')
         if not node.children:
             label += f"\\n[{node.rule}]"
         lines.append(f'  n{nid} [label="{label}"];')
-        return nid
 
-    stack = [(p, enter(p), iter(p.children))]
-    while stack:
-        _, nid, rest = stack[-1]
-        child = next(rest, _END)
-        if child is not _END:
-            stack.append((child, enter(child), iter(child.children)))
-            continue
-        stack.pop()
-        if stack:
-            parent, pid, _ = stack[-1]
-            rl = parent.rule.replace('"', '\\"')
-            lines.append(f'  n{nid} -> n{pid} [label="{rl}"];')
+    def edges(node: Proof, _) -> None:
+        rl = node.rule.replace('"', '\\"')
+        lines.extend(f'  n{ids[id(c)]} -> n{ids[id(node)]} [label="{rl}"];' for c in node.children)
+
+    rebuild(p, edges)
     lines.append("}")
     return "\n".join(lines)

@@ -17,7 +17,6 @@ from .syntax import (
     SupercutError,
     apply_subst,
     atoms_of,
-    map_atoms,
     multiset_minus,
     sequent_key,
 )
@@ -50,10 +49,6 @@ class RewriteTrace:
 # ---------------------------------------------------------------------------
 # expand_structural
 # ---------------------------------------------------------------------------
-
-
-def _node_is_atomic(node: Proof) -> bool:
-    return node.conclusion.is_atomic() and all(c.conclusion.is_atomic() for c in node.children)
 
 
 Matches = dict[int, R.StructuralMatch]
@@ -127,7 +122,7 @@ def _at_leaves(
         for t in reversed(kids):
             merged.update(t)
         return merged
-    if _node_is_atomic(node):
+    if P.is_atomic_step(node):
         return {node.conclusion: P.with_children(node, [t[c.conclusion] for t, c in zip(kids, node.children)])}
     m = _structural_match(node, calc, matches)
     compound = not all(isinstance(v, Atom) for v in m.atom_assignment.values())
@@ -196,20 +191,11 @@ def _sandwich(node: Proof, m: R.StructuralMatch, tables: tuple[Table, ...]) -> T
     expansion, each child taken from the table of the step's premise it
     comes from.
 
-    The step is expanded over the linear form of its atom assignment, each
-    atom occurrence a fresh ``x<i>`` in leaf order, as ``rules.expansion``
-    writes the images it names the step by; every fresh atom is mapped back
-    to its atom in the instances.
+    The step is expanded over its atom assignment, and each schema atom of
+    the expansion is mapped back to its atom in the instances.
     """
     rule = m.rule
-    back: dict[str, Atom] = {}
-
-    def fresh(a: Atom) -> Atom:
-        name = f"x{len(back)}"
-        back[name] = a
-        return Atom(name)
-
-    step = R.expansion(rule, tuple(map_atoms(m.atom_assignment[a], fresh) for a in rule.schema_atoms()))
+    step, theta = R.expansion(rule, tuple(m.atom_assignment[a] for a in rule.schema_atoms()))
     if step is None:
         raise InexpandableNode(f"the expansion of {node.rule} on this instance has several conclusions")
 
@@ -223,10 +209,10 @@ def _sandwich(node: Proof, m: R.StructuralMatch, tables: tuple[Table, ...]) -> T
     for combo in itertools.product(*(slot_branches[s] for s in slots_sorted)):
         bc = dict(zip(slots_sorted, combo))
         # the expansion's schema atoms are the fresh atoms of its images
-        member = step.conclusion.instance(back.__getitem__, bc.__getitem__)
+        member = step.conclusion.instance(theta.__getitem__, bc.__getitem__)
         if member in supply:
             continue
-        children = [tables[j][schema.instance(back.__getitem__, bc.__getitem__)]
+        children = [tables[j][schema.instance(theta.__getitem__, bc.__getitem__)]
                     for j, schema in zip(step.sources, step.premises)]
         supply[member] = P.structural(step.name, children, member)
     return supply

@@ -537,9 +537,10 @@ def decomposition_candidates(s: Sequent) -> list[tuple[str, Formula]]:
 def at_set(s: Sequent, chooser: Callable[[list[tuple[str, Formula]]], int] | None = None) -> frozenset[Sequent]:
     """All atomic sequents elimination-derivable from ``s``.
 
-    A top on the right or a bottom on the left makes the result empty; the
-    recursion is confluent, so the optional ``chooser`` (used by tests to
-    randomize decomposition order) never changes the outcome.
+    A top on the right or a bottom on the left makes the result empty. The
+    decomposition runs from an explicit stack and is confluent, so the
+    optional ``chooser`` (used by tests to randomize decomposition order)
+    never changes the outcome.
     """
     if chooser is None:
         return _at_set_default(s)
@@ -632,22 +633,32 @@ def sigma_expand(rule: StructuralRule, sigma: Substitution) -> frozenset[Structu
     return frozenset(out)
 
 
-@lru_cache(maxsize=4096)
-def expansion(base: StructuralRule, images: tuple[Formula, ...]) -> Optional[StructuralRule]:
+def expansion(base: StructuralRule, images: tuple[Formula, ...]) -> tuple[Optional[StructuralRule], dict[str, Atom]]:
     """The ``sigma_expand`` of ``base`` taking its schema atoms, in
     ``schema_atoms()`` order, to ``images``, when it is one rule; None when
-    the count is wrong or the expansion has no single conclusion.
+    the count is wrong or the expansion has no single conclusion. Returned
+    with theta, which maps each schema atom x<i> of the expansion to its atom.
 
     Each atom occurrence of the images, in leaf order, is first renamed to
-    the next of x0, x1, ..., the schema atoms of the expansion. It is named
-    ``base[image, ...]`` over those atoms, or ``base`` when every image is
-    an atom, so a name spells out one rule and ``Calculus.rule`` resolves it.
+    the next of x0, x1, .... The expansion is named ``base[image, ...]``
+    over those atoms, or ``base`` when every image is an atom, so a name
+    spells out one rule and ``Calculus.rule`` resolves it.
     """
+    theta: dict[str, Atom] = {}
+
+    def fresh(a: Atom) -> Atom:
+        theta[f"x{len(theta)}"] = a
+        return Atom(f"x{len(theta) - 1}")
+
+    return _linear_expansion(base, tuple(map_atoms(f, fresh) for f in images)), theta
+
+
+@lru_cache(maxsize=4096)
+def _linear_expansion(base: StructuralRule, linear: tuple[Formula, ...]) -> Optional[StructuralRule]:
+    """``expansion`` over images whose atom occurrences are x0, x1, ... in leaf order."""
     names = base.schema_atoms()
-    if len(images) != len(names):
+    if len(linear) != len(names):
         return None
-    leaves = itertools.count()
-    linear = [map_atoms(f, lambda a: Atom(f"x{next(leaves)}")) for f in images]
     expanded = sigma_expand(base, Substitution(dict(zip(names, linear))))
     if len(expanded) != 1:
         return None
@@ -667,7 +678,7 @@ def _expansion_named(base: StructuralRule, group: str, name: str) -> Optional[St
         images = tuple(parse_formula(text) for text in group[:-1].split(","))
     except ParseError:
         return None
-    found = expansion(base, images)
+    found = expansion(base, images)[0]
     return found if found is not None and found.name == name else None
 
 
@@ -733,7 +744,7 @@ def expansion_pool(rule: StructuralRule, depth_bound: int) -> frozenset[Structur
         )
     pool: dict[tuple, StructuralRule] = {}  # shapes such as x and ~~x expand alike
     for combo in itertools.product(_linear_shapes(depth_bound) if schema_atoms else (), repeat=len(schema_atoms)):
-        e = expansion(rule, combo)
+        e = expansion(rule, combo)[0]
         if e is not None:
             pool.setdefault(e.schema_key(), e)
     return frozenset(pool.values())

@@ -185,9 +185,10 @@ class Formula(Value):
     equality and the hash are identity's.
 
     Each node stores its rendering when it is built, from its children's,
-    so it is not recomputed per use and does not recurse. The rendering is
-    not in ``_fields``, so it stays out of ``repr`` and out of pickles,
-    which rebuild the node through its constructor: the live node.
+    so a rendering of up to ``KEY_CAP`` characters is not recomputed per
+    use; none recurses. The rendering is not in ``_fields``, so it stays
+    out of ``repr`` and out of pickles, which rebuild the node through its
+    constructor: the live node.
     """
 
     __slots__ = ("_key", "__weakref__")

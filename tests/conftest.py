@@ -79,7 +79,7 @@ def wide_context_cut(n: int, rng: random.Random) -> tuple[Proof, list[Sequent]]:
     premises = [Sequent(atoms[:1], atoms[1:]), Sequent((), (d, atoms[0]))]
     premises += [Sequent((b,), (d,)) for b in atoms[1:]]
     image = " | ".join(["~x0"] + [f"x{i}" for i in range(1, n)])
-    rule = expansion(LIMITED_CUT_LEFT, (parse_formula(image),))
+    rule, _ = expansion(LIMITED_CUT_LEFT, (parse_formula(image),))
     leaves = [Proof(s, "premise", (), i) for i, s in enumerate(premises)]
     # the side premise of schema atom x<i> is premises[i + 1]
     order = [int((p.atoms_right or p.atoms_left)[0][1:]) + 1 for p in rule.premises[1:]]

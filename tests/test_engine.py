@@ -446,9 +446,9 @@ class TestContextCut:
         assert step == "limited-cut-left[~x0 | x1 | x2 | x3]"
         assert res.calculus == getl and step not in {r.name for r in getl.specific}
         rule = getl.rule(step)
-        assert rule == rules.expansion(rules.LIMITED_CUT_LEFT, (pf("~a | b | c | e"),))
+        assert rule == rules.expansion(rules.LIMITED_CUT_LEFT, (pf("~a | b | c | e"),))[0]
         assert rule.premises[0] == rules.SequentSchema(["x0"], (), ["x1", "x2", "x3"], ())
-        assert rules.expansion(rules.LIMITED_CUT_LEFT, (Atom("a"),)).name == "limited-cut-left"
+        assert rules.expansion(rules.LIMITED_CUT_LEFT, (Atom("a"),))[0].name == "limited-cut-left"
 
     def test_step_wider_than_ten_atoms(self):
         # eleven side atoms: the schema atoms sort as x1 < x10 < x11 < x2

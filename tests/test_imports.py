@@ -91,9 +91,8 @@ def test_no_unused_private_functions():
     assert not unused, f"private functions nothing in the package uses: {', '.join(unused)}"
 
 
-# Functions that still call themselves, by module and qualified name. Most
-# recurse once per nesting level of a formula or proof (ROADMAP item 11);
-# engine's _join.rec is bounded by the size of a rule. A function made
+# Functions that still call themselves, by module and qualified name: only
+# engine's _join.rec, which is bounded by the size of a rule. A function made
 # iterative leaves this list, and a new self-recursive function fails the
 # test below.
 STILL_RECURSIVE = {

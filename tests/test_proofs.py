@@ -31,7 +31,7 @@ from supercut.proofs import (
     structural,
     weaken_to,
 )
-from supercut import proofs, rewrite, rules
+from supercut import proofs, rules
 from supercut.rewrite import (
     RewriteTrace,
     make_analytic_synthetic,
@@ -260,6 +260,34 @@ class TestSharing:
         assert "_hash" not in repr(w) and "_hash" not in str(pickle.dumps(w))
         assert pickle.loads(pickle.dumps(w)) == w and hash(pickle.loads(pickle.dumps(w))) == hash(w)
 
+    def test_equality_is_over_distinct_nodes(self):
+        def tree(leaves: list[Proof]) -> Proof:
+            # the cut tower over the leaves, left to right, with no node shared
+            while len(leaves) > 1:
+                leaves = [structural("cut", pair, ps("p |- p")) for pair in zip(leaves[::2], leaves[1::2])]
+            return leaves[0]
+
+        def ident(index=None) -> Proof:
+            return Proof(ps("p |- p"), "identity", (), index)
+
+        tower, apart = _cut_tower(4), tree([ident() for _ in range(16)])
+        assert len(list(tower.nodes())) == 5 and len(list(apart.nodes())) == apart.size() == tower.size() == 31
+        assert tower == apart and apart == tower and hash(tower) == hash(apart)
+        # one leaf with a premise index; then that leaf swapped with its sibling
+        odd = tree([ident(0)] + [ident() for _ in range(15)])
+        swapped = tree([ident(), ident(0)] + [ident() for _ in range(14)])
+        assert tower != odd and odd != tower and not tower == odd
+        assert odd != swapped and swapped != tower and not swapped == odd
+
+    def test_dot_is_over_distinct_nodes(self):
+        # the tower read as a tree has 2**17 - 1 nodes; DOT has one line per
+        # distinct node and one per child of each distinct node
+        lines = proof_to_dot(_cut_tower(16)).splitlines()
+        nodes = [line.split()[0] for line in lines if "[label=" in line and " -> " not in line]
+        edges = [line.split()[0:3:2] for line in lines if " -> " in line]
+        assert len(lines) == 52 and len(nodes) == len(set(nodes)) == 17 and len(edges) == 32
+        assert all(end in nodes for edge in edges for end in edge)
+
     def test_deep_chain_pickles_and_deep_copies(self):
         # 3,001 levels: premise, then alternating weakening and contraction
         d = premise(ps("q |- p"), 0)
@@ -382,7 +410,7 @@ class TestConstruction:
             assert checked == [0] and len(calls) == len(inputs)
             # one trace event per non-atomic structural step of the input
             expanded = [e for e in trace.entries if e[0] != "enforce-subformula"]
-            assert len(expanded) == sum(not rewrite._node_is_atomic(n) for n in inputs)
+            assert len(expanded) == sum(not proofs.is_atomic_step(n) for n in inputs)
             events |= {e[0] for e in expanded}
         assert events == {"expand-principal", "atomize-context"}
 

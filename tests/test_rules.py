@@ -88,20 +88,20 @@ class TestCalculi:
         # MC({p}, {q, r}) is limited-cut-left under x := ~p | q | r, and also,
         # up to the order of its premises, limited-cut-right under x := p & ~q & ~r
         (expanded,) = sigma_expand(LIMITED_CUT_RIGHT, Substitution({"x": pf("p & ~q & ~r")}))
-        mc = R.expansion(LIMITED_CUT_LEFT, (pf("~p | q | r"),))
+        mc, _ = R.expansion(LIMITED_CUT_LEFT, (pf("~p | q | r"),))
         assert mc.name == "limited-cut-left[~x0 | x1 | x2]"
         renamed = R._rename_rule(mc, {"x0": "p", "x1": "q", "x2": "r"}, {})
         assert set(renamed.premises) == set(expanded.premises) and renamed.conclusion == expanded.conclusion
         assert mc.premises[0] == SequentSchema(["x0"], (), ["x1", "x2"], ())  # the core comes first
         assert mc.sources == (0, 1, 1, 1)
         # MC({}, {x}) keeps the base name
-        assert R.expansion(LIMITED_CUT_LEFT, (pf("p"),)).name == "limited-cut-left"
+        assert R.expansion(LIMITED_CUT_LEFT, (pf("p"),))[0].name == "limited-cut-left"
 
     def test_context_cuts_resolve_by_name(self):
         getl, gk = builtin_calculus("getl"), builtin_calculus("gk")
         for a, b in [(0, 2), (1, 3), (4, 2), (3, 9)]:
             xs = [Atom(f"x{i}") for i in range(a + b)]
-            rule = R.expansion(LIMITED_CUT_LEFT, (functools.reduce(Or, [Neg(x) for x in xs[:a]] + xs[a:]),))
+            rule, _ = R.expansion(LIMITED_CUT_LEFT, (functools.reduce(Or, [Neg(x) for x in xs[:a]] + xs[a:]),))
             assert getl.rule(rule.name) == rule and getl.rule(rule.name) is getl.rule(rule.name)
             assert gk.rule(rule.name) is None
             assert getl.rule(rule.name.replace("x0", "y0")) is None  # not over x0, x1, ... in leaf order
@@ -114,7 +114,7 @@ class TestCalculi:
         # resolves in the base calculus
         gecq = builtin_calculus("gecq")
         member = gecq.rule("explosive-cut[x0 | x1]")
-        step = R.expansion(member, (pf("p & q"), pf("r")))
+        step, _ = R.expansion(member, (pf("p & q"), pf("r")))
         assert step.name == "explosive-cut[x0 | x1][x0 & x1, x2]"
         assert gecq.rule(step.name) == step
         assert step.render() == "|- x0, x2 ; |- x1, x2 ; x0, x1 |- ; x2 |- => |-"

@@ -602,7 +602,7 @@ class TestValueClasses:
     def _hashable(self):
         seq = parse_sequent("p, q & ~r |- F, p")
         leaf = Proof(seq, "premise", (), 0)
-        rule = expansion(LIMITED_CUT_LEFT, (parse_formula("x & y"),))
+        rule, _ = expansion(LIMITED_CUT_LEFT, (parse_formula("x & y"),))
         assert rule.sources
         return {
             "formulas": list(subformulas(parse_formula("~(p & q) | T & F"))),

@@ -404,6 +404,7 @@ def _cut_provenance(
     return ("rule", rule, theta, tuple(parents), {g: (key[0], 0), d: (0, key[1])})
 
 
+@lru_cache(maxsize=64)
 def _explodes(calc: R.Calculus) -> bool:
     """Whether the calculus's one rule is explosive-cut (gecq)."""
     return [R.builtin_of(r) for r in calc.specific] == [R.EXPLOSIVE_CUT]

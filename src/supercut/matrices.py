@@ -3,11 +3,14 @@
 This module is the independent semantic oracle: every syntactic verdict in
 the package can be cross-checked against exhaustive valuation enumeration
 over these matrices. The enumeration is bit-sliced: a subformula's value
-over all valuations at once is one bitmask per carrier element, so each
-subformula is evaluated once per query, not once per valuation. A product
-matrix is enumerated factor by factor, and factors with the same operation
-tables share one evaluation: the 16-valued ecq matrix costs one four-valued
-pass.
+over all valuations at once is a few bitmasks over the valuations, so each
+subformula is evaluated once per query, not once per valuation. An algebra
+that embeds in the four Belnap-Dunn values, as every built-in one does,
+holds a value as two masks, told true and told false, and evaluates a
+connective in one or two mask operations; any other algebra holds one mask
+per carrier element and evaluates through its tables. A product matrix is
+enumerated factor by factor, and factors with the same operation tables
+share one evaluation: the 16-valued ecq matrix costs one four-valued pass.
 """
 
 from __future__ import annotations
@@ -54,11 +57,14 @@ class Matrix(Value):
     holds the operations over carrier indices for bit-sliced evaluation:
     the meet and join tables, the neg table, and the top and bottom
     indices. Matrices with equal ``_ops`` differ only in
-    ``_designated_at``, the designated indices.
+    ``_designated_at``, the designated indices. ``_codes`` is the
+    algebra's embedding in the four Belnap-Dunn values (``_embedding``),
+    or None; with one, ``_told`` is None when the matrix designates
+    exactly the values told true, else its designated (T, F) pairs.
     """
 
     _fields = ("name", "carrier", "meet", "join", "neg", "top", "bot", "designated")
-    __slots__ = _fields + ("factors", "_meet", "_join", "_neg", "_ops", "_designated_at")
+    __slots__ = _fields + ("factors", "_meet", "_join", "_neg", "_ops", "_designated_at", "_codes", "_told")
 
     def __init__(
         self,
@@ -87,9 +93,13 @@ class Matrix(Value):
             designated_at = tuple(sorted(index[d] for d in designated))
         except KeyError as exc:
             raise MatrixError(f"matrix {name}: tables not total over the carrier at {exc}") from None
+        codes = _embedding(ops)
+        told = codes and tuple(sorted({codes[v] for v in designated_at}))
+        if codes and set(told) == {c for c in codes if c[0]}:
+            told = None
         # in the order of __slots__
         values = (name, carrier, meet, join, neg, top, bot, designated, factors, meet_at, join_at, neg_at, ops,
-                  designated_at)
+                  designated_at, codes, told)
         for slot, value in zip(self.__slots__, values):
             object.__setattr__(self, slot, value)
 
@@ -147,6 +157,29 @@ class Matrix(Value):
             for b in self.carrier:
                 lines.append(f"join {a} {b} = {self.join_of(a, b)}")
         return "\n".join(lines)
+
+
+# The four Belnap-Dunn values t, f, b and n as (told true, told false) bits
+_BELNAP = ((1, 0), (0, 1), (1, 1), (0, 0))
+
+
+def _embedding(ops: tuple) -> Optional[tuple[tuple[int, int], ...]]:
+    """The (told true, told false) pair of each carrier index, when some
+    one-to-one map into the four Belnap-Dunn values sends top to t = (1,0)
+    and bottom to f = (0,1) and agrees with every meet, join and neg entry:
+    a meet is ``(T & T', F | F')``, a join ``(T | T', F & F')`` and neg
+    swaps the pair. None when no map does, as for any carrier of more than
+    four elements."""
+    meet, join, neg, top, bot = ops
+    n = range(len(neg))
+    for codes in itertools.permutations(_BELNAP, len(neg)):
+        if (codes[top] == (1, 0) and codes[bot] == (0, 1)
+                and all(codes[neg[a]] == codes[a][::-1] for a in n)
+                and all(codes[meet[a][b]] == (codes[a][0] & codes[b][0], codes[a][1] | codes[b][1])
+                        and codes[join[a][b]] == (codes[a][0] | codes[b][0], codes[a][1] & codes[b][1])
+                        for a in n for b in n)):
+            return codes
+    return None
 
 
 def _lattice_matrix(
@@ -346,20 +379,22 @@ def eval_formula(m: Matrix, valuation: dict[str, str], f: Formula) -> str:
 
 
 # Beyond this many valuations of one enumerated matrix ``holds`` raises
-# ResourceCapError: at the cap a bit-sliced value takes 128 KiB per carrier
-# element. A product is enumerated factor by factor, so the cap applies to
-# each factor.
+# ResourceCapError: at the cap a bit-sliced value takes two planes of 128 KiB
+# in an algebra that embeds in the four Belnap-Dunn values, and 128 KiB per
+# carrier element in any other. A product is enumerated factor by factor, so
+# the cap applies to each factor.
 MAX_VALUATIONS = 2**20
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _atom_slices(n: int, j: int, count: int) -> tuple[int, ...]:
     """The bit-sliced value of the atom at position ``j`` of the atom tuple.
 
     Valuation i gives that atom the carrier element ``(i // n**j) % n``:
     element v owns bits ``[v*n**j, (v+1)*n**j)`` of every period of
     ``n**(j+1)`` bits, and multiplying one period by ``repeat`` copies it
-    across all ``count`` bits.
+    across all ``count`` bits. The cache is bounded: at the cap one entry
+    takes 128 KiB per carrier element.
     """
     run = n**j
     period = run * n
@@ -390,25 +425,27 @@ class _Values:
     """Bit-sliced values in one algebra (a matrix's ``_ops``) over every
     valuation of ``atom_tuple``, shared by all matrices with that algebra.
 
-    A value is a tuple with one int per carrier index: bit i of slot v is set
-    when the formula takes element v under valuation i. Each distinct
-    subformula is evaluated once, by ``syntax.fold``. ``of``
-    evaluates a query's items: formulas, or sequents read as their ``tau``.
+    These are the slot tables, for an algebra with no ``_codes``: a value
+    is a tuple with one int per carrier index, and bit i of slot v is set
+    when the formula takes element v under valuation i. ``_Planes`` holds
+    the values of an algebra with ``_codes``. Each distinct subformula is
+    evaluated once, by ``syntax.fold``. ``of`` evaluates a query's items:
+    formulas, or sequents read as their ``tau``.
     """
 
-    def __init__(self, ops: tuple, n: int, atom_tuple: tuple[str, ...], sequents: bool):
-        self.ops = ops
-        self.n = n
+    def __init__(self, m: Matrix, atom_tuple: tuple[str, ...], sequents: bool):
+        self.ops = m._ops
+        n = len(m.carrier)
         self.count = n ** len(atom_tuple)
         self.full = (1 << self.count) - 1
         self.sequents = sequents
         # the values of the query's items and of their subformulas, by id,
         # the leaves' set up front: the query keeps them all alive (its
         # atoms are atom_tuple), and ids skip hashing a sequent
-        self.memo = {id(TOP): self.constant(ops[3]), id(BOT): self.constant(ops[4])}
-        self.memo.update((id(Atom(a)), _atom_slices(n, j, self.count)) for j, a in enumerate(atom_tuple))
+        self.memo = {id(TOP): self.constant(self.ops[3]), id(BOT): self.constant(self.ops[4])}
+        self.memo.update((id(Atom(a)), self.atom(_atom_slices(n, j, self.count))) for j, a in enumerate(atom_tuple))
 
-    def of(self, item) -> tuple[int, ...]:
+    def of(self, item):
         """The value of a query item: a formula, or a sequent read as its tau."""
         out = self.memo.get(id(item))
         if out is None:
@@ -423,8 +460,11 @@ class _Values:
             mask |= slots[v]
         return mask
 
+    def atom(self, slices: tuple[int, ...]) -> tuple[int, ...]:
+        return slices
+
     def constant(self, v: int) -> tuple[int, ...]:
-        slots = [0] * self.n
+        slots = [0] * len(self.ops[2])
         slots[v] = self.full
         return tuple(slots)
 
@@ -453,6 +493,66 @@ class _Values:
                 acc = _combine(table, self.formula(f), acc)
             sides.append(acc)
         return _combine(join, _apply(neg, sides[0]), sides[1])
+
+
+def _told_step(g: Formula, kids: tuple) -> tuple[int, int]:
+    kind = type(g)
+    if kind is Neg:
+        return kids[0][::-1]
+    if kind is not And and kind is not Or:
+        raise TypeError(f"not a formula: {g!r}")
+    (t1, f1), (t2, f2) = kids
+    return (t1 & t2, f1 | f2) if kind is And else (t1 | t2, f1 & f2)
+
+
+class _Planes(_Values):
+    """``_Values`` in an algebra with ``_codes``: a value is a pair (T, F)
+    of planes, bit i of T set when the formula is told true under valuation
+    i, of F when it is told false. A meet is ``(T & T', F | F')``, a join
+    ``(T | T', F & F')``, and neg swaps the planes."""
+
+    def __init__(self, m: Matrix, atom_tuple: tuple[str, ...], sequents: bool):
+        self.codes = m._codes
+        super().__init__(m, atom_tuple, sequents)
+
+    def designation(self, m: Matrix, item) -> int:
+        """T when m designates the values told true, else the union of the
+        valuations taking each designated pair."""
+        told_true, told_false = self.of(item)
+        if m._told is None:
+            return told_true
+        mask = 0
+        for t, f in m._told:
+            mask |= (told_true if t else ~told_true) & (told_false if f else ~told_false)
+        return mask & self.full
+
+    def atom(self, slices: tuple[int, ...]) -> tuple[int, int]:
+        told_true = told_false = 0
+        for (t, f), bits in zip(self.codes, slices):
+            if t:
+                told_true |= bits
+            if f:
+                told_false |= bits
+        return told_true, told_false
+
+    def constant(self, v: int) -> tuple[int, int]:
+        t, f = self.codes[v]
+        return t * self.full, f * self.full
+
+    def formula(self, f: Formula) -> tuple[int, int]:
+        return fold(f, operands, _told_step, id, self.memo)
+
+    def sequent(self, s: Sequent) -> tuple[int, int]:
+        """``tau(s)`` is told true where a left member is told false or a
+        right member told true, and told false where every left member is
+        told true and every right member told false."""
+        told_true, told_false = 0, self.full
+        for side, flip in ((s.left, 1), (s.right, 0)):
+            for f in side:
+                planes = self.memo.get(id(f)) or self.formula(f)
+                told_true |= planes[flip]
+                told_false &= planes[1 - flip]
+        return told_true, told_false
 
 
 def _factor_masks(
@@ -508,7 +608,7 @@ def _decide(spec: LogicSpec, premises: tuple, conclusion, sequents: bool) -> boo
     def values_of(fac: Matrix) -> _Values:
         values = algebras.get(fac._ops)
         if values is None:
-            values = algebras[fac._ops] = _Values(fac._ops, len(fac.carrier), atom_tuple, sequents)
+            values = algebras[fac._ops] = (_Planes if fac._codes else _Values)(fac, atom_tuple, sequents)
         return values
 
     for m in spec.matrices:
@@ -523,7 +623,10 @@ def holds(
     premises: Iterable[Formula],
     conclusion: Optional[Formula] = None,
 ) -> bool:
-    """Matrix consequence by exhaustive, bit-sliced valuation enumeration.
+    """Matrix consequence by exhaustive, bit-sliced valuation enumeration:
+    as told-true/told-false planes (``_Planes``) in an algebra that embeds
+    in the four Belnap-Dunn values, as every built-in one does, and through
+    the operation tables (``_Values``) in any other.
 
     A ``None`` conclusion asks whether the premises form an antitheorem.
     For intersections the verdict is the conjunction over all matrices; a

@@ -447,13 +447,13 @@ def atoms_of(x: Union[Formula, "Sequent"]) -> frozenset[str]:
     out: set[str] = set()
     while todo:
         g = todo.pop()
-        if isinstance(g, Atom):
+        kind = type(g)
+        if kind is Atom:
             out.add(g.name)
-        elif isinstance(g, Neg):
+        elif kind is Neg:
             todo.append(g.arg)
-        elif isinstance(g, (And, Or)):
-            todo.append(g.left)
-            todo.append(g.right)
+        elif kind is And or kind is Or:
+            todo += (g.left, g.right)
     return frozenset(out)
 
 

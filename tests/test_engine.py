@@ -306,6 +306,13 @@ class TestExplosion:
     """gecq keeps its seed facts and refutes them by getl's join, in one
     explosive-cut step."""
 
+    def test_explodes_is_cached_per_calculus(self):
+        gecq = builtin_calculus("gecq")
+        engine._explodes.cache_clear()
+        assert engine._explodes(gecq) and engine._explodes(gecq)
+        info = engine._explodes.cache_info()
+        assert (info.maxsize, info.misses, info.hits) == (64, 1, 1)
+
     def test_oracle_differential(self, rng):
         # random premises of depth 2, 30% of them with an empty goal, and
         # atomic fact sets, half of them with an empty goal, whose facts

@@ -1,10 +1,10 @@
 """Matrix laws, builtin logics, the consequence oracle, information order."""
 
-import itertools
 import random
 
 import pytest
 
+from supercut import matrices
 from supercut.matrices import (
     B4,
     BOOL2,
@@ -31,12 +31,12 @@ from supercut.syntax import (
     Or,
     ResourceCapError,
     Sequent,
-    atoms_of,
     parse_formula as pf,
     parse_sequent as ps,
     tau,
 )
 
+import oracle_agreement
 from conftest import random_formula
 
 ALL_MATRICES = (B4, K3, LP3, ETL4, BOOL2)
@@ -132,17 +132,7 @@ class TestHolds:
         assert not holds_sequent(builtin("b"), [], ps("p |- p"))
 
 
-def _brute_force_holds(spec, premises, conclusion):
-    """Reference consequence: ``eval_formula`` under one valuation at a time."""
-    forms = list(premises) + ([conclusion] if conclusion is not None else [])
-    names = sorted(set().union(*map(atoms_of, forms)))
-    for m in spec.matrices:
-        for values in itertools.product(m.carrier, repeat=len(names)):
-            val = dict(zip(names, values))
-            if all(eval_formula(m, val, p) in m.designated for p in premises):
-                if conclusion is None or eval_formula(m, val, conclusion) not in m.designated:
-                    return False
-    return True
+_brute_force_holds = oracle_agreement.brute_force
 
 
 class TestOracleDifferential:
@@ -221,6 +211,62 @@ class TestOracleDifferential:
             assert holds_sequent(spec, prems, goal) == want, (spec.name, prems, goal)
             verdicts.add((spec.name, want))
         assert {name for name, _ in verdicts} == set(LOGIC_NAMES) and {v for _, v in verdicts} == {False, True}
+
+
+class TestTwoBitPlanes:
+    """Algebras that embed in the four Belnap-Dunn values are evaluated as
+    told-true/told-false planes; the slot tables stay for the others."""
+
+    def test_embedding_of_each_builtin_algebra(self):
+        for m in ALL_MATRICES:
+            codes = m._codes
+            assert codes is not None, m.name
+            assert codes[m.carrier.index(m.top)] == (1, 0) and codes[m.carrier.index(m.bot)] == (0, 1)
+            assert len(set(codes)) == len(m.carrier)
+        for name in LOGIC_NAMES:
+            for m in builtin(name).matrices:
+                assert all(fac._codes is not None for fac in m.factors or (m,)), name
+
+    def test_no_embedding(self):
+        flat = product_matrix(ETL4, B4)
+        assert Matrix(*(getattr(flat, name) for name in flat._fields))._codes is None
+        # a De Morgan chain f < a < b < t with ~a = b: B4 has no four-chain
+        chain = matrices._lattice_matrix(
+            "chain4",
+            {"f": {"f", "a", "b", "t"}, "a": {"a", "b", "t"}, "b": {"b", "t"}, "t": {"t"}},
+            {"f": "t", "a": "b", "b": "a", "t": "f"},
+            "t",
+            "f",
+            ("b", "t"),
+        )
+        assert chain.check_laws() and chain._codes is None
+        assert holds(LogicSpec("chain", (chain,)), [pf("p | ~p")], pf("q | ~q"))
+
+    def test_the_embedding_is_not_part_of_identity(self):
+        copy = oracle_agreement.slot_only(B4)
+        assert copy == B4 and hash(copy) == hash(B4) and repr(copy) == repr(B4)
+        assert "_codes" not in repr(B4) and "_told" not in repr(B4)
+
+    def test_routes_agree_on_every_logic(self, rng, monkeypatch):
+        # no built-in algebra is evaluated through the slot tables
+        made = []
+        init = matrices._Values.__init__
+        monkeypatch.setattr(matrices._Values, "__init__", lambda self, m, *args: made.append((m, type(self))) or init(self, m, *args))
+        seen = oracle_agreement.check(rng, 280)
+        assert {(m.name, kind) for m, kind in made if m._codes} == {
+            ("B4", matrices._Planes), ("K3", matrices._Planes), ("LP3", matrices._Planes),
+            ("ETL4", matrices._Planes), ("BOOL2", matrices._Planes)}
+        assert all(kind is matrices._Values for m, kind in made if not m._codes)
+        assert {s[0] for s in seen} == set(LOGIC_NAMES)
+        assert {s[1:3] for s in seen} == {(False, False), (False, True), (True, False), (True, True)}
+        assert {s[3] for s in seen} == {False, True}
+
+    def test_atom_slices_cache_is_bounded(self):
+        ten = "abcdefghij"
+        for name in ("b", "ecq", "k", "lp", "cl"):
+            holds(builtin(name), [pf(" & ".join(ten))], pf("a | ~j"))
+        info = matrices._atom_slices.cache_info()
+        assert info.maxsize == 16 and info.currsize == 16
 
 
 class TestValuationCap:
